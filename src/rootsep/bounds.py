@@ -408,13 +408,14 @@ def _finish(
     degenerate_holds: bool = False,
 ) -> BoundReport:
     rhs = ball_product(list(components.values()))
+    # decided on the enclosures: a tiny negative margin can round to -0.0
     margin = float(lhs.lo - rhs.hi)
     if degenerate_holds:
         verdict = "holds"
     elif extra.get("certificate_error"):
         verdict = "inconclusive"
     else:
-        verdict = "holds" if margin >= 0 else "inconclusive"
+        verdict = "holds" if lhs.lo >= rhs.hi else "inconclusive"
     return BoundReport(
         variant=variant,
         lhs=lhs,
@@ -438,10 +439,6 @@ def _certificate(roots, g, precision, extra) -> VandermondeCertificate | None:
         return None
 
 
-def _degree_and_r(p, roots: RootSet) -> tuple[int, int]:
-    return roots.total_degree, roots.r
-
-
 def bound_main(p, graph_or_edges, precision: int = 128, roots: RootSet | None = None) -> BoundReport:
     """The generalized bound for an arbitrary graph on the roots.
 
@@ -452,7 +449,7 @@ def bound_main(p, graph_or_edges, precision: int = 128, roots: RootSet | None = 
         roots = find_roots(p, precision)
     with working_precision(precision):
         g = _as_graph(graph_or_edges, roots)
-        d, r = _degree_and_r(p, roots)
+        d, r = roots.total_degree, roots.r
         extra: dict = {}
         cert = _certificate(roots, g, precision, extra)
         lhs = _lhs_over_edges(roots, g)
@@ -530,7 +527,7 @@ def bound_remark_degree(p, graph_or_edges, precision: int = 128, roots: RootSet 
         roots = find_roots(p, precision)
     with working_precision(precision):
         g = _as_graph(graph_or_edges, roots)
-        d, r = _degree_and_r(p, roots)
+        d, r = roots.total_degree, roots.r
         dtilde = min_total_degree(g)
         extra: dict = {"min_total_degree": dtilde}
         cert = _certificate(roots, g, precision, extra)
@@ -565,7 +562,7 @@ def bound_remark_pairs(
         roots = find_roots(p, precision)
     with working_precision(precision):
         g = _as_graph(graph_or_edges, roots)
-        d, r = _degree_and_r(p, roots)
+        d, r = roots.total_degree, roots.r
         if r <= 2:
             raise PreconditionError(f"this variant requires r > 2 distinct roots, got r={r}")
         if not isinstance(hints, ClusterHint):

@@ -26,9 +26,7 @@ from .invariants import compute_invariants
 from .parsing import parse_polynomial, render_exact_poly
 from .poly import ExactPoly
 from .roots import find_roots
-from .sweep import GRAPH_KINDS, SweepParams, run_sweep
-
-_ALLOWED_PRECISIONS = (64, 128, 256, 512, 1024)
+from .sweep import _ALLOWED_PRECISIONS, GRAPH_KINDS, SweepParams, run_sweep
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -39,9 +38,6 @@ class GaussianRational:
     @property
     def is_real(self) -> bool:
         return self.im == 0
-
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def norm(self) -> Fraction:
         """|z|^2, exactly rational."""
@@ -131,26 +127,3 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational.of(0)
 GR_ONE = GaussianRational.of(1)
-GR_I = GaussianRational.of(0, 1)
-
-
-def rational_content(values: "list[GaussianRational]") -> Fraction:
-    """Positive rational c such that dividing every entry by c gives integer
-    real/imaginary parts with overall gcd 1. Returns 1 for an empty or all-zero
-    list."""
-    nums: list[int] = []
-    dens: list[int] = []
-    for v in values:
-        for part in (v.re, v.im):
-            if part != 0:
-                nums.append(abs(part.numerator))
-                dens.append(part.denominator)
-    if not nums:
-        return Fraction(1)
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    return Fraction(g, l)

@@ -7,20 +7,19 @@ Each quantity is available by two independent routes:
   unusable when a root sits near the circle).
 * |sDisc_{d-r}|: the root-product formula (squared pairwise distances times
   the multiplicity product) and the exact principal subresultant coefficient
-  of (P, P'), computed over scaled Gaussian integers by fraction-free
-  elimination. Only the absolute value is consumed downstream, so the
-  subresultant route is normalized by absolute value against the root
+  of (P, P'), read off the subresultant chain that `rootsep.poly` builds over
+  the Gaussian integers. Only the absolute value is consumed downstream, so
+  the subresultant route is normalized by absolute value against the root
   formula.
 
-Vanishing decisions (the index d - r itself) are made exactly on exact
-inputs: the subresultant sequence and the square-free decomposition must
-agree, and numeric clustering is never consulted.
+The discriminant and every principal subresultant coefficient come from that
+same chain. Vanishing decisions (the index d - r itself) are made exactly on
+exact inputs: the chain and the square-free decomposition must agree, and
+numeric clustering is never consulted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 import mpmath
 from mpmath import mpc, mpf
@@ -28,117 +27,61 @@ from mpmath import mpc, mpf
 from .balls import RBall, working_precision
 from .errors import JensenUnavailableError, RootsepError, ValidationError
 from .gaussian import GaussianRational
-from .poly import ExactPoly, eval_poly, square_free_decomposition
+from .poly import ExactPoly, _principal_coefficients, eval_poly, square_free_decomposition
 from .roots import RootSet, find_roots
 
 # ---------------------------------------------------------------------------
-# exact subresultant machinery (Gaussian integers, fraction-free elimination)
+# exact subresultant routes (all read one subresultant chain)
 # ---------------------------------------------------------------------------
-
-
-def _gmul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
-
-
-def _gdiv_exact(x, y):
-    a, b = x
-    c, d = y
-    den = c * c + d * d
-    if den == 0:
-        raise ZeroDivisionError("Gaussian integer division by zero")
-    nre = a * c + b * d
-    nim = b * c - a * d
-    qre, rre = divmod(nre, den)
-    qim, rim = divmod(nim, den)
-    if rre or rim:
-        raise ArithmeticError("inexact Gaussian integer division")
-    return (qre, qim)
-
-
-def _gint_det(m) -> tuple[int, int]:
-    """Fraction-free (Bareiss) determinant of a Gaussian integer matrix."""
-    n = len(m)
-    if n == 0:
-        return (1, 0)
-    sign = 1
-    prev = (1, 0)
-    for k in range(n - 1):
-        if m[k][k] == (0, 0):
-            swap = next((i for i in range(k + 1, n) if m[i][k] != (0, 0)), None)
-            if swap is None:
-                return (0, 0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        akk = m[k][k]
-        for i in range(k + 1, n):
-            aik = m[i][k]
-            for j in range(k + 1, n):
-                x = _gmul(m[i][j], akk)
-                y = _gmul(aik, m[k][j])
-                m[i][j] = _gdiv_exact((x[0] - y[0], x[1] - y[1]), prev)
-            m[i][k] = (0, 0)
-        prev = akk
-    res = m[n - 1][n - 1]
-    return res if sign == 1 else (-res[0], -res[1])
-
-
-def _scaled_int_coeffs(p: ExactPoly) -> tuple[list[tuple[int, int]], int]:
-    """Coefficients as Gaussian integers after clearing denominators; returns
-    (scaled coefficients, the positive scaling factor)."""
-    lcm = 1
-    for c in p.coeffs:
-        for part in (c.re, c.im):
-            d = part.denominator
-            lcm = lcm * d // gcd(lcm, d)
-    out = [
-        (int(c.re * lcm), int(c.im * lcm))
-        for c in p.coeffs
-    ]
-    return out, lcm
 
 
 def principal_subresultant(a: ExactPoly, b: ExactPoly, j: int) -> GaussianRational:
     """j-th principal subresultant coefficient of (a, b), deg a > deg b.
 
-    Determinant of the classical coefficient matrix with rows X^k*a and
-    X^k*b over the column exponents deg(a)+deg(b)-j-1 .. j; index 0 gives
-    the resultant.
+    By definition the determinant of the classical coefficient matrix with
+    rows X^k*a and X^k*b over the column exponents deg(a)+deg(b)-j-1 .. j;
+    index 0 gives the resultant.
     """
     p, q = a.degree, b.degree
     if not p > q >= 0:
         raise ValidationError("principal_subresultant needs deg a > deg b >= 0")
     if not 0 <= j <= q:
         raise ValidationError(f"subresultant index {j} out of range 0..{q}")
-    ca, la = _scaled_int_coeffs(a)
-    cb, lb = _scaled_int_coeffs(b)
-    cols = list(range(p + q - j - 1, j - 1, -1))
-    rows: list[list[tuple[int, int]]] = []
-    for k in range(q - j - 1, -1, -1):
-        rows.append([ca[e - k] if 0 <= e - k <= p else (0, 0) for e in cols])
-    for k in range(p - j - 1, -1, -1):
-        rows.append([cb[e - k] if 0 <= e - k <= q else (0, 0) for e in cols])
-    gre, gim = _gint_det(rows)
-    scale = la ** (q - j) * lb ** (p - j)
-    return GaussianRational(Fraction(gre, scale), Fraction(gim, scale))
+    return _principal_coefficients(a, b)[j]
+
+
+def _first_nonzero(psc: list[GaussianRational]) -> tuple[int, GaussianRational]:
+    for j, v in enumerate(psc):
+        if not v.is_zero:
+            return j, v
+    raise RootsepError("subresultant sequence vanished entirely")  # pragma: no cover
 
 
 def first_nonzero_subresultant(a: ExactPoly, b: ExactPoly) -> tuple[int, GaussianRational]:
     """Smallest index k with a nonvanishing principal subresultant coefficient
     (equivalently: all coefficients below k vanish identically)."""
-    for j in range(b.degree + 1):
-        v = principal_subresultant(a, b, j)
-        if not v.is_zero:
-            return j, v
-    raise RootsepError("subresultant sequence vanished entirely")  # pragma: no cover
+    return _first_nonzero(_principal_coefficients(a, b))
+
+
+def _check_index(k: int, d: int, r: int) -> None:
+    """The chain's first nonvanishing index must be d - r; a mismatch would
+    mean broken exact arithmetic."""
+    if k != d - r:  # pragma: no cover
+        raise RootsepError(f"subresultant gap {k} disagrees with decomposition d-r={d - r}")
+
+
+def _abs_ball(w: GaussianRational) -> RBall:
+    """|w| as a ball: exact when w is real, else a rounded square root."""
+    if w.is_real:
+        return RBall.exact(abs(w.re))
+    return RBall.exact(w.norm()).sqrt()
 
 
 def discriminant(p: ExactPoly) -> GaussianRational:
     """Classical discriminant, exact: (-1)^(d(d-1)/2) Res(P, P') / lc(P)."""
     if p.is_zero or p.degree < 2:
         raise ValidationError("discriminant needs degree >= 2")
-    res = principal_subresultant(p, p.derivative(), 0)
+    res = _principal_coefficients(p, p.derivative())[0]
     d = p.degree
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return res / p.leading * sign
@@ -147,20 +90,12 @@ def discriminant(p: ExactPoly) -> GaussianRational:
 def subdiscriminant(p: ExactPoly) -> tuple[int, GaussianRational]:
     """(d - r, exact value of the first nonvanishing subdiscriminant).
 
-    The index is cross-checked against the square-free decomposition; a
-    mismatch would mean broken exact arithmetic and raises.
+    The index is cross-checked against the square-free decomposition.
     """
     if p.is_zero or p.degree < 1:
         raise ValidationError("subdiscriminant needs degree >= 1")
-    d = p.degree
-    if d == 0:
-        raise ValidationError("subdiscriminant needs degree >= 1")
     k, sres = first_nonzero_subresultant(p, p.derivative())
-    r_exact = sum(f.degree for f, _ in square_free_decomposition(p))
-    if k != d - r_exact:  # pragma: no cover
-        raise RootsepError(
-            f"subresultant gap {k} disagrees with decomposition d-r={d - r_exact}"
-        )
+    _check_index(k, p.degree, sum(f.degree for f, _ in square_free_decomposition(p)))
     return k, sres / p.leading
 
 
@@ -209,11 +144,7 @@ def sdisc_abs_from_subresultants(p: ExactPoly, precision: int = 128) -> RBall:
     """
     with working_precision(precision):
         k, w = subdiscriminant(p)
-        if p.degree - k == 1:
-            return RBall.one()
-        if w.is_real:
-            return RBall.exact(abs(w.re))
-        return RBall.exact(w.norm()).sqrt()
+        return RBall.one() if p.degree - k == 1 else _abs_ball(w)
 
 
 def mahler_measure_jensen(
@@ -277,34 +208,30 @@ class InvariantBundle:
 def compute_invariants(p, precision: int = 128, roots: RootSet | None = None) -> InvariantBundle:
     """Invariant bundle for an exact or numeric polynomial.
 
-    On exact input the subdiscriminant index comes from exact arithmetic and
-    the two sdisc routes are both evaluated (their agreement is a standing
-    self-check); on numeric input only the root-product route exists.
+    On exact input one subresultant chain of (P, P') gives the index d - r
+    (cross-checked against the root set's r, which comes from the exact
+    square-free decomposition), |sDisc_{d-r}| and |Disc|; the two sdisc routes
+    are both evaluated (their agreement is a standing self-check). On numeric
+    input only the root-product route exists.
     """
     with working_precision(precision):
         if roots is None:
             roots = find_roots(p, precision)
         mahler = mahler_measure(roots)
         sdisc_roots = sdisc_abs_from_roots(roots)
+        d = p.degree
         if isinstance(p, ExactPoly):
-            index, _ = subdiscriminant(p)
-            sdisc_exact = sdisc_abs_from_subresultants(p, precision)
-            if not sdisc_exact.overlaps(sdisc_roots):  # pragma: no cover
+            psc = _principal_coefficients(p, p.derivative())
+            index, sres = _first_nonzero(psc)
+            _check_index(index, d, roots.r)
+            sdisc = RBall.one() if roots.r == 1 else _abs_ball(sres / p.leading)
+            if not sdisc.overlaps(sdisc_roots):  # pragma: no cover
                 raise RootsepError(
                     "subresultant and root-product subdiscriminant routes disagree"
                 )
-            sdisc = sdisc_exact
-            d = p.degree
-            disc = None
-            if d >= 2:
-                disc_val = discriminant(p)
-                if disc_val.is_real:
-                    disc = RBall.exact(abs(disc_val.re))
-                else:
-                    disc = RBall.exact(disc_val.norm()).sqrt()
+            disc = _abs_ball(psc[0] / p.leading) if d >= 2 else None
         else:
             sdisc = sdisc_roots
-            d = p.degree
             index = d - roots.r
             disc = None
             if d >= 2:

@@ -25,8 +25,6 @@ from .errors import ParseError
 from .gaussian import GR_ONE, GaussianRational
 from .poly import ExactPoly, NumericPoly
 
-_TOKEN_KINDS = ("number", "name", "op", "end")
-
 
 @dataclass(frozen=True)
 class _Token:

@@ -1,9 +1,16 @@
 """Univariate polynomial arithmetic.
 
 ExactPoly carries Gaussian-rational coefficients and supports the exact
-operations the rest of the pipeline relies on: derivative, gcd by
-content-stripped pseudo-remainder sequences, and square-free decomposition
-(Yun), which determines the multiplicity structure of the roots.
+operations the rest of the pipeline relies on: derivative, gcd, and
+square-free decomposition (Yun), which determines the multiplicity structure
+of the roots.
+
+Both gcds and subresultants come from one subresultant polynomial remainder
+sequence (Brown-Traub; in Ducos' formulation) on Gaussian-integer coefficient
+pairs: the gcd is its last nonzero element, and the principal subresultant
+coefficients are read off its elements. Its coefficients are minors of the
+Sylvester matrix, so their size stays polynomial in the degree whatever the
+content of the input.
 
 NumericPoly carries complex floating coefficients at a stated precision; it
 exists as an input mode and offers Horner evaluation with a certified
@@ -16,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from mpmath import mpc
 
 from .balls import CBall, ball_horner, working_precision
 from .errors import ValidationError
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, rational_content
+from .gaussian import GR_ONE, GR_ZERO, GaussianRational
 
 
 def _coerce_scalar(c) -> GaussianRational:
@@ -126,12 +134,6 @@ class ExactPoly:
             return ExactPoly.zero()
         return ExactPoly(tuple(a * c for a in self.coeffs))
 
-    def shift_up(self, k: int) -> "ExactPoly":
-        """Multiply by X^k."""
-        if self.is_zero or k == 0:
-            return self
-        return ExactPoly((GR_ZERO,) * k + self.coeffs)
-
     def monic(self) -> "ExactPoly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
@@ -180,68 +182,133 @@ class ExactPoly:
             acc = acc * z + c
         return acc
 
-    def primitive(self) -> "ExactPoly":
-        """Strip the positive rational content (keeps coefficients small in
-        pseudo-remainder sequences)."""
-        if self.is_zero:
-            return self
-        c = rational_content(list(self.coeffs))
-        if c == 1:
-            return self
-        inv = 1 / c
-        return ExactPoly(tuple(a * inv for a in self.coeffs))
-
-    def max_coeff_abs_upper(self) -> Fraction:
-        """Cheap upper bound on max |coefficient| (|re| + |im|)."""
-        best = Fraction(0)
-        for c in self.coeffs:
-            v = abs(c.re) + abs(c.im)
-            if v > best:
-                best = v
-        return best
-
     def __str__(self) -> str:
         from .parsing import render_exact_poly
 
         return render_exact_poly(self)
 
 
-def pseudo_rem(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced mod b."""
-    if b.is_zero:
-        raise ZeroDivisionError("pseudo-remainder by zero polynomial")
-    if a.is_zero or a.degree < b.degree:
-        return a
-    lc = b.leading
-    rem = a
-    steps = a.degree - b.degree + 1
-    for _ in range(steps):
-        if rem.is_zero or rem.degree < b.degree:
-            rem = rem.scale(lc)
-            continue
-        k = rem.degree - b.degree
-        rem = rem.scale(lc) - b.shift_up(k).scale(rem.leading)
+# ---------------------------------------------------------------------------
+# the subresultant chain over the Gaussian integers
+# ---------------------------------------------------------------------------
+# A Gaussian integer is a pair (re, im) of ints; a polynomial is a list of
+# such pairs, lowest degree first, with a nonzero last entry.
+
+
+def _gmul(x, y):
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _gdiv_exact(x, y):
+    a, b = x
+    c, d = y
+    den = c * c + d * d
+    if den == 0:
+        raise ZeroDivisionError("Gaussian integer division by zero")
+    nre = a * c + b * d
+    nim = b * c - a * d
+    qre, rre = divmod(nre, den)
+    qim, rim = divmod(nim, den)
+    if rre or rim:
+        raise ArithmeticError("inexact Gaussian integer division")
+    return (qre, qim)
+
+
+def _gpow(x, n: int):
+    out = (1, 0)
+    for _ in range(n):
+        out = _gmul(out, x)
+    return out
+
+
+def _scaled_int_coeffs(p: ExactPoly) -> tuple[list[tuple[int, int]], int]:
+    """Coefficients as Gaussian integers after clearing denominators; returns
+    (scaled coefficients, the positive scaling factor)."""
+    den = lcm(*(part.denominator for c in p.coeffs for part in (c.re, c.im)))
+    return [
+        (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for c in p.coeffs
+    ], den
+
+
+def _prem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a reduced modulo b, for deg a >= deg b."""
+    lc = b[-1]
+    n = len(b) - 1
+    rem = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        top = rem.pop()
+        rem = [_gmul(c, lc) for c in rem]
+        for i in range(n):
+            t = _gmul(top, b[i])
+            c = rem[k + i]
+            rem[k + i] = (c[0] - t[0], c[1] - t[1])
+    while rem and rem[-1] == (0, 0):
+        rem.pop()
     return rem
 
 
+def _subresultant_chain(a, b) -> dict[int, list]:
+    """The nonzero subresultants S_j of (a, b), deg a >= deg b, keyed by j.
+
+    The coefficients of S_j are determinants of the Sylvester submatrix with
+    rows X^k a (k < deg b - j) above X^k b (k < deg a - j); S_{deg b} is
+    lc(b)^(deg a - deg b - 1) b, or b itself when the degrees are equal. An
+    index missing from the result has S_j = 0, and the smallest key holds the
+    last nonzero element, a greatest common divisor of a and b. Every
+    division below is exact (Ducos, JPAA 145, 2000).
+    """
+    p, q = len(a) - 1, len(b) - 1
+    chain = {q: [_gmul(c, _gpow(b[-1], max(p - q - 1, 0))) for c in b]}
+    s = _gpow(b[-1], p - q)
+    A, B = b, _prem(a, [(-x, -y) for x, y in b])
+    while B:
+        d, e = len(A) - 1, len(B) - 1
+        chain[d - 1] = B
+        # S_e = lc(S_{d-1})^(d-e-1) S_{d-1} / s^(d-e-1), the next regular element
+        num, den = _gpow(B[-1], d - e - 1), _gpow(s, d - e - 1)
+        C = [_gdiv_exact(_gmul(c, num), den) for c in B]
+        chain[e] = C
+        if e == 0:
+            break
+        den = _gmul(_gpow(s, d - e), A[-1])
+        B = [_gdiv_exact(c, den) for c in _prem(A, [(-x, -y) for x, y in B])]
+        A, s = C, C[-1]
+    return chain
+
+
+def _principal_coefficients(a: ExactPoly, b: ExactPoly) -> list[GaussianRational]:
+    """Principal subresultant coefficients psc_0 .. psc_{deg b} of (a, b),
+    deg a > deg b, read off one chain: psc_j is the X^j coefficient of S_j."""
+    (ca, la), (cb, lb) = _scaled_int_coeffs(a), _scaled_int_coeffs(b)
+    chain = _subresultant_chain(ca, cb)
+    p, q = a.degree, b.degree
+    out = []
+    for j in range(q + 1):
+        s_j = chain.get(j, ())
+        re, im = s_j[j] if len(s_j) > j else (0, 0)
+        # rows of a carry la once each, rows of b carry lb once each
+        scale = la ** (q - j) * lb ** (p - j)
+        out.append(GaussianRational(Fraction(re, scale), Fraction(im, scale)))
+    return out
+
+
 def gcd_exact(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Monic gcd over the Gaussian rationals, computed with a content-stripped
-    pseudo-remainder sequence."""
+    """Monic gcd over the Gaussian rationals: the last nonzero element of the
+    subresultant chain, made monic."""
     if a.is_zero and b.is_zero:
         raise ValidationError("gcd of two zero polynomials is undefined")
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    x, y = a.primitive(), b.primitive()
-    if x.degree < y.degree:
-        x, y = y, x
-    while not y.is_zero:
-        r = pseudo_rem(x, y).primitive()
-        x, y = y, r
-    if x.degree == 0:
-        return ExactPoly.constant(1)
-    return x.monic()
+    if a.degree < b.degree:
+        a, b = b, a
+    chain = _subresultant_chain(_scaled_int_coeffs(a)[0], _scaled_int_coeffs(b)[0])
+    last = chain[min(chain)]
+    return ExactPoly(tuple(GaussianRational.of(re, im) for re, im in last)).monic()
 
 
 def square_free_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
@@ -272,11 +339,6 @@ def square_free_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
     return out
 
 
-def distinct_root_count(p: ExactPoly) -> int:
-    """r = number of distinct complex roots, computed exactly."""
-    return sum(f.degree for f, _ in square_free_decomposition(p))
-
-
 @dataclass(frozen=True)
 class NumericPoly:
     """Polynomial with complex floating coefficients at a stated precision."""
@@ -297,14 +359,6 @@ class NumericPoly:
     @property
     def leading(self) -> mpc:
         return self.coeffs[-1]
-
-    def derivative(self) -> "NumericPoly":
-        if self.degree == 0:
-            raise ValidationError("derivative of a numeric constant is the zero polynomial")
-        return NumericPoly(
-            tuple(self.coeffs[k] * k for k in range(1, len(self.coeffs))),
-            self.precision,
-        )
 
 
 def eval_poly(p, z, precision: int | None = None) -> CBall:

@@ -225,15 +225,15 @@ def _solve_factor(factor: ExactPoly, p_bits: int, work_bits: int, warm=None) -> 
 def _find_roots_exact(p: ExactPoly, precision: int) -> RootSet:
     decomposition = square_free_decomposition(p)
     work = precision + GUARD_BITS
-    cluster: list[str] = [str(f) for f, _ in decomposition]
+    cluster: list[str] = []
     for _ in range(MAX_ESCALATIONS + 1):
         factor_roots: list[tuple[mpc, mpf, int]] = []
         ok = True
-        for factor, mult in decomposition:
+        for index, (factor, mult) in enumerate(decomposition):
             solved = _solve_factor(factor, precision, work)
             if solved is None:
                 ok = False
-                cluster = [f"factor {factor}"]
+                cluster = [f"factor {index} (degree {factor.degree}, multiplicity {mult})"]
                 break
             factor_roots.extend((z, rad, mult) for z, rad in solved)
         if ok:

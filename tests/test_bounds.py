@@ -307,6 +307,18 @@ class TestBoundMain:
         with pytest.raises(ValidationError):
             bound_main(parse_polynomial("x^2-1"), [(0, 5)], 128)
 
+    def test_underflowing_negative_margin_is_inconclusive(self):
+        # lhs.lo - rhs.hi = -1e-400 converts to the float -0.0, and -0.0 >= 0
+        from rootsep.balls import RBall
+        from rootsep.bounds import _finish
+
+        with working_precision(128):
+            lhs = RBall.exact(mpmath.mpf("1e-400"))
+            rhs = RBall.exact(mpmath.mpf("2e-400"))
+            rep = _finish("main", lhs, {"sdisc_sqrt": rhs}, None, 128, None, None, {})
+        assert rep.margin == 0
+        assert rep.verdict == "inconclusive"
+
 
 class TestBoundClassical:
     def test_coincides_with_main_on_square_free(self):

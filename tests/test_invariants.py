@@ -21,6 +21,7 @@ from rootsep import (
 )
 from rootsep.balls import working_precision
 from rootsep.invariants import principal_subresultant
+from rootsep.poly import _scaled_int_coeffs, _subresultant_chain, square_free_decomposition
 
 
 class TestMahler:
@@ -213,3 +214,120 @@ def test_bundle_invariants():
                 assert bundle.mahler.hi >= lead_abs - 1e-25
             assert bundle.sdisc_abs.mid > 0
             assert bundle.sdisc_index == p.degree - roots.r
+
+
+# ---------------------------------------------------------------------------
+# the subresultant chain against its definition
+# ---------------------------------------------------------------------------
+
+
+def _det_by_elimination(rows):
+    """Determinant by plain Gaussian elimination over the Gaussian rationals."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    det = GaussianRational.of(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+        if pivot is None:
+            return GaussianRational.of(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det = det * m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] = m[i][j] - f * m[k][j]
+    return det
+
+
+def _psc_by_definition(a, b, j):
+    """Determinant of the Sylvester submatrix: rows X^k*a over X^k*b, column
+    exponents deg a + deg b - j - 1 down to j."""
+    p, q = a.degree, b.degree
+    cols = range(p + q - j - 1, j - 1, -1)
+    rows = [[a.coeff(e - k) for e in cols] for k in range(q - j - 1, -1, -1)]
+    rows += [[b.coeff(e - k) for e in cols] for k in range(p - j - 1, -1, -1)]
+    return _det_by_elimination(rows)
+
+
+def _gaussian_roots(rng, n, denominators=(1, 2, 3)):
+    roots = []
+    while len(roots) < n:
+        q = GaussianRational(
+            Fraction(rng.randint(-6, 6), rng.choice(denominators)),
+            Fraction(rng.randint(-6, 6), rng.choice(denominators)),
+        )
+        if q not in roots:
+            roots.append(q)
+    return roots
+
+
+def test_chain_matches_sylvester_determinants():
+    rng = random.Random(1606)
+    for _ in range(30):
+        d = rng.randint(1, 7)
+        roots = _gaussian_roots(rng, rng.randint(1, d))
+        mults = [1] * len(roots)
+        for _ in range(d - len(roots)):
+            mults[rng.randrange(len(roots))] += 1
+        lead = GaussianRational.of(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2))
+        p = ExactPoly.from_roots(roots, mults, lead)
+        dp = p.derivative()
+        for j in range(dp.degree + 1):
+            assert principal_subresultant(p, dp, j) == _psc_by_definition(p, dp, j)
+
+
+def test_chain_matches_sylvester_determinants_on_gapped_pairs():
+    # sparse pairs of unrelated polynomials give defective chains, where some
+    # S_j has degree below j and several principal coefficients vanish
+    rng = random.Random(2000)
+    for _ in range(30):
+        p_deg = rng.randint(2, 7)
+        q_deg = rng.randint(0, p_deg - 1)
+
+        def sparse(n):
+            coeffs = [
+                GaussianRational.of(rng.randint(-3, 3), rng.randint(-1, 1)) if rng.random() < 0.4 else 0
+                for _ in range(n)
+            ]
+            return coeffs + [rng.randint(1, 3)]
+
+        a = ExactPoly.from_coeffs(sparse(p_deg))
+        b = ExactPoly.from_coeffs(sparse(q_deg))
+        for j in range(q_deg + 1):
+            assert principal_subresultant(a, b, j) == _psc_by_definition(a, b, j)
+
+
+def test_degree_16_gaussian_multiplicities():
+    rng = random.Random(16)
+    roots = _gaussian_roots(rng, 6, denominators=(3, 5, 7, 8))
+    mults = [1, 1, 2, 3, 4, 5]
+    p = ExactPoly.from_roots(roots, mults, GaussianRational.of(2, 1))
+    d, r = p.degree, len(roots)
+    assert d == 16
+
+    decomposition = square_free_decomposition(p)
+    by_mult = {m: f for f, m in decomposition}
+    for m in set(mults):
+        expected = ExactPoly.from_roots([z for z, k in zip(roots, mults) if k == m])
+        assert by_mult.pop(m) == expected
+    assert not by_mult
+
+    k, _ = subdiscriminant(p)
+    assert k == d - r
+
+    # every chain coefficient is a minor of the Sylvester matrix of the
+    # integer-scaled (P, P'), so Hadamard's bound on that matrix caps its size
+    ca, _ = _scaled_int_coeffs(p)
+    cb, _ = _scaled_int_coeffs(p.derivative())
+
+    def norm_sq(coeffs):
+        return sum(re * re + im * im for re, im in coeffs)
+
+    bound_bits = ((d - 1) * norm_sq(ca).bit_length() + d * norm_sq(cb).bit_length()) // 2 + 1
+    chain = _subresultant_chain(ca, cb)
+    assert min(chain) == d - r
+    for poly in chain.values():
+        for re, im in poly:
+            assert max(abs(re), abs(im)).bit_length() <= bound_bits

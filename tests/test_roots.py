@@ -152,6 +152,18 @@ class TestEscalation:
         with pytest.raises(IndistinguishableRootsError, match="precision 64"):
             find_roots(p, 64)
 
+    def test_unsolved_factor_error_is_short(self):
+        from rootsep import IndistinguishableRootsError
+
+        # the factor's coefficients run to thousands of digits; the message
+        # names the factor by index, degree and multiplicity instead
+        eps = Fraction(1, 2**2000)
+        p = ExactPoly.from_roots([0, Fraction(1, 2), Fraction(1, 2) + eps])
+        with pytest.raises(IndistinguishableRootsError) as info:
+            find_roots(p, 64)
+        assert len(str(info.value)) < 300
+        assert "factor 0 (degree 3, multiplicity 1)" in str(info.value)
+
     def test_multiplicity_sum_is_degree(self):
         rng = random.Random(71)
         for _ in range(10):
