@@ -52,6 +52,23 @@ def _as_mpf_pair(q: Fraction) -> tuple[mpf, mpf]:
     return v, 2 * _slack(v)
 
 
+def _powi(self, n: int):
+    """Integer power of a ball by binary exponentiation."""
+    if n == 0:
+        return type(self).one()
+    if n < 0:
+        return type(self).one() / self.powi(-n)
+    result = None
+    base = self
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class RBall:
     """Real interval [mid - rad, mid + rad]."""
 
@@ -179,21 +196,7 @@ class RBall:
         m = (slo + shi) / 2
         return RBall(m, (shi - slo) / 2 + 2 * _slack(m))
 
-    def powi(self, n: int) -> "RBall":
-        """Integer power by binary exponentiation."""
-        if n == 0:
-            return RBall.one()
-        if n < 0:
-            return RBall.one() / self.powi(-n)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+    powi = _powi
 
     def powr(self, e) -> "RBall":
         """Real power of a strictly positive ball (monotone endpoints)."""
@@ -331,20 +334,7 @@ class CBall:
     def conj(self) -> "CBall":
         return CBall(mpc(self.mid.real, -self.mid.imag), self.rad)
 
-    def powi(self, n: int) -> "CBall":
-        if n == 0:
-            return CBall.one()
-        if n < 0:
-            return CBall.one() / self.powi(-n)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+    powi = _powi
 
     def contains_zero(self) -> bool:
         return abs(self.mid) <= self.rad + _slack(self.mid)
@@ -379,14 +369,6 @@ def ball_product(items, one=None):
     if total is None:
         return RBall.one() if one is None else one
     return total
-
-
-def ball_horner(coeffs: "list[CBall]", z: CBall) -> CBall:
-    """Evaluate sum coeffs[k] z^k by Horner's rule in ball arithmetic."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
 
 
 def ball_row_norm(row: "list[CBall]") -> RBall:

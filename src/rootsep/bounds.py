@@ -2,13 +2,21 @@
 
 The central quantity is LHS = prod over edges of |v_i - v_j|. Every bound
 variant produces a BoundReport whose right-hand side is the product of five
-individually reported factors:
+individually reported factors. The main row is
 
     sdisc_sqrt           |sDisc_{d-r}|^(1/2)
-    mahler_power         M^(-(r-1))          (exponent varies by variant)
-    edge_factor          (r/sqrt(3))^(-#E)   (exponent varies by variant)
+    mahler_power         M^(-(r-1))
+    edge_factor          (r/sqrt(3))^(-#E)
     r_power              r^(-r/2)
-    multiplicity_factor  (1/3)^(min(d, 2d-2r)/6)
+    multiplicity_factor  3^(-min(d, 2d-2r)/6)
+
+and the other variants change it as follows:
+
+    classical      |Disc|^(1/2) for sdisc_sqrt, exactly 1 for multiplicity_factor
+    remark_degree  M^(-(r-1) + dtilde/2), dtilde the minimum total degree
+    remark_pairs   (r/sqrt(3))^(-#E + sum Delta), over the k - #E smallest hints
+    sep_product    the square of the main row with |S| edges: |sDisc|,
+                   M^(-2(r-1)), (r/sqrt(3))^(-|S|), r^(-r), 3^(-min(d, 2d-2r)/3)
 
 LHS and RHS are computed as balls; the verdict "holds" requires the entire
 LHS interval to sit above the entire RHS interval, so rounding can never
@@ -375,24 +383,19 @@ def _as_graph(graph_or_edges, roots: RootSet) -> RootGraph:
     return orient(graph_or_edges, roots)
 
 
-def _lhs_over_edges(roots: RootSet, g: RootGraph) -> RBall:
-    return ball_product(
-        [roots.distance(a, b) for a, b in g.oriented], RBall.one()
-    )
-
-
-def _mult_min_exponent(d: int, r: int) -> int:
-    return min(d, 2 * d - 2 * r)
-
-
-def _base_components(roots: RootSet, d: int, r: int, n_edges: int) -> dict:
-    mmin = _mult_min_exponent(d, r)
+def _components(roots: RootSet, n_edges: int, k: int = 1) -> dict:
+    """The main row of the component table (k = 1), or its square (k = 2),
+    the sep-product row, in COMPONENT_KEYS order."""
+    d, r = roots.total_degree, roots.r
+    sdisc = sdisc_abs_from_roots(roots)
+    r_r = RBall.exact(r**r)
+    mmin = min(d, 2 * d - 2 * r)
     return {
-        "sdisc_sqrt": sdisc_abs_from_roots(roots).sqrt(),
-        "mahler_power": mahler_measure(roots).powi(-(r - 1)),
+        "sdisc_sqrt": sdisc.sqrt() if k == 1 else sdisc,
+        "mahler_power": mahler_measure(roots).powi(-k * (r - 1)),
         "edge_factor": (RBall.exact(r) / _sqrt3()).powi(-n_edges),
-        "r_power": RBall.one() / RBall.exact(r**r).sqrt(),
-        "multiplicity_factor": RBall.one() / RBall.exact(3**mmin).root(6),
+        "r_power": RBall.one() / (r_r.sqrt() if k == 1 else r_r),
+        "multiplicity_factor": RBall.one() / RBall.exact(3**mmin).root(6 // k),
     }
 
 
@@ -431,35 +434,36 @@ def _finish(
     )
 
 
-def _certificate(roots, g, precision, extra) -> VandermondeCertificate | None:
-    try:
-        return reduce_vandermonde(roots, g, precision)
-    except CertificationError as exc:
-        extra["certificate_error"] = str(exc)
-        return None
+def _graph_bound(variant: str, p, graph_or_edges, precision: int, roots: RootSet | None, check=None) -> BoundReport:
+    """The pipeline every graph variant runs: roots, orientation, reduction
+    certificate, LHS over the edges, components and verdict.
 
-
-def bound_main(p, graph_or_edges, precision: int = 128, roots: RootSet | None = None) -> BoundReport:
-    """The generalized bound for an arbitrary graph on the roots.
-
-    A single distinct root is a degenerate success: the product over edges is
-    empty and the inequality is immediate.
+    `check(roots, g)` raises when a precondition of the variant fails and
+    returns the variant's report fields and the factors its row swaps into
+    the main row. A single distinct root is a degenerate success: the
+    product over edges is empty.
     """
     if roots is None:
         roots = find_roots(p, precision)
     with working_precision(precision):
         g = _as_graph(graph_or_edges, roots)
-        d, r = roots.total_degree, roots.r
-        extra: dict = {}
-        cert = _certificate(roots, g, precision, extra)
-        lhs = _lhs_over_edges(roots, g)
-        components = _base_components(roots, d, r, g.edge_count)
-        if r == 1:
+        extra, row = check(roots, g) if check else ({}, {})
+        try:
+            cert = reduce_vandermonde(roots, g, precision)
+        except CertificationError as exc:
+            cert = None
+            extra["certificate_error"] = str(exc)
+        lhs = ball_product([roots.distance(a, b) for a, b in g.oriented], RBall.one())
+        components = {**_components(roots, g.edge_count), **row}
+        degenerate = roots.r == 1
+        if degenerate:
             extra["degenerate"] = "single distinct root"
-        return _finish(
-            "main", lhs, components, cert, precision, roots, g, extra,
-            degenerate_holds=(r == 1),
-        )
+        return _finish(variant, lhs, components, cert, precision, roots, g, extra, degenerate)
+
+
+def bound_main(p, graph_or_edges, precision: int = 128, roots: RootSet | None = None) -> BoundReport:
+    """The generalized bound for an arbitrary graph on the roots."""
+    return _graph_bound("main", p, graph_or_edges, precision, roots)
 
 
 def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | None = None) -> BoundReport:
@@ -472,10 +476,8 @@ def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | No
         raise PreconditionError(
             "the classical bound checks square-freeness exactly and needs exact coefficients"
         )
-    if roots is None:
-        roots = find_roots(p, precision)
-    with working_precision(precision):
-        g = _as_graph(graph_or_edges, roots)
+
+    def check(roots, g):
         d = p.degree
         if roots.r != d:
             raise PreconditionError(
@@ -491,25 +493,15 @@ def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | No
             raise PreconditionError(
                 f"condition 3 fails: vertex {worst} has in-degree {g.in_degrees[worst]} > 1"
             )
-        extra: dict = {}
-        cert = _certificate(roots, g, precision, extra)
-        lhs = _lhs_over_edges(roots, g)
         if d == 1:
-            components = _base_components(roots, d, 1, g.edge_count)
-            extra["degenerate"] = "single distinct root"
-            return _finish("classical", lhs, components, cert, precision, roots, g, extra, True)
+            return {}, {}
         disc = discriminant(p)
         disc_abs = (
             RBall.exact(abs(disc.re)) if disc.is_real else RBall.exact(disc.norm()).sqrt()
         )
-        components = {
-            "sdisc_sqrt": disc_abs.sqrt(),
-            "mahler_power": mahler_measure(roots).powi(-(d - 1)),
-            "edge_factor": (RBall.exact(d) / _sqrt3()).powi(-g.edge_count),
-            "r_power": RBall.one() / RBall.exact(d**d).sqrt(),
-            "multiplicity_factor": RBall.one(),
-        }
-        return _finish("classical", lhs, components, cert, precision, roots, g, extra)
+        return {}, {"sdisc_sqrt": disc_abs.sqrt(), "multiplicity_factor": RBall.one()}
+
+    return _graph_bound("classical", p, graph_or_edges, precision, roots, check)
 
 
 def bound_remark_degree(p, graph_or_edges, precision: int = 128, roots: RootSet | None = None) -> BoundReport:
@@ -523,27 +515,13 @@ def bound_remark_degree(p, graph_or_edges, precision: int = 128, roots: RootSet 
         raise TypeError(f"cannot bound {type(p).__name__}")
     if not monic:
         raise PreconditionError("this variant requires a monic polynomial (leading coefficient exactly 1)")
-    if roots is None:
-        roots = find_roots(p, precision)
-    with working_precision(precision):
-        g = _as_graph(graph_or_edges, roots)
-        d, r = roots.total_degree, roots.r
+
+    def check(roots, g):
         dtilde = min_total_degree(g)
-        extra: dict = {"min_total_degree": dtilde}
-        cert = _certificate(roots, g, precision, extra)
-        lhs = _lhs_over_edges(roots, g)
-        components = _base_components(roots, d, r, g.edge_count)
-        exponent = -(r - 1) + mpf(dtilde) / 2
-        if exponent == 0:
-            components["mahler_power"] = RBall.one()
-        else:
-            components["mahler_power"] = mahler_measure(roots).powr(exponent)
-        if r == 1:
-            extra["degenerate"] = "single distinct root"
-        return _finish(
-            "remark_degree", lhs, components, cert, precision, roots, g, extra,
-            degenerate_holds=(r == 1),
-        )
+        exponent = -(roots.r - 1) + mpf(dtilde) / 2
+        return {"min_total_degree": dtilde}, {"mahler_power": mahler_measure(roots).powr(exponent)}
+
+    return _graph_bound("remark_degree", p, graph_or_edges, precision, roots, check)
 
 
 def bound_remark_pairs(
@@ -558,35 +536,28 @@ def bound_remark_pairs(
     With k validated pairs and #E < k, the edge-factor exponent becomes
     -#E + (sum of the k - #E smallest hint exponents).
     """
-    if roots is None:
-        roots = find_roots(p, precision)
-    with working_precision(precision):
-        g = _as_graph(graph_or_edges, roots)
-        d, r = roots.total_degree, roots.r
+
+    def check(roots, g):
+        r = roots.r
         if r <= 2:
             raise PreconditionError(f"this variant requires r > 2 distinct roots, got r={r}")
-        if not isinstance(hints, ClusterHint):
-            hints = ClusterHint.build(hints, roots, precision)
-        k = hints.k
+        pairs = hints if isinstance(hints, ClusterHint) else ClusterHint.build(hints, roots, precision)
         n_edges = g.edge_count
-        if n_edges >= k:
+        if n_edges >= pairs.k:
             raise PreconditionError(
-                f"this variant requires #E < k, got #E={n_edges}, k={k}"
+                f"this variant requires #E < k, got #E={n_edges}, k={pairs.k}"
             )
         extra_exponent = mpf(0)
-        for _, _, dv in hints.pairs[n_edges:]:
+        for _, _, dv in pairs.pairs[n_edges:]:
             extra_exponent += dv
-        extra: dict = {
-            "hint_pairs": [[a, b, float(dv)] for a, b, dv in hints.pairs],
-            "edge_exponent": float(-n_edges + extra_exponent),
+        exponent = -n_edges + extra_exponent
+        extra = {
+            "hint_pairs": [[a, b, float(dv)] for a, b, dv in pairs.pairs],
+            "edge_exponent": float(exponent),
         }
-        cert = _certificate(roots, g, precision, extra)
-        lhs = _lhs_over_edges(roots, g)
-        components = _base_components(roots, d, r, n_edges)
-        components["edge_factor"] = (RBall.exact(r) / _sqrt3()).powr(
-            -n_edges + extra_exponent
-        )
-        return _finish("remark_pairs", lhs, components, cert, precision, roots, g, extra)
+        return extra, {"edge_factor": (RBall.exact(r) / _sqrt3()).powr(exponent)}
+
+    return _graph_bound("remark_pairs", p, graph_or_edges, precision, roots, check)
 
 
 def bound_sep_product(p, subset, precision: int = 128, roots: RootSet | None = None) -> BoundReport:
@@ -608,7 +579,6 @@ def bound_sep_product(p, subset, precision: int = 128, roots: RootSet | None = N
         for v in subset:
             if not isinstance(v, int) or not 0 <= v < r:
                 raise ValidationError(f"subset index {v!r} out of range 0..{r - 1}")
-        d = roots.total_degree
         counts: dict[tuple[int, int], int] = {}
         seps = []
         for v in subset:
@@ -623,16 +593,7 @@ def bound_sep_product(p, subset, precision: int = 128, roots: RootSet | None = N
         sub0 = bound_main(p, e0, precision, roots=roots)
         sub1 = bound_main(p, e1, precision, roots=roots)
         lhs = ball_product(seps, RBall.one())
-        mmin = _mult_min_exponent(d, r)
-        sdisc = sdisc_abs_from_roots(roots)
-        mahler = mahler_measure(roots)
-        components = {
-            "sdisc_sqrt": sdisc,
-            "mahler_power": mahler.powi(-2 * (r - 1)),
-            "edge_factor": (RBall.exact(r) / _sqrt3()).powi(-len(subset)),
-            "r_power": RBall.one() / RBall.exact(r**r),
-            "multiplicity_factor": RBall.one() / RBall.exact(3**mmin).root(3),
-        }
+        components = _components(roots, len(subset), k=2)
         extra = {
             "subset": subset,
             "e0": [list(e) for e in e0],
@@ -674,32 +635,19 @@ def verify(
         raise ValidationError(
             f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}"
         )
-    if ceiling < precision:
-        ceiling = precision
+    inputs, needs = {
+        "remark_pairs": ((graph_or_edges, hints), "hint pairs"),
+        "sep_product": ((subset,), "a root subset"),
+    }.get(variant, ((graph_or_edges,), None))
+    if needs and inputs[-1] is None:
+        raise ValidationError(f"{variant} requires {needs}")
+    ceiling = max(ceiling, precision)
     prec = precision
-    last_error: Exception | None = None
     while True:
         try:
-            if variant == "remark_pairs":
-                if hints is None:
-                    raise ValidationError("remark_pairs requires hint pairs")
-                report = bound_remark_pairs(p, graph_or_edges, hints, prec)
-            elif variant == "sep_product":
-                if subset is None:
-                    raise ValidationError("sep_product requires a root subset")
-                report = bound_sep_product(p, subset, prec)
-            else:
-                report = _DISPATCH[variant](p, graph_or_edges, prec)
-            last_error = None
+            report = _DISPATCH[variant](p, *inputs, prec)
         except (IndistinguishableRootsError, CertificationError, BallDomainError) as exc:
-            last_error = exc
-            report = None
-        if report is not None and report.verdict == "holds":
-            return report
-        if prec >= ceiling:
-            if report is not None:
-                return report
-            return BoundReport(
+            report = BoundReport(
                 variant=variant,
                 lhs=RBall.exact(0),
                 rhs=RBall.exact(0),
@@ -708,8 +656,8 @@ def verify(
                 verdict="inconclusive",
                 certificate=None,
                 precision_bits=prec,
-                roots=None,
-                graph=None,
-                extra={"error": str(last_error)},
+                extra={"error": str(exc)},
             )
-        prec *= 2
+        if report.holds or prec >= ceiling:
+            return report
+        prec = min(2 * prec, ceiling)

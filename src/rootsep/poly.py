@@ -27,7 +27,7 @@ from math import lcm
 
 from mpmath import mpc
 
-from .balls import CBall, ball_horner, working_precision
+from .balls import CBall, working_precision
 from .errors import ValidationError
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational
 
@@ -380,4 +380,15 @@ def eval_poly(p, z, precision: int | None = None) -> CBall:
         cs = [CBall(c) for c in p.coeffs]
     else:
         raise TypeError(f"cannot evaluate {type(p).__name__}")
-    return ball_horner(cs, zb)
+    return _horner(cs, zb)[0]
+
+
+def _horner(coeffs, z):
+    """Value and derivative of sum coeffs[k] z^k in one pass, in the
+    arithmetic of z (mpc or CBall)."""
+    p = coeffs[-1]
+    dp = 0 * z
+    for c in reversed(coeffs[:-1]):
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp

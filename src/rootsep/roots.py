@@ -21,7 +21,7 @@ from mpmath import mp, mpc, mpf
 
 from .balls import CBall, GUARD_BITS, RBall
 from .errors import IndistinguishableRootsError, PreconditionError, ValidationError
-from .poly import ExactPoly, NumericPoly, square_free_decomposition
+from .poly import ExactPoly, NumericPoly, _horner, square_free_decomposition
 
 #: doubled-precision certification retries before giving up
 MAX_ESCALATIONS = 4
@@ -106,14 +106,15 @@ def _canonical_key(z: mpc):
     return (abs(z), z.real, z.imag)
 
 
-def _horner2(coeffs: list[mpc], z: mpc) -> tuple[mpc, mpc]:
-    """Value and derivative in one pass."""
-    p = coeffs[-1]
-    dp = mpc(0)
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
+def _first_overlap(disks) -> tuple[int, int] | None:
+    """First pair (j, i), j < i, of (center, radius) disks that are not
+    certifiably disjoint at the ambient precision, or None."""
+    cushion = 1 - mpmath.ldexp(mpf(1), 8 - mp.prec)
+    for i in range(len(disks)):
+        for j in range(i):
+            if abs(disks[i][0] - disks[j][0]) * cushion <= disks[i][1] + disks[j][1]:
+                return j, i
+    return None
 
 
 def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> list[mpc]:
@@ -144,7 +145,7 @@ def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> 
         worst = mpf(0)
         for k in range(n):
             z = zs[k]
-            p, dp = _horner2(coeffs, z)
+            p, dp = _horner(coeffs, z)
             if p == 0:
                 continue
             if dp == 0:
@@ -183,18 +184,11 @@ def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> 
 
 def _certified_radius(factor: ExactPoly, z: mpc) -> mpf | None:
     """Upper bound on the distance from z to the nearest root of `factor`."""
-    n = factor.degree
-    zb = CBall(z)
-    cs = [CBall.from_gaussian(c) for c in factor.coeffs]
-    val = cs[-1]
-    dval = CBall.exact(0)
-    for c in reversed(cs[:-1]):
-        dval = dval * zb + val
-        val = val * zb + c
+    val, dval = _horner([CBall.from_gaussian(c) for c in factor.coeffs], CBall(z))
     dlo = dval.abs().lo
     if dlo <= 0:
         return None
-    return n * val.abs().hi / dlo
+    return factor.degree * val.abs().hi / dlo
 
 
 def _solve_factor(factor: ExactPoly, p_bits: int, work_bits: int, warm=None) -> list[tuple[mpc, mpf]] | None:
@@ -214,12 +208,7 @@ def _solve_factor(factor: ExactPoly, p_bits: int, work_bits: int, warm=None) -> 
                 return None
             out.append((z, rad))
         # disjoint disks within the factor certify one simple root per disk
-        for i in range(len(out)):
-            for j in range(i):
-                gap = abs(out[i][0] - out[j][0]) * (1 - mpmath.ldexp(mpf(1), 8 - mp.prec))
-                if gap <= out[i][1] + out[j][1]:
-                    return None
-        return out
+        return out if _first_overlap(out) is None else None
 
 
 def _find_roots_exact(p: ExactPoly, precision: int) -> RootSet:
@@ -239,27 +228,16 @@ def _find_roots_exact(p: ExactPoly, precision: int) -> RootSet:
         if ok:
             # roots of distinct coprime factors are distinct; their disks must
             # still separate at this precision for downstream certificates
-            bad_pair = None
             with mp.workprec(work):
-                for i in range(len(factor_roots)):
-                    for j in range(i):
-                        zi, ri, _ = factor_roots[i]
-                        zj, rj, _ = factor_roots[j]
-                        gap = abs(zi - zj) * (1 - mpmath.ldexp(mpf(1), 8 - mp.prec))
-                        if gap <= ri + rj:
-                            bad_pair = (j, i)
-                            cluster = [mpmath.nstr(zj, 8), mpmath.nstr(zi, 8)]
-                            break
-                    if bad_pair:
-                        break
-            if bad_pair is None:
-                with mp.workprec(work):
+                bad_pair = _first_overlap(factor_roots)
+                if bad_pair is None:
                     factor_roots.sort(key=lambda t: _canonical_key(t[0]))
                     entries = tuple(
                         RootEntry(CBall(z, rad), mult) for z, rad, mult in factor_roots
                     )
                     lead = CBall.from_gaussian(p.leading)
-                return RootSet(entries, lead, p.degree, precision)
+                    return RootSet(entries, lead, p.degree, precision)
+                cluster = [mpmath.nstr(factor_roots[k][0], 8) for k in bad_pair]
         work *= 2
     raise IndistinguishableRootsError(precision, cluster)
 
@@ -291,20 +269,9 @@ def _find_roots_numeric(p: NumericPoly, precision: int) -> RootSet:
                 spread = max((abs(z - center) for z in cl), default=mpf(0))
                 entries.append(RootEntry(CBall(center, spread + tau / 2), len(cl)))
             # clusters must be mutually separated beyond their radii
-            bad = None
-            for i in range(len(entries)):
-                for j in range(i):
-                    gap = abs(entries[i].value.mid - entries[j].value.mid)
-                    if gap <= entries[i].value.rad + entries[j].value.rad:
-                        bad = (j, i)
-                        cluster = [
-                            mpmath.nstr(entries[j].value.mid, 8),
-                            mpmath.nstr(entries[i].value.mid, 8),
-                        ]
-                        break
-                if bad:
-                    break
+            bad = _first_overlap([(e.value.mid, e.value.rad) for e in entries])
             if bad is not None:
+                cluster = [mpmath.nstr(entries[k].value.mid, 8) for k in bad]
                 work *= 2
                 continue
             entries.sort(key=lambda e: _canonical_key(e.value.mid))

@@ -513,6 +513,53 @@ class TestVerify:
         rep = verify(p, [(0, 1)], "main", precision=64, ceiling=512)
         assert rep.holds
 
+    def test_ladder_stops_at_the_ceiling(self):
+        # LHS = RHS = 1: inconclusive on every rung 96, 192, 384, 768, 1024
+        rep = verify(parse_polynomial("x^2-1"), [], "main", precision=96, ceiling=1024)
+        assert rep.verdict == "inconclusive"
+        assert rep.precision_bits == 1024
+
+    def test_remark_variants_match_the_direct_call(self):
+        # eps = 1e-30 is inconclusive at 64 bits, so the ladder escalates
+        p = _clustered_instance(Fraction(1, 10**30))
+        hints = [(0, 1, 1.0), (2, 3, 1.0)]
+        for variant, direct in (
+            ("remark_degree", lambda bits: bound_remark_degree(p, [(0, 1)], bits)),
+            ("remark_pairs", lambda bits: bound_remark_pairs(p, [(0, 1)], hints, bits)),
+        ):
+            rep = verify(p, [(0, 1)], variant, precision=64, ceiling=1024, hints=hints)
+            assert rep.holds and rep.precision_bits > 64
+            assert _exact_fields(rep) == _exact_fields(direct(rep.precision_bits))
+
+    def test_missing_variant_inputs_rejected(self):
+        p = _clustered_instance(Fraction(1, 100))
+        with pytest.raises(ValidationError, match="hint pairs"):
+            verify(p, [(0, 1)], "remark_pairs")
+        with pytest.raises(ValidationError, match="root subset"):
+            verify(p, None, "sep_product")
+
+    def test_every_rung_failing_is_inconclusive_at_the_ceiling(self):
+        # a pair 2^-3000 apart inside one square-free factor defeats every
+        # internal escalation of find_roots at these precisions
+        p = ExactPoly.from_roots(
+            [GaussianRational.of(0), GaussianRational.of(Fraction(1, 2**3000)), GaussianRational.of(3)]
+        )
+        rep = verify(p, [], "main", precision=64, ceiling=128)
+        assert rep.verdict == "inconclusive"
+        assert rep.precision_bits == 128
+        assert rep.components == {} and rep.roots is None
+        assert "indistinguishable roots at precision 128" in rep.extra["error"]
+
+
+def _exact_fields(rep):
+    """Everything a report carries, with every ball as exact mpf strings."""
+    balls = {"lhs": rep.lhs, "rhs": rep.rhs, **rep.components}
+    return (
+        rep.to_json(),
+        rep.precision_bits,
+        {k: (repr(b.mid), repr(b.rad)) for k, b in balls.items()},
+    )
+
 
 class TestSoundnessMini:
     def test_never_violated(self):

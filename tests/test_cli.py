@@ -79,6 +79,20 @@ class TestVerify:
         assert report["verdict"] == "inconclusive"
 
 
+    def test_remark_pairs_needs_hints(self, capsys):
+        args = [
+            "verify", "--poly", "(x+1/100)*(x-1/100)*(x-99/100)*(x-101/100)*(x+2)",
+            "--graph", '{"edges":[[0,1]]}', "--variant", "remark_pairs",
+        ]
+        code, report = run_cli(args + ["--hints", "[[0,1,1],[2,3,1]]"], capsys)
+        assert code == 0
+        assert report["verdict"] == "holds"
+        assert report["extra"]["hint_pairs"] == [[0, 1, 1.0], [2, 3, 1.0]]
+        code, report = run_cli(args, capsys)
+        assert code == 1
+        assert report["error"]["type"] == "ValidationError"
+
+
 class TestOut:
     def test_atomic_write(self, capsys, tmp_path):
         out = tmp_path / "report.json"
