@@ -627,10 +627,15 @@ def verify(
     ceiling: int = 1024,
     hints=None,
     subset=None,
+    roots: RootSet | None = None,
 ) -> BoundReport:
     """Run a bound variant, escalating precision while the verdict is
     inconclusive. Input errors propagate; certification problems never crash
-    and surface as an inconclusive report at the ceiling."""
+    and surface as an inconclusive report at the ceiling.
+
+    `roots`, the root set of `p` found at `precision` bits, spares the first
+    rung its own root solve; a root set at another precision is not used.
+    """
     if variant not in _DISPATCH:
         raise ValidationError(
             f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}"
@@ -644,8 +649,9 @@ def verify(
     ceiling = max(ceiling, precision)
     prec = precision
     while True:
+        rung_roots = roots if roots is not None and roots.precision_bits == prec else None
         try:
-            report = _DISPATCH[variant](p, *inputs, prec)
+            report = _DISPATCH[variant](p, *inputs, prec, roots=rung_roots)
         except (IndistinguishableRootsError, CertificationError, BallDomainError) as exc:
             report = BoundReport(
                 variant=variant,

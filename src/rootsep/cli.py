@@ -104,6 +104,7 @@ def _cmd_verify(args) -> int:
             ceiling=ceiling,
             hints=hints,
             subset=subset,
+            roots=roots,
         )
     except (RootsepError, json.JSONDecodeError, ValueError) as exc:
         _write_report(_error_report(exc), args.out)

@@ -93,16 +93,16 @@ def divdiff_explicit(values, nodes) -> CBall:
     return total
 
 
-def complete_homogeneous(k: int, nodes: list[CBall]) -> CBall:
-    """h_k(v_1..v_n) by the column recurrence (no composition enumeration)."""
-    if k < 0:
-        return CBall.exact(0)
+def complete_homogeneous(k: int, nodes: list[CBall]) -> list[CBall]:
+    """h_0..h_k(v_1..v_n) by the column recurrence (no composition
+    enumeration). Entry i reads only entry i - 1 of the same pass, so it
+    equals h_i of a run up to i alone."""
     h = [CBall.exact(0)] * (k + 1)
     h[0] = CBall.one()
     for v in nodes:
         for i in range(1, k + 1):
             h[i] = h[i] + v * h[i - 1]
-    return h[k]
+    return h
 
 
 def divdiff_monomial(p: int, nodes) -> CBall:
@@ -115,7 +115,7 @@ def divdiff_monomial(p: int, nodes) -> CBall:
     n = len(ns)
     if n >= p + 2:
         return CBall.exact(0)
-    return complete_homogeneous(p - n + 1, ns)
+    return complete_homogeneous(p - n + 1, ns)[-1]
 
 
 def divdiff_vector(rows, nodes) -> list[CBall]:
@@ -142,8 +142,15 @@ def divdiff_vector(rows, nodes) -> list[CBall]:
 def power_basis_row(r: int, nodes) -> list[CBall]:
     """Divided difference of z -> (1, z, ..., z^{r-1}) over the nodes.
 
-    Uses the monomial route per component, preserving the exact zeros in the
-    first n-1 components.
+    Component p is the monomial route's h_{p-n+1}, exactly zero in the first
+    n-1 components; the nodes are validated once and h_0..h_{r-n} come from
+    one run of the recurrence.
     """
     ns = _coerce_nodes(nodes)
-    return [divdiff_monomial(p, ns) for p in range(r)]
+    if not ns:
+        raise ValidationError("at least one node is required")
+    n = len(ns)
+    row = [CBall.exact(0)] * min(r, n - 1)
+    if r >= n:
+        row += complete_homogeneous(r - n, ns)
+    return row

@@ -2,15 +2,19 @@
 
 Exact inputs go through square-free decomposition first, so every factor has
 simple roots; each factor is then solved by Aberth-Ehrlich simultaneous
-iteration. Each approximation z gets a rigorous inclusion radius
-n * |f(z) / f'(z)| (the disk of that radius around z contains at least one
-root of f); pairwise disjoint disks then certify a bijection between disks
-and roots. Certification failures trigger doubled-precision retries before
-an error is raised.
+iteration, started from the Newton polygon of log2|c_k|: one circle per hull
+edge, whose radius estimates the modulus of that edge's roots, and exact
+zeros for a vanishing constant term. Each approximation z gets a rigorous
+inclusion radius n * |f(z) / f'(z)| (the disk of that radius around z
+contains at least one root of f); pairwise disjoint disks then certify a
+bijection between disks and roots. Certification failures trigger
+doubled-precision retries before an error is raised.
 
 Numeric inputs are solved directly and clustered into multiplicity groups by
 a precision-derived tolerance; their radii are tolerance-based rather than
 residual-based, matching the accuracy actually carried by the coefficients.
+
+Both paths sort roots by (modulus, re, im) rounded to the stated precision.
 """
 from __future__ import annotations
 
@@ -39,7 +43,8 @@ class RootSet:
     """Distinct roots with multiplicities in canonical order.
 
     Canonical order is ascending by (modulus, real part, imaginary part) of
-    the certified midpoints; the error disks are pairwise disjoint.
+    the certified midpoints, each rounded to `precision_bits`; the error
+    disks are pairwise disjoint.
     """
 
     entries: tuple[RootEntry, ...]
@@ -103,7 +108,9 @@ def min_pairwise_distance(roots: RootSet) -> RBall:
 
 
 def _canonical_key(z: mpc):
-    return (abs(z), z.real, z.imag)
+    """(modulus, re, im) of z rounded to the working precision, so that
+    iteration noise below it cannot reorder roots of equal modulus."""
+    return (abs(z), +z.real, +z.imag)
 
 
 def _first_overlap(disks) -> tuple[int, int] | None:
@@ -117,6 +124,45 @@ def _first_overlap(disks) -> tuple[int, int] | None:
     return None
 
 
+def _newton_starts(coeffs: list[mpc]) -> list[mpc]:
+    """Aberth starting points from the Newton polygon of log2|c_k|.
+
+    Each trailing zero coefficient is an exact root at 0 and starts there.
+    Each edge (k1, k2) of the upper convex hull of the points (k, log2|c_k|)
+    stands for k2 - k1 roots of modulus near |c_k1 / c_k2|^(1 / (k2 - k1))
+    (Bini 1996; Bini & Robol, MPSolve 3, 2014), so it gets that many points
+    on a circle of 0.7 times that radius, turned by 2 pi k1 / n. Inside the
+    annulus, points reach its roots across it: a circle through a real
+    cluster let two points close in along the circle and stall on the
+    cluster's perpendicular bisector.
+    """
+    n = len(coeffs) - 1
+    low = next(k for k, c in enumerate(coeffs) if c != 0)
+    hull: list[tuple[int, float]] = []
+    for k in range(low, n + 1):
+        if coeffs[k] == 0:
+            continue
+        pt = (k, float(mpmath.log(abs(coeffs[k]), 2)))
+        # drop the last vertex unless it lies strictly above the chord
+        while len(hull) >= 2 and (
+            (hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+            >= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(pt)
+    zs = [mpc(0)] * low
+    for (k1, _), (k2, _) in zip(hull, hull[1:]):
+        m = k2 - k1
+        radius = (abs(coeffs[k1]) / abs(coeffs[k2])) ** (mpf(1) / m)
+        zs.extend(
+            mpf("0.7") * radius * mpmath.exp(
+                mpc(0, 2 * mpmath.pi * ((i + mpf("0.25")) / m + mpf(k1) / n) + mpf("0.5") / n)
+            )
+            for i in range(m)
+        )
+    return zs
+
+
 def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> list[mpc]:
     """Aberth-Ehrlich iteration on a polynomial given by mpc coefficients.
 
@@ -128,19 +174,11 @@ def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> 
     n = len(coeffs) - 1
     if n == 1:
         return [-coeffs[0] / coeffs[1]]
-    if warm is not None:
-        zs = [mpc(z) for z in warm]
-    else:
-        radius = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
-        zs = [
-            mpf("0.7")
-            * radius
-            * mpmath.exp(mpc(0, 2 * mpmath.pi * (k + mpf("0.25")) / n + mpf("0.5") / n))
-            for k in range(n)
-        ]
+    zs = [mpc(z) for z in warm] if warm is not None else _newton_starts(coeffs)
     tol = mpmath.ldexp(mpf(1), -tol_bits)
     best = mpf("inf")
     stalled = 0
+    polish = False
     for _ in range(_MAX_ABERTH_ITERS):
         worst = mpf(0)
         for k in range(n):
@@ -166,8 +204,14 @@ def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> 
             rel = abs(w) / (1 + abs(zs[k]))
             if rel > worst:
                 worst = rel
-        if worst <= tol:
+        if polish:
             return zs
+        if worst <= tol:
+            # one more sweep: a converged iterate may still carry an error
+            # far above the rounding floor, such as a tiny imaginary part of
+            # a real root
+            polish = True
+            continue
         if worst > mpf("1e-6"):
             # global phase: corrections may hover before convergence sets in
             stalled = 0
@@ -231,7 +275,8 @@ def _find_roots_exact(p: ExactPoly, precision: int) -> RootSet:
             with mp.workprec(work):
                 bad_pair = _first_overlap(factor_roots)
                 if bad_pair is None:
-                    factor_roots.sort(key=lambda t: _canonical_key(t[0]))
+                    with mp.workprec(precision):
+                        factor_roots.sort(key=lambda t: _canonical_key(t[0]))
                     entries = tuple(
                         RootEntry(CBall(z, rad), mult) for z, rad, mult in factor_roots
                     )
@@ -252,7 +297,8 @@ def _find_roots_numeric(p: NumericPoly, precision: int) -> RootSet:
             zs = _aberth(coeffs, precision // 2 + 8)
             maxc = max(abs(c) for c in coeffs)
             tau = mpmath.ldexp(1 + maxc, -(precision // 4))
-            zs = sorted(zs, key=_canonical_key)
+            with mp.workprec(precision):
+                zs.sort(key=_canonical_key)
             clusters: list[list[mpc]] = []
             for z in zs:
                 placed = False
@@ -274,7 +320,8 @@ def _find_roots_numeric(p: NumericPoly, precision: int) -> RootSet:
                 cluster = [mpmath.nstr(entries[k].value.mid, 8) for k in bad]
                 work *= 2
                 continue
-            entries.sort(key=lambda e: _canonical_key(e.value.mid))
+            with mp.workprec(precision):
+                entries.sort(key=lambda e: _canonical_key(e.value.mid))
             return RootSet(tuple(entries), CBall(p.leading), d, precision)
     raise IndistinguishableRootsError(precision, cluster)
 

@@ -170,10 +170,11 @@ def run_instance(seed: int, index: int, params: SweepParams) -> dict:
         "hadamard_ok": report.certificate.hadamard_ok() if report.certificate else None,
         "rows_ok": report.certificate.rows_ok() if report.certificate else None,
     }
-    if not report.holds:
+    if not report.holds and 2 * params.precision_bits <= params.ceiling_bits:
+        # the first rung at precision_bits is the report just made
         escalated = verify(
             p, edges, "main",
-            precision=params.precision_bits,
+            precision=2 * params.precision_bits,
             ceiling=params.ceiling_bits,
         )
         record["verdict_final"] = escalated.verdict

@@ -504,14 +504,50 @@ class TestVerify:
             verify(parse_polynomial("x^2-1"), [(0, 1)], "nope")
 
     def test_escalation_resolves_tight_instance(self):
-        # margin ~ 1e-36 at 128 bits would be inside the radii at low precision;
-        # built so only escalation separates it
-        eps = Fraction(1, 10**20)
+        # the pair 1, 1 + 1e-30 is inconclusive at 64 bits; only escalation
+        # separates it
+        eps = Fraction(1, 10**30)
         p = ExactPoly.from_roots(
-            [GaussianRational.of(0), GaussianRational.of(eps), GaussianRational.of(2)]
+            [GaussianRational.of(1), GaussianRational.of(1 + eps), GaussianRational.of(3)]
         )
         rep = verify(p, [(0, 1)], "main", precision=64, ceiling=512)
         assert rep.holds
+        assert rep.precision_bits == 128
+
+    def test_degree_32_real_roots_on_a_path(self):
+        # 32 roots k/12 in [-40, 40], 5/2 apart: Aberth started on one circle
+        # of the Cauchy radius did not converge at this degree
+        p = ExactPoly.from_roots(
+            [GaussianRational.of(Fraction(-465 + 30 * j, 12)) for j in range(32)]
+        )
+        roots = find_roots(p, 128)
+        assert roots.r == 32 and roots.precision_bits == 128
+        rep = verify(p, [(j, j + 1) for j in range(31)], "main", precision=128, roots=roots)
+        assert rep.holds
+        assert rep.precision_bits == 128
+
+    def test_root_set_spares_the_first_rung(self, monkeypatch):
+        import rootsep.bounds
+
+        p = _clustered_instance(Fraction(1, 10**30))
+        expected = verify(p, [(0, 1)], "main", precision=64, ceiling=256)
+        assert expected.precision_bits == 128
+        roots = find_roots(p, 64)
+        solved = []
+        real_find_roots = rootsep.bounds.find_roots
+
+        def counting_find_roots(poly, bits):
+            solved.append(bits)
+            return real_find_roots(poly, bits)
+
+        monkeypatch.setattr(rootsep.bounds, "find_roots", counting_find_roots)
+        rep = verify(p, [(0, 1)], "main", precision=64, ceiling=256, roots=roots)
+        assert _exact_fields(rep) == _exact_fields(expected)
+        assert solved == [128]
+        # a root set at another precision is not used
+        solved.clear()
+        verify(p, [(0, 1)], "main", precision=128, ceiling=256, roots=roots)
+        assert solved == [128]
 
     def test_ladder_stops_at_the_ceiling(self):
         # LHS = RHS = 1: inconclusive on every rung 96, 192, 384, 768, 1024
@@ -542,7 +578,7 @@ class TestVerify:
         # a pair 2^-3000 apart inside one square-free factor defeats every
         # internal escalation of find_roots at these precisions
         p = ExactPoly.from_roots(
-            [GaussianRational.of(0), GaussianRational.of(Fraction(1, 2**3000)), GaussianRational.of(3)]
+            [GaussianRational.of(1), GaussianRational.of(1 + Fraction(1, 2**3000)), GaussianRational.of(3)]
         )
         rep = verify(p, [], "main", precision=64, ceiling=128)
         assert rep.verdict == "inconclusive"

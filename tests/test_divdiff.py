@@ -1,6 +1,7 @@
 """Divided differences: the three routes must agree; exact annihilation."""
 import random
 
+import mpmath
 import pytest
 
 from rootsep import (
@@ -11,6 +12,7 @@ from rootsep import (
     divdiff_recursive,
     divdiff_vector,
 )
+from rootsep.divdiff import power_basis_row
 from rootsep.balls import CBall, working_precision
 
 
@@ -148,6 +150,24 @@ def test_annihilation_exact_vs_recursive():
             assert mono.mid == 0 and mono.rad == 0
             rec = divdiff_recursive(values, nodes)
             assert abs(rec.mid) <= rec.rad
+
+
+def test_power_basis_row_is_the_monomial_route_bit_for_bit():
+    # one pass of the recurrence must repeat each component's own pass
+    rng = random.Random(5)
+    with working_precision(128):
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            r = rng.randint(0, 10)
+            nodes = [
+                CBall(mpmath.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)), mpmath.ldexp(1, -100))
+                for _ in range(n)
+            ]
+            row = power_basis_row(r, nodes)
+            assert len(row) == r
+            for p, b in enumerate(row):
+                ref = divdiff_monomial(p, nodes)
+                assert (repr(b.mid), repr(b.rad)) == (repr(ref.mid), repr(ref.rad))
 
 
 def test_nodelist_validates():

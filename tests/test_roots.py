@@ -27,6 +27,22 @@ def test_plus_minus_one_order():
     assert [e.multiplicity for e in roots.entries] == [1, 1]
 
 
+def test_equal_moduli_order_by_real_part():
+    # four roots of modulus 1: iteration noise far below the stated precision
+    # once decided their order
+    p = ExactPoly.from_roots([
+        GaussianRational(Fraction(3, 5), Fraction(4, 5)),
+        GaussianRational(Fraction(4, 5), Fraction(3, 5)),
+        GaussianRational(Fraction(-4, 5), Fraction(3, 5)),
+        GaussianRational.of(1),
+    ])
+    for bits in (64, 128, 256):
+        mids = [e.value.mid for e in find_roots(p, bits).entries]
+        expected = [(-0.8, 0.6), (0.6, 0.8), (0.8, 0.6), (1.0, 0.0)]
+        for z, (re, im) in zip(mids, expected):
+            assert abs(z - mpmath.mpc(re, im)) < 1e-15
+
+
 def test_factored_multiplicities():
     roots = find_roots(parse_polynomial("(x-1)^2*x"), 128)
     assert [(complex(e.value.mid), e.multiplicity) for e in roots.entries] == [
@@ -143,14 +159,36 @@ class TestEscalation:
         roots = find_roots(p, 64)
         assert roots.r == 3
 
+    def test_real_cluster_on_the_start_circle(self):
+        # all three roots have modulus 1/2, the radius of the one Newton
+        # polygon edge; starts on that circle stalled on the pair's bisector
+        half = Fraction(1, 2)
+        p = ExactPoly.from_roots([half, half + Fraction(1, 2**80), -half])
+        roots = find_roots(p, 128)
+        assert roots.r == 3
+
     def test_hopeless_pair_raises(self):
         from rootsep import IndistinguishableRootsError
 
         p = ExactPoly.from_roots(
-            [GaussianRational.of(0), GaussianRational.of(Fraction(1, 10**500))]
+            [GaussianRational.of(1), GaussianRational.of(1 + Fraction(1, 10**500))]
         )
         with pytest.raises(IndistinguishableRootsError, match="precision 64"):
             find_roots(p, 64)
+
+    def test_root_at_zero_is_exact(self):
+        # a zero constant term starts one Aberth point at exactly 0, where it
+        # stays with radius 0; the partner 1e-500 then separates at 64 bits
+        p = ExactPoly.from_roots(
+            [GaussianRational.of(0), GaussianRational.of(Fraction(1, 10**500))]
+        )
+        roots = find_roots(p, 64)
+        assert roots.r == 2 and roots.precision_bits == 64
+        zero, tiny = roots.entries
+        assert zero.value.mid == 0 and zero.value.rad == 0
+        with mpmath.workprec(256):
+            assert abs(tiny.value.mid - mpmath.mpf(10) ** -500) <= tiny.value.rad
+        assert tiny.value.rad < mpmath.mpf(10) ** -510
 
     def test_unsolved_factor_error_is_short(self):
         from rootsep import IndistinguishableRootsError
