@@ -73,7 +73,7 @@ from .poly import (
     gcd_exact,
     square_free_decomposition,
 )
-from .roots import RootSet, find_roots, min_pairwise_distance, sep
+from .roots import RootSet, find_roots, min_pairwise_distance, refine, sep
 from .sweep import SweepParams, generate_instance, run_sweep
 
 __version__ = "0.1.0"
@@ -126,6 +126,7 @@ __all__ = [
     "parse_polynomial",
     "preset_edges",
     "reduce_vandermonde",
+    "refine",
     "render_exact_poly",
     "row_norm_bound",
     "run_sweep",

@@ -59,7 +59,7 @@ from .errors import (
 from .graph import RootGraph, check_classical_admissible, min_total_degree, orient
 from .invariants import discriminant, mahler_measure, sdisc_abs_from_roots
 from .poly import ExactPoly, NumericPoly
-from .roots import RootSet, find_roots
+from .roots import RootSet, find_roots, refine
 
 COMPONENT_KEYS = (
     "sdisc_sqrt",
@@ -136,18 +136,17 @@ def vandermonde_matrix(roots: RootSet) -> list[list[CBall]]:
 
 @dataclass(frozen=True)
 class VandermondeCertificate:
-    """The matrix sequence of the row-replacement reduction plus its checks.
+    """The row-replacement reduction's determinants plus its checks.
 
-    matrices[0] is the Vandermonde matrix; each later entry replaces one row
+    Starting from the Vandermonde matrix W, each step replaces one row
     (highest index first) by the divided difference of the power basis over
-    the sources of the edges finishing there, so matrices[-1] is the fully
-    reduced matrix. step_factors[i] is the product of (v_j - v_source) for
-    the row replaced at step i (exact 1 for rows without incoming edges).
+    the sources of the edges finishing there, ending at the fully reduced
+    matrix W_1. step_factors[i] is the product of (v_j - v_source) for the
+    row replaced at step i (exact 1 for rows without incoming edges).
     """
 
     size: int
     graph: RootGraph
-    matrices: tuple
     step_factors: tuple
     det_w: CBall
     det_w1: CBall
@@ -219,7 +218,6 @@ def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = Non
         r = roots.r
         vals = roots.values()
         w = vandermonde_matrix(roots)
-        matrices = [tuple(tuple(row) for row in w)]
         current = [list(row) for row in w]
         step_factors = []
         for j in range(r - 1, 0, -1):
@@ -231,7 +229,6 @@ def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = Non
             else:
                 factor = CBall.one()
             step_factors.append(factor)
-            matrices.append(tuple(tuple(row) for row in current))
         w1 = current
         try:
             det_w = ball_det(w)
@@ -250,7 +247,6 @@ def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = Non
         cert = VandermondeCertificate(
             size=r,
             graph=g,
-            matrices=tuple(matrices),
             step_factors=tuple(step_factors),
             det_w=det_w,
             det_w1=det_w1,
@@ -633,8 +629,12 @@ def verify(
     inconclusive. Input errors propagate; certification problems never crash
     and surface as an inconclusive report at the ceiling.
 
-    `roots`, the root set of `p` found at `precision` bits, spares the first
-    rung its own root solve; a root set at another precision is not used.
+    `roots`, a root set of `p` found at any precision, is carried to the
+    first rung by `refine`; each later rung gets the newest certified set,
+    its predecessor's, the same way. An exact set whose disks are already
+    as tight as a fresh solve at a rung would make them is used as it is
+    there; otherwise the rung solves again, warm-started from it. A numeric
+    set is used only at its own precision.
     """
     if variant not in _DISPATCH:
         raise ValidationError(
@@ -649,8 +649,8 @@ def verify(
     ceiling = max(ceiling, precision)
     prec = precision
     while True:
-        rung_roots = roots if roots is not None and roots.precision_bits == prec else None
         try:
+            rung_roots = refine(p, roots, prec) if roots is not None else None
             report = _DISPATCH[variant](p, *inputs, prec, roots=rung_roots)
         except (IndistinguishableRootsError, CertificationError, BallDomainError) as exc:
             report = BoundReport(
@@ -666,4 +666,6 @@ def verify(
             )
         if report.holds or prec >= ceiling:
             return report
+        if report.roots is not None:
+            roots = report.roots
         prec = min(2 * prec, ceiling)

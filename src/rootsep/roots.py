@@ -15,6 +15,13 @@ a precision-derived tolerance; their radii are tolerance-based rather than
 residual-based, matching the accuracy actually carried by the coefficients.
 
 Both paths sort roots by (modulus, re, im) rounded to the stated precision.
+
+A certified disk encloses its root at every precision, so `refine` carries
+an exact root set to another precision instead of solving again: it keeps
+the set when its disks are already as tight as a fresh solve there would
+make them, and otherwise starts Aberth from the set's midpoints (as MPSolve
+keeps its approximations when it raises the precision; Bini & Robol, JCAM
+2014).
 """
 from __future__ import annotations
 
@@ -29,6 +36,9 @@ from .poly import ExactPoly, NumericPoly, _horner, square_free_decomposition
 
 #: doubled-precision certification retries before giving up
 MAX_ESCALATIONS = 4
+#: Aberth iterates at a precision p until its corrections fall below
+#: 2^-(p + TOL_EXTRA_BITS)
+TOL_EXTRA_BITS = 12
 _MAX_ABERTH_ITERS = 600
 
 
@@ -43,8 +53,9 @@ class RootSet:
     """Distinct roots with multiplicities in canonical order.
 
     Canonical order is ascending by (modulus, real part, imaginary part) of
-    the certified midpoints, each rounded to `precision_bits`; the error
-    disks are pairwise disjoint.
+    the certified midpoints, each rounded to `precision_bits`, a part under
+    2^(8 - precision_bits) of the modulus counting as 0; the error disks
+    are pairwise disjoint.
     """
 
     entries: tuple[RootEntry, ...]
@@ -109,8 +120,13 @@ def min_pairwise_distance(roots: RootSet) -> RBall:
 
 def _canonical_key(z: mpc):
     """(modulus, re, im) of z rounded to the working precision, so that
-    iteration noise below it cannot reorder roots of equal modulus."""
-    return (abs(z), +z.real, +z.imag)
+    iteration noise below it cannot reorder roots of equal modulus. A real
+    or imaginary part under 2^(8 - prec) of the modulus is such noise around
+    0 and counts as 0, so -i sorts before i by its imaginary part rather
+    than by the sign of the noise in its real part."""
+    m = abs(z)
+    floor = mpmath.ldexp(m, 8 - mp.prec)
+    return (m, *(+x if abs(x) > floor else mpf(0) for x in (z.real, z.imag)))
 
 
 def _first_overlap(disks) -> tuple[int, int] | None:
@@ -241,29 +257,51 @@ def _solve_factor(factor: ExactPoly, p_bits: int, work_bits: int, warm=None) -> 
         coeffs = [CBall.from_gaussian(c).mid for c in factor.coeffs]
         # the tolerance follows the working precision, so escalated retries
         # genuinely separate closer roots
-        zs = _aberth(coeffs, max(p_bits + 12, work_bits - 24), warm=warm)
+        zs = _aberth(coeffs, max(p_bits + TOL_EXTRA_BITS, work_bits - 24), warm=warm)
         out = []
         for z in zs:
             rad = _certified_radius(factor, z)
-            if rad is None:
-                return None
-            target = mpmath.ldexp(max(mpf(1), abs(z)), -(p_bits // 2))
-            if rad > target:
+            if rad is None or rad > _radius_target(z, p_bits):
                 return None
             out.append((z, rad))
         # disjoint disks within the factor certify one simple root per disk
         return out if _first_overlap(out) is None else None
 
 
-def _find_roots_exact(p: ExactPoly, precision: int) -> RootSet:
+def _radius_target(z: mpc, precision: int) -> mpf:
+    """The largest radius a disk around z may have at `precision`."""
+    return mpmath.ldexp(max(mpf(1), abs(z)), -(precision // 2))
+
+
+def _carry_target(z: mpc, precision: int) -> mpf:
+    """The largest radius with which a disk around z is kept at `precision`
+    as it is: the accuracy Aberth's tolerance gives a fresh solve there, so
+    the midpoint carries `precision` bits, sorts as a fresh one would, and
+    the bound sees disks no wider than a fresh solve's."""
+    return mpmath.ldexp(max(mpf(1), abs(z)), -(precision + TOL_EXTRA_BITS))
+
+
+def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None) -> RootSet:
     decomposition = square_free_decomposition(p)
+    # Yun's factors have distinct multiplicities, so the entries of `warm`
+    # with a factor's multiplicity are that factor's roots: they start its
+    # first attempt; if that does not certify, the Newton polygon starts a
+    # retry at the same working bits and every later attempt
+    starts: dict[int, list[mpc]] = {}
+    for e in warm.entries if warm is not None else ():
+        starts.setdefault(e.multiplicity, []).append(e.value.mid)
     work = precision + GUARD_BITS
     cluster: list[str] = []
     for _ in range(MAX_ESCALATIONS + 1):
         factor_roots: list[tuple[mpc, mpf, int]] = []
         ok = True
         for index, (factor, mult) in enumerate(decomposition):
-            solved = _solve_factor(factor, precision, work)
+            seeds = starts.pop(mult, None)
+            solved = None
+            if seeds is not None and len(seeds) == factor.degree:
+                solved = _solve_factor(factor, precision, work, warm=seeds)
+            if solved is None:
+                solved = _solve_factor(factor, precision, work)
             if solved is None:
                 ok = False
                 cluster = [f"factor {index} (degree {factor.degree}, multiplicity {mult})"]
@@ -342,3 +380,32 @@ def find_roots(p, precision: int = 128) -> RootSet:
             raise ValidationError("root finding needs degree >= 1")
         return _find_roots_numeric(p, precision)
     raise TypeError(f"cannot find roots of {type(p).__name__}")
+
+
+def refine(p, roots: RootSet, precision: int) -> RootSet:
+    """The root set of `p` at `precision`, carried from `roots`, a root set
+    of `p` found at any precision.
+
+    For exact `p`, the set is kept when every disk is already as tight as a
+    fresh solve at `precision` would make it, 2^-(precision + 12) * max(1,
+    |z|), and the disks are still disjoint at its working precision; it is
+    then relabelled and sorted at `precision`. A looser disk would carry
+    midpoint noise into the canonical order and keep the disks of a rung
+    that has just come back inconclusive. Otherwise `p` is solved again,
+    each square-free factor's first attempt starting Aberth from the
+    midpoints of the entries with that factor's multiplicity. A numeric
+    set's radii are tolerances tied to its precision, so it is kept at that
+    precision only; at any other, `p` is solved from scratch.
+    """
+    if roots.precision_bits == precision:
+        return roots
+    if not isinstance(p, ExactPoly):
+        return find_roots(p, precision)
+    with mp.workprec(precision + GUARD_BITS):
+        disks = [(e.value.mid, e.value.rad) for e in roots.entries]
+        if all(rad <= _carry_target(z, precision) for z, rad in disks) \
+                and _first_overlap(disks) is None:
+            with mp.workprec(precision):
+                entries = sorted(roots.entries, key=lambda e: _canonical_key(e.value.mid))
+            return RootSet(tuple(entries), roots.leading_coeff, roots.total_degree, precision)
+    return _find_roots_exact(p, precision, warm=roots)

@@ -171,11 +171,13 @@ def run_instance(seed: int, index: int, params: SweepParams) -> dict:
         "rows_ok": report.certificate.rows_ok() if report.certificate else None,
     }
     if not report.holds and 2 * params.precision_bits <= params.ceiling_bits:
-        # the first rung at precision_bits is the report just made
+        # the first rung at precision_bits is the report just made; its
+        # root set is carried up the ladder
         escalated = verify(
             p, edges, "main",
             precision=2 * params.precision_bits,
             ceiling=params.ceiling_bits,
+            roots=roots,
         )
         record["verdict_final"] = escalated.verdict
         record["resolved_bits"] = (

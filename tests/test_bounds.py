@@ -31,11 +31,13 @@ from rootsep import (
     orient,
     parse_polynomial,
     reduce_vandermonde,
+    refine,
     row_norm_bound,
     vandermonde_matrix,
     verify,
 )
 from rootsep.balls import ball_det, ball_product, working_precision
+from rootsep.divdiff import power_basis_row
 
 
 class TestLemmaAux:
@@ -126,6 +128,21 @@ class TestVandermonde:
                 assert det.overlaps(prod)
 
 
+def _step_matrices(roots, g):
+    """The reduction's matrix sequence: the Vandermonde matrix, then one row
+    replaced per step (highest index first) by the divided difference of the
+    power basis over the sources of its edges plus the vertex itself."""
+    vals = roots.values()
+    current = vandermonde_matrix(roots)
+    matrices = [[list(row) for row in current]]
+    for j in range(roots.r - 1, 0, -1):
+        sources = [a for a, _ in g.edges_into(j)]
+        if sources:
+            current[j] = power_basis_row(roots.r, [vals[a] for a in sources] + [vals[j]])
+        matrices.append([list(row) for row in current])
+    return matrices
+
+
 class TestReduction:
     def test_empty_edges_identity(self):
         roots = find_roots(parse_polynomial("x^2-1"), 128)
@@ -135,8 +152,12 @@ class TestReduction:
 
     def test_two_by_two_reduction(self):
         roots = find_roots(parse_polynomial("x^2-1"), 128)
-        cert = reduce_vandermonde(roots, orient([(0, 1)], roots), 128)
-        w1 = cert.matrices[-1]
+        g = orient([(0, 1)], roots)
+        cert = reduce_vandermonde(roots, g, 128)
+        with working_precision(128):
+            w1 = _step_matrices(roots, g)[-1]
+            # the rebuilt matrix is the one the reduction took det_w1 of
+            assert ball_det(w1).overlaps(cert.det_w1)
         assert [c.mid for c in w1[0]] == [1, -1]
         assert [abs(c.mid) < 1e-30 for c in w1[1]][0] and abs(w1[1][1].mid - 1) < 1e-30
         assert abs(cert.det_w1.mid - 1) < 1e-30
@@ -159,9 +180,13 @@ class TestReduction:
             g = orient(edges, roots)
             cert = reduce_vandermonde(roots, g, 128)
             with working_precision(128):
+                matrices = _step_matrices(roots, g)
+                # the rebuilt sequence runs from the reduction's W to its W_1
+                assert ball_det(matrices[0]).overlaps(cert.det_w)
+                assert ball_det(matrices[-1]).overlaps(cert.det_w1)
                 for step, factor in enumerate(cert.step_factors):
-                    before = ball_det([list(r) for r in cert.matrices[step]])
-                    after = ball_det([list(r) for r in cert.matrices[step + 1]])
+                    before = ball_det(matrices[step])
+                    after = ball_det(matrices[step + 1])
                     assert before.overlaps(after * factor)
 
     def test_identity_discrepancy_small(self):
@@ -527,27 +552,57 @@ class TestVerify:
         assert rep.precision_bits == 128
 
     def test_root_set_spares_the_first_rung(self, monkeypatch):
-        import rootsep.bounds
+        import rootsep.roots
 
         p = _clustered_instance(Fraction(1, 10**30))
         expected = verify(p, [(0, 1)], "main", precision=64, ceiling=256)
         assert expected.precision_bits == 128
         roots = find_roots(p, 64)
         solved = []
-        real_find_roots = rootsep.bounds.find_roots
+        real_solve = rootsep.roots._find_roots_exact
 
-        def counting_find_roots(poly, bits):
+        def counting_solve(poly, bits, warm=None):
             solved.append(bits)
-            return real_find_roots(poly, bits)
+            return real_solve(poly, bits, warm)
 
-        monkeypatch.setattr(rootsep.bounds, "find_roots", counting_find_roots)
+        monkeypatch.setattr(rootsep.roots, "_find_roots_exact", counting_solve)
         rep = verify(p, [(0, 1)], "main", precision=64, ceiling=256, roots=roots)
         assert _exact_fields(rep) == _exact_fields(expected)
-        assert solved == [128]
-        # a root set at another precision is not used
-        solved.clear()
-        verify(p, [(0, 1)], "main", precision=128, ceiling=256, roots=roots)
-        assert solved == [128]
+        carried = refine(p, roots, 128)
+        assert _exact_fields(rep) == _exact_fields(bound_main(p, [(0, 1)], 128, roots=carried))
+        assert solved == []
+        # a root set at another precision is carried to it, not solved again
+        again = verify(p, [(0, 1)], "main", precision=128, ceiling=256, roots=roots)
+        assert solved == []
+        assert _exact_fields(again) == _exact_fields(rep)
+
+    def test_rung_limited_by_disk_width_gets_tighter_disks(self, monkeypatch):
+        import rootsep.bounds
+        import rootsep.roots
+
+        # x^2 - (1 + 2^-90), no edges: LHS = 1 and RHS = (1 + 2^-90)^(-1/2),
+        # a margin of about 2^-91 that the 64-bit disks (radius about 2^-77)
+        # cannot resolve, though they certify without any escalation
+        p = parse_polynomial(f"x^2 - {2**90 + 1}/{2**90}")
+        work = []
+        real_solve = rootsep.roots._solve_factor
+
+        def spy(factor, p_bits, work_bits, warm=None):
+            work.append(work_bits)
+            return real_solve(factor, p_bits, work_bits, warm)
+
+        monkeypatch.setattr(rootsep.roots, "_solve_factor", spy)
+        roots = find_roots(p, 64)
+        assert work == [88]
+        assert bound_main(p, [], 64, roots=roots).verdict == "inconclusive"
+        rep = verify(p, [], "main", precision=64, ceiling=1024, roots=roots)
+        assert rep.holds and rep.precision_bits == 128
+        # a fresh solve on every rung resolves at the same rung
+        monkeypatch.setattr(
+            rootsep.bounds, "refine", lambda p, roots, bits: rootsep.roots.find_roots(p, bits)
+        )
+        fresh = verify(p, [], "main", precision=64, ceiling=1024, roots=roots)
+        assert fresh.holds and fresh.precision_bits == rep.precision_bits
 
     def test_ladder_stops_at_the_ceiling(self):
         # LHS = RHS = 1: inconclusive on every rung 96, 192, 384, 768, 1024
@@ -560,12 +615,14 @@ class TestVerify:
         p = _clustered_instance(Fraction(1, 10**30))
         hints = [(0, 1, 1.0), (2, 3, 1.0)]
         for variant, direct in (
-            ("remark_degree", lambda bits: bound_remark_degree(p, [(0, 1)], bits)),
-            ("remark_pairs", lambda bits: bound_remark_pairs(p, [(0, 1)], hints, bits)),
+            ("remark_degree", lambda bits, roots: bound_remark_degree(p, [(0, 1)], bits, roots)),
+            ("remark_pairs", lambda bits, roots: bound_remark_pairs(p, [(0, 1)], hints, bits, roots)),
         ):
             rep = verify(p, [(0, 1)], variant, precision=64, ceiling=1024, hints=hints)
             assert rep.holds and rep.precision_bits > 64
-            assert _exact_fields(rep) == _exact_fields(direct(rep.precision_bits))
+            # the ladder carries the 64-bit root set up to the rung that holds
+            assert _exact_fields(rep) == _exact_fields(direct(rep.precision_bits, rep.roots))
+            assert direct(rep.precision_bits, None).verdict == rep.verdict
 
     def test_missing_variant_inputs_rejected(self):
         p = _clustered_instance(Fraction(1, 100))

@@ -12,11 +12,12 @@ from rootsep import (
     find_roots,
     min_pairwise_distance,
     parse_polynomial,
+    refine,
     sep,
 )
 from rootsep.balls import working_precision
 from rootsep.poly import eval_poly
-from rootsep.roots import _canonical_key
+from rootsep.roots import _canonical_key, _carry_target, _radius_target
 
 
 def test_plus_minus_one_order():
@@ -27,15 +28,20 @@ def test_plus_minus_one_order():
     assert [e.multiplicity for e in roots.entries] == [1, 1]
 
 
-def test_equal_moduli_order_by_real_part():
-    # four roots of modulus 1: iteration noise far below the stated precision
-    # once decided their order
-    p = ExactPoly.from_roots([
+def _equal_moduli():
+    """Four roots of modulus 1."""
+    return ExactPoly.from_roots([
         GaussianRational(Fraction(3, 5), Fraction(4, 5)),
         GaussianRational(Fraction(4, 5), Fraction(3, 5)),
         GaussianRational(Fraction(-4, 5), Fraction(3, 5)),
         GaussianRational.of(1),
     ])
+
+
+def test_equal_moduli_order_by_real_part():
+    # four roots of modulus 1: iteration noise far below the stated precision
+    # once decided their order
+    p = _equal_moduli()
     for bits in (64, 128, 256):
         mids = [e.value.mid for e in find_roots(p, bits).entries]
         expected = [(-0.8, 0.6), (0.6, 0.8), (0.8, 0.6), (1.0, 0.0)]
@@ -56,6 +62,16 @@ def test_imaginary_tie_break():
     assert roots.r == 2
     assert roots.entries[0].value.mid.imag < 0  # -i before i
     assert roots.entries[1].value.mid.imag > 0
+
+
+def test_imaginary_pairs_order_at_every_precision():
+    # the real parts are Aberth noise around 0 whose sign changes with the
+    # precision; the order must not follow it
+    p = parse_polynomial("(x^2 + 1)*(x^2 + 4)*(x - 3)")
+    for bits in (64, 128, 256, 512):
+        mids = [e.value.mid for e in find_roots(p, bits).entries]
+        for z, expected in zip(mids, (-1j, 1j, -2j, 2j, 3)):
+            assert abs(z - expected) < 1e-15
 
 
 def test_radius_target():
@@ -150,14 +166,27 @@ class TestSep:
 
 
 class TestEscalation:
-    def test_close_pair_resolved_by_escalation(self):
+    def test_close_pair_resolved_by_escalation(self, monkeypatch):
+        # 10^-80 apart inside one square-free factor: the disks separate
+        # only after the working precision has doubled three times
+        import rootsep.roots
+
         p = ExactPoly.from_roots(
-            [GaussianRational.of(0),
-             GaussianRational.of(Fraction(1, 10**80)),
-             GaussianRational.of(2)]
+            [GaussianRational.of(1),
+             GaussianRational.of(1 + Fraction(1, 10**80)),
+             GaussianRational.of(3)]
         )
+        work = []
+        real_solve = rootsep.roots._solve_factor
+
+        def spy(factor, p_bits, work_bits, warm=None):
+            work.append(work_bits)
+            return real_solve(factor, p_bits, work_bits, warm)
+
+        monkeypatch.setattr(rootsep.roots, "_solve_factor", spy)
         roots = find_roots(p, 64)
         assert roots.r == 3
+        assert work == [88, 176, 352, 704]
 
     def test_real_cluster_on_the_start_circle(self):
         # all three roots have modulus 1/2, the radius of the one Newton
@@ -222,3 +251,127 @@ class TestNumericMode:
         roots = find_roots(p, 128)
         assert roots.r == 2
         assert abs(abs(roots.entries[0].value.mid) - 0.5) < 1e-30
+
+
+def _degree_32():
+    """32 real roots (-465 + 30 j) / 12, 5/2 apart in [-40, 40]."""
+    return ExactPoly.from_roots(
+        [GaussianRational.of(Fraction(-465 + 30 * j, 12)) for j in range(32)]
+    )
+
+
+def _meets_target(roots, bits, target=_radius_target):
+    return all(e.value.rad <= target(e.value.mid, bits) for e in roots.entries)
+
+
+class TestRefine:
+    def test_tight_set_is_kept(self, monkeypatch):
+        import rootsep.roots
+
+        # escalation inside find_roots leaves disks as tight as a fresh
+        # 256-bit solve would make them
+        p = ExactPoly.from_roots([1, 1 + Fraction(1, 2**200), 3])
+        roots = find_roots(p, 128)
+        assert _meets_target(roots, 256, _carry_target)
+        assert refine(p, roots, 128) is roots
+        monkeypatch.setattr(rootsep.roots, "_find_roots_exact", None)
+        kept = refine(p, roots, 256)
+        assert kept.precision_bits == 256
+        assert sorted(map(id, kept.entries)) == sorted(map(id, roots.entries))
+        # at 256 bits the pair's moduli differ, so it is reordered by them
+        with mpmath.workprec(256):
+            keys = [_canonical_key(e.value.mid) for e in kept.entries]
+        assert keys == sorted(keys) and keys[0] < keys[1]
+        assert kept.leading_coeff == roots.leading_coeff
+        assert kept.total_degree == roots.total_degree
+
+    @pytest.mark.parametrize("poly, low, high, meets_radius_target", [
+        ("(x-1)^2*(x+2)*(x-i)", 64, 512, False),
+        # the disks carry about 140 bits, not the 268 of a fresh 256-bit solve
+        ("(x-1)*(x-2)*(x+2)", 128, 256, True),
+    ])
+    def test_set_looser_than_a_fresh_solve_is_solved_again(
+        self, monkeypatch, poly, low, high, meets_radius_target
+    ):
+        import rootsep.roots
+
+        p = parse_polynomial(poly)
+        roots = find_roots(p, low)
+        assert _meets_target(roots, high) == meets_radius_target
+        assert not _meets_target(roots, high, _carry_target)
+        solved = []
+        real_solve = rootsep.roots._find_roots_exact
+
+        def counting_solve(poly, bits, warm=None):
+            solved.append((bits, warm))
+            return real_solve(poly, bits, warm)
+
+        monkeypatch.setattr(rootsep.roots, "_find_roots_exact", counting_solve)
+        refined = refine(p, roots, high)
+        assert solved == [(high, roots)]
+        assert refined.precision_bits == high and refined.r == roots.r
+        assert refined.multiplicities() == roots.multiplicities()
+        assert all(a is not b for a, b in zip(refined.entries, roots.entries))
+        assert _meets_target(refined, high, _carry_target)
+
+    def test_carried_order_matches_a_fresh_solve(self):
+        # equal moduli: +-2, conjugate pairs on the unit circle, +-i and +-2i
+        for p in (
+            _equal_moduli(),
+            parse_polynomial("(x-1)*(x-2)*(x+2)"),
+            parse_polynomial("(x^2 + 1)*(x^2 + 4)*(x - 3)"),
+        ):
+            for low, high in ((64, 128), (128, 256), (64, 256)):
+                carried = refine(p, find_roots(p, low), high)
+                fresh = find_roots(p, high)
+                assert carried.multiplicities() == fresh.multiplicities()
+                for a, b in zip(carried.entries, fresh.entries):
+                    assert abs(a.value.mid - b.value.mid) < 1e-30
+
+    def test_numeric_set_is_solved_again(self, monkeypatch):
+        import rootsep.roots
+
+        p = parse_polynomial("x^2 - 0.25")
+        roots = find_roots(p, 128)
+        assert refine(p, roots, 128) is roots
+        solved = []
+        real_find_roots = rootsep.roots.find_roots
+
+        def counting_find_roots(poly, bits):
+            solved.append(bits)
+            return real_find_roots(poly, bits)
+
+        monkeypatch.setattr(rootsep.roots, "find_roots", counting_find_roots)
+        monkeypatch.setattr(rootsep.roots, "_find_roots_exact", None)
+        refined = refine(p, roots, 256)
+        assert solved == [256]
+        assert refined.precision_bits == 256
+        assert [e.value.rad for e in refined.entries] != [e.value.rad for e in roots.entries]
+
+    def test_warm_start_from_a_lower_precision(self, monkeypatch):
+        import rootsep.roots
+
+        p = _degree_32()
+        roots = find_roots(p, 128)
+        assert not _meets_target(roots, 512)
+        warmed, newton = [], []
+        real_aberth = rootsep.roots._aberth
+        real_newton = rootsep.roots._newton_starts
+
+        def aberth_spy(coeffs, tol_bits, warm=None):
+            warmed.append(warm is not None)
+            return real_aberth(coeffs, tol_bits, warm)
+
+        def newton_spy(coeffs):
+            newton.append(len(coeffs))
+            return real_newton(coeffs)
+
+        monkeypatch.setattr(rootsep.roots, "_aberth", aberth_spy)
+        monkeypatch.setattr(rootsep.roots, "_newton_starts", newton_spy)
+        refined = refine(p, roots, 512)
+        assert warmed == [True] and newton == []
+        assert refined.precision_bits == 512 and refined.r == 32
+        assert _meets_target(refined, 512)
+        with working_precision(512):
+            for new, old in zip(refined.entries, roots.entries):
+                assert new.value.overlaps(old.value)
