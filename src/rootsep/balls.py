@@ -8,6 +8,10 @@ the ambient mpmath precision; callers set it once per pipeline run via
 
 Real balls (RBall) and complex balls (CBall) are immutable value objects.
 A radius of exactly zero marks a value known to be an exact binary number.
+A CBall also keeps |mid| and the precision it was taken at: every operation
+computes the modulus of its result for the cushion, and later products,
+quotients, `abs` and zero tests at the same precision read it instead of
+taking another complex `hypot`.
 """
 from __future__ import annotations
 
@@ -33,12 +37,16 @@ def working_precision(bits: int):
         yield
 
 
-def _slack(mid) -> mpf:
-    # 2^6 ulp cushion for the rounding of `mid` at the current precision
-    a = abs(mid)
+def _pad(a: mpf, prec: int) -> mpf:
+    # 2^6 ulp cushion at precision `prec` for a midpoint of modulus `a`
     if a == 0:
         return _ZERO
-    return mpmath.ldexp(a, 8 - mp.prec)
+    return mpmath.ldexp(a, 8 - prec)
+
+
+def _slack(mid) -> mpf:
+    # the cushion for the rounding of `mid` at the current precision
+    return _pad(abs(mid), mp.prec)
 
 
 def _as_mpf_pair(q: Fraction) -> tuple[mpf, mpf]:
@@ -239,9 +247,15 @@ class RBall:
 
 
 class CBall:
-    """Complex disk {z : |z - mid| <= rad}."""
+    """Complex disk {z : |z - mid| <= rad}.
 
-    __slots__ = ("mid", "rad")
+    Each ball keeps |mid| together with the mpmath precision it was taken
+    at, so operations that need the modulus again at that precision read it
+    instead of computing another `hypot`. A ball used at another precision
+    takes the modulus afresh; the stored value never changes a result.
+    """
+
+    __slots__ = ("mid", "rad", "_mod", "_mod_prec")
 
     def __init__(self, mid, rad=0):
         self.mid = mid if isinstance(mid, mpc) else mpc(mid)
@@ -249,6 +263,25 @@ class CBall:
         if r < 0:
             raise ValueError("negative radius")
         self.rad = r
+        self._mod = None
+        self._mod_prec = 0
+
+    @staticmethod
+    def _of(mid: mpc, rad: mpf, mod: mpf, prec: int) -> "CBall":
+        """A ball whose |mid| = mod was taken at precision prec."""
+        b = object.__new__(CBall)
+        b.mid = mid
+        b.rad = rad
+        b._mod = mod
+        b._mod_prec = prec
+        return b
+
+    def _modulus(self, prec: int) -> mpf:
+        """|mid| at precision prec (the ambient one)."""
+        if self._mod_prec != prec:
+            self._mod = abs(self.mid)
+            self._mod_prec = prec
+        return self._mod
 
     @staticmethod
     def exact(x) -> "CBall":
@@ -286,7 +319,9 @@ class CBall:
         if o is None:
             return NotImplemented
         m = self.mid + o.mid
-        return CBall(m, self.rad + o.rad + _slack(m))
+        prec = mp.prec
+        a = abs(m)
+        return CBall._of(m, self.rad + o.rad + _pad(a, prec), a, prec)
 
     __radd__ = __add__
 
@@ -295,7 +330,9 @@ class CBall:
         if o is None:
             return NotImplemented
         m = self.mid - o.mid
-        return CBall(m, self.rad + o.rad + _slack(m))
+        prec = mp.prec
+        a = abs(m)
+        return CBall._of(m, self.rad + o.rad + _pad(a, prec), a, prec)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -308,8 +345,10 @@ class CBall:
         if o is None:
             return NotImplemented
         m = self.mid * o.mid
-        r = abs(self.mid) * o.rad + abs(o.mid) * self.rad + self.rad * o.rad
-        return CBall(m, r + 2 * _slack(m))
+        prec = mp.prec
+        r = self._modulus(prec) * o.rad + o._modulus(prec) * self.rad + self.rad * o.rad
+        a = abs(m)
+        return CBall._of(m, r + 2 * _pad(a, prec), a, prec)
 
     __rmul__ = __mul__
 
@@ -317,30 +356,39 @@ class CBall:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        lb = abs(o.mid) - o.rad - _slack(o.mid)
+        prec = mp.prec
+        om = o._modulus(prec)
+        lb = om - o.rad - _pad(om, prec)
         if lb <= 0:
             raise BallDomainError("division by a ball containing zero")
         m = self.mid / o.mid
-        r = (self.rad + abs(m) * o.rad) / lb
-        return CBall(m, r + 2 * _slack(m))
+        a = abs(m)
+        r = (self.rad + a * o.rad) / lb
+        return CBall._of(m, r + 2 * _pad(a, prec), a, prec)
 
     def __neg__(self):
-        return CBall(-self.mid, self.rad)
+        return CBall._of(-self.mid, self.rad, self._mod, self._mod_prec)
 
     def abs(self) -> RBall:
-        a = abs(self.mid)
-        return RBall(a, self.rad + _slack(a))
+        prec = mp.prec
+        a = self._modulus(prec)
+        return RBall(a, self.rad + _pad(a, prec))
 
     def conj(self) -> "CBall":
-        return CBall(mpc(self.mid.real, -self.mid.imag), self.rad)
+        return CBall._of(mpc(self.mid.real, -self.mid.imag), self.rad, self._mod, self._mod_prec)
 
     powi = _powi
 
     def contains_zero(self) -> bool:
-        return abs(self.mid) <= self.rad + _slack(self.mid)
+        prec = mp.prec
+        a = self._modulus(prec)
+        return a <= self.rad + _pad(a, prec)
 
     def overlaps(self, other: "CBall") -> bool:
-        return abs(self.mid - other.mid) <= self.rad + other.rad + _slack(self.mid) + _slack(other.mid)
+        prec = mp.prec
+        return abs(self.mid - other.mid) <= (
+            self.rad + other.rad + _pad(self._modulus(prec), prec) + _pad(other._modulus(prec), prec)
+        )
 
     def __repr__(self):
         return f"CBall({mpmath.nstr(self.mid, 17)} +/- {mpmath.nstr(self.rad, 5)})"
@@ -351,15 +399,6 @@ class CBall:
             "im": float(self.mid.imag),
             "rad": float(self.rad),
         }
-
-
-def ball_sum(items) -> "CBall | RBall":
-    total = None
-    for x in items:
-        total = x if total is None else total + x
-    if total is None:
-        raise ValueError("empty sum")
-    return total
 
 
 def ball_product(items, one=None):
@@ -387,11 +426,12 @@ def ball_det(matrix: "list[list[CBall]]") -> CBall:
     treat as a certification failure at the current precision.
     """
     n = len(matrix)
+    prec = mp.prec
     m = [row[:] for row in matrix]
     det = CBall.one()
     sign = 1
     for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(m[i][k].mid))
+        piv = max(range(k, n), key=lambda i: m[i][k]._modulus(prec))
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign

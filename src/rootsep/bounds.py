@@ -24,11 +24,14 @@ manufacture a violation. A failed separation is "inconclusive", never
 "violated": callers escalate precision through `verify`.
 
 The reduction certificate replays the determinant factorization that proves
-the bound: starting from the Vandermonde matrix, each row with incoming
-edges is replaced by the divided difference of the power basis over the
-edge sources plus the vertex itself. The determinant identity
-det W = det W_1 * prod(edge differences), the per-row norm bounds and the
-Hadamard bound are all checked against the propagated radii.
+the bound. W is the Vandermonde matrix of the roots. W_1 replaces each row
+with incoming edges by the divided difference of the power basis over the
+edge sources plus the vertex itself, and keeps the powers in the other rows.
+det W is taken from its closed form, the product over i < j of
+(v_j - v_i), and det W_1 by ball LU of W_1, so the identity
+det W = det W_1 * prod(edge differences) compares two enclosures computed
+independently. The per-row norm bounds and the Hadamard bound are checked
+against the propagated radii as well.
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ from .balls import (
     ball_row_norm,
     working_precision,
 )
-from .divdiff import power_basis_row
+from .divdiff import NodeList, power_basis_row
 from .errors import (
     BallDomainError,
     CertificationError,
@@ -122,16 +125,16 @@ def multiplicity_product_bound(multiplicities) -> tuple[mpf, mpf]:
 # ---------------------------------------------------------------------------
 
 
+def _vandermonde_row(v: CBall, r: int) -> list[CBall]:
+    row = [CBall.one()]
+    for _ in range(r - 1):
+        row.append(row[-1] * v)
+    return row
+
+
 def vandermonde_matrix(roots: RootSet) -> list[list[CBall]]:
     """r x r matrix with row j = (1, v_j, ..., v_j^{r-1})."""
-    r = roots.r
-    rows = []
-    for e in roots.entries:
-        row = [CBall.one()]
-        for _ in range(r - 1):
-            row.append(row[-1] * e.value)
-        rows.append(row)
-    return rows
+    return [_vandermonde_row(e.value, roots.r) for e in roots.entries]
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,8 @@ class VandermondeCertificate:
     the sources of the edges finishing there, ending at the fully reduced
     matrix W_1. step_factors[i] is the product of (v_j - v_source) for the
     row replaced at step i (exact 1 for rows without incoming edges).
+    det_w is the product of (v_j - v_i) over i < j; det_w1 is LU of W_1,
+    which is built directly, so W itself is never formed.
     """
 
     size: int
@@ -217,21 +222,26 @@ def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = Non
     with working_precision(precision):
         r = roots.r
         vals = roots.values()
-        w = vandermonde_matrix(roots)
-        current = [list(row) for row in w]
+        try:
+            nodes = NodeList.of(vals).nodes
+        except ValidationError as exc:
+            raise CertificationError(precision, str(exc)) from exc
+        reduced = {}
         step_factors = []
         for j in range(r - 1, 0, -1):
             sources = [a for a, _ in g.edges_into(j)]
             if sources:
-                nodes = [vals[a] for a in sources] + [vals[j]]
-                current[j] = power_basis_row(r, nodes)
+                subset = NodeList(tuple(nodes[a] for a in sources) + (nodes[j],))
+                reduced[j] = power_basis_row(r, subset)
                 factor = ball_product([vals[j] - vals[a] for a in sources], CBall.one())
             else:
                 factor = CBall.one()
             step_factors.append(factor)
-        w1 = current
+        w1 = [reduced.get(j) or _vandermonde_row(vals[j], r) for j in range(r)]
+        det_w = ball_product(
+            [vals[j] - vals[i] for j in range(1, r) for i in range(j)], CBall.one()
+        )
         try:
-            det_w = ball_det(w)
             det_w1 = ball_det(w1)
         except BallDomainError as exc:
             raise CertificationError(precision, str(exc)) from exc

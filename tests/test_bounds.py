@@ -127,6 +127,19 @@ class TestVandermonde:
                 )
                 assert det.overlaps(prod)
 
+    def test_det_w_from_root_differences_at_degree_32(self):
+        # det W is the product of the root differences; LU of the Vandermonde
+        # matrix encloses the same value, with a radius 10^24 times wider
+        p = ExactPoly.from_roots(
+            [GaussianRational.of(Fraction(-465 + 30 * j, 12)) for j in range(32)]
+        )
+        roots = find_roots(p, 128)
+        cert = reduce_vandermonde(roots, orient([(j, j + 1) for j in range(31)], roots))
+        with working_precision(128):
+            lu = ball_det(vandermonde_matrix(roots))
+            assert cert.det_w.overlaps(lu)
+            assert cert.det_w.rad / abs(cert.det_w.mid) <= 1e-30
+
 
 def _step_matrices(roots, g):
     """The reduction's matrix sequence: the Vandermonde matrix, then one row
@@ -530,14 +543,26 @@ class TestVerify:
 
     def test_escalation_resolves_tight_instance(self):
         # the pair 1, 1 + 1e-30 is inconclusive at 64 bits; only escalation
-        # separates it
+        # separates it. The edge (1, 2) leaves both near-equal rows in W_1
+        eps = Fraction(1, 10**30)
+        p = ExactPoly.from_roots(
+            [GaussianRational.of(1), GaussianRational.of(1 + eps), GaussianRational.of(3)]
+        )
+        rep = verify(p, [(1, 2)], "main", precision=64, ceiling=512)
+        assert rep.holds
+        assert rep.precision_bits == 128
+
+    def test_edge_on_the_tight_pair_holds_at_the_first_rung(self):
+        # the edge (0, 1) replaces one of the two near-equal rows by their
+        # divided difference, so W_1 is well conditioned, and det W comes from
+        # the root differences rather than from LU of the Vandermonde matrix
         eps = Fraction(1, 10**30)
         p = ExactPoly.from_roots(
             [GaussianRational.of(1), GaussianRational.of(1 + eps), GaussianRational.of(3)]
         )
         rep = verify(p, [(0, 1)], "main", precision=64, ceiling=512)
         assert rep.holds
-        assert rep.precision_bits == 128
+        assert rep.precision_bits == 64
 
     def test_degree_32_real_roots_on_a_path(self):
         # 32 roots k/12 in [-40, 40], 5/2 apart: Aberth started on one circle

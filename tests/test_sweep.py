@@ -62,9 +62,10 @@ class TestRunInstance:
         assert rec["certificate_rel_discrepancy"] is None or rec["certificate_rel_discrepancy"] <= 1e-10
 
     def test_escalation_carries_the_first_root_set(self, monkeypatch):
-        # instance 5 of seed 101 clusters two roots of its multiplicity-3
-        # factor 2^-200 apart: inconclusive at 128 bits, holds at 256, where
-        # the disks certified at 128 bits already meet the radius target
+        # instance 52 of seed 101 clusters two roots of its multiplicity-2
+        # factor 2^-200 apart, and its one edge (0, 2) leaves both in W_1:
+        # inconclusive at 128 bits, holds at 256, where the disks certified
+        # at 128 bits already meet the radius target
         import rootsep.bounds
         import rootsep.roots
 
@@ -77,17 +78,28 @@ class TestRunInstance:
             return real_solve(poly, bits, warm)
 
         monkeypatch.setattr(rootsep.roots, "_find_roots_exact", counting_solve)
-        rec = run_instance(101, 5, params)
-        assert rec["multiplicities"][:2] == [3, 3]
+        rec = run_instance(101, 52, params)
+        assert rec["multiplicities"][:2] == [2, 2]
         assert solved == [128]
         # a fresh solve on every rung gives the same record
         monkeypatch.setattr(
             rootsep.bounds, "refine", lambda p, roots, bits: rootsep.roots.find_roots(p, bits)
         )
-        fresh = run_instance(101, 5, params)
+        fresh = run_instance(101, 52, params)
         assert solved == [128, 128, 256]
         keys = ("verdict_first", "verdict_final", "resolved_bits")
         assert [rec[k] for k in keys] == [fresh[k] for k in keys] == ["inconclusive", "holds", 256]
+
+    def test_path_over_the_cluster_holds_at_the_first_rung(self):
+        # instance 5 of seed 101: the path's edge (1, 2) joins the 2^-200
+        # pair, so W_1 holds their divided difference and the first rung
+        # certifies
+        params = SweepParams(max_degree=8, force_cluster=Fraction(1, 2**200))
+        rec = run_instance(101, 5, params)
+        assert rec["multiplicities"][:2] == [3, 3]
+        assert rec["edges"] == [[0, 1], [1, 2]]
+        keys = ("verdict_first", "verdict_final", "resolved_bits")
+        assert [rec[k] for k in keys] == ["holds", "holds", 128]
 
     def test_params_validation(self):
         with pytest.raises(ValidationError):
