@@ -60,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import RootGraph, check_classical_admissible, min_total_degree, orient
-from .invariants import discriminant, mahler_measure, sdisc_abs_from_roots
+from .invariants import _abs_ball, discriminant, mahler_measure, sdisc_abs_from_roots
 from .poly import ExactPoly, NumericPoly
 from .roots import RootSet, find_roots, refine
 
@@ -203,9 +203,12 @@ def row_norm_bound(cert: "VandermondeCertificate", roots: RootSet, j: int) -> tu
 
 
 def hadamard_bound(cert: "VandermondeCertificate", g: RootGraph, roots: RootSet) -> RBall:
-    """(r/sqrt(3))^#E * r^(r/2) * prod max(1,|v_j|)^(r-1-d_j); contains |det W_1|."""
+    """(r/sqrt(3))^#E * r^(r/2) * prod max(1,|v_j|)^(r-1-d_j); contains |det W_1|.
+
+    The in-degrees d_j sum to #E, so this is the product of the row bounds.
+    """
     with working_precision(cert.precision_bits):
-        return hadamard_bound_direct(g, roots)
+        return ball_product([_row_bound(roots, j, g.in_degrees[j]) for j in range(roots.r)])
 
 
 def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = None) -> VandermondeCertificate:
@@ -263,22 +266,13 @@ def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = Non
             edge_product=edge_product,
             row_norms=row_norms,
             row_norm_bounds=row_bounds,
-            hadamard_rhs=hadamard_bound_direct(g, roots),
+            hadamard_rhs=ball_product(row_bounds),
             precision_bits=precision,
             identity_rel_discrepancy=rel,
         )
         if not cert.identity_certified():
             raise CertificationError(precision, "determinant identity not certified")
         return cert
-
-
-def hadamard_bound_direct(g: RootGraph, roots: RootSet) -> RBall:
-    r = roots.r
-    acc = (RBall.exact(r) / _sqrt3()).powi(g.edge_count)
-    acc = acc * RBall.exact(r**r).sqrt()
-    for j in range(r):
-        acc = acc * roots.entries[j].value.abs().max1().powi(r - 1 - g.in_degrees[j])
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +495,7 @@ def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | No
             )
         if d == 1:
             return {}, {}
-        disc = discriminant(p)
-        disc_abs = (
-            RBall.exact(abs(disc.re)) if disc.is_real else RBall.exact(disc.norm()).sqrt()
-        )
+        disc_abs = _abs_ball(discriminant(p))
         return {}, {"sdisc_sqrt": disc_abs.sqrt(), "multiplicity_factor": RBall.one()}
 
     return _graph_bound("classical", p, graph_or_edges, precision, roots, check)
@@ -581,10 +572,10 @@ def bound_sep_product(p, subset, precision: int = 128, roots: RootSet | None = N
         r = roots.r
         if r < 2:
             raise PreconditionError("sep products need at least 2 distinct roots")
-        subset = sorted(set(subset))
         for v in subset:
             if not isinstance(v, int) or not 0 <= v < r:
                 raise ValidationError(f"subset index {v!r} out of range 0..{r - 1}")
+        subset = sorted(set(subset))
         counts: dict[tuple[int, int], int] = {}
         seps = []
         for v in subset:

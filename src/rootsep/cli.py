@@ -66,6 +66,13 @@ def _check_precision(bits: int) -> int:
     return bits
 
 
+def _json_list(text: str, option: str) -> list:
+    value = json.loads(text)
+    if not isinstance(value, list):
+        raise ValidationError(f"{option} must be a JSON list")
+    return value
+
+
 def _resolve_graph(args, roots):
     if args.preset is not None:
         return orient(preset_edges(args.preset, roots), roots)
@@ -84,14 +91,17 @@ def _cmd_verify(args) -> int:
         hints = None
         if args.variant == "sep_product":
             subset = (
-                json.loads(args.subset) if args.subset else list(range(roots.r))
+                _json_list(args.subset, "--subset") if args.subset else list(range(roots.r))
             )
         if args.variant == "remark_pairs":
             if not args.hints:
                 raise ValidationError(
                     'remark_pairs requires --hints JSON [[gamma, delta, Delta], ...]'
                 )
-            hints = [tuple(h) for h in json.loads(args.hints)]
+            hints = _json_list(args.hints, "--hints")
+            if not all(isinstance(h, list) and len(h) == 3 for h in hints):
+                raise ValidationError("--hints entries must be [gamma, delta, Delta]")
+            hints = [tuple(h) for h in hints]
         if args.variant == "sep_product":
             graph = None
         else:

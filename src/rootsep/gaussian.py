@@ -111,9 +111,6 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)

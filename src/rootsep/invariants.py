@@ -50,24 +50,14 @@ def principal_subresultant(a: ExactPoly, b: ExactPoly, j: int) -> GaussianRation
     return _principal_coefficients(a, b)[j]
 
 
-def _first_nonzero(psc: list[GaussianRational]) -> tuple[int, GaussianRational]:
-    for j, v in enumerate(psc):
-        if not v.is_zero:
-            return j, v
-    raise RootsepError("subresultant sequence vanished entirely")  # pragma: no cover
-
-
-def first_nonzero_subresultant(a: ExactPoly, b: ExactPoly) -> tuple[int, GaussianRational]:
-    """Smallest index k with a nonvanishing principal subresultant coefficient
-    (equivalently: all coefficients below k vanish identically)."""
-    return _first_nonzero(_principal_coefficients(a, b))
-
-
-def _check_index(k: int, d: int, r: int) -> None:
-    """The chain's first nonvanishing index must be d - r; a mismatch would
-    mean broken exact arithmetic."""
+def _first_nonzero(psc: list[GaussianRational], d: int, r: int) -> tuple[int, GaussianRational]:
+    """(k, psc_k) for the smallest k with psc_k != 0. That index must be d - r,
+    r from the square-free decomposition; a mismatch would mean broken exact
+    arithmetic."""
+    k = next(j for j, v in enumerate(psc) if not v.is_zero)
     if k != d - r:  # pragma: no cover
         raise RootsepError(f"subresultant gap {k} disagrees with decomposition d-r={d - r}")
+    return k, psc[k]
 
 
 def _abs_ball(w: GaussianRational) -> RBall:
@@ -94,8 +84,8 @@ def subdiscriminant(p: ExactPoly) -> tuple[int, GaussianRational]:
     """
     if p.is_zero or p.degree < 1:
         raise ValidationError("subdiscriminant needs degree >= 1")
-    k, sres = first_nonzero_subresultant(p, p.derivative())
-    _check_index(k, p.degree, sum(f.degree for f, _ in square_free_decomposition(p)))
+    r = sum(f.degree for f, _ in square_free_decomposition(p))
+    k, sres = _first_nonzero(_principal_coefficients(p, p.derivative()), p.degree, r)
     return k, sres / p.leading
 
 
@@ -222,8 +212,7 @@ def compute_invariants(p, precision: int = 128, roots: RootSet | None = None) ->
         d = p.degree
         if isinstance(p, ExactPoly):
             psc = _principal_coefficients(p, p.derivative())
-            index, sres = _first_nonzero(psc)
-            _check_index(index, d, roots.r)
+            index, sres = _first_nonzero(psc, d, roots.r)
             sdisc = RBall.one() if roots.r == 1 else _abs_ball(sres / p.leading)
             if not sdisc.overlaps(sdisc_roots):  # pragma: no cover
                 raise RootsepError(

@@ -193,21 +193,23 @@ class _Parser:
         raise ParseError(f"unexpected token {t.text!r}", t.pos)
 
 
-def _poly_from_json(data, precision: int) -> ExactPoly | NumericPoly:
+def _poly_from_json(data) -> ExactPoly:
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ParseError('polynomial JSON must be an object with a "coeffs" key')
+    if not isinstance(data["coeffs"], list):
+        raise ParseError('"coeffs" must be a list of coefficients')
     coeffs = []
     for idx, entry in enumerate(data["coeffs"]):
-        if not isinstance(entry, list) or len(entry) != 4:
+        # bool is an int subclass, but JSON true/false are not integers
+        if not isinstance(entry, list) or len(entry) != 4 or any(type(x) is not int for x in entry):
             raise ParseError(
-                f"coefficient {idx} must be [re_num, re_den, im_num, im_den]"
+                f"coefficient {idx} must be four integers [re_num, re_den, im_num, im_den]"
             )
         ren, red, imn, imd = entry
         if red == 0 or imd == 0:
             raise ParseError(f"coefficient {idx} has a zero denominator")
         coeffs.append(GaussianRational(Fraction(ren, red), Fraction(imn, imd)))
-    p = ExactPoly.from_coeffs(coeffs)
-    return p
+    return ExactPoly.from_coeffs(coeffs)
 
 
 def parse_polynomial(text: str, precision: int = 128) -> ExactPoly | NumericPoly:
@@ -222,7 +224,7 @@ def parse_polynomial(text: str, precision: int = 128) -> ExactPoly | NumericPoly
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"polynomial JSON is malformed: {exc.msg}", exc.pos)
-        return _poly_from_json(data, precision)
+        return _poly_from_json(data)
     parser = _Parser(stripped)
     p = parser.parse()
     if parser.saw_decimal:

@@ -1,29 +1,31 @@
 """Univariate polynomial arithmetic.
 
-ExactPoly carries Gaussian-rational coefficients and supports the exact
-operations the rest of the pipeline relies on: derivative, gcd, and
-square-free decomposition (Yun), which determines the multiplicity structure
-of the roots.
+ExactPoly is a polynomial over the Gaussian rationals, held as Gaussian-integer
+numerators over one positive denominator in lowest terms. All of its
+arithmetic runs on those integers: sums, products, derivative, monic scaling,
+exact division, gcd and square-free decomposition (Yun), which determines the
+multiplicity structure of the roots. `GaussianRational` appears only at the
+edges, as the scalar type of `coeffs`, `coeff` and `leading`.
 
 Both gcds and subresultants come from one subresultant polynomial remainder
-sequence (Brown-Traub; in Ducos' formulation) on Gaussian-integer coefficient
-pairs: the gcd is its last nonzero element, and the principal subresultant
-coefficients are read off its elements. Its coefficients are minors of the
-Sylvester matrix, so their size stays polynomial in the degree whatever the
-content of the input.
+sequence (Brown-Traub; in Ducos' formulation) on the same Gaussian-integer
+numerators: the gcd is its last nonzero element, and the principal
+subresultant coefficients are read off its elements. Its coefficients are
+minors of the Sylvester matrix, so their size stays polynomial in the degree
+whatever the content of the input.
 
 NumericPoly carries complex floating coefficients at a stated precision; it
 exists as an input mode and offers Horner evaluation with a certified
 rounding radius relative to its stored coefficients.
 
-The zero polynomial is a dedicated state (empty coefficient tuple, is_zero
-flag); asking for its degree is an error rather than a sentinel value.
+The zero polynomial is a dedicated state (no numerators, is_zero flag);
+asking for its degree is an error rather than a sentinel value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from mpmath import mpc
 
@@ -40,22 +42,61 @@ def _coerce_scalar(c) -> GaussianRational:
     raise TypeError(f"cannot use {type(c).__name__} as an exact coefficient")
 
 
+# ---------------------------------------------------------------------------
+# Gaussian integers
+# ---------------------------------------------------------------------------
+# A Gaussian integer is a pair (re, im) of ints; the numerators of an
+# ExactPoly and the elements of the subresultant chain are tuples or lists of
+# such pairs, lowest degree first, with a nonzero last entry.
+
+
+def _gmul(x, y):
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _gdiv_exact(x, y):
+    a, b = x
+    c, d = y
+    den = c * c + d * d
+    qre, rre = divmod(a * c + b * d, den)
+    qim, rim = divmod(b * c - a * d, den)
+    if rre or rim:
+        raise ArithmeticError("inexact Gaussian integer division")
+    return (qre, qim)
+
+
+def _gpow(x, n: int):
+    out = (1, 0)
+    for _ in range(n):
+        out = _gmul(out, x)
+    return out
+
+
 @dataclass(frozen=True)
 class ExactPoly:
-    """Polynomial over the Gaussian rationals, coefficients lowest degree first.
+    """Polynomial over the Gaussian rationals: Gaussian-integer numerators
+    (re, im), lowest degree first, over one positive denominator.
 
-    An empty coefficient tuple represents the zero polynomial. For nonzero
-    polynomials the leading coefficient is guaranteed nonzero.
+    Every constructor and operation returns lowest terms (the gcd of `den` and
+    every part of `nums` is 1, and the last numerator is nonzero), so equality
+    and hashing are value equality. The zero polynomial has no numerators.
+    `coeffs`, `coeff` and `leading` give `GaussianRational` values.
     """
 
-    coeffs: tuple[GaussianRational, ...]
+    nums: tuple[tuple[int, int], ...]
+    den: int = 1
 
     @staticmethod
     def from_coeffs(seq) -> "ExactPoly":
         cs = [_coerce_scalar(c) for c in seq]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        return ExactPoly(tuple(cs))
+        den = lcm(*(part.denominator for c in cs for part in (c.re, c.im)))
+        return _reduced(
+            [(c.re.numerator * (den // c.re.denominator),
+              c.im.numerator * (den // c.im.denominator)) for c in cs],
+            den,
+        )
 
     @staticmethod
     def zero() -> "ExactPoly":
@@ -67,7 +108,7 @@ class ExactPoly:
 
     @staticmethod
     def x() -> "ExactPoly":
-        return ExactPoly((GR_ZERO, GR_ONE))
+        return ExactPoly(((0, 0), (1, 0)))
 
     @staticmethod
     def from_roots(roots, multiplicities=None, lead=1) -> "ExactPoly":
@@ -83,97 +124,77 @@ class ExactPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         if self.is_zero:
             raise ValueError("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        return tuple(self.coeff(k) for k in range(len(self.nums)))
 
     @property
     def leading(self) -> GaussianRational:
         if self.is_zero:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def coeff(self, k: int) -> GaussianRational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            re, im = self.nums[k]
+            return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
         return GR_ZERO
 
+    def _combine(self, other: "ExactPoly", sign: int) -> "ExactPoly":
+        """self + sign * other."""
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        a = self.nums + ((0, 0),) * (len(other.nums) - len(self.nums))
+        b = other.nums + ((0, 0),) * (len(self.nums) - len(other.nums))
+        return _reduced([(x * s + u * t, y * s + v * t) for (x, y), (u, v) in zip(a, b)], den)
+
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPoly.from_coeffs(
-            [self.coeff(k) + other.coeff(k) for k in range(n)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPoly.from_coeffs(
-            [self.coeff(k) - other.coeff(k) for k in range(n)]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple(-c for c in self.coeffs))
+        return ExactPoly(tuple((-re, -im) for re, im in self.nums), self.den)
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
-        if self.is_zero or other.is_zero:
-            return ExactPoly.zero()
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ExactPoly.from_coeffs(out)
+        out = [(0, 0)] * (len(self.nums) + len(other.nums) - 1)
+        for i, (a, b) in enumerate(self.nums):
+            if a or b:
+                for j, (c, d) in enumerate(other.nums, i):
+                    re, im = out[j]
+                    out[j] = (re + a * c - b * d, im + a * d + b * c)
+        return _reduced(out, self.den * other.den)
 
     def scale(self, c) -> "ExactPoly":
-        c = _coerce_scalar(c)
-        if c.is_zero:
-            return ExactPoly.zero()
-        return ExactPoly(tuple(a * c for a in self.coeffs))
+        return self * ExactPoly.constant(c)
 
     def monic(self) -> "ExactPoly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        lc = self.leading
-        if lc == GR_ONE:
-            return self
-        return ExactPoly(tuple(a / lc for a in self.coeffs))
-
-    def divmod(self, other: "ExactPoly") -> "tuple[ExactPoly, ExactPoly]":
-        """Field division: self = q * other + r with deg r < deg other."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return ExactPoly.zero(), ExactPoly.zero()
-        if self.degree < other.degree:
-            return ExactPoly.zero(), self
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        q = [GR_ZERO] * (dq + 1)
-        lc = other.leading
-        for k in range(dq, -1, -1):
-            c = rem[other.degree + k] / lc
-            q[k] = c
-            if not c.is_zero:
-                for i, b in enumerate(other.coeffs):
-                    rem[i + k] = rem[i + k] - c * b
-        return ExactPoly.from_coeffs(q), ExactPoly.from_coeffs(rem[: other.degree])
+        return _over(self.nums, 1, self.nums[-1])
 
     def __floordiv__(self, other: "ExactPoly") -> "ExactPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
+        """The exact quotient; raises ValueError when `other` does not divide."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        q, rem = _pdivmod(self.nums, other.nums)
+        if rem:
             raise ValueError("inexact polynomial division")
-        return q
+        # q = lc^(m+1) * nums / other.nums, m the degree difference
+        scale = _gpow(other.nums[-1], len(self.nums) - len(other.nums) + 1)
+        return _over([(re * other.den, im * other.den) for re, im in q], self.den, scale)
 
     def derivative(self) -> "ExactPoly":
-        if self.is_zero or self.degree == 0:
-            return ExactPoly.zero()
-        return ExactPoly.from_coeffs(
-            [self.coeffs[k] * k for k in range(1, len(self.coeffs))]
-        )
+        return _reduced([(k * re, k * im) for k, (re, im) in enumerate(self.nums)][1:], self.den)
 
     def eval_exact(self, z) -> GaussianRational:
         z = _coerce_scalar(z)
@@ -188,66 +209,54 @@ class ExactPoly:
         return render_exact_poly(self)
 
 
+def _reduced(nums: list, den: int) -> ExactPoly:
+    """nums / den in lowest terms, den > 0, trailing zeros dropped."""
+    while nums and nums[-1] == (0, 0):
+        nums.pop()
+    if not nums:
+        return ExactPoly(())
+    if den != 1:
+        g = gcd(den, *(part for c in nums for part in c))
+        if g != 1:
+            nums = [(re // g, im // g) for re, im in nums]
+            den //= g
+    return ExactPoly(tuple(nums), den)
+
+
+def _over(nums, den: int, mu: tuple[int, int]) -> ExactPoly:
+    """nums / (den * mu) for a nonzero Gaussian integer mu, normalized."""
+    a, b = mu
+    return _reduced([_gmul(c, (a, -b)) for c in nums], den * (a * a + b * b))
+
+
 # ---------------------------------------------------------------------------
 # the subresultant chain over the Gaussian integers
 # ---------------------------------------------------------------------------
-# A Gaussian integer is a pair (re, im) of ints; a polynomial is a list of
-# such pairs, lowest degree first, with a nonzero last entry.
 
 
-def _gmul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
+def _scaled_int_coeffs(p: ExactPoly) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(numerators, denominator): the Gaussian integers den * coefficient."""
+    return p.nums, p.den
 
 
-def _gdiv_exact(x, y):
-    a, b = x
-    c, d = y
-    den = c * c + d * d
-    if den == 0:
-        raise ZeroDivisionError("Gaussian integer division by zero")
-    nre = a * c + b * d
-    nim = b * c - a * d
-    qre, rre = divmod(nre, den)
-    qim, rim = divmod(nim, den)
-    if rre or rim:
-        raise ArithmeticError("inexact Gaussian integer division")
-    return (qre, qim)
-
-
-def _gpow(x, n: int):
-    out = (1, 0)
-    for _ in range(n):
-        out = _gmul(out, x)
-    return out
-
-
-def _scaled_int_coeffs(p: ExactPoly) -> tuple[list[tuple[int, int]], int]:
-    """Coefficients as Gaussian integers after clearing denominators; returns
-    (scaled coefficients, the positive scaling factor)."""
-    den = lcm(*(part.denominator for c in p.coeffs for part in (c.re, c.im)))
-    return [
-        (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-        for c in p.coeffs
-    ], den
-
-
-def _prem(a, b):
-    """lc(b)^(deg a - deg b + 1) * a reduced modulo b, for deg a >= deg b."""
+def _pdivmod(a, b):
+    """(q, r) with lc(b)^(m+1) a = q b + r and deg r < deg b, m = deg a - deg b
+    (q = 0 and r = a when m < 0); every step of the long division is an exact
+    division by lc(b)."""
     lc = b[-1]
-    n = len(b) - 1
-    rem = list(a)
-    for k in range(len(a) - len(b), -1, -1):
-        top = rem.pop()
-        rem = [_gmul(c, lc) for c in rem]
-        for i in range(n):
-            t = _gmul(top, b[i])
-            c = rem[k + i]
-            rem[k + i] = (c[0] - t[0], c[1] - t[1])
+    m = len(a) - len(b)
+    scale = _gpow(lc, m + 1)
+    rem = [_gmul(c, scale) for c in a]
+    q = []
+    for k in range(m, -1, -1):
+        c = _gdiv_exact(rem.pop(), lc)
+        q.append(c)
+        for i, x in enumerate(b[:-1], k):
+            t = _gmul(c, x)
+            rem[i] = (rem[i][0] - t[0], rem[i][1] - t[1])
     while rem and rem[-1] == (0, 0):
         rem.pop()
-    return rem
+    return q[::-1], rem
 
 
 def _subresultant_chain(a, b) -> dict[int, list]:
@@ -263,7 +272,7 @@ def _subresultant_chain(a, b) -> dict[int, list]:
     p, q = len(a) - 1, len(b) - 1
     chain = {q: [_gmul(c, _gpow(b[-1], max(p - q - 1, 0))) for c in b]}
     s = _gpow(b[-1], p - q)
-    A, B = b, _prem(a, [(-x, -y) for x, y in b])
+    A, B = b, _pdivmod(a, [(-x, -y) for x, y in b])[1]
     while B:
         d, e = len(A) - 1, len(B) - 1
         chain[d - 1] = B
@@ -274,7 +283,7 @@ def _subresultant_chain(a, b) -> dict[int, list]:
         if e == 0:
             break
         den = _gmul(_gpow(s, d - e), A[-1])
-        B = [_gdiv_exact(c, den) for c in _prem(A, [(-x, -y) for x, y in B])]
+        B = [_gdiv_exact(c, den) for c in _pdivmod(A, [(-x, -y) for x, y in B])[1]]
         A, s = C, C[-1]
     return chain
 
@@ -306,9 +315,9 @@ def gcd_exact(a: ExactPoly, b: ExactPoly) -> ExactPoly:
         return a.monic()
     if a.degree < b.degree:
         a, b = b, a
-    chain = _subresultant_chain(_scaled_int_coeffs(a)[0], _scaled_int_coeffs(b)[0])
+    chain = _subresultant_chain(a.nums, b.nums)
     last = chain[min(chain)]
-    return ExactPoly(tuple(GaussianRational.of(re, im) for re, im in last)).monic()
+    return _over(last, 1, last[-1])
 
 
 def square_free_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
@@ -329,7 +338,7 @@ def square_free_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
     while w.degree > 0:
         gi = gcd_exact(w, z)
         if gi.degree > 0:
-            out.append((gi.monic(), i))
+            out.append((gi, i))
         w = w // gi
         if w.degree == 0:
             break

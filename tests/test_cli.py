@@ -93,6 +93,24 @@ class TestVerify:
         assert report["error"]["type"] == "ValidationError"
 
 
+    @pytest.mark.parametrize(
+        "args, error_type",
+        [
+            (["--poly", '{"coeffs": [[1.5, 1, 0, 1], [1, 1, 0, 1]]}', "--preset", "path"], "ParseError"),
+            (["--poly", '{"coeffs": [[true, 1, 0, 1], [1, 1, 0, 1]]}', "--preset", "path"], "ParseError"),
+            (["--poly", '{"coeffs": 5}', "--preset", "path"], "ParseError"),
+            (["--poly", "x^2-1", "--variant", "sep_product", "--subset", "5"], "ValidationError"),
+            (["--poly", "x^2-1", "--variant", "sep_product", "--subset", '["a", 1]'], "ValidationError"),
+            (["--poly", "x^2-1", "--preset", "path", "--variant", "remark_pairs", "--hints", "5"], "ValidationError"),
+            (["--poly", "x^2-1", "--preset", "path", "--variant", "remark_pairs", "--hints", "[5]"], "ValidationError"),
+        ],
+    )
+    def test_malformed_json_input(self, args, error_type, capsys):
+        code, report = run_cli(["verify"] + args, capsys)
+        assert code == 1
+        assert report["error"]["type"] == error_type
+
+
 class TestOut:
     def test_atomic_write(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -1,8 +1,11 @@
 """Exact polynomial arithmetic: evaluation, derivative, gcd, square-free."""
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootsep import ExactPoly, GaussianRational, ValidationError, gcd_exact
 from rootsep.poly import eval_poly, square_free_decomposition
@@ -153,3 +156,96 @@ class TestZeroPolynomial:
 
     def test_trimming(self):
         assert P(0, 0, 0).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the stored form against coefficientwise GaussianRational arithmetic
+# ---------------------------------------------------------------------------
+
+ZERO = GaussianRational.of(0)
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+gaussians = st.builds(GaussianRational, rationals, st.one_of(st.just(Fraction(0)), rationals))
+coeff_lists = st.lists(gaussians, max_size=6)
+nonzero_lists = coeff_lists.filter(lambda cs: any(not c.is_zero for c in cs))
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return tuple(cs)
+
+
+def _pad(cs, n):
+    return list(cs) + [ZERO] * (n - len(cs))
+
+
+def _ref_mul(a, b):
+    out = [ZERO] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def _checked(p):
+    """p, after checking that its fields are in lowest terms."""
+    assert p.den > 0
+    assert gcd(p.den, *(part for c in p.nums for part in c)) == 1
+    assert not p.nums or p.nums[-1] != (0, 0)
+    return p
+
+
+class TestStoredForm:
+    @settings(max_examples=80, deadline=None)
+    @given(coeff_lists, coeff_lists)
+    def test_ring_operations(self, a, b):
+        n = max(len(a), len(b))
+        pa, pb = P(*a), P(*b)
+        assert _checked(pa + pb).coeffs == _trim(x + y for x, y in zip(_pad(a, n), _pad(b, n)))
+        assert _checked(pa - pb).coeffs == _trim(x - y for x, y in zip(_pad(a, n), _pad(b, n)))
+        assert _checked(pa * pb).coeffs == _ref_mul(a, b)
+        assert _checked(-pa).coeffs == _trim(-x for x in a)
+
+    @settings(max_examples=50, deadline=None)
+    @given(coeff_lists, gaussians)
+    def test_scale_and_derivative(self, a, c):
+        p = P(*a)
+        assert _checked(p.scale(c)).coeffs == _trim(x * c for x in a)
+        assert _checked(p.derivative()).coeffs == _trim(x * k for k, x in enumerate(a))[1:]
+
+    @settings(max_examples=50, deadline=None)
+    @given(nonzero_lists)
+    def test_monic(self, a):
+        lead = _trim(a)[-1]
+        assert _checked(P(*a).monic()).coeffs == _trim(x / lead for x in a)
+
+    @settings(max_examples=50, deadline=None)
+    @given(coeff_lists, nonzero_lists)
+    def test_exact_quotient(self, a, b):
+        p, q = P(*a), P(*b)
+        assert _checked((p * q) // q) == p
+
+    @settings(max_examples=50, deadline=None)
+    @given(coeff_lists, nonzero_lists, gaussians.filter(lambda c: not c.is_zero))
+    def test_equal_values_compare_and_hash_equal(self, a, b, c):
+        p = P(*a)
+        others = [
+            P(*(list(a) + [0, 0])),
+            (p * P(*b)) // P(*b),
+            p.scale(c).scale(1 / c),
+            (p + P(*b)) - P(*b),
+        ]
+        for other in others:
+            assert other == p
+            assert hash(other) == hash(p)
+
+    @settings(max_examples=50, deadline=None)
+    @given(coeff_lists, nonzero_lists, nonzero_lists)
+    def test_division_by_a_non_divisor_raises(self, a, b, c):
+        q = P(*b) * P(0, 1)  # degree >= 1
+        rem = P(*c)
+        if rem.degree >= q.degree:
+            rem = ExactPoly.constant(rem.leading)
+        with pytest.raises(ValueError):
+            (P(*a) * q + rem) // q
