@@ -23,11 +23,9 @@ from .bounds import (
     bound_remark_degree,
     bound_remark_pairs,
     bound_sep_product,
-    hadamard_bound,
     lemma_aux_check,
     multiplicity_product_bound,
     reduce_vandermonde,
-    row_norm_bound,
     vandermonde_matrix,
     verify,
 )
@@ -115,7 +113,6 @@ __all__ = [
     "find_roots",
     "gcd_exact",
     "generate_instance",
-    "hadamard_bound",
     "lemma_aux_check",
     "mahler_measure",
     "mahler_measure_jensen",
@@ -128,7 +125,6 @@ __all__ = [
     "reduce_vandermonde",
     "refine",
     "render_exact_poly",
-    "row_norm_bound",
     "run_sweep",
     "sdisc_abs_from_roots",
     "sdisc_abs_from_subresultants",

@@ -30,8 +30,9 @@ edge sources plus the vertex itself, and keeps the powers in the other rows.
 det W is taken from its closed form, the product over i < j of
 (v_j - v_i), and det W_1 by ball LU of W_1, so the identity
 det W = det W_1 * prod(edge differences) compares two enclosures computed
-independently. The per-row norm bounds and the Hadamard bound are checked
-against the propagated radii as well.
+independently. The row-norm bounds and the Hadamard bound live only on the
+certificate (`row_norm_bounds`, `hadamard_rhs`), checked against the
+propagated radii by `rows_ok` and `hadamard_ok`.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ from .errors import (
     RootsepError,
     ValidationError,
 )
-from .graph import RootGraph, check_classical_admissible, min_total_degree, orient
+from .graph import RootGraph, _is_index, check_classical_admissible, min_total_degree, orient
 from .invariants import _abs_ball, discriminant, mahler_measure, sdisc_abs_from_roots
 from .poly import ExactPoly, NumericPoly
 from .roots import RootSet, find_roots, refine
@@ -147,11 +148,10 @@ class VandermondeCertificate:
     matrix W_1. step_factors[i] is the product of (v_j - v_source) for the
     row replaced at step i (exact 1 for rows without incoming edges).
     det_w is the product of (v_j - v_i) over i < j; det_w1 is LU of W_1,
-    which is built directly, so W itself is never formed.
+    which is built directly, so W itself is never formed. The row-norm
+    bounds and their product, the Hadamard bound, are kept only here.
     """
 
-    size: int
-    graph: RootGraph
     step_factors: tuple
     det_w: CBall
     det_w1: CBall
@@ -159,7 +159,6 @@ class VandermondeCertificate:
     row_norms: tuple
     row_norm_bounds: tuple
     hadamard_rhs: RBall
-    precision_bits: int
     identity_rel_discrepancy: float
 
     def identity_certified(self) -> bool:
@@ -189,31 +188,11 @@ def _sqrt3() -> RBall:
     return RBall.exact(3).sqrt()
 
 
-def _row_bound(roots: RootSet, j: int, in_degree: int) -> RBall:
-    r = roots.r
-    base = (RBall.exact(r) / _sqrt3()).powi(in_degree) * RBall.exact(r).sqrt()
-    return base * roots.entries[j].value.abs().max1().powi(r - 1 - in_degree)
-
-
-def row_norm_bound(cert: "VandermondeCertificate", roots: RootSet, j: int) -> tuple[RBall, RBall]:
-    """(Euclidean norm of reduced row j, its closed-form bound)."""
-    if not 0 <= j < roots.r:
-        raise ValidationError(f"row index {j} out of range")
-    return cert.row_norms[j], cert.row_norm_bounds[j]
-
-
-def hadamard_bound(cert: "VandermondeCertificate", g: RootGraph, roots: RootSet) -> RBall:
-    """(r/sqrt(3))^#E * r^(r/2) * prod max(1,|v_j|)^(r-1-d_j); contains |det W_1|.
-
-    The in-degrees d_j sum to #E, so this is the product of the row bounds.
-    """
-    with working_precision(cert.precision_bits):
-        return ball_product([_row_bound(roots, j, g.in_degrees[j]) for j in range(roots.r)])
-
-
 def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = None) -> VandermondeCertificate:
     """Run the row-replacement reduction and certify its determinant identity.
 
+    Every root difference v_j - v_i, i < j, is taken once; the distinctness
+    check, det W, the step factors and the edge product all read it.
     Raises CertificationError when the propagated radii cannot certify
     det W = det W_1 * prod(edge differences).
     """
@@ -225,41 +204,42 @@ def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = Non
     with working_precision(precision):
         r = roots.r
         vals = roots.values()
-        try:
-            nodes = NodeList.of(vals).nodes
-        except ValidationError as exc:
-            raise CertificationError(precision, str(exc)) from exc
+        diff = {(i, j): vals[j] - vals[i] for j in range(r) for i in range(j)}
+        for (i, j), dv in diff.items():
+            if dv.abs().lo <= 0:
+                raise CertificationError(
+                    precision, f"nodes {i} and {j} are not certifiably distinct"
+                )
         reduced = {}
         step_factors = []
         for j in range(r - 1, 0, -1):
             sources = [a for a, _ in g.edges_into(j)]
             if sources:
-                subset = NodeList(tuple(nodes[a] for a in sources) + (nodes[j],))
+                subset = NodeList(tuple(vals[a] for a in sources) + (vals[j],))
                 reduced[j] = power_basis_row(r, subset)
-                factor = ball_product([vals[j] - vals[a] for a in sources], CBall.one())
+                factor = ball_product([diff[a, j] for a in sources], CBall.one())
             else:
                 factor = CBall.one()
             step_factors.append(factor)
         w1 = [reduced.get(j) or _vandermonde_row(vals[j], r) for j in range(r)]
-        det_w = ball_product(
-            [vals[j] - vals[i] for j in range(1, r) for i in range(j)], CBall.one()
-        )
+        det_w = ball_product(list(diff.values()), CBall.one())
         try:
             det_w1 = ball_det(w1)
         except BallDomainError as exc:
             raise CertificationError(precision, str(exc)) from exc
-        edge_product = ball_product(
-            [vals[b] - vals[a] for a, b in g.oriented], CBall.one()
-        )
+        edge_product = ball_product([diff[e] for e in g.oriented], CBall.one())
         recombined = det_w1 * edge_product
         gap = abs(det_w.mid - recombined.mid)
         scale = max(abs(det_w.mid), abs(recombined.mid))
         rel = float(gap / scale) if scale > 0 else 0.0
         row_norms = tuple(ball_row_norm(row) for row in w1)
-        row_bounds = tuple(_row_bound(roots, j, g.in_degrees[j]) for j in range(r))
+        # row j's bound: (r/sqrt(3))^d_j * sqrt(r) * max(1, |v_j|)^(r-1-d_j)
+        edge_base, sqrt_r = RBall.exact(r) / _sqrt3(), RBall.exact(r).sqrt()
+        row_bounds = tuple(
+            edge_base.powi(d) * sqrt_r * vals[j].abs().max1().powi(r - 1 - d)
+            for j, d in enumerate(g.in_degrees)
+        )
         cert = VandermondeCertificate(
-            size=r,
-            graph=g,
             step_factors=tuple(step_factors),
             det_w=det_w,
             det_w1=det_w1,
@@ -267,7 +247,6 @@ def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = Non
             row_norms=row_norms,
             row_norm_bounds=row_bounds,
             hadamard_rhs=ball_product(row_bounds),
-            precision_bits=precision,
             identity_rel_discrepancy=rel,
         )
         if not cert.identity_certified():
@@ -317,9 +296,7 @@ class BoundReport:
             "precision_bits": self.precision_bits,
         }
         if self.extra:
-            out["extra"] = {
-                k: v for k, v in self.extra.items() if not k.startswith("_")
-            }
+            out["extra"] = dict(self.extra)
         return out
 
 
@@ -344,6 +321,9 @@ class ClusterHint:
             checked = []
             for entry in pairs:
                 gamma, delta, big_delta = entry
+                number = isinstance(big_delta, (int, float)) and not isinstance(big_delta, bool)
+                if not (_is_index(gamma) and _is_index(delta) and number):
+                    raise ValidationError(f"hint {list(entry)!r} is not [gamma, delta, Delta]")
                 if not (0 <= gamma < r and 0 <= delta < r) or gamma == delta:
                     raise ValidationError(f"hint pair ({gamma}, {delta}) is invalid")
                 key = (min(gamma, delta), max(gamma, delta))
@@ -573,7 +553,7 @@ def bound_sep_product(p, subset, precision: int = 128, roots: RootSet | None = N
         if r < 2:
             raise PreconditionError("sep products need at least 2 distinct roots")
         for v in subset:
-            if not isinstance(v, int) or not 0 <= v < r:
+            if not _is_index(v) or not 0 <= v < r:
                 raise ValidationError(f"subset index {v!r} out of range 0..{r - 1}")
         subset = sorted(set(subset))
         counts: dict[tuple[int, int], int] = {}
@@ -597,7 +577,6 @@ def bound_sep_product(p, subset, precision: int = 128, roots: RootSet | None = N
             "e1": [list(e) for e in e1],
             "split_identity": len(e0) + len(e1) == len(subset),
             "subreports": [sub0.to_json(), sub1.to_json()],
-            "_subreports_obj": (sub0, sub1),
         }
         if sub0.extra.get("certificate_error") or sub1.extra.get("certificate_error"):
             extra["certificate_error"] = "component certificate inconclusive"

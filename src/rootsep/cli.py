@@ -9,7 +9,8 @@ Subcommands:
 
 All outputs are JSON (stdout or --out, written atomically). Exit codes:
 0 = verdict holds / success, 2 = inconclusive at the precision ceiling,
-1 = input error.
+1 = input error. Each subcommand returns its payload and exit code; `main`
+writes it, or the error report of an input error.
 """
 from __future__ import annotations
 
@@ -81,109 +82,69 @@ def _resolve_graph(args, roots):
     raise ValidationError("provide --graph JSON or --preset NAME")
 
 
-def _cmd_verify(args) -> int:
-    try:
-        precision = _check_precision(args.precision)
-        ceiling = _check_precision(args.ceiling)
-        p = parse_polynomial(args.poly, precision)
-        roots = find_roots(p, precision)
-        subset = None
-        hints = None
-        if args.variant == "sep_product":
-            subset = (
-                _json_list(args.subset, "--subset") if args.subset else list(range(roots.r))
+def _cmd_verify(args) -> tuple[dict, int]:
+    precision = _check_precision(args.precision)
+    ceiling = _check_precision(args.ceiling)
+    p = parse_polynomial(args.poly, precision)
+    roots = find_roots(p, precision)
+    subset = hints = None
+    if args.variant == "sep_product":
+        subset = (
+            _json_list(args.subset, "--subset") if args.subset else list(range(roots.r))
+        )
+    if args.variant == "remark_pairs":
+        if not args.hints:
+            raise ValidationError(
+                'remark_pairs requires --hints JSON [[gamma, delta, Delta], ...]'
             )
-        if args.variant == "remark_pairs":
-            if not args.hints:
-                raise ValidationError(
-                    'remark_pairs requires --hints JSON [[gamma, delta, Delta], ...]'
-                )
-            hints = _json_list(args.hints, "--hints")
-            if not all(isinstance(h, list) and len(h) == 3 for h in hints):
-                raise ValidationError("--hints entries must be [gamma, delta, Delta]")
-            hints = [tuple(h) for h in hints]
-        if args.variant == "sep_product":
-            graph = None
-        else:
-            graph = _resolve_graph(args, roots)
-        report = verify(
-            p,
-            graph.edges if graph is not None else None,
-            args.variant,
-            precision=precision,
-            ceiling=ceiling,
-            hints=hints,
-            subset=subset,
-            roots=roots,
-        )
-    except (RootsepError, json.JSONDecodeError, ValueError) as exc:
-        _write_report(_error_report(exc), args.out)
-        return EXIT_INPUT_ERROR
-    _write_report(report.to_json(poly_repr=args.poly), args.out)
-    return EXIT_OK if report.holds else EXIT_INCONCLUSIVE
+        hints = _json_list(args.hints, "--hints")
+        if not all(isinstance(h, list) and len(h) == 3 for h in hints):
+            raise ValidationError("--hints entries must be [gamma, delta, Delta]")
+        hints = [tuple(h) for h in hints]
+    edges = None if args.variant == "sep_product" else _resolve_graph(args, roots).edges
+    report = verify(p, edges, args.variant, precision=precision, ceiling=ceiling,
+                    hints=hints, subset=subset, roots=roots)
+    return report.to_json(poly_repr=args.poly), EXIT_OK if report.holds else EXIT_INCONCLUSIVE
 
 
-def _cmd_sweep(args) -> int:
-    try:
-        precision = _check_precision(args.precision)
-        ceiling = _check_precision(args.ceiling)
-        params = SweepParams(
-            count=args.count,
-            max_degree=args.max_degree,
-            max_multiplicity=args.max_multiplicity,
-            graph_kinds=tuple(args.graphs.split(",")) if args.graphs else GRAPH_KINDS,
-            precision_bits=precision,
-            ceiling_bits=ceiling,
-        )
-        params.validate()
-        summary = run_sweep(args.seed, params, jobs=args.jobs)
-    except (RootsepError, ValueError) as exc:
-        _write_report(_error_report(exc), args.out)
-        return EXIT_INPUT_ERROR
+def _cmd_sweep(args) -> tuple[dict, int]:
+    params = SweepParams(
+        count=args.count,
+        max_degree=args.max_degree,
+        max_multiplicity=args.max_multiplicity,
+        graph_kinds=tuple(args.graphs.split(",")) if args.graphs else GRAPH_KINDS,
+        precision_bits=_check_precision(args.precision),
+        ceiling_bits=_check_precision(args.ceiling),
+    )
+    summary = run_sweep(args.seed, params, jobs=args.jobs)
     if not args.full:
         summary = {k: v for k, v in summary.items() if k != "instances"}
-    _write_report(summary, args.out)
-    if summary["violations"]:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if summary["unresolved"] == 0 else EXIT_INCONCLUSIVE
+    failed = summary["violations"] or summary["unresolved"]
+    return summary, EXIT_INCONCLUSIVE if failed else EXIT_OK
 
 
-def _cmd_certificate(args) -> int:
-    try:
-        precision = _check_precision(args.precision)
-        p = parse_polynomial(args.poly, precision)
-        roots = find_roots(p, precision)
-        graph = _resolve_graph(args, roots)
-        cert = reduce_vandermonde(roots, graph, precision)
-    except (RootsepError, json.JSONDecodeError, ValueError) as exc:
-        _write_report(_error_report(exc), args.out)
-        return EXIT_INPUT_ERROR
-    payload = cert.to_json()
-    payload["roots"] = roots.to_json()
-    payload["graph"] = graph.to_json()
-    payload["precision_bits"] = precision
-    _write_report(payload, args.out)
-    return EXIT_OK
+def _cmd_certificate(args) -> tuple[dict, int]:
+    precision = _check_precision(args.precision)
+    p = parse_polynomial(args.poly, precision)
+    roots = find_roots(p, precision)
+    graph = _resolve_graph(args, roots)
+    cert = reduce_vandermonde(roots, graph, precision)
+    return {**cert.to_json(), "roots": roots.to_json(), "graph": graph.to_json(),
+            "precision_bits": precision}, EXIT_OK
 
 
-def _cmd_invariants(args) -> int:
-    try:
-        precision = _check_precision(args.precision)
-        p = parse_polynomial(args.poly, precision)
-        roots = find_roots(p, precision)
-        bundle = compute_invariants(p, precision, roots=roots)
-    except (RootsepError, ValueError) as exc:
-        _write_report(_error_report(exc), args.out)
-        return EXIT_INPUT_ERROR
-    payload = bundle.to_json()
+def _cmd_invariants(args) -> tuple[dict, int]:
+    precision = _check_precision(args.precision)
+    p = parse_polynomial(args.poly, precision)
+    roots = find_roots(p, precision)
+    payload = compute_invariants(p, precision, roots=roots).to_json()
     payload["r"] = roots.r
     payload["d"] = roots.total_degree
     payload["roots"] = roots.to_json()
     payload["precision_bits"] = precision
     if isinstance(p, ExactPoly):
         payload["polynomial"] = render_exact_poly(p)
-    _write_report(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        payload, code = args.func(args)
+    except (RootsepError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
+        payload, code = _error_report(exc), EXIT_INPUT_ERROR
+    _write_report(payload, args.out)
+    return code
 
 
 if __name__ == "__main__":

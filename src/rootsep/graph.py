@@ -44,6 +44,11 @@ class RootGraph:
         return {"edges": [list(e) for e in self.edges]}
 
 
+def _is_index(x) -> bool:
+    # JSON true/false parse to bool, a subclass of int, but index nothing
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def orient(edges, roots_or_r) -> RootGraph:
     """Validate an undirected edge list and orient it by canonical index order.
 
@@ -58,7 +63,7 @@ def orient(edges, roots_or_r) -> RootGraph:
         if len(pair) != 2:
             raise ValidationError(f"edge {pair!r} is not a pair")
         i, j = pair
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not (_is_index(i) and _is_index(j)):
             raise ValidationError(f"edge {pair!r} has non-integer endpoints")
         if i == j:
             raise ValidationError(f"edge ({i}, {j}) is a loop")

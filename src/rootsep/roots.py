@@ -7,14 +7,16 @@ edge, whose radius estimates the modulus of that edge's roots, and exact
 zeros for a vanishing constant term. Each approximation z gets a rigorous
 inclusion radius n * |f(z) / f'(z)| (the disk of that radius around z
 contains at least one root of f); pairwise disjoint disks then certify a
-bijection between disks and roots. Certification failures trigger
-doubled-precision retries before an error is raised.
+bijection between disks and roots.
 
 Numeric inputs are solved directly and clustered into multiplicity groups by
 a precision-derived tolerance; their radii are tolerance-based rather than
 residual-based, matching the accuracy actually carried by the coefficients.
 
-Both paths sort roots by (modulus, re, im) rounded to the stated precision.
+The two input modes differ only in one attempt at a working precision. Both
+run on one ladder: it checks that the attempt's disks are pairwise disjoint,
+doubles the working precision until they are (or raises), and sorts the
+roots by (modulus, re, im) rounded to the stated precision.
 
 A certified disk encloses its root at every precision, so `refine` carries
 an exact root set to another precision instead of solving again: it keeps
@@ -242,25 +244,26 @@ def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> 
     return zs
 
 
-def _certified_radius(factor: ExactPoly, z: mpc) -> mpf | None:
-    """Upper bound on the distance from z to the nearest root of `factor`."""
-    val, dval = _horner([CBall.from_gaussian(c) for c in factor.coeffs], CBall(z))
+def _certified_radius(coeffs: list[CBall], z: mpc) -> mpf | None:
+    """Upper bound on the distance from z to the nearest root of the
+    polynomial with coefficient balls `coeffs`."""
+    val, dval = _horner(coeffs, CBall(z))
     dlo = dval.abs().lo
     if dlo <= 0:
         return None
-    return factor.degree * val.abs().hi / dlo
+    return (len(coeffs) - 1) * val.abs().hi / dlo
 
 
 def _solve_factor(factor: ExactPoly, p_bits: int, work_bits: int, warm=None) -> list[tuple[mpc, mpf]] | None:
     """Roots of one square-free factor with certified radii, or None."""
     with mp.workprec(work_bits):
-        coeffs = [CBall.from_gaussian(c).mid for c in factor.coeffs]
+        balls = [CBall.from_gaussian(c) for c in factor.coeffs]
         # the tolerance follows the working precision, so escalated retries
         # genuinely separate closer roots
-        zs = _aberth(coeffs, max(p_bits + TOL_EXTRA_BITS, work_bits - 24), warm=warm)
+        zs = _aberth([b.mid for b in balls], max(p_bits + TOL_EXTRA_BITS, work_bits - 24), warm=warm)
         out = []
         for z in zs:
-            rad = _certified_radius(factor, z)
+            rad = _certified_radius(balls, z)
             if rad is None or rad > _radius_target(z, p_bits):
                 return None
             out.append((z, rad))
@@ -281,6 +284,31 @@ def _carry_target(z: mpc, precision: int) -> mpf:
     return mpmath.ldexp(max(mpf(1), abs(z)), -(precision + TOL_EXTRA_BITS))
 
 
+def _ladder(p, precision: int, attempt, lead) -> RootSet:
+    """The retry ladder of both input modes.
+
+    `attempt(work)` solves `p` at `work` bits and returns its (center,
+    radius, multiplicity) triples, or None and the cluster that failed. The
+    disks must be disjoint at `work` bits (roots of distinct coprime factors
+    are distinct, but their disks may still meet); the working precision
+    doubles until they are, at most MAX_ESCALATIONS times.
+    """
+    work = precision + GUARD_BITS
+    for _ in range(MAX_ESCALATIONS + 1):
+        with mp.workprec(work):
+            found, cluster = attempt(work)
+            bad = None if found is None else _first_overlap(found)
+            if found is not None and bad is None:
+                with mp.workprec(precision):
+                    found.sort(key=lambda t: _canonical_key(t[0]))
+                entries = tuple(RootEntry(CBall(z, rad), m) for z, rad, m in found)
+                return RootSet(entries, lead(p.leading), p.degree, precision)
+            if bad is not None:
+                cluster = [mpmath.nstr(found[k][0], 8) for k in bad]
+        work *= 2
+    raise IndistinguishableRootsError(precision, cluster)
+
+
 def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None) -> RootSet:
     decomposition = square_free_decomposition(p)
     # Yun's factors have distinct multiplicities, so the entries of `warm`
@@ -290,11 +318,9 @@ def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None)
     starts: dict[int, list[mpc]] = {}
     for e in warm.entries if warm is not None else ():
         starts.setdefault(e.multiplicity, []).append(e.value.mid)
-    work = precision + GUARD_BITS
-    cluster: list[str] = []
-    for _ in range(MAX_ESCALATIONS + 1):
-        factor_roots: list[tuple[mpc, mpf, int]] = []
-        ok = True
+
+    def attempt(work):
+        found = []
         for index, (factor, mult) in enumerate(decomposition):
             seeds = starts.pop(mult, None)
             solved = None
@@ -303,65 +329,38 @@ def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None)
             if solved is None:
                 solved = _solve_factor(factor, precision, work)
             if solved is None:
-                ok = False
-                cluster = [f"factor {index} (degree {factor.degree}, multiplicity {mult})"]
-                break
-            factor_roots.extend((z, rad, mult) for z, rad in solved)
-        if ok:
-            # roots of distinct coprime factors are distinct; their disks must
-            # still separate at this precision for downstream certificates
-            with mp.workprec(work):
-                bad_pair = _first_overlap(factor_roots)
-                if bad_pair is None:
-                    with mp.workprec(precision):
-                        factor_roots.sort(key=lambda t: _canonical_key(t[0]))
-                    entries = tuple(
-                        RootEntry(CBall(z, rad), mult) for z, rad, mult in factor_roots
-                    )
-                    lead = CBall.from_gaussian(p.leading)
-                    return RootSet(entries, lead, p.degree, precision)
-                cluster = [mpmath.nstr(factor_roots[k][0], 8) for k in bad_pair]
-        work *= 2
-    raise IndistinguishableRootsError(precision, cluster)
+                return None, [f"factor {index} (degree {factor.degree}, multiplicity {mult})"]
+            found.extend((z, rad, mult) for z, rad in solved)
+        return found, None
+
+    return _ladder(p, precision, attempt, CBall.from_gaussian)
 
 
 def _find_roots_numeric(p: NumericPoly, precision: int) -> RootSet:
-    work = precision + GUARD_BITS
-    d = p.degree
-    cluster: list[str] = []
-    for _ in range(MAX_ESCALATIONS + 1):
-        with mp.workprec(work):
-            coeffs = [mpc(c) for c in p.coeffs]
-            zs = _aberth(coeffs, precision // 2 + 8)
-            maxc = max(abs(c) for c in coeffs)
-            tau = mpmath.ldexp(1 + maxc, -(precision // 4))
-            with mp.workprec(precision):
-                zs.sort(key=_canonical_key)
-            clusters: list[list[mpc]] = []
-            for z in zs:
-                placed = False
-                for cl in clusters:
-                    if any(abs(z - w) <= tau for w in cl):
-                        cl.append(z)
-                        placed = True
-                        break
-                if not placed:
-                    clusters.append([z])
-            entries = []
+    # roots within the tolerance tau of each other form one multiplicity
+    # group; its disk covers the group's spread plus tau / 2
+    def attempt(work):
+        coeffs = [mpc(c) for c in p.coeffs]
+        zs = _aberth(coeffs, precision // 2 + 8)
+        tau = mpmath.ldexp(1 + max(abs(c) for c in coeffs), -(precision // 4))
+        with mp.workprec(precision):
+            zs.sort(key=_canonical_key)
+        clusters: list[list[mpc]] = []
+        for z in zs:
             for cl in clusters:
-                center = sum(cl) / len(cl)
-                spread = max((abs(z - center) for z in cl), default=mpf(0))
-                entries.append(RootEntry(CBall(center, spread + tau / 2), len(cl)))
-            # clusters must be mutually separated beyond their radii
-            bad = _first_overlap([(e.value.mid, e.value.rad) for e in entries])
-            if bad is not None:
-                cluster = [mpmath.nstr(entries[k].value.mid, 8) for k in bad]
-                work *= 2
-                continue
-            with mp.workprec(precision):
-                entries.sort(key=lambda e: _canonical_key(e.value.mid))
-            return RootSet(tuple(entries), CBall(p.leading), d, precision)
-    raise IndistinguishableRootsError(precision, cluster)
+                if any(abs(z - w) <= tau for w in cl):
+                    cl.append(z)
+                    break
+            else:
+                clusters.append([z])
+        found = []
+        for cl in clusters:
+            center = sum(cl) / len(cl)
+            spread = max((abs(z - center) for z in cl), default=mpf(0))
+            found.append((center, spread + tau / 2, len(cl)))
+        return found, None
+
+    return _ladder(p, precision, attempt, CBall)
 
 
 def find_roots(p, precision: int = 128) -> RootSet:
@@ -371,15 +370,12 @@ def find_roots(p, precision: int = 128) -> RootSet:
     numeric polynomials are clustered by a tolerance derived from the stated
     precision.
     """
-    if isinstance(p, ExactPoly):
-        if p.is_zero or p.degree < 1:
-            raise ValidationError("root finding needs degree >= 1")
-        return _find_roots_exact(p, precision)
-    if isinstance(p, NumericPoly):
-        if p.degree < 1:
-            raise ValidationError("root finding needs degree >= 1")
-        return _find_roots_numeric(p, precision)
-    raise TypeError(f"cannot find roots of {type(p).__name__}")
+    exact = isinstance(p, ExactPoly)
+    if not exact and not isinstance(p, NumericPoly):
+        raise TypeError(f"cannot find roots of {type(p).__name__}")
+    if (exact and p.is_zero) or p.degree < 1:
+        raise ValidationError("root finding needs degree >= 1")
+    return _find_roots_exact(p, precision) if exact else _find_roots_numeric(p, precision)
 
 
 def refine(p, roots: RootSet, precision: int) -> RootSet:

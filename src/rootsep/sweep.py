@@ -19,6 +19,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .bounds import bound_main, verify
 from .errors import ValidationError
@@ -188,22 +189,17 @@ def run_instance(seed: int, index: int, params: SweepParams) -> dict:
     return record
 
 
-def _worker(args) -> dict:
-    seed, index, params = args
-    return run_instance(seed, index, params)
-
-
 def run_sweep(seed: int, params: SweepParams, jobs: int = 1) -> dict:
     """Run the full campaign; the result is independent of scheduling because
-    every record is a pure function of (seed, index, params)."""
+    every record is a pure function of (seed, index, params), and `map`
+    keeps the order of the indices."""
     params.validate()
-    tasks = [(seed, i, params) for i in range(params.count)]
+    tasks = (repeat(seed), range(params.count), repeat(params))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_worker, tasks, chunksize=8))
+            records = list(pool.map(run_instance, *tasks, chunksize=8))
     else:
-        records = [_worker(t) for t in tasks]
-    records.sort(key=lambda rec: rec["index"])
+        records = list(map(run_instance, *tasks))
     violations = [rec for rec in records if rec["violated"]]
     inconclusive_first = [
         rec for rec in records if rec["verdict_first"] != "holds"

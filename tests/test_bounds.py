@@ -25,14 +25,12 @@ from rootsep import (
     bound_remark_pairs,
     bound_sep_product,
     find_roots,
-    hadamard_bound,
     lemma_aux_check,
     multiplicity_product_bound,
     orient,
     parse_polynomial,
     reduce_vandermonde,
     refine,
-    row_norm_bound,
     vandermonde_matrix,
     verify,
 )
@@ -216,7 +214,7 @@ class TestRowNormHadamard:
         roots = find_roots(parse_polynomial("x^2-1"), 128)
         g = orient([(0, 1)], roots)
         cert = reduce_vandermonde(roots, g, 128)
-        norm, bound = row_norm_bound(cert, roots, 1)
+        norm, bound = cert.row_norms[1], cert.row_norm_bounds[1]
         assert abs(norm.mid - 1) < 1e-30
         assert abs(bound.mid - hp(lambda: 2 * mpmath.sqrt(2) / mpmath.sqrt(3))) < 1e-25
 
@@ -224,7 +222,7 @@ class TestRowNormHadamard:
         roots = find_roots(parse_polynomial("x^2-1"), 128)
         g = orient([(0, 1)], roots)
         cert = reduce_vandermonde(roots, g, 128)
-        norm, bound = row_norm_bound(cert, roots, 0)
+        norm, bound = cert.row_norms[0], cert.row_norm_bounds[0]
         root2 = hp(lambda: mpmath.sqrt(2))
         assert abs(norm.mid - root2) < 1e-30
         assert abs(bound.mid - root2) < 1e-30
@@ -235,7 +233,7 @@ class TestRowNormHadamard:
         roots = find_roots(p, 128)
         g = orient([(0, 1)], roots)
         cert = reduce_vandermonde(roots, g, 128)
-        _, bound = row_norm_bound(cert, roots, 1)
+        bound = cert.row_norm_bounds[1]
         expected = hp(lambda: 2 / mpmath.sqrt(3) * mpmath.sqrt(2))
         assert abs(bound.mid - expected) < 1e-25
 
@@ -243,7 +241,7 @@ class TestRowNormHadamard:
         roots = find_roots(parse_polynomial("x^2-1"), 128)
         g = orient([(0, 1)], roots)
         cert = reduce_vandermonde(roots, g, 128)
-        h = hadamard_bound(cert, g, roots)
+        h = cert.hadamard_rhs
         assert abs(h.mid - hp(lambda: 4 / mpmath.sqrt(3))) < 1e-25
         assert cert.det_w1.abs().lo <= h.hi
 
@@ -251,14 +249,14 @@ class TestRowNormHadamard:
         roots = find_roots(parse_polynomial("x*(x-1)"), 128)
         g = orient([], roots)
         cert = reduce_vandermonde(roots, g, 128)
-        h = hadamard_bound(cert, g, roots)
+        h = cert.hadamard_rhs
         assert abs(h.mid - 2) < 1e-25
 
     def test_hadamard_single_root(self):
         roots = find_roots(parse_polynomial("(x-1)^3"), 128)
         g = orient([], roots)
         cert = reduce_vandermonde(roots, g, 128)
-        assert abs(hadamard_bound(cert, g, roots).mid - 1) < 1e-25
+        assert abs(cert.hadamard_rhs.mid - 1) < 1e-25
 
     def test_chain_random(self):
         rng = random.Random(41)

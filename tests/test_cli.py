@@ -103,12 +103,31 @@ class TestVerify:
             (["--poly", "x^2-1", "--variant", "sep_product", "--subset", '["a", 1]'], "ValidationError"),
             (["--poly", "x^2-1", "--preset", "path", "--variant", "remark_pairs", "--hints", "5"], "ValidationError"),
             (["--poly", "x^2-1", "--preset", "path", "--variant", "remark_pairs", "--hints", "[5]"], "ValidationError"),
+            # JSON booleans are not indices, and a hint exponent is a number
+            (["--poly", "x^3-1", "--graph", '{"edges": [[false, true]]}'], "ValidationError"),
+            (["--poly", "x^2-1", "--variant", "sep_product", "--subset", "[true]"], "ValidationError"),
+            (["--poly", "(x-1)*(x-2)*(x-3)", "--graph", '{"edges": []}', "--variant", "remark_pairs",
+              "--hints", "[[0, 1, null]]"], "ValidationError"),
+            (["--poly", "(x-1)*(x-2)*(x-3)", "--graph", '{"edges": []}', "--variant", "remark_pairs",
+              "--hints", '[["a", 1, 0.5]]'], "ValidationError"),
         ],
     )
     def test_malformed_json_input(self, args, error_type, capsys):
         code, report = run_cli(["verify"] + args, capsys)
         assert code == 1
         assert report["error"]["type"] == error_type
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--poly", "x^2-1", "--preset", "path"],
+    ["certificate", "--poly", "x^2-1", "--preset", "path"],
+    ["invariants", "--poly", "x^2-1"],
+    ["sweep", "--count", "1"],
+])
+def test_every_subcommand_reports_input_errors(args, capsys):
+    code, report = run_cli(args + ["--precision", "100"], capsys)
+    assert code == 1
+    assert report["error"]["type"] == "ValidationError"
 
 
 class TestOut:

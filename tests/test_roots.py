@@ -15,7 +15,7 @@ from rootsep import (
     refine,
     sep,
 )
-from rootsep.balls import working_precision
+from rootsep.balls import CBall, working_precision
 from rootsep.poly import eval_poly
 from rootsep.roots import _canonical_key, _carry_target, _radius_target
 
@@ -187,6 +187,24 @@ class TestEscalation:
         roots = find_roots(p, 64)
         assert roots.r == 3
         assert work == [88, 176, 352, 704]
+
+    def test_coefficients_become_balls_once_per_attempt(self, monkeypatch):
+        # one attempt on the one cubic factor converts its 4 coefficients,
+        # and the root set its leading coefficient; certifying each root
+        # reads the same balls
+        import rootsep.roots
+
+        calls = []
+        real = CBall.from_gaussian
+
+        def spy(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(rootsep.roots.CBall, "from_gaussian", staticmethod(spy))
+        roots = find_roots(parse_polynomial("(x-1)*(x-2)*(x-3)"), 128)
+        assert roots.r == 3
+        assert len(calls) == 5
 
     def test_real_cluster_on_the_start_circle(self):
         # all three roots have modulus 1/2, the radius of the one Newton
