@@ -9,6 +9,16 @@ inclusion radius n * |f(z) / f'(z)| (the disk of that radius around z
 contains at least one root of f); pairwise disjoint disks then certify a
 bijection between disks and roots.
 
+The sweeps run in double precision first, on Python `complex` values, and
+mpmath only polishes what they reach (MPSolve's approach; Bini & Robol,
+JCAM 2014). The float iterates are kept only when double precision has
+isolated every root: their inclusion disks, padded by a bound on Horner's
+rounding error, must be pairwise disjoint with a factor-2 margin. Otherwise
+(roots closer than double precision resolves, a coefficient outside the
+float range, an iterate that overflows or meets p' = 0) the mpmath sweeps
+start from the Newton polygon as if there were no float phase. Either way
+every disk is then certified in ball arithmetic at the working precision.
+
 Numeric inputs are solved directly and clustered into multiplicity groups by
 a precision-derived tolerance; their radii are tolerance-based rather than
 residual-based, matching the accuracy actually carried by the coefficients.
@@ -27,6 +37,8 @@ keeps its approximations when it raises the precision; Bini & Robol, JCAM
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -42,6 +54,13 @@ MAX_ESCALATIONS = 4
 #: 2^-(p + TOL_EXTRA_BITS)
 TOL_EXTRA_BITS = 12
 _MAX_ABERTH_ITERS = 600
+#: an iterate where p' = 0 moves by this much, relative and absolute
+_NUDGE = 2.0 ** -12
+#: the float phase hands over to mpmath at this relative correction
+_FLOAT_TOL = 2.0 ** -45
+#: half the bits of a double: stands in for a zero difference of iterates
+_FLOAT_TINY = 2.0 ** -26
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -181,46 +200,43 @@ def _newton_starts(coeffs: list[mpc]) -> list[mpc]:
     return zs
 
 
-def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> list[mpc]:
-    """Aberth-Ehrlich iteration on a polynomial given by mpc coefficients.
+def _converge(coeffs, zs, tol, tiny):
+    """Aberth-Ehrlich sweeps over the iterates `zs`, in place, in the
+    arithmetic of `coeffs` and `zs` (mpc, or complex in the float phase).
 
-    Runs until the corrections reach the tolerance or stagnate near the
+    Runs until the corrections reach `tol` relative or stagnate near the
     rounding floor (ill-conditioned clusters stagnate well above any preset
-    tolerance); the caller's certification step is the arbiter of success.
-    Deterministic for fixed inputs and precision.
+    tolerance), then returns `zs`. `tiny` stands in for a zero difference
+    between two iterates.
     """
-    n = len(coeffs) - 1
-    if n == 1:
-        return [-coeffs[0] / coeffs[1]]
-    zs = [mpc(z) for z in warm] if warm is not None else _newton_starts(coeffs)
-    tol = mpmath.ldexp(mpf(1), -tol_bits)
-    best = mpf("inf")
+    n = len(zs)
+    best = math.inf
     stalled = 0
     polish = False
     for _ in range(_MAX_ABERTH_ITERS):
-        worst = mpf(0)
+        worst = 0
         for k in range(n):
             z = zs[k]
             p, dp = _horner(coeffs, z)
             if p == 0:
                 continue
             if dp == 0:
-                zs[k] = z * (1 + mpmath.ldexp(mpf(1), -12)) + mpmath.ldexp(mpf(1), -12)
-                worst = mpf("inf")
+                zs[k] = z * (1 + _NUDGE) + _NUDGE
+                worst = math.inf
                 continue
             newton = p / dp
-            s = mpc(0)
+            s = 0
             for j in range(n):
                 if j != k:
                     diff = z - zs[j]
                     if diff == 0:
-                        diff = mpmath.ldexp(mpf(1), -mp.prec // 2)
+                        diff = tiny
                     s += 1 / diff
             denom = 1 - newton * s
             w = newton if denom == 0 else newton / denom
             zs[k] = z - w
             rel = abs(w) / (1 + abs(zs[k]))
-            if rel > worst:
+            if not rel <= worst:  # a nan correction counts as the worst
                 worst = rel
         if polish:
             return zs
@@ -230,7 +246,7 @@ def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> 
             # a real root
             polish = True
             continue
-        if worst > mpf("1e-6"):
+        if worst > 1e-6:
             # global phase: corrections may hover before convergence sets in
             stalled = 0
             best = worst
@@ -242,6 +258,66 @@ def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> 
             if stalled >= 12:
                 return zs
     return zs
+
+
+def _float_phase(coeffs: list[mpc], starts: list[mpc]) -> list[mpc]:
+    """Aberth iterates from `starts` computed in double precision, or
+    `starts` itself when double precision did not isolate every root.
+
+    The sweeps run on Python `complex` values until every correction is
+    under 2^-45 relative or they stall. The iterates are kept only if the
+    disks n (|p(z)| + 4 n 2^-53 sum |c_k| |z|^k) / |p'(z)|, the inclusion
+    radius padded by Horner's rounding error, are pairwise disjoint with a
+    factor-2 margin. A pair of roots closer than double precision resolves
+    gives p(z) = 0 at both iterates, and a real polynomial's iteration can
+    then leave them as a conjugate pair on their bisector; the padding
+    rejects that. `starts` also comes back unchanged when a nonzero
+    coefficient underflows to 0 or overflows, an iterate leaves the float
+    range, or p' is 0 at an iterate.
+    """
+    cs = [complex(c) for c in coeffs]
+    if any(not cmath.isfinite(f) or (f == 0 and c != 0) for f, c in zip(cs, coeffs)):
+        return starts
+    zs = [complex(z) for z in starts]
+    n = len(zs)
+    moduli = [abs(c) for c in cs]
+    try:
+        _converge(cs, zs, _FLOAT_TOL, _FLOAT_TINY)
+        disks = []
+        for z in zs:
+            p, dp = _horner(cs, z)
+            noise = 4 * n * _UNIT_ROUNDOFF * _horner(moduli, abs(z))[0]
+            # doubled radii: disjoint with a factor-2 margin
+            disks.append((z, 2 * n * (abs(p) + noise) / abs(dp)))
+    except ArithmeticError:
+        # overflow, or p' = 0 at an iterate
+        return starts
+    if not all(math.isfinite(rad) for _, rad in disks) or _first_overlap(disks) is not None:
+        return starts
+    return [mpc(z) for z in zs]
+
+
+def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> list[mpc]:
+    """Aberth-Ehrlich iteration on a polynomial given by mpc coefficients.
+
+    Without `warm` starts, the Newton-polygon starts first go through the
+    double-precision phase (`_float_phase`), whose iterates the mpmath
+    sweeps then only polish; when double precision did not isolate every
+    root, the mpmath sweeps start from the Newton polygon itself. `warm`
+    starts, midpoints carried from another precision, hold more than 53 bits
+    and skip the float phase. The mpmath sweeps run to a relative correction
+    of 2^-tol_bits or until they stagnate; the caller's certification step
+    is the arbiter of success. Deterministic for fixed inputs and precision.
+    """
+    n = len(coeffs) - 1
+    if n == 1:
+        return [-coeffs[0] / coeffs[1]]
+    if warm is not None:
+        zs = [mpc(z) for z in warm]
+    else:
+        zs = _float_phase(coeffs, _newton_starts(coeffs))
+    return _converge(coeffs, zs, mpmath.ldexp(mpf(1), -tol_bits),
+                     mpmath.ldexp(mpf(1), -mp.prec // 2))
 
 
 def _certified_radius(coeffs: list[CBall], z: mpc) -> mpf | None:

@@ -33,6 +33,15 @@ GRAPH_KINDS = ("path", "star_max", "complete", "nearest_neighbor", "random")
 _ALLOWED_PRECISIONS = (64, 128, 256, 512, 1024)
 
 
+def _check_precision(bits: int) -> int:
+    """`bits` if it is a precision the CLI and the sweep accept."""
+    if bits not in _ALLOWED_PRECISIONS:
+        raise ValidationError(
+            f"precision must be a power of two between 64 and 1024, got {bits}"
+        )
+    return bits
+
+
 @dataclass(frozen=True)
 class SweepParams:
     count: int = 1000
@@ -53,11 +62,8 @@ class SweepParams:
         for kind in self.graph_kinds:
             if kind not in GRAPH_KINDS:
                 raise ValidationError(f"unknown graph kind {kind!r}")
-        for bits in (self.precision_bits, self.ceiling_bits):
-            if bits not in _ALLOWED_PRECISIONS:
-                raise ValidationError(
-                    f"precision must be one of {_ALLOWED_PRECISIONS}, got {bits}"
-                )
+        _check_precision(self.precision_bits)
+        _check_precision(self.ceiling_bits)
 
 
 def _instance_rng(seed: int, index: int) -> random.Random:

@@ -125,9 +125,13 @@ class TestVerify:
     ["sweep", "--count", "1"],
 ])
 def test_every_subcommand_reports_input_errors(args, capsys):
+    # one precision rule, so one message from every subcommand
     code, report = run_cli(args + ["--precision", "100"], capsys)
     assert code == 1
     assert report["error"]["type"] == "ValidationError"
+    assert report["error"]["message"] == (
+        "precision must be a power of two between 64 and 1024, got 100"
+    )
 
 
 class TestOut:

@@ -271,6 +271,77 @@ class TestNumericMode:
         assert abs(abs(roots.entries[0].value.mid) - 0.5) < 1e-30
 
 
+@pytest.fixture
+def float_phase(monkeypatch):
+    """Spies on the double-precision phase: `unchanged` records, per call,
+    whether it returned its starts as they came, and `sweeps` counts the
+    runs of Aberth sweeps on Python complex iterates."""
+    import rootsep.roots
+
+    seen = {"unchanged": [], "sweeps": 0}
+    real_phase = rootsep.roots._float_phase
+    real_converge = rootsep.roots._converge
+
+    def phase_spy(coeffs, starts):
+        out = real_phase(coeffs, starts)
+        seen["unchanged"].append(out is starts)
+        return out
+
+    def converge_spy(coeffs, zs, tol, tiny):
+        seen["sweeps"] += isinstance(zs[0], complex)
+        return real_converge(coeffs, zs, tol, tiny)
+
+    monkeypatch.setattr(rootsep.roots, "_float_phase", phase_spy)
+    monkeypatch.setattr(rootsep.roots, "_converge", converge_spy)
+    return seen
+
+
+class TestFloatPhase:
+    def test_mpmath_only_polishes(self, monkeypatch):
+        # 16 integer roots: Aberth reaches them in double precision, and
+        # the mpmath sweeps at 152 working bits only polish; from the
+        # Newton-polygon starts they would take 11 sweeps
+        import rootsep.roots
+
+        points = []
+        real_horner = rootsep.roots._horner
+
+        def horner_spy(coeffs, z):
+            points.append(z)
+            return real_horner(coeffs, z)
+
+        monkeypatch.setattr(rootsep.roots, "_horner", horner_spy)
+        p = ExactPoly.from_roots([GaussianRational.of(k) for k in range(-8, 8)])
+        roots = find_roots(p, 128)
+        assert roots.r == 16
+        assert sum(isinstance(z, mpmath.mpc) for z in points) <= 5 * 16
+
+    @pytest.mark.parametrize("poly, expected", [
+        # a coefficient overflows
+        ("(x-10^200)*(x+2*10^200)*(x-3)", ["3", "1e200", "-2e200"]),
+        # the constant coefficient underflows to 0
+        ("(x-1/10^200)*(x-2/10^200)*(x+1)", ["1e-200", "2e-200", "-1"]),
+    ])
+    def test_coefficients_outside_the_float_range_fall_back(self, float_phase, poly, expected):
+        roots = find_roots(parse_polynomial(poly), 128)
+        assert float_phase["unchanged"] == [True] and float_phase["sweeps"] == 0
+        assert roots.r == 3
+        with mpmath.workprec(1024):
+            for e, root in zip(roots.entries, expected):
+                assert abs(e.value.mid - mpmath.mpf(root)) <= e.value.rad
+
+    def test_pair_below_double_precision_is_rejected(self, float_phase):
+        # the 2^-80 pair of test_real_cluster_on_the_start_circle: p is 0 in
+        # floats at both iterates, so only the rounding term of the disks
+        # tells that double precision did not isolate them
+        half = Fraction(1, 2)
+        p = ExactPoly.from_roots([half, half + Fraction(1, 2**80), -half])
+        roots = find_roots(p, 128)
+        assert roots.r == 3
+        assert float_phase["unchanged"] and all(float_phase["unchanged"])
+        assert float_phase["sweeps"] == len(float_phase["unchanged"])
+
+
 def _degree_32():
     """32 real roots (-465 + 30 j) / 12, 5/2 apart in [-40, 40]."""
     return ExactPoly.from_roots(
@@ -393,3 +464,13 @@ class TestRefine:
         with working_precision(512):
             for new, old in zip(refined.entries, roots.entries):
                 assert new.value.overlaps(old.value)
+
+    def test_warm_start_skips_the_float_phase(self, float_phase):
+        # carried midpoints hold more than the 53 bits of a double
+        p = _degree_32()
+        roots = find_roots(p, 128)
+        float_phase["unchanged"].clear()
+        float_phase["sweeps"] = 0
+        refined = refine(p, roots, 512)
+        assert refined.r == 32
+        assert float_phase == {"unchanged": [], "sweeps": 0}
