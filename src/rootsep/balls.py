@@ -15,6 +15,7 @@ taking another complex `hypot`.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -35,6 +36,15 @@ def working_precision(bits: int):
     """Set the ambient mpmath precision (plus guard bits) for a pipeline run."""
     with mp.workprec(bits + GUARD_BITS):
         yield
+
+
+def json_real(x) -> float | str:
+    """x as a JSON number, or as the string `mpmath.nstr(x, 17)` when it
+    lies beyond the double range, where a float would be Infinity, which
+    strict JSON does not have. Values below the range round to 0.0 as
+    usual."""
+    f = float(x)
+    return f if math.isfinite(f) else mpmath.nstr(x, 17)
 
 
 def _pad(a: mpf, prec: int) -> mpf:
@@ -243,7 +253,7 @@ class RBall:
         return f"RBall({mpmath.nstr(self.mid, 17)} +/- {mpmath.nstr(self.rad, 5)})"
 
     def to_json(self) -> dict:
-        return {"mid": float(self.mid), "rad": float(self.rad)}
+        return {"mid": json_real(self.mid), "rad": json_real(self.rad)}
 
 
 class CBall:
@@ -395,9 +405,9 @@ class CBall:
 
     def to_json(self) -> dict:
         return {
-            "re": float(self.mid.real),
-            "im": float(self.mid.imag),
-            "rad": float(self.rad),
+            "re": json_real(self.mid.real),
+            "im": json_real(self.mid.imag),
+            "rad": json_real(self.rad),
         }
 
 

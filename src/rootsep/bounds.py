@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 import mpmath
 from mpmath import mpf
@@ -49,6 +49,7 @@ from .balls import (
     ball_det,
     ball_product,
     ball_row_norm,
+    json_real,
     working_precision,
 )
 from .divdiff import NodeList, power_basis_row
@@ -277,6 +278,18 @@ class BoundReport:
     def holds(self) -> bool:
         return self.verdict == "holds"
 
+    def margin_json(self) -> float | str:
+        """`margin` as a report writes it: the float, or lhs.lo - rhs.hi
+        through `json_real` when the float overflowed."""
+        return self.margin if isfinite(self.margin) else json_real(self.lhs.lo - self.rhs.hi)
+
+    def margin_bits(self) -> float | None:
+        """log2(lhs.lo / rhs.hi): the bits by which the bound holds, or
+        fails when negative; None when lhs.lo <= 0 or rhs.hi <= 0."""
+        if self.lhs.lo <= 0 or self.rhs.hi <= 0:
+            return None
+        return float(mpmath.log(self.lhs.lo / self.rhs.hi, 2))
+
     def to_json(self, poly_repr=None) -> dict:
         out = {
             "variant": self.variant,
@@ -291,7 +304,8 @@ class BoundReport:
             "rhs": self.rhs.to_json(),
             "components": {k: v.to_json() for k, v in self.components.items()},
             "certificate": self.certificate.to_json() if self.certificate else None,
-            "margin": self.margin,
+            "margin": self.margin_json(),
+            "margin_bits": self.margin_bits(),
             "verdict": self.verdict,
             "precision_bits": self.precision_bits,
         }

@@ -11,13 +11,19 @@ bijection between disks and roots.
 
 The sweeps run in double precision first, on Python `complex` values, and
 mpmath only polishes what they reach (MPSolve's approach; Bini & Robol,
-JCAM 2014). The float iterates are kept only when double precision has
-isolated every root: their inclusion disks, padded by a bound on Horner's
-rounding error, must be pairwise disjoint with a factor-2 margin. Otherwise
-(roots closer than double precision resolves, a coefficient outside the
-float range, an iterate that overflows or meets p' = 0) the mpmath sweeps
-start from the Newton polygon as if there were no float phase. Either way
-every disk is then certified in ball arithmetic at the working precision.
+JCAM 2014). A float iterate is kept when double precision has isolated it:
+its inclusion disk, padded by a bound on Horner's rounding error and
+doubled, meets no other. Iterates whose disks meet, transitively, form a
+cluster of m roots closer than double precision resolves; the cluster
+restarts from its center, the centroid sharpened by Newton's method on
+p^(m-1), at the m smallest Newton-polygon starts of p shifted to that
+center (MPSolve's cluster analysis; Bini & Fiorentino, Numer. Algorithms
+23, 2000), so mpmath separates it from starts at its own scale. When the
+float phase cannot be trusted (a coefficient outside the float range, an
+iterate that overflows or meets p' = 0, a center whose Newton step fails)
+the mpmath sweeps start from the Newton polygon as if there were no float
+phase. Either way every disk is then certified in ball arithmetic at the
+working precision.
 
 Numeric inputs are solved directly and clustered into multiplicity groups by
 a precision-derived tolerance; their radii are tolerance-based rather than
@@ -150,15 +156,33 @@ def _canonical_key(z: mpc):
     return (m, *(+x if abs(x) > floor else mpf(0) for x in (z.real, z.imag)))
 
 
+def _meet(a, b, cushion) -> bool:
+    """Whether the (center, radius) disks a and b are not certifiably
+    disjoint; `cushion` is 1 - 2^(8 - prec) at the ambient precision."""
+    return abs(a[0] - b[0]) * cushion <= a[1] + b[1]
+
+
 def _first_overlap(disks) -> tuple[int, int] | None:
     """First pair (j, i), j < i, of (center, radius) disks that are not
     certifiably disjoint at the ambient precision, or None."""
     cushion = 1 - mpmath.ldexp(mpf(1), 8 - mp.prec)
     for i in range(len(disks)):
         for j in range(i):
-            if abs(disks[i][0] - disks[j][0]) * cushion <= disks[i][1] + disks[j][1]:
+            if _meet(disks[i], disks[j], cushion):
                 return j, i
     return None
+
+
+def _overlap_groups(disks) -> list[list[int]]:
+    """Indices of the disks that meet another, grouped by the transitive
+    closure of `_first_overlap`'s test; each group in ascending order."""
+    cushion = 1 - mpmath.ldexp(mpf(1), 8 - mp.prec)
+    groups: list[list[int]] = []
+    for i, disk in enumerate(disks):
+        touching = [g for g in groups if any(_meet(disks[j], disk, cushion) for j in g)]
+        groups = [g for g in groups if g not in touching]
+        groups.append(sorted(j for g in touching for j in g) + [i])
+    return [g for g in groups if len(g) > 1]
 
 
 def _newton_starts(coeffs: list[mpc]) -> list[mpc]:
@@ -260,20 +284,73 @@ def _converge(coeffs, zs, tol, tiny):
     return zs
 
 
+def _taylor_shift(coeffs: list[mpc], c: mpc) -> list[mpc]:
+    """Coefficients of p(c + y), lowest degree first, for p given by
+    `coeffs`: n rounds of synthetic division by (x - c)."""
+    q = list(coeffs)
+    n = len(q) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            q[k] += c * q[k + 1]
+    return q
+
+
+def _cluster_starts(coeffs: list[mpc], zs: list[complex]) -> list[mpc] | None:
+    """Aberth starts for m >= 2 float iterates `zs` of a cluster that double
+    precision did not separate, or None when the center's Newton iteration
+    meets a zero or non-finite derivative.
+
+    The center starts at the iterates' centroid and is sharpened by Newton's
+    method on p^(m-1), whose root near an m-cluster is the cluster's mean to
+    second order in its radius (MPSolve's cluster analysis; Bini &
+    Fiorentino, Numer. Algorithms 23, 2000). Newton stops when its step is
+    under 2^-prec relative or no longer halves (the rounding floor). p is
+    then Taylor-shifted to the center, and the m smallest-modulus points of
+    the shifted Newton polygon, which estimates the roots' distances from
+    the center, are the starts.
+    """
+    m = len(zs)
+    derivative = coeffs
+    for _ in range(m - 1):
+        derivative = [k * c for k, c in enumerate(derivative)][1:]
+    center = mpc(sum(zs) / m)
+    tol = mpmath.ldexp(mpf(1), -mp.prec)
+    last = mpmath.inf
+    for _ in range(_MAX_ABERTH_ITERS):
+        value, slope = _horner(derivative, center)
+        if slope == 0 or not mpmath.isfinite(slope):
+            return None
+        step = value / slope
+        center -= step
+        size = abs(step)
+        if size <= tol * (1 + abs(center)) or size > last / 2:
+            break
+        last = size
+    ys = sorted(_newton_starts(_taylor_shift(coeffs, center)), key=abs)[:m]
+    return [center + y for y in ys]
+
+
 def _float_phase(coeffs: list[mpc], starts: list[mpc]) -> list[mpc]:
-    """Aberth iterates from `starts` computed in double precision, or
-    `starts` itself when double precision did not isolate every root.
+    """Aberth iterates from `starts` computed in double precision, with
+    every cluster that double precision did not separate restarted around
+    its center; or `starts` itself when the float phase cannot be trusted.
 
     The sweeps run on Python `complex` values until every correction is
-    under 2^-45 relative or they stall. The iterates are kept only if the
-    disks n (|p(z)| + 4 n 2^-53 sum |c_k| |z|^k) / |p'(z)|, the inclusion
-    radius padded by Horner's rounding error, are pairwise disjoint with a
-    factor-2 margin. A pair of roots closer than double precision resolves
-    gives p(z) = 0 at both iterates, and a real polynomial's iteration can
-    then leave them as a conjugate pair on their bisector; the padding
-    rejects that. `starts` also comes back unchanged when a nonzero
-    coefficient underflows to 0 or overflows, an iterate leaves the float
-    range, or p' is 0 at an iterate.
+    under 2^-45 relative or they stall. Each iterate gets the disk n (|p(z)|
+    + 4 n 2^-53 sum |c_k| |z|^k) / |p'(z)|, the inclusion radius padded by
+    Horner's rounding error, doubled. When these disks are pairwise
+    disjoint (a factor-2 margin), double precision has isolated every root
+    and the iterates are kept. Otherwise the isolated iterates are kept,
+    and the iterates whose disks meet, transitively, form groups. A pair of
+    roots closer than double precision resolves gives p(z) = 0 at both
+    iterates, and a real polynomial's iteration can then leave them as a
+    conjugate pair on their bisector; the padding groups them. Each group
+    restarts from its center (`_cluster_starts`), so the mpmath sweeps
+    separate the cluster from starts at its own scale instead of
+    converging to it linearly from afar. `starts` comes back unchanged when
+    a nonzero coefficient underflows to 0 or overflows, an iterate leaves
+    the float range, p' is 0 at an iterate, or a center's Newton iteration
+    fails.
     """
     cs = [complex(c) for c in coeffs]
     if any(not cmath.isfinite(f) or (f == 0 and c != 0) for f, c in zip(cs, coeffs)):
@@ -292,20 +369,28 @@ def _float_phase(coeffs: list[mpc], starts: list[mpc]) -> list[mpc]:
     except ArithmeticError:
         # overflow, or p' = 0 at an iterate
         return starts
-    if not all(math.isfinite(rad) for _, rad in disks) or _first_overlap(disks) is not None:
+    if not all(math.isfinite(rad) for _, rad in disks):
         return starts
-    return [mpc(z) for z in zs]
+    out = [mpc(z) for z in zs]
+    for group in _overlap_groups(disks):
+        restart = _cluster_starts(coeffs, [zs[k] for k in group])
+        if restart is None:
+            return starts
+        for k, z in zip(group, restart):
+            out[k] = z
+    return out
 
 
 def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> list[mpc]:
     """Aberth-Ehrlich iteration on a polynomial given by mpc coefficients.
 
     Without `warm` starts, the Newton-polygon starts first go through the
-    double-precision phase (`_float_phase`), whose iterates the mpmath
-    sweeps then only polish; when double precision did not isolate every
-    root, the mpmath sweeps start from the Newton polygon itself. `warm`
-    starts, midpoints carried from another precision, hold more than 53 bits
-    and skip the float phase. The mpmath sweeps run to a relative correction
+    double-precision phase (`_float_phase`): the mpmath sweeps polish the
+    iterates it isolated and separate each cluster it did not from starts
+    around the cluster's center; when the float phase cannot be trusted,
+    they start from the Newton polygon itself. `warm` starts, midpoints
+    carried from another precision, hold more than 53 bits and skip the
+    float phase. The mpmath sweeps run to a relative correction
     of 2^-tol_bits or until they stagnate; the caller's certification step
     is the arbiter of success. Deterministic for fixed inputs and precision.
     """

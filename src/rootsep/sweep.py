@@ -168,7 +168,7 @@ def run_instance(seed: int, index: int, params: SweepParams) -> dict:
         **meta,
         "edges": [list(e) for e in g.edges],
         "verdict_first": report.verdict,
-        "margin": report.margin,
+        "margin": report.margin_json(),
         "violated": report.verdict not in ("holds", "inconclusive"),
         "resolved_bits": params.precision_bits if report.holds else None,
         "certificate_rel_discrepancy": (

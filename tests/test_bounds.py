@@ -355,6 +355,20 @@ class TestBoundMain:
         assert rep.margin == 0
         assert rep.verdict == "inconclusive"
 
+    def test_margin_bits_reads_the_enclosures(self):
+        # lhs / rhs = 1/2 below the double range, where the float margin is
+        # -0.0; a zero lhs has no margin in bits
+        from rootsep.balls import RBall
+        from rootsep.bounds import _finish
+
+        with working_precision(128):
+            half = _finish("main", RBall.exact(mpmath.mpf("1e-400")),
+                           {"sdisc_sqrt": RBall.exact(mpmath.mpf("2e-400"))}, None, 128, None, None, {})
+            zero = _finish("main", RBall.exact(0), {"sdisc_sqrt": RBall.exact(1)},
+                           None, 128, None, None, {})
+        assert abs(half.margin_bits() + 1) < 1e-12
+        assert zero.margin_bits() is None and zero.to_json()["margin_bits"] is None
+
 
 class TestBoundClassical:
     def test_coincides_with_main_on_square_free(self):

@@ -2,6 +2,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from rootsep.cli import main
@@ -116,6 +117,30 @@ class TestVerify:
         code, report = run_cli(["verify"] + args, capsys)
         assert code == 1
         assert report["error"]["type"] == error_type
+
+    def test_values_beyond_the_double_range_stay_strict_json(self, capsys):
+        # 24 roots 0, 100, ..., 2300 on the complete graph: the lhs, the
+        # sdisc_sqrt component, det W and the margin exceed the largest double
+        poly = "*".join(["x"] + [f"(x-{100 * k})" for k in range(1, 24)])
+        code = main(["verify", "--poly", poly, "--preset", "complete"])
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == 0 and report["verdict"] == "holds"
+        for value in (report["margin"], report["lhs"]["mid"], report["certificate"]["det_w"]["re"]):
+            assert isinstance(value, str) and mpmath.mpf(value) > 1e308
+        # the rhs, about 10^-1134, is below the double range
+        assert isinstance(report["margin_bits"], float) and report["margin_bits"] > 6000
+
+    def test_margin_bits(self, capsys):
+        # lhs = 2 and rhs = sqrt(3) / 2: log2(4 / sqrt(3)) bits
+        code, report = run_cli(
+            ["verify", "--poly", "x^2-1", "--graph", '{"edges":[[0,1]]}'], capsys,
+        )
+        assert code == 0
+        assert abs(report["margin_bits"] - math.log2(4 / math.sqrt(3))) < 1e-9
 
 
 @pytest.mark.parametrize("args", [

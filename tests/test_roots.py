@@ -296,25 +296,62 @@ def float_phase(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def mpc_horner(monkeypatch):
+    """Counts `_horner` calls at mpc points: one per mpmath Aberth
+    correction and per Newton step on a cluster's center."""
+    import rootsep.roots
+
+    calls = {"mpc": 0}
+    real_horner = rootsep.roots._horner
+
+    def horner_spy(coeffs, z):
+        calls["mpc"] += isinstance(z, mpmath.mpc)
+        return real_horner(coeffs, z)
+
+    monkeypatch.setattr(rootsep.roots, "_horner", horner_spy)
+    return calls
+
+
+@pytest.fixture
+def cluster_groups(monkeypatch):
+    """The float iterates of each group that the float phase restarts
+    around its center."""
+    import rootsep.roots
+
+    groups = []
+    real_cluster_starts = rootsep.roots._cluster_starts
+
+    def cluster_spy(coeffs, zs):
+        groups.append(list(zs))
+        return real_cluster_starts(coeffs, zs)
+
+    monkeypatch.setattr(rootsep.roots, "_cluster_starts", cluster_spy)
+    return groups
+
+
+def _encloses_each(roots, exact) -> bool:
+    """Every exact root lies in exactly one disk of `roots`."""
+    with mpmath.workprec(1024):
+        points = [
+            CBall.from_gaussian(z if isinstance(z, GaussianRational) else GaussianRational.of(z)).mid
+            for z in exact
+        ]
+        return all(
+            sum(abs(point - e.value.mid) <= e.value.rad for e in roots.entries) == 1
+            for point in points
+        )
+
+
 class TestFloatPhase:
-    def test_mpmath_only_polishes(self, monkeypatch):
+    def test_mpmath_only_polishes(self, mpc_horner):
         # 16 integer roots: Aberth reaches them in double precision, and
         # the mpmath sweeps at 152 working bits only polish; from the
         # Newton-polygon starts they would take 11 sweeps
-        import rootsep.roots
-
-        points = []
-        real_horner = rootsep.roots._horner
-
-        def horner_spy(coeffs, z):
-            points.append(z)
-            return real_horner(coeffs, z)
-
-        monkeypatch.setattr(rootsep.roots, "_horner", horner_spy)
         p = ExactPoly.from_roots([GaussianRational.of(k) for k in range(-8, 8)])
         roots = find_roots(p, 128)
         assert roots.r == 16
-        assert sum(isinstance(z, mpmath.mpc) for z in points) <= 5 * 16
+        assert mpc_horner["mpc"] <= 5 * 16
 
     @pytest.mark.parametrize("poly, expected", [
         # a coefficient overflows
@@ -330,16 +367,83 @@ class TestFloatPhase:
             for e, root in zip(roots.entries, expected):
                 assert abs(e.value.mid - mpmath.mpf(root)) <= e.value.rad
 
-    def test_pair_below_double_precision_is_rejected(self, float_phase):
+    def test_pair_below_double_precision_is_rejected(self, monkeypatch, cluster_groups):
         # the 2^-80 pair of test_real_cluster_on_the_start_circle: p is 0 in
         # floats at both iterates, so only the rounding term of the disks
-        # tells that double precision did not isolate them
+        # tells that double precision did not isolate them. The pair's
+        # float iterates are never kept as they are: the pair restarts as
+        # one group, and -1/2 keeps its float iterate
+        import rootsep.roots
+
+        phases, iterates = [], []
+        real_phase = rootsep.roots._float_phase
+        real_converge = rootsep.roots._converge
+
+        def phase_spy(coeffs, starts):
+            out = real_phase(coeffs, starts)
+            phases.append((starts, out))
+            return out
+
+        def converge_spy(coeffs, zs, tol, tiny):
+            out = real_converge(coeffs, zs, tol, tiny)
+            if isinstance(zs[0], complex):
+                iterates.append(list(out))
+            return out
+
+        monkeypatch.setattr(rootsep.roots, "_float_phase", phase_spy)
+        monkeypatch.setattr(rootsep.roots, "_converge", converge_spy)
         half = Fraction(1, 2)
         p = ExactPoly.from_roots([half, half + Fraction(1, 2**80), -half])
         roots = find_roots(p, 128)
         assert roots.r == 3
-        assert float_phase["unchanged"] and all(float_phase["unchanged"])
-        assert float_phase["sweeps"] == len(float_phase["unchanged"])
+        assert phases and len(iterates) == len(phases) == len(cluster_groups)
+        for (starts, out), floats, group in zip(phases, iterates, cluster_groups):
+            assert out is not starts
+            kept = [k for k in range(3) if out[k] == mpmath.mpc(floats[k])]
+            assert len(kept) == 1 and abs(floats[kept[0]] + 0.5) < 1e-12
+            assert group == [z for k, z in enumerate(floats) if k not in kept]
+
+
+class TestClusterRestart:
+    """Clusters closer than double precision restart from their center;
+    from the Newton polygon, Aberth converges to them only linearly."""
+
+    def test_pair_below_2_to_the_minus_200(self, mpc_horner, cluster_groups):
+        # from the Newton polygon, the attempts at 152, 304 and 608 working
+        # bits take about 800 mpc Horner calls
+        exact = [1, 1 + Fraction(1, 2**200), 3]
+        roots = find_roots(ExactPoly.from_roots(exact), 128)
+        assert roots.r == 3 and _encloses_each(roots, exact)
+        assert cluster_groups and all(len(g) == 2 for g in cluster_groups)
+        assert mpc_horner["mpc"] <= 200
+
+    def test_gaussian_triple_with_a_non_real_center(self, mpc_horner, cluster_groups):
+        # m = 3: the center is sharpened by Newton's method on p''
+        i = GaussianRational.of(0, 1)
+        eps = Fraction(1, 2**90)
+        exact = [1 + i, 1 + i + eps, 1 + i + i * eps]
+        roots = find_roots(ExactPoly.from_roots(exact), 128)
+        assert roots.r == 3 and _encloses_each(roots, exact)
+        assert cluster_groups and all(len(g) == 3 for g in cluster_groups)
+        assert all(abs(sum(g) / 3 - (1 + 1j)) < 1e-4 for g in cluster_groups)
+        # about 400 from the Newton polygon
+        assert mpc_horner["mpc"] <= 250
+
+    def test_mignotte_polynomial(self, mpc_horner):
+        # x^32 - 2(1000x - 1)^2: a pair about 2^-170 apart at 1/1000 and 30
+        # roots of modulus near 1.6; the order is the one the Newton-polygon
+        # starts gave, at the same working precisions (152, 304, 608)
+        roots = find_roots(parse_polynomial("x^32 - 2*(1000*x - 1)^2"), 128)
+        assert roots.r == 32
+        ring = [1.6218716, 1.5864284, 1.4816477, 1.312109, 1.0852219,
+                0.81090248, 0.50113983, 0.16947205, -0.16960538, -0.50127316,
+                -0.81103581, -1.0853552, -1.3122423, -1.481781, -1.5865617]
+        expected = [0.001, 0.001, ring[0]] + [x for x in ring[1:] for _ in (0, 1)] + [-1.622005]
+        assert len(expected) == 32
+        assert all(abs(float(e.value.mid.real) - x) < 1e-6
+                   for e, x in zip(roots.entries, expected))
+        # about 7500 from the Newton polygon
+        assert mpc_horner["mpc"] <= 1000
 
 
 def _degree_32():
