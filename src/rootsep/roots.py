@@ -10,24 +10,33 @@ contains at least one root of f); pairwise disjoint disks then certify a
 bijection between disks and roots.
 
 The sweeps run in double precision first, on Python `complex` values, and
-mpmath only polishes what they reach (MPSolve's approach; Bini & Robol,
-JCAM 2014). A float iterate is kept when double precision has isolated it:
-its inclusion disk, padded by a bound on Horner's rounding error and
-doubled, meets no other. Iterates whose disks meet, transitively, form a
-cluster of m roots closer than double precision resolves; the cluster
-restarts from its center, the centroid sharpened by Newton's method on
-p^(m-1), at the m smallest Newton-polygon starts of p shifted to that
-center (MPSolve's cluster analysis; Bini & Fiorentino, Numer. Algorithms
-23, 2000), so mpmath separates it from starts at its own scale. When the
-float phase cannot be trusted (a coefficient outside the float range, an
-iterate that overflows or meets p' = 0, a center whose Newton step fails)
-the mpmath sweeps start from the Newton polygon as if there were no float
-phase. Either way every disk is then certified in ball arithmetic at the
-working precision.
+sweeps on fixed-point Gaussian integers only polish what they reach
+(MPSolve's cheap-arithmetic-first design; Bini & Robol, JCAM 2014). A float
+iterate is kept when double precision has isolated it: its inclusion disk,
+padded by a bound on Horner's rounding error and doubled, meets no other.
+Iterates whose disks meet, transitively, form a cluster of m roots closer
+than double precision resolves; the cluster restarts from its center, the
+centroid sharpened by Newton's method on p^(m-1), at the m smallest
+Newton-polygon starts of p shifted to that center (MPSolve's cluster
+analysis; Bini & Fiorentino, Numer. Algorithms 23, 2000), so the integer
+sweeps separate it from starts at its own scale. When the float phase
+cannot be trusted (a coefficient outside the float range, an iterate that
+overflows or meets p' = 0, a center whose Newton step fails) the integer
+sweeps start from the Newton polygon as if there were no float phase. Both
+arithmetics share one set of stopping, polish and stall rules
+(`_converge`).
 
-Numeric inputs are solved directly and clustered into multiplicity groups by
-a precision-derived tolerance; their radii are tolerance-based rather than
-residual-based, matching the accuracy actually carried by the coefficients.
+Every disk is then certified in exact arithmetic. Its midpoint is dyadic, so
+integer Horner on the factor's Gaussian-integer numerators gives f(z) and
+f'(z) exactly, and the radius n |f(z)| / |f'(z)| is rounded once, upward.
+Root radii therefore do not depend on ball arithmetic or its rounding, and
+a midpoint that is exactly a root gets radius 0.
+
+Numeric inputs are solved directly (their mpc coefficients are dyadic, so
+the integer sweeps take them exactly) and clustered into multiplicity
+groups by a precision-derived tolerance; their radii are tolerance-based
+rather than residual-based, matching the accuracy actually carried by the
+coefficients.
 
 The two input modes differ only in one attempt at a working precision. Both
 run on one ladder: it checks that the attempt's disks are pairwise disjoint,
@@ -39,7 +48,8 @@ an exact root set to another precision instead of solving again: it keeps
 the set when its disks are already as tight as a fresh solve there would
 make them, and otherwise starts Aberth from the set's midpoints (as MPSolve
 keeps its approximations when it raises the precision; Bini & Robol, JCAM
-2014).
+2014). The set carries its square-free decomposition, so that is computed
+once per polynomial.
 """
 from __future__ import annotations
 
@@ -49,6 +59,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from .balls import CBall, GUARD_BITS, RBall
 from .errors import IndistinguishableRootsError, PreconditionError, ValidationError
@@ -62,7 +73,7 @@ TOL_EXTRA_BITS = 12
 _MAX_ABERTH_ITERS = 600
 #: an iterate where p' = 0 moves by this much, relative and absolute
 _NUDGE = 2.0 ** -12
-#: the float phase hands over to mpmath at this relative correction
+#: the float phase hands over to the integer sweeps at this relative correction
 _FLOAT_TOL = 2.0 ** -45
 #: half the bits of a double: stands in for a zero difference of iterates
 _FLOAT_TINY = 2.0 ** -26
@@ -82,13 +93,16 @@ class RootSet:
     Canonical order is ascending by (modulus, real part, imaginary part) of
     the certified midpoints, each rounded to `precision_bits`, a part under
     2^(8 - precision_bits) of the modulus counting as 0; the error disks
-    are pairwise disjoint.
+    are pairwise disjoint. An exact polynomial's set carries its square-free
+    decomposition in `factors`, so `refine` does not compute it again; a
+    numeric one has None.
     """
 
     entries: tuple[RootEntry, ...]
     leading_coeff: CBall
     total_degree: int
     precision_bits: int
+    factors: tuple[tuple[ExactPoly, int], ...] | None = None
 
     @property
     def r(self) -> int:
@@ -225,43 +239,21 @@ def _newton_starts(coeffs: list[mpc]) -> list[mpc]:
 
 
 def _converge(coeffs, zs, tol, tiny):
-    """Aberth-Ehrlich sweeps over the iterates `zs`, in place, in the
-    arithmetic of `coeffs` and `zs` (mpc, or complex in the float phase).
+    """Aberth-Ehrlich sweeps over the iterates `zs`, in place: in double
+    precision when `coeffs` is a list of Python `complex` values, on
+    Gaussian integers when it is a `_FixedPoint` polynomial.
 
     Runs until the corrections reach `tol` relative or stagnate near the
     rounding floor (ill-conditioned clusters stagnate well above any preset
     tolerance), then returns `zs`. `tiny` stands in for a zero difference
     between two iterates.
     """
-    n = len(zs)
+    sweep = _fixed_sweep if isinstance(coeffs, _FixedPoint) else _float_sweep
     best = math.inf
     stalled = 0
     polish = False
     for _ in range(_MAX_ABERTH_ITERS):
-        worst = 0
-        for k in range(n):
-            z = zs[k]
-            p, dp = _horner(coeffs, z)
-            if p == 0:
-                continue
-            if dp == 0:
-                zs[k] = z * (1 + _NUDGE) + _NUDGE
-                worst = math.inf
-                continue
-            newton = p / dp
-            s = 0
-            for j in range(n):
-                if j != k:
-                    diff = z - zs[j]
-                    if diff == 0:
-                        diff = tiny
-                    s += 1 / diff
-            denom = 1 - newton * s
-            w = newton if denom == 0 else newton / denom
-            zs[k] = z - w
-            rel = abs(w) / (1 + abs(zs[k]))
-            if not rel <= worst:  # a nan correction counts as the worst
-                worst = rel
+        worst = sweep(coeffs, zs, tiny)
         if polish:
             return zs
         if worst <= tol:
@@ -282,6 +274,131 @@ def _converge(coeffs, zs, tol, tiny):
             if stalled >= 12:
                 return zs
     return zs
+
+
+def _float_sweep(coeffs: list[complex], zs: list[complex], tiny: float) -> float:
+    """One Aberth sweep in double precision; returns the largest relative
+    correction, a nan counting as the worst and p' = 0 as infinite."""
+    n = len(zs)
+    worst = 0
+    for k in range(n):
+        z = zs[k]
+        p, dp = _horner(coeffs, z)
+        if p == 0:
+            continue
+        if dp == 0:
+            zs[k] = z * (1 + _NUDGE) + _NUDGE
+            worst = math.inf
+            continue
+        newton = p / dp
+        s = 0
+        for j in range(n):
+            if j != k:
+                diff = z - zs[j]
+                if diff == 0:
+                    diff = tiny
+                s += 1 / diff
+        denom = 1 - newton * s
+        w = newton if denom == 0 else newton / denom
+        zs[k] = z - w
+        rel = abs(w) / (1 + abs(zs[k]))
+        if not rel <= worst:  # a nan correction counts as the worst
+            worst = rel
+    return worst
+
+
+def _dyadic(x: mpf) -> tuple[int, int]:
+    """(m, e) with x = m 2^e exactly, m signed (mpmath's `man_exp` drops the
+    sign)."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+@dataclass(frozen=True)
+class _FixedPoint:
+    """A polynomial for Aberth sweeps on fixed-point Gaussian integers.
+
+    An iterate is a pair (x, y) of ints standing for (x + iy) / 2^w. `top`
+    holds the polynomial's Gaussian-integer coefficients, highest degree
+    first, each multiplied by 2^w, so Horner's rule adds them to values at
+    the same scale.
+    """
+
+    top: tuple[tuple[int, int], ...]
+    w: int
+
+    @staticmethod
+    def of(coeffs: list[mpc], w: int) -> "_FixedPoint":
+        """The polynomial 2^e sum coeffs[k] x^k for the smallest e that makes
+        every coefficient a Gaussian integer. mpmath values are dyadic, so
+        the conversion is exact."""
+        parts = [(_dyadic(c.real), _dyadic(c.imag)) for c in reversed(coeffs)]
+        low = min(e for pair in parts for m, e in pair if m)
+        return _FixedPoint(
+            tuple(tuple(m << (e - low + w) if m else 0 for m, e in pair) for pair in parts), w
+        )
+
+    def to_int(self, x: mpf) -> int:
+        """floor(x 2^w)."""
+        m, e = _dyadic(x)
+        return m << (e + self.w) if e + self.w >= 0 else m >> -(e + self.w)
+
+
+def _fixed_horner(poly: _FixedPoint, x: int, y: int) -> tuple[int, int, int, int]:
+    """2^w p(z) and 2^w p'(z) at z = (x + iy) / 2^w, each truncated to a
+    Gaussian integer (real and imaginary parts)."""
+    w = poly.w
+    coeffs = iter(poly.top)
+    pr, pi = next(coeffs)
+    dr = di = 0
+    for cr, ci in coeffs:
+        dr, di = ((dr * x - di * y) >> w) + pr, ((dr * y + di * x) >> w) + pi
+        pr, pi = ((pr * x - pi * y) >> w) + cr, ((pr * y + pi * x) >> w) + ci
+    return pr, pi, dr, di
+
+
+def _fixed_sweep(poly: _FixedPoint, zs: list[tuple[int, int]], tiny: int) -> mpf:
+    """One Aberth sweep on fixed-point iterates (`_FixedPoint`); returns the
+    largest relative correction |w| / (1 + |z - w|), p' = 0 counting as
+    infinite. `tiny` is the stand-in for a zero difference, at scale 2^w."""
+    w = poly.w
+    one = 1 << w
+    two_w = 2 * w
+    worst_num, worst_den = 0, 1
+    for k, (x, y) in enumerate(zs):
+        pr, pi, dr, di = _fixed_horner(poly, x, y)
+        if not (pr or pi):
+            continue
+        q = dr * dr + di * di
+        if q == 0:
+            zs[k] = (x + (x >> 12) + (one >> 12), y + (y >> 12))
+            worst_num, worst_den = 1, 0
+            continue
+        # newton = p / p' and s = sum 1 / (z - z_j), at scale 2^w
+        nr = ((pr * dr + pi * di) << w) // q
+        ni = ((pi * dr - pr * di) << w) // q
+        sr = si = 0
+        for j, (u, v) in enumerate(zs):
+            if j != k:
+                ex, ey = x - u, y - v
+                if not (ex or ey):
+                    ex = tiny
+                m = ex * ex + ey * ey
+                sr += (ex << two_w) // m
+                si -= (ey << two_w) // m
+        # correction newton / (1 - newton s)
+        er = one - ((nr * sr - ni * si) >> w)
+        ei = -((nr * si + ni * sr) >> w)
+        m = er * er + ei * ei
+        if m:
+            nr, ni = ((nr * er + ni * ei) << w) // m, ((ni * er - nr * ei) << w) // m
+        x, y = x - nr, y - ni
+        zs[k] = (x, y)
+        num = math.isqrt(nr * nr + ni * ni)
+        den = one + math.isqrt(x * x + y * y)
+        if num * worst_den > worst_num * den:
+            worst_num, worst_den = num, den
+    return mpf(worst_num) / worst_den if worst_den else math.inf
 
 
 def _taylor_shift(coeffs: list[mpc], c: mpc) -> list[mpc]:
@@ -345,7 +462,7 @@ def _float_phase(coeffs: list[mpc], starts: list[mpc]) -> list[mpc]:
     roots closer than double precision resolves gives p(z) = 0 at both
     iterates, and a real polynomial's iteration can then leave them as a
     conjugate pair on their bisector; the padding groups them. Each group
-    restarts from its center (`_cluster_starts`), so the mpmath sweeps
+    restarts from its center (`_cluster_starts`), so the integer sweeps
     separate the cluster from starts at its own scale instead of
     converging to it linearly from afar. `starts` comes back unchanged when
     a nonzero coefficient underflows to 0 or overflows, an iterate leaves
@@ -385,51 +502,96 @@ def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> 
     """Aberth-Ehrlich iteration on a polynomial given by mpc coefficients.
 
     Without `warm` starts, the Newton-polygon starts first go through the
-    double-precision phase (`_float_phase`): the mpmath sweeps polish the
+    double-precision phase (`_float_phase`): the integer sweeps polish the
     iterates it isolated and separate each cluster it did not from starts
     around the cluster's center; when the float phase cannot be trusted,
     they start from the Newton polygon itself. `warm` starts, midpoints
     carried from another precision, hold more than 53 bits and skip the
-    float phase. The mpmath sweeps run to a relative correction
-    of 2^-tol_bits or until they stagnate; the caller's certification step
-    is the arbiter of success. Deterministic for fixed inputs and precision.
+    float phase.
+
+    The polishing sweeps run on the coefficients as Gaussian integers and on
+    fixed-point iterates at one scale 2^w (`_FixedPoint`), w = prec +
+    ceil(log2 max(1, max|z|)) + ceil(log2 1 / min(1, min nonzero |z|)) over
+    the starts: every iterate and every 1 / (z_k - z_j) then carries `prec`
+    bits relative to its size. They run to a relative correction of
+    2^-tol_bits or until they stagnate; the caller's certification step is
+    the arbiter of success. The iterates come back rounded to mpc at the
+    ambient precision. Deterministic for fixed inputs and precision.
     """
     n = len(coeffs) - 1
     if n == 1:
         return [-coeffs[0] / coeffs[1]]
     if warm is not None:
-        zs = [mpc(z) for z in warm]
+        starts = [mpc(z) for z in warm]
     else:
-        zs = _float_phase(coeffs, _newton_starts(coeffs))
-    return _converge(coeffs, zs, mpmath.ldexp(mpf(1), -tol_bits),
-                     mpmath.ldexp(mpf(1), -mp.prec // 2))
+        starts = _float_phase(coeffs, _newton_starts(coeffs))
+    sizes = [mpmath.mag(z) for z in starts if z]
+    w = mp.prec + max([0, *sizes]) + max([0, *(1 - e for e in sizes)])
+    poly = _FixedPoint.of(coeffs, w)
+    zs = [(poly.to_int(z.real), poly.to_int(z.imag)) for z in starts]
+    _converge(poly, zs, mpmath.ldexp(mpf(1), -tol_bits), 1 << (w - mp.prec // 2))
+    return [mpc(mpf((x, -w)), mpf((y, -w))) for x, y in zs]
 
 
-def _certified_radius(coeffs: list[CBall], z: mpc) -> mpf | None:
-    """Upper bound on the distance from z to the nearest root of the
-    polynomial with coefficient balls `coeffs`."""
-    val, dval = _horner(coeffs, CBall(z))
-    dlo = dval.abs().lo
-    if dlo <= 0:
+def _certified_radius(nums, z: mpc) -> mpf | None:
+    """n |f(z)| / |f'(z)| rounded upward at the ambient precision, for f of
+    degree n with Gaussian-integer coefficients `nums` (lowest degree first);
+    None when f'(z) = 0. The disk of that radius around z holds a root of f.
+
+    The dyadic midpoint z = (x + iy) / 2^s makes the evaluation exact:
+    integer Horner gives 2^(sn) f(z) and 2^(s(n-1)) f'(z), and the quotient
+    of their squared moduli is rounded once, upward, to an integer whose
+    square root is taken upward by `math.isqrt`.
+    """
+    parts = (_dyadic(z.real), _dyadic(z.imag))
+    low = min((e for m, e in parts if m), default=0)
+    x, y = (m << (e - low) if m else 0 for m, e in parts)
+    s = -low
+    if s < 0:
+        x, y, s = x << -s, y << -s, 0
+    n = len(nums) - 1
+    ar, ai = nums[-1]
+    br, bi = n * ar, n * ai
+    for k in range(n - 1, -1, -1):
+        cr, ci = nums[k]
+        shift = s * (n - k)
+        ar, ai = ar * x - ai * y + (cr << shift), ar * y + ai * x + (ci << shift)
+        if k:
+            br, bi = br * x - bi * y + (k * cr << shift), br * y + bi * x + (k * ci << shift)
+    # rad^2 = n^2 |A|^2 / (|B|^2 2^(2s)), A = 2^(sn) f(z), B = 2^(s(n-1)) f'(z)
+    num, den = n * n * (ar * ar + ai * ai), br * br + bi * bi
+    if den == 0:
         return None
-    return (len(coeffs) - 1) * val.abs().hi / dlo
+    if num == 0:
+        return mpf(0)
+    # q = ceil(num 2^(2t) / den) carries 2 (prec + 2) bits or more
+    t = (2 * mp.prec + 6 - num.bit_length() + den.bit_length() + 1) // 2
+    q = -(-(num << 2 * t) // den) if t >= 0 else -(-num // (den << -2 * t))
+    root = math.isqrt(q)
+    if root * root < q:
+        root += 1
+    return mp.make_mpf(from_man_exp(root, -(t + s), mp.prec, "c"))
 
 
 def _solve_factor(factor: ExactPoly, p_bits: int, work_bits: int, warm=None) -> list[tuple[mpc, mpf]] | None:
     """Roots of one square-free factor with certified radii, or None."""
     with mp.workprec(work_bits):
-        balls = [CBall.from_gaussian(c) for c in factor.coeffs]
+        coeffs = [CBall.from_gaussian(c).mid for c in factor.coeffs]
         # the tolerance follows the working precision, so escalated retries
         # genuinely separate closer roots
-        zs = _aberth([b.mid for b in balls], max(p_bits + TOL_EXTRA_BITS, work_bits - 24), warm=warm)
+        zs = _aberth(coeffs, max(p_bits + TOL_EXTRA_BITS, work_bits - 24), warm=warm)
         out = []
         for z in zs:
-            rad = _certified_radius(balls, z)
+            rad = _certified_radius(factor.nums, z)
             if rad is None or rad > _radius_target(z, p_bits):
                 return None
             out.append((z, rad))
-        # disjoint disks within the factor certify one simple root per disk
-        return out if _first_overlap(out) is None else None
+        # disjoint disks within the factor certify one simple root per disk.
+        # They must be disjoint with a factor-2 margin, as in the float
+        # phase: iterates stalled around a cluster they cannot resolve get
+        # exact disks that are just disjoint, each with its root near the
+        # rim, and too wide for any bound at this precision
+        return out if _first_overlap([(z, 2 * rad) for z, rad in out]) is None else None
 
 
 def _radius_target(z: mpc, precision: int) -> mpf:
@@ -445,14 +607,15 @@ def _carry_target(z: mpc, precision: int) -> mpf:
     return mpmath.ldexp(max(mpf(1), abs(z)), -(precision + TOL_EXTRA_BITS))
 
 
-def _ladder(p, precision: int, attempt, lead) -> RootSet:
+def _ladder(p, precision: int, attempt, lead, factors=None) -> RootSet:
     """The retry ladder of both input modes.
 
     `attempt(work)` solves `p` at `work` bits and returns its (center,
     radius, multiplicity) triples, or None and the cluster that failed. The
     disks must be disjoint at `work` bits (roots of distinct coprime factors
     are distinct, but their disks may still meet); the working precision
-    doubles until they are, at most MAX_ESCALATIONS times.
+    doubles until they are, at most MAX_ESCALATIONS times. The set carries
+    `factors`.
     """
     work = precision + GUARD_BITS
     for _ in range(MAX_ESCALATIONS + 1):
@@ -463,7 +626,7 @@ def _ladder(p, precision: int, attempt, lead) -> RootSet:
                 with mp.workprec(precision):
                     found.sort(key=lambda t: _canonical_key(t[0]))
                 entries = tuple(RootEntry(CBall(z, rad), m) for z, rad, m in found)
-                return RootSet(entries, lead(p.leading), p.degree, precision)
+                return RootSet(entries, lead(p.leading), p.degree, precision, factors)
             if bad is not None:
                 cluster = [mpmath.nstr(found[k][0], 8) for k in bad]
         work *= 2
@@ -471,7 +634,11 @@ def _ladder(p, precision: int, attempt, lead) -> RootSet:
 
 
 def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None) -> RootSet:
-    decomposition = square_free_decomposition(p)
+    # a set found for p brings p's square-free decomposition along
+    if warm is not None and warm.factors is not None:
+        decomposition = warm.factors
+    else:
+        decomposition = tuple(square_free_decomposition(p))
     # Yun's factors have distinct multiplicities, so the entries of `warm`
     # with a factor's multiplicity are that factor's roots: they start its
     # first attempt; if that does not certify, the Newton polygon starts a
@@ -494,7 +661,7 @@ def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None)
             found.extend((z, rad, mult) for z, rad in solved)
         return found, None
 
-    return _ladder(p, precision, attempt, CBall.from_gaussian)
+    return _ladder(p, precision, attempt, CBall.from_gaussian, decomposition)
 
 
 def _find_roots_numeric(p: NumericPoly, precision: int) -> RootSet:
@@ -548,9 +715,10 @@ def refine(p, roots: RootSet, precision: int) -> RootSet:
     |z|), and the disks are still disjoint at its working precision; it is
     then relabelled and sorted at `precision`. A looser disk would carry
     midpoint noise into the canonical order and keep the disks of a rung
-    that has just come back inconclusive. Otherwise `p` is solved again,
-    each square-free factor's first attempt starting Aberth from the
-    midpoints of the entries with that factor's multiplicity. A numeric
+    that has just come back inconclusive. Otherwise `p` is solved again
+    from the set's square-free decomposition, each factor's first attempt
+    starting Aberth from the midpoints of the entries with that factor's
+    multiplicity. A numeric
     set's radii are tolerances tied to its precision, so it is kept at that
     precision only; at any other, `p` is solved from scratch.
     """
@@ -564,5 +732,6 @@ def refine(p, roots: RootSet, precision: int) -> RootSet:
                 and _first_overlap(disks) is None:
             with mp.workprec(precision):
                 entries = sorted(roots.entries, key=lambda e: _canonical_key(e.value.mid))
-            return RootSet(tuple(entries), roots.leading_coeff, roots.total_degree, precision)
+            return RootSet(tuple(entries), roots.leading_coeff, roots.total_degree, precision,
+                           roots.factors)
     return _find_roots_exact(p, precision, warm=roots)

@@ -613,6 +613,32 @@ class TestVerify:
         assert solved == []
         assert _exact_fields(again) == _exact_fields(rep)
 
+    def test_one_square_free_decomposition_per_verify(self, monkeypatch):
+        import rootsep.roots
+
+        # the instance of test_rung_limited_by_disk_width_gets_tighter_disks:
+        # the 64-bit rung is inconclusive, and the 128-bit rung solves again
+        # from its root set, which brings the decomposition along
+        p = parse_polynomial(f"x^2 - {2**90 + 1}/{2**90}")
+        decomposed, solved = [], []
+        real_decomposition = rootsep.roots.square_free_decomposition
+        real_solve = rootsep.roots._find_roots_exact
+
+        def decomposition_spy(poly):
+            decomposed.append(poly)
+            return real_decomposition(poly)
+
+        def counting_solve(poly, bits, warm=None):
+            solved.append(bits)
+            return real_solve(poly, bits, warm)
+
+        monkeypatch.setattr(rootsep.roots, "square_free_decomposition", decomposition_spy)
+        monkeypatch.setattr(rootsep.roots, "_find_roots_exact", counting_solve)
+        rep = verify(p, [], "main", precision=64, ceiling=1024)
+        assert rep.holds and rep.precision_bits == 128
+        assert solved == [64, 128]
+        assert decomposed == [p]
+
     def test_rung_limited_by_disk_width_gets_tighter_disks(self, monkeypatch):
         import rootsep.bounds
         import rootsep.roots

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootsep import (
     ExactPoly,
@@ -17,7 +19,7 @@ from rootsep import (
 )
 from rootsep.balls import CBall, working_precision
 from rootsep.poly import eval_poly
-from rootsep.roots import _canonical_key, _carry_target, _radius_target
+from rootsep.roots import _canonical_key, _carry_target, _certified_radius, _radius_target
 
 
 def test_plus_minus_one_order():
@@ -214,6 +216,18 @@ class TestEscalation:
         roots = find_roots(p, 128)
         assert roots.r == 3
 
+    @pytest.mark.parametrize("eps", [Fraction(1, 2**80), Fraction(1, 2**200)])
+    def test_iterates_stalled_around_a_pair_escalate(self, eps):
+        # at a working precision too low for the pair, the iterates stall
+        # near the pair and their exact disks are just disjoint, each as
+        # wide as the stall; the factor-2 margin sends the solve up the
+        # ladder to disks that resolve the pair
+        exact = [Fraction(4, 3), Fraction(4, 3) + eps]
+        roots = find_roots(ExactPoly.from_roots(exact), 128)
+        assert roots.r == 2 and _encloses_each(roots, exact)
+        quarter_gap = mpmath.mpf(eps.numerator) / (4 * eps.denominator)
+        assert all(e.value.rad < quarter_gap for e in roots.entries)
+
     def test_hopeless_pair_raises(self):
         from rootsep import IndistinguishableRootsError
 
@@ -298,18 +312,26 @@ def float_phase(monkeypatch):
 
 @pytest.fixture
 def mpc_horner(monkeypatch):
-    """Counts `_horner` calls at mpc points: one per mpmath Aberth
-    correction and per Newton step on a cluster's center."""
+    """Counts the polishing evaluations past the float phase: one
+    `_fixed_horner` call per Aberth correction of the integer sweeps, and
+    one `_horner` call at an mpc point per Newton step on a cluster's
+    center."""
     import rootsep.roots
 
     calls = {"mpc": 0}
     real_horner = rootsep.roots._horner
+    real_fixed_horner = rootsep.roots._fixed_horner
 
     def horner_spy(coeffs, z):
         calls["mpc"] += isinstance(z, mpmath.mpc)
         return real_horner(coeffs, z)
 
+    def fixed_horner_spy(poly, x, y):
+        calls["mpc"] += 1
+        return real_fixed_horner(poly, x, y)
+
     monkeypatch.setattr(rootsep.roots, "_horner", horner_spy)
+    monkeypatch.setattr(rootsep.roots, "_fixed_horner", fixed_horner_spy)
     return calls
 
 
@@ -346,7 +368,7 @@ def _encloses_each(roots, exact) -> bool:
 class TestFloatPhase:
     def test_mpmath_only_polishes(self, mpc_horner):
         # 16 integer roots: Aberth reaches them in double precision, and
-        # the mpmath sweeps at 152 working bits only polish; from the
+        # the integer sweeps at 152 working bits only polish; from the
         # Newton-polygon starts they would take 11 sweeps
         p = ExactPoly.from_roots([GaussianRational.of(k) for k in range(-8, 8)])
         roots = find_roots(p, 128)
@@ -446,6 +468,97 @@ class TestClusterRestart:
         assert mpc_horner["mpc"] <= 1000
 
 
+class TestMixedScale:
+    def test_roots_thirty_orders_of_magnitude_apart(self, monkeypatch):
+        # one factor with roots 10^-30, 1 and 10^30: the fixed-point scale
+        # must hold 152 bits relative both at 10^-30 and in 1 / (z_k - z_j)
+        # at 10^30, so the first attempt certifies, and every disk is tight
+        # relative to its root's modulus
+        import rootsep.roots
+
+        work = []
+        real_solve = rootsep.roots._solve_factor
+
+        def spy(factor, p_bits, work_bits, warm=None):
+            work.append(work_bits)
+            return real_solve(factor, p_bits, work_bits, warm)
+
+        monkeypatch.setattr(rootsep.roots, "_solve_factor", spy)
+        exact = [Fraction(1, 10**30), 1, 10**30]
+        roots = find_roots(ExactPoly.from_roots(exact), 128)
+        assert work == [152]
+        assert roots.r == 3 and roots.precision_bits == 128
+        assert _encloses_each(roots, exact)
+        assert all(e.value.rad <= mpmath.ldexp(abs(e.value.mid), -140) for e in roots.entries)
+
+
+def _gaussian_fraction_eval(nums, z):
+    """(f(z), f'(z)) as pairs of Fractions, f given by Gaussian-integer
+    numerators, lowest degree first, z a pair of Fractions."""
+    x, y = z
+    p, dp = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))
+    for re, im in reversed(nums):
+        dp = (dp[0] * x - dp[1] * y + p[0], dp[0] * y + dp[1] * x + p[1])
+        p = (p[0] * x - p[1] * y + re, p[0] * y + p[1] * x + im)
+    return p, dp
+
+
+def _as_fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+gaussian_ints = st.tuples(st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12))
+mantissas = st.integers(-(2**70), 2**70)
+# midpoints (x + iy) 2^e with exponents near +-800
+exponents = st.integers(-830, 830)
+
+
+def _radius(nums, x, y, e):
+    """`_certified_radius` at 64 bits for f with numerators `nums` at the
+    midpoint (x + iy) 2^e, and that midpoint as a pair of Fractions."""
+    with mpmath.workprec(128):
+        z = mpmath.mpc(mpmath.ldexp(x, e), mpmath.ldexp(y, e))  # exact
+    with mpmath.workprec(64):
+        rad = _certified_radius(nums, z)
+    return rad, (x * Fraction(2) ** e, y * Fraction(2) ** e)
+
+
+class TestExactRadius:
+    """`_certified_radius` against a Fraction oracle for n |f(z)| / |f'(z)|."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(gaussian_ints, min_size=2, max_size=7), mantissas, mantissas, exponents)
+    def test_rounds_upward_and_tightly(self, nums, x, y, e):
+        if nums[-1] == (0, 0):
+            nums[-1] = (1, 0)
+        n = len(nums) - 1
+        rad, z = _radius(nums, x, y, e)
+        (pr, pi), (dr, di) = _gaussian_fraction_eval(nums, z)
+        if dr == di == 0:
+            assert rad is None
+            return
+        exact_sq = n * n * (pr * pr + pi * pi) / (dr * dr + di * di)
+        rad = _as_fraction(rad)
+        assert rad * rad >= exact_sq
+        assert rad * rad <= exact_sq * (1 + Fraction(1, 2**60)) ** 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(gaussian_ints, min_size=1, max_size=5), mantissas, mantissas, exponents)
+    def test_zero_at_a_root_and_none_at_a_critical_point(self, nums, x, y, e):
+        # z = (x + iy) 2^e is the root of 2^-e X - (x + iy) for e < 0 and of
+        # X - (x + iy) 2^e for e >= 0; f is that factor times g
+        if nums[-1] == (0, 0):
+            nums[-1] = (1, 0)
+        factor = ExactPoly(((-x, -y), (2**-e, 0)) if e < 0 else ((-x << e, -y << e), (1, 0)))
+        f = factor * ExactPoly(tuple(nums))
+        rad, z = _radius(f.nums, x, y, e)
+        assert rad is None if _gaussian_fraction_eval(f.nums, z)[1] == (0, 0) else rad == 0
+        # factor^2 + 1 has f'(z) = 0 and f(z) = 1
+        rad, _ = _radius((factor * factor + ExactPoly(((1, 0),))).nums, x, y, e)
+        assert rad is None
+
+
 def _degree_32():
     """32 real roots (-465 + 30 j) / 12, 5/2 apart in [-40, 40]."""
     return ExactPoly.from_roots(
@@ -480,8 +593,9 @@ class TestRefine:
 
     @pytest.mark.parametrize("poly, low, high, meets_radius_target", [
         ("(x-1)^2*(x+2)*(x-i)", 64, 512, False),
-        # the disks carry about 140 bits, not the 268 of a fresh 256-bit solve
-        ("(x-1)*(x-2)*(x+2)", 128, 256, True),
+        # the disk of 1/3 carries about 140 bits, not the 268 of a fresh
+        # 256-bit solve; dyadic roots certify with radius 0
+        ("(3*x-1)*(x-2)*(x+2)", 128, 256, True),
     ])
     def test_set_looser_than_a_fresh_solve_is_solved_again(
         self, monkeypatch, poly, low, high, meets_radius_target
