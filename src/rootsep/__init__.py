@@ -66,7 +66,6 @@ from .invariants import (
 from .parsing import parse_polynomial, render_exact_poly
 from .poly import (
     ExactPoly,
-    NumericPoly,
     eval_poly,
     gcd_exact,
     square_free_decomposition,
@@ -87,7 +86,6 @@ __all__ = [
     "InvariantBundle",
     "JensenUnavailableError",
     "NodeList",
-    "NumericPoly",
     "ParseError",
     "PreconditionError",
     "RBall",

@@ -63,7 +63,6 @@ from .errors import (
 )
 from .graph import RootGraph, _is_index, check_classical_admissible, min_total_degree, orient
 from .invariants import _abs_ball, discriminant, mahler_measure, sdisc_abs_from_roots
-from .poly import ExactPoly, NumericPoly
 from .roots import RootSet, find_roots, refine
 
 COMPONENT_KEYS = (
@@ -463,13 +462,9 @@ def bound_main(p, graph_or_edges, precision: int = 128, roots: RootSet | None = 
 def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | None = None) -> BoundReport:
     """The classical bound: square-free polynomials, in-degree at most 1.
 
-    Preconditions are checked exactly: the polynomial must be exact and
-    square-free, and the oriented graph must satisfy the in-degree cap.
+    Preconditions are checked exactly: the polynomial must be square-free,
+    and the oriented graph must satisfy the in-degree cap.
     """
-    if not isinstance(p, ExactPoly):
-        raise PreconditionError(
-            "the classical bound checks square-freeness exactly and needs exact coefficients"
-        )
 
     def check(roots, g):
         d = p.degree
@@ -498,13 +493,7 @@ def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | No
 def bound_remark_degree(p, graph_or_edges, precision: int = 128, roots: RootSet | None = None) -> BoundReport:
     """Variant for monic polynomials: the Mahler exponent improves by half the
     minimum total degree of the graph."""
-    if isinstance(p, ExactPoly):
-        monic = not p.is_zero and p.leading == 1
-    elif isinstance(p, NumericPoly):
-        monic = p.leading == 1
-    else:
-        raise TypeError(f"cannot bound {type(p).__name__}")
-    if not monic:
+    if p.is_zero or p.leading != 1:
         raise PreconditionError("this variant requires a monic polynomial (leading coefficient exactly 1)")
 
     def check(roots, g):
@@ -625,10 +614,11 @@ def verify(
 
     `roots`, a root set of `p` found at any precision, is carried to the
     first rung by `refine`; each later rung gets the newest certified set,
-    its predecessor's, the same way. An exact set whose disks are already
-    as tight as a fresh solve at a rung would make them is used as it is
-    there; otherwise the rung solves again, warm-started from it. A numeric
-    set is used only at its own precision.
+    its predecessor's, the same way. A set whose disks are already as tight
+    as a fresh solve at a rung would make them is used as it is there;
+    otherwise the rung solves again, warm-started from it. `p` is exact (the
+    parser reads a decimal literal as its exact rational), so every rung
+    certifies the polynomial the caller wrote.
     """
     if variant not in _DISPATCH:
         raise ValidationError(

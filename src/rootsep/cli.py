@@ -25,7 +25,6 @@ from .errors import ParseError, RootsepError, ValidationError
 from .graph import PRESET_NAMES, orient, parse_graph_json, preset_edges
 from .invariants import compute_invariants
 from .parsing import parse_polynomial, render_exact_poly
-from .poly import ExactPoly
 from .roots import find_roots
 from .sweep import GRAPH_KINDS, SweepParams, _check_precision, run_sweep
 
@@ -77,7 +76,7 @@ def _resolve_graph(args, roots):
 def _cmd_verify(args) -> tuple[dict, int]:
     precision = _check_precision(args.precision)
     ceiling = _check_precision(args.ceiling)
-    p = parse_polynomial(args.poly, precision)
+    p = parse_polynomial(args.poly)
     roots = find_roots(p, precision)
     subset = hints = None
     if args.variant == "sep_product":
@@ -117,7 +116,7 @@ def _cmd_sweep(args) -> tuple[dict, int]:
 
 def _cmd_certificate(args) -> tuple[dict, int]:
     precision = _check_precision(args.precision)
-    p = parse_polynomial(args.poly, precision)
+    p = parse_polynomial(args.poly)
     roots = find_roots(p, precision)
     graph = _resolve_graph(args, roots)
     cert = reduce_vandermonde(roots, graph, precision)
@@ -127,15 +126,14 @@ def _cmd_certificate(args) -> tuple[dict, int]:
 
 def _cmd_invariants(args) -> tuple[dict, int]:
     precision = _check_precision(args.precision)
-    p = parse_polynomial(args.poly, precision)
+    p = parse_polynomial(args.poly)
     roots = find_roots(p, precision)
     payload = compute_invariants(p, precision, roots=roots).to_json()
     payload["r"] = roots.r
     payload["d"] = roots.total_degree
     payload["roots"] = roots.to_json()
     payload["precision_bits"] = precision
-    if isinstance(p, ExactPoly):
-        payload["polynomial"] = render_exact_poly(p)
+    payload["polynomial"] = render_exact_poly(p)
     return payload, EXIT_OK
 
 

@@ -13,9 +13,9 @@ Each quantity is available by two independent routes:
   formula.
 
 The discriminant and every principal subresultant coefficient come from that
-same chain. Vanishing decisions (the index d - r itself) are made exactly on
-exact inputs: the chain and the square-free decomposition must agree, and
-numeric clustering is never consulted.
+same chain. Vanishing decisions (the index d - r itself) are made exactly:
+the chain and the square-free decomposition must agree. Every input is an
+exact polynomial, a decimal literal having been parsed as its exact rational.
 """
 from __future__ import annotations
 
@@ -196,13 +196,13 @@ class InvariantBundle:
 
 
 def compute_invariants(p, precision: int = 128, roots: RootSet | None = None) -> InvariantBundle:
-    """Invariant bundle for an exact or numeric polynomial.
+    """Invariant bundle for an exact polynomial (a decimal literal is read as
+    its exact rational).
 
-    On exact input one subresultant chain of (P, P') gives the index d - r
-    (cross-checked against the root set's r, which comes from the exact
-    square-free decomposition), |sDisc_{d-r}| and |Disc|; the two sdisc routes
-    are both evaluated (their agreement is a standing self-check). On numeric
-    input only the root-product route exists.
+    One subresultant chain of (P, P') gives the index d - r (cross-checked
+    against the root set's r, which comes from the exact square-free
+    decomposition), |sDisc_{d-r}| and |Disc|; the two sdisc routes are both
+    evaluated (their agreement is a standing self-check).
     """
     with working_precision(precision):
         if roots is None:
@@ -210,27 +210,12 @@ def compute_invariants(p, precision: int = 128, roots: RootSet | None = None) ->
         mahler = mahler_measure(roots)
         sdisc_roots = sdisc_abs_from_roots(roots)
         d = p.degree
-        if isinstance(p, ExactPoly):
-            psc = _principal_coefficients(p, p.derivative())
-            index, sres = _first_nonzero(psc, d, roots.r)
-            sdisc = RBall.one() if roots.r == 1 else _abs_ball(sres / p.leading)
-            if not sdisc.overlaps(sdisc_roots):  # pragma: no cover
-                raise RootsepError(
-                    "subresultant and root-product subdiscriminant routes disagree"
-                )
-            disc = _abs_ball(psc[0] / p.leading) if d >= 2 else None
-        else:
-            sdisc = sdisc_roots
-            index = d - roots.r
-            disc = None
-            if d >= 2:
-                if any(e.multiplicity >= 2 for e in roots.entries):
-                    disc = RBall.exact(0)
-                else:
-                    acc = roots.leading_coeff.abs().powi(2 * d - 2)
-                    for j in range(roots.r):
-                        for i in range(j):
-                            dist = roots.distance(i, j)
-                            acc = acc * dist * dist
-                    disc = acc
+        psc = _principal_coefficients(p, p.derivative())
+        index, sres = _first_nonzero(psc, d, roots.r)
+        sdisc = RBall.one() if roots.r == 1 else _abs_ball(sres / p.leading)
+        if not sdisc.overlaps(sdisc_roots):  # pragma: no cover
+            raise RootsepError(
+                "subresultant and root-product subdiscriminant routes disagree"
+            )
+        disc = _abs_ball(psc[0] / p.leading) if d >= 2 else None
         return InvariantBundle(mahler, disc, sdisc, index)

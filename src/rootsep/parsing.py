@@ -8,9 +8,9 @@ Accepted forms:
 * JSON: {"coeffs": [[re_num, re_den, im_num, im_den], ...]}, lowest
   degree first.
 
-All-rational literals give an ExactPoly. A decimal literal anywhere switches
-the result to a NumericPoly at the configured precision (the decimal itself
-is read exactly, the coefficients are then rounded once).
+The result is always an ExactPoly. A decimal literal is read as the exact
+rational it denotes: 0.3 is 3/10, so "(x-0.3)^6" and "(x-3/10)^6" are the same
+polynomial. Exponents must be integer literals without a decimal point.
 """
 from __future__ import annotations
 
@@ -18,12 +18,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
-from .balls import CBall
 from .errors import ParseError
 from .gaussian import GR_ONE, GaussianRational
-from .poly import ExactPoly, NumericPoly
+from .poly import ExactPoly
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,6 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.idx = 0
-        self.saw_decimal = False
 
     def peek(self) -> _Token:
         return self.tokens[self.idx]
@@ -173,8 +169,6 @@ class _Parser:
     def atom(self) -> ExactPoly:
         t = self.take()
         if t.kind == "number":
-            if t.decimal:
-                self.saw_decimal = True
             return ExactPoly.constant(GaussianRational(t.value, Fraction(0)))
         if t.kind == "name":
             name = t.text.lower()
@@ -212,12 +206,9 @@ def _poly_from_json(data) -> ExactPoly:
     return ExactPoly.from_coeffs(coeffs)
 
 
-def parse_polynomial(text: str, precision: int = 128) -> ExactPoly | NumericPoly:
-    """Parse expanded, factored or JSON coefficient input.
-
-    Exact output whenever every literal is rational; any decimal literal
-    switches to numeric mode at `precision` bits.
-    """
+def parse_polynomial(text: str) -> ExactPoly:
+    """Parse expanded, factored or JSON coefficient input into an exact
+    polynomial; a decimal literal is read as its exact rational."""
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
@@ -225,20 +216,7 @@ def parse_polynomial(text: str, precision: int = 128) -> ExactPoly | NumericPoly
         except json.JSONDecodeError as exc:
             raise ParseError(f"polynomial JSON is malformed: {exc.msg}", exc.pos)
         return _poly_from_json(data)
-    parser = _Parser(stripped)
-    p = parser.parse()
-    if parser.saw_decimal:
-        return to_numeric(p, precision)
-    return p
-
-
-def to_numeric(p: ExactPoly, precision: int) -> NumericPoly:
-    """Round exact coefficients once, at `precision` bits."""
-    if p.is_zero:
-        raise ParseError("the zero polynomial has no numeric form")
-    with mp.workprec(precision):
-        coeffs = tuple(CBall.from_gaussian(c).mid for c in p.coeffs)
-    return NumericPoly(coeffs, precision)
+    return _Parser(stripped).parse()
 
 
 def _frac_str(q: Fraction) -> str:

@@ -14,9 +14,9 @@ subresultant coefficients are read off its elements. Its coefficients are
 minors of the Sylvester matrix, so their size stays polynomial in the degree
 whatever the content of the input.
 
-NumericPoly carries complex floating coefficients at a stated precision; it
-exists as an input mode and offers Horner evaluation with a certified
-rounding radius relative to its stored coefficients.
+Every polynomial the package handles is an ExactPoly: the parser reads a
+decimal literal as its exact rational. `eval_poly` evaluates one in ball
+arithmetic with a radius that covers all rounding.
 
 The zero polynomial is a dedicated state (no numerators, is_zero flag);
 asking for its degree is an error rather than a sentinel value.
@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-from mpmath import mpc
 
 from .balls import CBall, working_precision
 from .errors import ValidationError
@@ -348,48 +346,19 @@ def square_free_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class NumericPoly:
-    """Polynomial with complex floating coefficients at a stated precision."""
-
-    coeffs: tuple[mpc, ...]
-    precision: int
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValidationError("numeric polynomial needs at least one coefficient")
-        if abs(self.coeffs[-1]) == 0:
-            raise ValidationError("numeric polynomial has zero leading coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> mpc:
-        return self.coeffs[-1]
-
-
-def eval_poly(p, z, precision: int | None = None) -> CBall:
-    """Horner evaluation returning a ball whose radius covers all rounding.
-
-    Exact polynomials contribute only conversion ulps; numeric polynomials are
-    evaluated relative to their stored coefficients. With `precision` set the
-    evaluation runs at that precision, otherwise at the ambient one.
+def eval_poly(p: ExactPoly, z, precision: int | None = None) -> CBall:
+    """Horner evaluation of an exact polynomial returning a ball whose radius
+    covers all rounding, the coefficients contributing only conversion ulps.
+    With `precision` set the evaluation runs at that precision, otherwise at
+    the ambient one.
     """
     if precision is not None:
         with working_precision(precision):
             return eval_poly(p, z)
+    if p.is_zero:
+        return CBall.exact(0)
     zb = z if isinstance(z, CBall) else CBall.exact(z)
-    if isinstance(p, ExactPoly):
-        if p.is_zero:
-            return CBall.exact(0)
-        cs = [CBall.from_gaussian(c) for c in p.coeffs]
-    elif isinstance(p, NumericPoly):
-        cs = [CBall(c) for c in p.coeffs]
-    else:
-        raise TypeError(f"cannot evaluate {type(p).__name__}")
-    return _horner(cs, zb)[0]
+    return _horner([CBall.from_gaussian(c) for c in p.coeffs], zb)[0]
 
 
 def _horner(coeffs, z):

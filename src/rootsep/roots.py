@@ -1,13 +1,15 @@
 """High-precision root finding and the canonical root set.
 
-Exact inputs go through square-free decomposition first, so every factor has
-simple roots; each factor is then solved by Aberth-Ehrlich simultaneous
-iteration, started from the Newton polygon of log2|c_k|: one circle per hull
-edge, whose radius estimates the modulus of that edge's roots, and exact
-zeros for a vanishing constant term. Each approximation z gets a rigorous
-inclusion radius n * |f(z) / f'(z)| (the disk of that radius around z
-contains at least one root of f); pairwise disjoint disks then certify a
-bijection between disks and roots.
+The input is an exact polynomial (a decimal literal was parsed as its exact
+rational). It goes through square-free decomposition first, so every factor
+has simple roots and the multiplicities are exact; each factor is then
+solved by Aberth-Ehrlich simultaneous iteration, started from the Newton
+polygon of log2|c_k|: one circle per hull edge, whose radius estimates the
+modulus of that edge's roots, and exact zeros for a vanishing constant
+term. Each approximation z gets a rigorous inclusion radius
+n * |f(z) / f'(z)| (the disk of that radius around z contains at least one
+root of f); pairwise disjoint disks then certify a bijection between disks
+and roots.
 
 The sweeps run in double precision first, on Python `complex` values, and
 sweeps on fixed-point Gaussian integers only polish what they reach
@@ -32,24 +34,18 @@ f'(z) exactly, and the radius n |f(z)| / |f'(z)| is rounded once, upward.
 Root radii therefore do not depend on ball arithmetic or its rounding, and
 a midpoint that is exactly a root gets radius 0.
 
-Numeric inputs are solved directly (their mpc coefficients are dyadic, so
-the integer sweeps take them exactly) and clustered into multiplicity
-groups by a precision-derived tolerance; their radii are tolerance-based
-rather than residual-based, matching the accuracy actually carried by the
-coefficients.
-
-The two input modes differ only in one attempt at a working precision. Both
-run on one ladder: it checks that the attempt's disks are pairwise disjoint,
-doubles the working precision until they are (or raises), and sorts the
-roots by (modulus, re, im) rounded to the stated precision.
+The disks of distinct factors must be pairwise disjoint too; one ladder
+doubles the working precision until every factor certifies and all disks
+are disjoint (or raises), and sorts the roots by (modulus, re, im) rounded
+to the stated precision.
 
 A certified disk encloses its root at every precision, so `refine` carries
-an exact root set to another precision instead of solving again: it keeps
-the set when its disks are already as tight as a fresh solve there would
-make them, and otherwise starts Aberth from the set's midpoints (as MPSolve
-keeps its approximations when it raises the precision; Bini & Robol, JCAM
-2014). The set carries its square-free decomposition, so that is computed
-once per polynomial.
+a root set to another precision instead of solving again: it keeps the set
+when its disks are already as tight as a fresh solve there would make them,
+and otherwise starts Aberth from the set's midpoints (as MPSolve keeps its
+approximations when it raises the precision; Bini & Robol, JCAM 2014).
+The set carries its square-free decomposition, so that is computed once per
+polynomial.
 """
 from __future__ import annotations
 
@@ -63,7 +59,7 @@ from mpmath.libmp import from_man_exp
 
 from .balls import CBall, GUARD_BITS, RBall
 from .errors import IndistinguishableRootsError, PreconditionError, ValidationError
-from .poly import ExactPoly, NumericPoly, _horner, square_free_decomposition
+from .poly import ExactPoly, _horner, square_free_decomposition
 
 #: doubled-precision certification retries before giving up
 MAX_ESCALATIONS = 4
@@ -93,16 +89,17 @@ class RootSet:
     Canonical order is ascending by (modulus, real part, imaginary part) of
     the certified midpoints, each rounded to `precision_bits`, a part under
     2^(8 - precision_bits) of the modulus counting as 0; the error disks
-    are pairwise disjoint. An exact polynomial's set carries its square-free
-    decomposition in `factors`, so `refine` does not compute it again; a
-    numeric one has None.
+    are pairwise disjoint. The polynomial is exact (a decimal literal is
+    read as its exact rational), and the multiplicities come from its
+    square-free decomposition, which the set carries in `factors` so that
+    `refine` does not compute it again.
     """
 
     entries: tuple[RootEntry, ...]
     leading_coeff: CBall
     total_degree: int
     precision_bits: int
-    factors: tuple[tuple[ExactPoly, int], ...] | None = None
+    factors: tuple[tuple[ExactPoly, int], ...]
 
     @property
     def r(self) -> int:
@@ -607,125 +604,82 @@ def _carry_target(z: mpc, precision: int) -> mpf:
     return mpmath.ldexp(max(mpf(1), abs(z)), -(precision + TOL_EXTRA_BITS))
 
 
-def _ladder(p, precision: int, attempt, lead, factors=None) -> RootSet:
-    """The retry ladder of both input modes.
+def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None) -> RootSet:
+    """The retry ladder: each attempt solves every square-free factor at
+    `work` bits. The disks must be disjoint at `work` bits (roots of distinct
+    coprime factors are distinct, but their disks may still meet); the
+    working precision doubles until they are, at most MAX_ESCALATIONS times.
 
-    `attempt(work)` solves `p` at `work` bits and returns its (center,
-    radius, multiplicity) triples, or None and the cluster that failed. The
-    disks must be disjoint at `work` bits (roots of distinct coprime factors
-    are distinct, but their disks may still meet); the working precision
-    doubles until they are, at most MAX_ESCALATIONS times. The set carries
-    `factors`.
+    `warm`, a root set of `p`, brings p's square-free decomposition along.
+    Yun's factors have distinct multiplicities, so the entries of `warm` with
+    a factor's multiplicity are that factor's roots: they start its first
+    attempt; if that does not certify, the Newton polygon starts a retry at
+    the same working bits and every later attempt.
     """
+    factors = warm.factors if warm is not None else tuple(square_free_decomposition(p))
+    starts: dict[int, list[mpc]] = {}
+    for e in warm.entries if warm is not None else ():
+        starts.setdefault(e.multiplicity, []).append(e.value.mid)
     work = precision + GUARD_BITS
     for _ in range(MAX_ESCALATIONS + 1):
         with mp.workprec(work):
-            found, cluster = attempt(work)
-            bad = None if found is None else _first_overlap(found)
-            if found is not None and bad is None:
-                with mp.workprec(precision):
-                    found.sort(key=lambda t: _canonical_key(t[0]))
-                entries = tuple(RootEntry(CBall(z, rad), m) for z, rad, m in found)
-                return RootSet(entries, lead(p.leading), p.degree, precision, factors)
-            if bad is not None:
+            found = []
+            for index, (factor, mult) in enumerate(factors):
+                seeds = starts.pop(mult, None)
+                solved = None
+                if seeds is not None and len(seeds) == factor.degree:
+                    solved = _solve_factor(factor, precision, work, warm=seeds)
+                if solved is None:
+                    solved = _solve_factor(factor, precision, work)
+                if solved is None:
+                    cluster = [f"factor {index} (degree {factor.degree}, multiplicity {mult})"]
+                    break
+                found.extend((z, rad, mult) for z, rad in solved)
+            else:
+                bad = _first_overlap(found)
+                if bad is None:
+                    with mp.workprec(precision):
+                        found.sort(key=lambda t: _canonical_key(t[0]))
+                    entries = tuple(RootEntry(CBall(z, rad), m) for z, rad, m in found)
+                    return RootSet(entries, CBall.from_gaussian(p.leading), p.degree, precision,
+                                   factors)
                 cluster = [mpmath.nstr(found[k][0], 8) for k in bad]
         work *= 2
     raise IndistinguishableRootsError(precision, cluster)
 
 
-def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None) -> RootSet:
-    # a set found for p brings p's square-free decomposition along
-    if warm is not None and warm.factors is not None:
-        decomposition = warm.factors
-    else:
-        decomposition = tuple(square_free_decomposition(p))
-    # Yun's factors have distinct multiplicities, so the entries of `warm`
-    # with a factor's multiplicity are that factor's roots: they start its
-    # first attempt; if that does not certify, the Newton polygon starts a
-    # retry at the same working bits and every later attempt
-    starts: dict[int, list[mpc]] = {}
-    for e in warm.entries if warm is not None else ():
-        starts.setdefault(e.multiplicity, []).append(e.value.mid)
-
-    def attempt(work):
-        found = []
-        for index, (factor, mult) in enumerate(decomposition):
-            seeds = starts.pop(mult, None)
-            solved = None
-            if seeds is not None and len(seeds) == factor.degree:
-                solved = _solve_factor(factor, precision, work, warm=seeds)
-            if solved is None:
-                solved = _solve_factor(factor, precision, work)
-            if solved is None:
-                return None, [f"factor {index} (degree {factor.degree}, multiplicity {mult})"]
-            found.extend((z, rad, mult) for z, rad in solved)
-        return found, None
-
-    return _ladder(p, precision, attempt, CBall.from_gaussian, decomposition)
-
-
-def _find_roots_numeric(p: NumericPoly, precision: int) -> RootSet:
-    # roots within the tolerance tau of each other form one multiplicity
-    # group; its disk covers the group's spread plus tau / 2
-    def attempt(work):
-        coeffs = [mpc(c) for c in p.coeffs]
-        zs = _aberth(coeffs, precision // 2 + 8)
-        tau = mpmath.ldexp(1 + max(abs(c) for c in coeffs), -(precision // 4))
-        with mp.workprec(precision):
-            zs.sort(key=_canonical_key)
-        clusters: list[list[mpc]] = []
-        for z in zs:
-            for cl in clusters:
-                if any(abs(z - w) <= tau for w in cl):
-                    cl.append(z)
-                    break
-            else:
-                clusters.append([z])
-        found = []
-        for cl in clusters:
-            center = sum(cl) / len(cl)
-            spread = max((abs(z - center) for z in cl), default=mpf(0))
-            found.append((center, spread + tau / 2, len(cl)))
-        return found, None
-
-    return _ladder(p, precision, attempt, CBall)
-
-
-def find_roots(p, precision: int = 128) -> RootSet:
+def find_roots(p: ExactPoly, precision: int = 128) -> RootSet:
     """Find all distinct roots with multiplicities and certified error disks.
 
-    Exact polynomials get multiplicities from the square-free decomposition;
-    numeric polynomials are clustered by a tolerance derived from the stated
-    precision.
+    The multiplicities come from the exact square-free decomposition, so a
+    decimal input such as (x-0.3)^6, parsed as (x-3/10)^6, has one root of
+    multiplicity 6.
     """
-    exact = isinstance(p, ExactPoly)
-    if not exact and not isinstance(p, NumericPoly):
+    if not isinstance(p, ExactPoly):
         raise TypeError(f"cannot find roots of {type(p).__name__}")
-    if (exact and p.is_zero) or p.degree < 1:
+    if p.is_zero or p.degree < 1:
         raise ValidationError("root finding needs degree >= 1")
-    return _find_roots_exact(p, precision) if exact else _find_roots_numeric(p, precision)
+    return _find_roots_exact(p, precision)
 
 
-def refine(p, roots: RootSet, precision: int) -> RootSet:
+def refine(p: ExactPoly, roots: RootSet, precision: int) -> RootSet:
     """The root set of `p` at `precision`, carried from `roots`, a root set
-    of `p` found at any precision.
+    of `p` found at any precision. `p` is exact (a decimal literal is read as
+    its exact rational), so a certified disk encloses its root of `p` at
+    every precision.
 
-    For exact `p`, the set is kept when every disk is already as tight as a
-    fresh solve at `precision` would make it, 2^-(precision + 12) * max(1,
-    |z|), and the disks are still disjoint at its working precision; it is
-    then relabelled and sorted at `precision`. A looser disk would carry
-    midpoint noise into the canonical order and keep the disks of a rung
-    that has just come back inconclusive. Otherwise `p` is solved again
-    from the set's square-free decomposition, each factor's first attempt
-    starting Aberth from the midpoints of the entries with that factor's
-    multiplicity. A numeric
-    set's radii are tolerances tied to its precision, so it is kept at that
-    precision only; at any other, `p` is solved from scratch.
+    The set is kept when every disk is already as tight as a fresh solve at
+    `precision` would make it, 2^-(precision + 12) * max(1, |z|), and the
+    disks are still disjoint at its working precision; it is then
+    relabelled and sorted at `precision`. A looser disk would carry midpoint
+    noise into the canonical order and keep the disks of a rung that has
+    just come back inconclusive. Otherwise `p` is solved again from the
+    set's square-free decomposition, each factor's first attempt starting
+    Aberth from the midpoints of the entries with that factor's
+    multiplicity.
     """
     if roots.precision_bits == precision:
         return roots
-    if not isinstance(p, ExactPoly):
-        return find_roots(p, precision)
     with mp.workprec(precision + GUARD_BITS):
         disks = [(e.value.mid, e.value.rad) for e in roots.entries]
         if all(rad <= _carry_target(z, precision) for z, rad in disks) \

@@ -386,9 +386,14 @@ class TestBoundClassical:
         with pytest.raises(PreconditionError, match="Disc"):
             bound_classical(parse_polynomial("(x-1)^2*x"), [(0, 1)], 128)
 
-    def test_numeric_rejected(self):
-        with pytest.raises(PreconditionError):
-            bound_classical(parse_polynomial("x^2 - 0.5"), [(0, 1)], 128)
+    def test_decimal_bounded_like_rational(self):
+        # the decimal is its exact rational, so square-freeness is decided
+        # exactly and the report is the rational input's
+        rep = bound_classical(parse_polynomial("x^2 - 0.5"), [(0, 1)], 128)
+        assert rep.holds
+        assert _exact_fields(rep) == _exact_fields(
+            bound_classical(parse_polynomial("x^2 - 1/2"), [(0, 1)], 128)
+        )
 
 
 class TestBoundRemarkDegree:

@@ -5,6 +5,7 @@ import math
 import mpmath
 import pytest
 
+from rootsep import parse_polynomial
 from rootsep.cli import main
 
 
@@ -218,6 +219,13 @@ class TestInvariants:
         assert payload["disc_abs"]["mid"] == 0
         assert abs(payload["sdisc_abs"]["mid"] - 2) < 1e-9
         assert payload["sdisc_index"] == 1
+
+    def test_decimal_input_writes_its_polynomial(self, capsys):
+        text = "(x-0.5)^2*(x+1.25)"
+        code, payload = run_cli(["invariants", "--poly", text], capsys)
+        assert code == 0
+        assert parse_polynomial(payload["polynomial"]) == parse_polynomial(text)
+        assert [e["multiplicity"] for e in payload["roots"]] == [2, 1]
 
     def test_error(self, capsys):
         code, payload = run_cli(["invariants", "--poly", "7"], capsys)

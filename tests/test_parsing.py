@@ -1,10 +1,10 @@
-"""Polynomial text/JSON parsing, numeric-mode switching, render round trips."""
+"""Polynomial text/JSON parsing, exact decimal literals, render round trips."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from rootsep import ExactPoly, GaussianRational, NumericPoly, ParseError, parse_polynomial
+from rootsep import ExactPoly, GaussianRational, ParseError, parse_polynomial
 from rootsep.parsing import poly_to_json, render_exact_poly
 
 
@@ -52,14 +52,18 @@ class TestFactored:
 
 
 class TestNumericMode:
-    def test_decimal_forces_numeric(self):
+    """Decimal literals: each is read as the exact rational it denotes, so no
+    input is rounded into a floating-point (numeric) polynomial."""
+
+    def test_decimal_is_exact(self):
         p = parse_polynomial("x^2 - 0.5")
-        assert isinstance(p, NumericPoly)
-        assert p.degree == 2
+        assert isinstance(p, ExactPoly)
+        assert p == parse_polynomial("x^2 - 1/2")
 
     def test_decimal_value(self):
-        p = parse_polynomial("x - 0.25", precision=64)
-        assert abs(p.coeffs[0] + 0.25) == 0
+        # 0.1 has no finite binary expansion; it is still exactly 1/10
+        assert parse_polynomial("x - 0.25") == parse_polynomial("x - 1/4")
+        assert parse_polynomial("x - 0.1") == parse_polynomial("x - 1/10")
 
     def test_rational_stays_exact(self):
         assert isinstance(parse_polynomial("x - 1/4"), ExactPoly)
@@ -95,8 +99,10 @@ class TestErrors:
             parse_polynomial("(x-1")
 
     def test_fractional_exponent(self):
-        with pytest.raises(ParseError):
-            parse_polynomial("x^(1/2)")
+        # a decimal exponent is rejected even when its value is an integer
+        for text in ("x^(1/2)", "x^2.0"):
+            with pytest.raises(ParseError):
+                parse_polynomial(text)
 
     def test_division_by_polynomial(self):
         with pytest.raises(ParseError):

@@ -272,17 +272,34 @@ class TestEscalation:
 
 
 class TestNumericMode:
+    """Decimal input is solved as the exact rational polynomial it denotes:
+    multiplicities come from the square-free decomposition, not from
+    clustering floating-point roots."""
+
     def test_cluster_multiplicities(self):
-        p = parse_polynomial("x^3 - 2.0*x^2 + x")  # (x-1)^2 x, numeric mode
+        p = parse_polynomial("x^3 - 2.0*x^2 + x")  # (x-1)^2 x
         roots = find_roots(p, 128)
-        assert [e.multiplicity for e in roots.entries] == [1, 2]
-        assert abs(roots.entries[1].value.mid - 1) < 1e-9
+        assert roots.multiplicities() == [1, 2]
+        assert [(e.value.mid, e.value.rad) for e in roots.entries] == [(0, 0), (1, 0)]
 
     def test_simple_numeric(self):
         p = parse_polynomial("x^2 - 0.25")
         roots = find_roots(p, 128)
-        assert roots.r == 2
-        assert abs(abs(roots.entries[0].value.mid) - 0.5) < 1e-30
+        assert roots.multiplicities() == [1, 1]
+        assert [(e.value.mid, e.value.rad) for e in roots.entries] == [(-0.5, 0), (0.5, 0)]
+
+    @pytest.mark.parametrize("text, root, m", [
+        ("(x-0.3)^6", Fraction(3, 10), 6),
+        ("(x-1.7)^5", Fraction(17, 10), 5),
+    ])
+    def test_multiple_decimal_root(self, text, root, m):
+        # Aberth iterates of an m-fold root spread by about 2^(-work/m), so
+        # only the exact square-free decomposition sees one root here
+        roots = find_roots(parse_polynomial(text), 128)
+        assert roots.multiplicities() == [m]
+        disk = roots.entries[0].value
+        with mpmath.workprec(256):
+            assert abs(disk.mid - mpmath.mpf(root.numerator) / root.denominator) <= disk.rad
 
 
 @pytest.fixture
@@ -634,26 +651,6 @@ class TestRefine:
                 assert carried.multiplicities() == fresh.multiplicities()
                 for a, b in zip(carried.entries, fresh.entries):
                     assert abs(a.value.mid - b.value.mid) < 1e-30
-
-    def test_numeric_set_is_solved_again(self, monkeypatch):
-        import rootsep.roots
-
-        p = parse_polynomial("x^2 - 0.25")
-        roots = find_roots(p, 128)
-        assert refine(p, roots, 128) is roots
-        solved = []
-        real_find_roots = rootsep.roots.find_roots
-
-        def counting_find_roots(poly, bits):
-            solved.append(bits)
-            return real_find_roots(poly, bits)
-
-        monkeypatch.setattr(rootsep.roots, "find_roots", counting_find_roots)
-        monkeypatch.setattr(rootsep.roots, "_find_roots_exact", None)
-        refined = refine(p, roots, 256)
-        assert solved == [256]
-        assert refined.precision_bits == 256
-        assert [e.value.rad for e in refined.entries] != [e.value.rad for e in roots.entries]
 
     def test_warm_start_from_a_lower_precision(self, monkeypatch):
         import rootsep.roots
