@@ -1,17 +1,32 @@
-"""Midpoint-radius arithmetic over mpmath arbitrary-precision floats.
+"""Midpoint-radius ball arithmetic on raw `mpmath.libmp` tuples.
 
-Every operation propagates the exact interval term and then pads the radius
-with a small multiple of the midpoint's ulp, so the enclosure also absorbs
-the rounding of the midpoint computation itself. All arithmetic happens at
-the ambient mpmath precision; callers set it once per pipeline run via
-`working_precision`.
+Representation. A ball keeps its midpoint as raw libmp tuples
+(sign, man, exp, bc), one for an `RBall` and a (re, im) pair for a `CBall`,
+and its radius as one raw tuple of at most `RAD_BITS` bits. The `mid` and
+`rad` properties wrap them as mpf/mpc for callers. A ball {x : |x - mid| <=
+rad} contains its value: nothing is implied beyond the radius, and a radius
+of exactly zero marks a value known to be an exact binary number.
 
-Real balls (RBall) and complex balls (CBall) are immutable value objects.
-A radius of exactly zero marks a value known to be an exact binary number.
-A CBall also keeps |mid| and the precision it was taken at: every operation
-computes the modulus of its result for the cushion, and later products,
-quotients, `abs` and zero tests at the same precision read it instead of
-taking another complex `hypot`.
+Midpoints. Every operation rounds its midpoint to nearest at the ambient
+mpmath precision p; callers set it once per pipeline run via
+`working_precision`. Each real part is rounded once (`mpc_div` rounds twice,
+at p + 10 and then at p), so a part below 2^t, with t = exp + bc read off
+its tuple, is off by less than 2^(t - p). The cushion the radius takes for
+this is 2^(t + 2 - p), with t the larger of the parts: a power of two read
+off the tuples, with no modulus taken.
+
+Radii. Every radius operation rounds upward at `RAD_BITS` bits
+(`mpf_add`/`mpf_mul`/`mpf_div(..., RAD_BITS, 'u')`; radii are nonnegative, so
+rounding away from zero is rounding up), so a radius is never below the
+exact error term it stands for, also when the midpoint is 0.
+
+Moduli. Products and quotients need |mid|. A `CBall` takes a `RAD_BITS`-bit
+upper bound of it once (squares, their sum and the square root all rounded
+up) and keeps it; the bound does not depend on the precision. Division and
+`contains_zero` take the matching lower bound, rounded down throughout.
+`mpf_hypot` serves neither: it rounds the sum of squares to nearest before
+its directed square root. `lo`/`hi` round outward, and `sqrt`, `root`,
+`powr` and `max1` map outward-rounded endpoints.
 """
 from __future__ import annotations
 
@@ -21,6 +36,32 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    from_rational,
+    fzero,
+    mpc_add,
+    mpc_div,
+    mpc_mul,
+    mpc_neg,
+    mpc_sub,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_hypot,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_nthroot,
+    mpf_pos,
+    mpf_pow,
+    mpf_shift,
+    mpf_sqrt,
+    mpf_sub,
+)
 
 from .errors import BallDomainError
 from .gaussian import GaussianRational
@@ -28,7 +69,12 @@ from .gaussian import GaussianRational
 #: extra bits carried internally above the user-requested precision
 GUARD_BITS = 24
 
-_ZERO = mpf(0)
+#: bits of every radius and modulus bound, all rounded in the safe direction
+RAD_BITS = 30
+
+_make_mpf = mp.make_mpf
+_make_mpc = mp.make_mpc
+_new = object.__new__
 
 
 @contextmanager
@@ -39,35 +85,157 @@ def working_precision(bits: int):
 
 
 def json_real(x) -> float | str:
-    """x as a JSON number, or as the string `mpmath.nstr(x, 17)` when it
-    lies beyond the double range, where a float would be Infinity, which
-    strict JSON does not have. Values below the range round to 0.0 as
-    usual."""
+    """x as a JSON number, or as the string `mpmath.nstr(x, 17)` when the
+    float would misstate it: beyond the double range it is Infinity, which
+    strict JSON does not have, and below it a nonzero x would read 0.0,
+    which for a radius means exact."""
+    f = float(x)
+    return f if math.isfinite(f) and (f or not x) else mpmath.nstr(x, 17)
+
+
+def _json_part(x) -> float | str:
+    """A midpoint part: as `json_real`, except that a part below the double
+    range is written 0.0, like the noise-level imaginary part of a real
+    root."""
     f = float(x)
     return f if math.isfinite(f) else mpmath.nstr(x, 17)
 
 
-def _pad(a: mpf, prec: int) -> mpf:
-    # 2^6 ulp cushion at precision `prec` for a midpoint of modulus `a`
-    if a == 0:
-        return _ZERO
-    return mpmath.ldexp(a, 8 - prec)
+# --- raw tuple helpers ------------------------------------------------------
 
 
-def _slack(mid) -> mpf:
-    # the cushion for the rounding of `mid` at the current precision
-    return _pad(abs(mid), mp.prec)
+def _up_add(a, b):
+    return mpf_add(a, b, RAD_BITS, "u")
 
 
-def _as_mpf_pair(q: Fraction) -> tuple[mpf, mpf]:
-    """Round a Fraction to the current precision; return (value, radius)."""
-    if q.denominator == 1:
-        v = mpf(q.numerator)
-        if v == q.numerator:
-            return v, _ZERO
-        return v, _slack(v)
-    v = mpf(q.numerator) / mpf(q.denominator)
-    return v, 2 * _slack(v)
+def _up_mul(a, b):
+    return mpf_mul(a, b, RAD_BITS, "u")
+
+
+def _real_cushion(m, prec):
+    """2^(t + 2 - p) for a midpoint below 2^t, t = exp + bc, rounded at p
+    bits; 0 for a zero midpoint, which is exact."""
+    return (0, 1, m[2] + m[3] + 2 - prec, 1) if m[1] else fzero
+
+
+def _complex_cushion(m, prec):
+    re, im = m
+    if re[1]:
+        t = re[2] + re[3]
+        if im[1]:
+            t = max(t, im[2] + im[3])
+    elif im[1]:
+        t = im[2] + im[3]
+    else:
+        return fzero
+    return (0, 1, t + 2 - prec, 1)
+
+
+def _mod_up(m):
+    """An upper bound of |re + i im| at RAD_BITS bits."""
+    re, im = m
+    if not im[1]:
+        return mpf_abs(re, RAD_BITS, "u")
+    if not re[1]:
+        return mpf_abs(im, RAD_BITS, "u")
+    s = mpf_add(mpf_mul(re, re, RAD_BITS, "u"), mpf_mul(im, im, RAD_BITS, "u"), RAD_BITS, "u")
+    return mpf_sqrt(s, RAD_BITS, "u")
+
+
+def _mod_down(m):
+    """A lower bound of |re + i im| at RAD_BITS bits."""
+    re, im = m
+    if not im[1]:
+        return mpf_abs(re, RAD_BITS, "d")
+    if not re[1]:
+        return mpf_abs(im, RAD_BITS, "d")
+    s = mpf_add(mpf_mul(re, re, RAD_BITS, "d"), mpf_mul(im, im, RAD_BITS, "d"), RAD_BITS, "d")
+    return mpf_sqrt(s, RAD_BITS, "d")
+
+
+def _radius(rad):
+    """A radius given by a caller, rounded up to RAD_BITS bits."""
+    if isinstance(rad, mpf):
+        t = rad._mpf_
+    elif isinstance(rad, int):
+        t = from_int(rad)
+    elif isinstance(rad, Fraction):
+        t = from_rational(rad.numerator, rad.denominator, RAD_BITS, "u")
+    elif isinstance(rad, float):
+        t = from_float(rad)
+    else:
+        t = mpf(rad)._mpf_
+    if t[0]:
+        raise ValueError("negative radius")
+    return mpf_pos(t, RAD_BITS, "u")
+
+
+def _exact_real(x, prec):
+    """(midpoint, radius) tuples of a real number rounded at prec bits."""
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            v = from_rational(x.numerator, x.denominator, prec, "n")
+            return v, _real_cushion(v, prec)
+        x = x.numerator
+    if isinstance(x, int):
+        v = from_int(x)
+        if v[3] <= prec:
+            return v, fzero
+        v = mpf_pos(v, prec, "n")
+        return v, _real_cushion(v, prec)
+    if isinstance(x, mpf):
+        return x._mpf_, fzero
+    if isinstance(x, float):
+        return from_float(x), fzero
+    return mpf(x)._mpf_, fzero
+
+
+def _ends(m, r, prec):
+    """[mid - rad, mid + rad] rounded outward at prec bits."""
+    if not r[1]:
+        return m, m
+    return mpf_sub(m, r, prec, "f"), mpf_add(m, r, prec, "c")
+
+
+def _bracket(y, prec):
+    """Tuples at prec bits below and above the value that y approximates:
+    y is off by less than 2^-(prec + 10) |y|, as a result computed at
+    prec + 20 bits or more to within a few of its ulps is."""
+    if not y[1]:
+        return y, y
+    e = (0, 1, y[2] + y[3] - prec - 10, 1)
+    return mpf_sub(y, e, prec, "f"), mpf_add(y, e, prec, "c")
+
+
+def _span(a, b, prec):
+    """(midpoint, radius) of a ball holding the interval [a, b], where a and
+    b carry at most prec bits."""
+    if a == b:
+        return a, fzero
+    m = mpf_shift(mpf_add(a, b, prec, "n"), -1)
+    r = mpf_sub(b, m, RAD_BITS, "u")
+    s = mpf_sub(m, a, RAD_BITS, "u")
+    return m, (s if mpf_lt(r, s) else r)
+
+
+def _mid_product(a, b, prec):
+    """The complex midpoint product, with a shortcut for real midpoints."""
+    if a[1][1] or b[1][1]:
+        return mpc_mul(a, b, prec, "n")
+    return mpf_mul(a[0], b[0], prec, "n"), fzero
+
+
+def _product_radius(r, x, y):
+    """r + |mid x| rad y + rad x (|mid y| + rad y), rounded up: r plus what
+    the product of the balls x and y adds to a radius."""
+    rx, ry = x._r, y._r
+    if ry[1]:
+        r = _up_add(r, _up_mul(x._mag(), ry))
+        if rx[1]:
+            r = _up_add(r, _up_mul(rx, _up_add(y._mag(), ry)))
+    elif rx[1]:
+        r = _up_add(r, _up_mul(rx, y._mag()))
+    return r
 
 
 def _powi(self, n: int):
@@ -87,66 +255,83 @@ def _powi(self, n: int):
     return result
 
 
+def _rball(m, r) -> "RBall":
+    b = _new(RBall)
+    b._m = m
+    b._r = r
+    return b
+
+
+def _cball(m, r, a=None) -> "CBall":
+    b = _new(CBall)
+    b._m = m
+    b._r = r
+    b._a = a
+    return b
+
+
 class RBall:
     """Real interval [mid - rad, mid + rad]."""
 
-    __slots__ = ("mid", "rad")
+    __slots__ = ("_m", "_r")
 
     def __init__(self, mid, rad=0):
-        self.mid = mpf(mid) if not isinstance(mid, mpf) else mid
-        r = mpf(rad) if not isinstance(rad, mpf) else rad
-        if r < 0:
-            raise ValueError("negative radius")
-        self.rad = r
+        self._m = (mid if isinstance(mid, mpf) else mpf(mid))._mpf_
+        self._r = _radius(rad)
+
+    @property
+    def mid(self) -> mpf:
+        return _make_mpf(self._m)
+
+    @property
+    def rad(self) -> mpf:
+        return _make_mpf(self._r)
+
+    def _mag(self):
+        """An upper bound of |mid|."""
+        return mpf_abs(self._m, RAD_BITS, "u")
 
     @staticmethod
     def exact(x) -> "RBall":
-        if isinstance(x, Fraction):
-            v, r = _as_mpf_pair(x)
-            return RBall(v, r)
-        if isinstance(x, int):
-            v = mpf(x)
-            return RBall(v, _ZERO if v == x else _slack(v))
-        return RBall(mpf(x), _ZERO)
+        return _rball(*_exact_real(x, mp.prec))
 
     @staticmethod
     def one() -> "RBall":
-        return RBall(mpf(1), _ZERO)
+        return _rball(fone, fzero)
 
     @property
     def lo(self) -> mpf:
-        if self.rad == 0:
-            return self.mid
-        return self.mid - self.rad - _slack(self.mid)
+        return _make_mpf(_ends(self._m, self._r, mp.prec)[0])
 
     @property
     def hi(self) -> mpf:
-        if self.rad == 0:
-            return self.mid
-        return self.mid + self.rad + _slack(self.mid)
+        return _make_mpf(_ends(self._m, self._r, mp.prec)[1])
 
-    def _coerce(self, other) -> "RBall | None":
+    @staticmethod
+    def _coerce(other) -> "RBall | None":
         if isinstance(other, RBall):
             return other
-        if isinstance(other, (int, Fraction)) or isinstance(other, mpf):
+        if isinstance(other, (int, Fraction, mpf)):
             return RBall.exact(other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RBall else self._coerce(other)
         if o is None:
             return NotImplemented
-        m = self.mid + o.mid
-        return RBall(m, self.rad + o.rad + _slack(m))
+        prec = mp.prec
+        m = mpf_add(self._m, o._m, prec, "n")
+        return _rball(m, _up_add(_up_add(self._r, o._r), _real_cushion(m, prec)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RBall else self._coerce(other)
         if o is None:
             return NotImplemented
-        m = self.mid - o.mid
-        return RBall(m, self.rad + o.rad + _slack(m))
+        prec = mp.prec
+        m = mpf_sub(self._m, o._m, prec, "n")
+        return _rball(m, _up_add(_up_add(self._r, o._r), _real_cushion(m, prec)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -155,25 +340,30 @@ class RBall:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RBall else self._coerce(other)
         if o is None:
             return NotImplemented
-        m = self.mid * o.mid
-        r = abs(self.mid) * o.rad + abs(o.mid) * self.rad + self.rad * o.rad
-        return RBall(m, r + _slack(m))
+        prec = mp.prec
+        m = mpf_mul(self._m, o._m, prec, "n")
+        return _rball(m, _product_radius(_real_cushion(m, prec), self, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RBall else self._coerce(other)
         if o is None:
             return NotImplemented
-        lb = abs(o.mid) - o.rad - _slack(o.mid)
-        if lb <= 0:
+        a, b, ra, rb = self._m, o._m, self._r, o._r
+        lb = mpf_sub(mpf_abs(b), rb, RAD_BITS, "d")
+        if lb[0] or not lb[1]:
             raise BallDomainError("division by a ball containing zero")
-        m = self.mid / o.mid
-        r = (self.rad + abs(m) * o.rad) / lb
-        return RBall(m, r + _slack(m))
+        prec = mp.prec
+        m = mpf_div(a, b, prec, "n")
+        num = ra
+        if rb[1]:
+            q = mpf_div(mpf_abs(a, RAD_BITS, "u"), mpf_abs(b, RAD_BITS, "d"), RAD_BITS, "u")
+            num = _up_add(num, _up_mul(q, rb))
+        return _rball(m, _up_add(mpf_div(num, lb, RAD_BITS, "u"), _real_cushion(m, prec)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -182,72 +372,68 @@ class RBall:
         return o / self
 
     def __neg__(self):
-        return RBall(-self.mid, self.rad)
+        return _rball(mpf_neg(self._m), self._r)
 
     def abs(self) -> "RBall":
-        return RBall(abs(self.mid), self.rad)
+        return _rball(mpf_abs(self._m), self._r)
 
     def sqrt(self) -> "RBall":
-        lo = self.mid - self.rad
-        if lo < 0:
-            lo = _ZERO
-        hi = self.mid + self.rad
-        if hi < 0:
+        prec = mp.prec
+        lo, hi = _ends(self._m, self._r, prec)
+        if hi[0]:
             raise BallDomainError("sqrt of a negative ball")
-        slo = mpmath.sqrt(lo)
-        shi = mpmath.sqrt(hi)
-        m = (slo + shi) / 2
-        return RBall(m, (shi - slo) / 2 + 2 * _slack(m))
+        a = fzero if lo[0] else mpf_sqrt(lo, prec, "f")
+        return _rball(*_span(a, mpf_sqrt(hi, prec, "c"), prec))
 
     def root(self, k: int) -> "RBall":
         """k-th root of a nonnegative ball."""
         if k == 1:
             return self
-        lo = self.mid - self.rad
-        if lo < 0:
-            lo = _ZERO
-        hi = self.mid + self.rad
-        if hi < 0:
+        prec = mp.prec
+        lo, hi = _ends(self._m, self._r, prec)
+        if hi[0]:
             raise BallDomainError("root of a negative ball")
-        slo = mpmath.root(lo, k) if lo > 0 else _ZERO
-        shi = mpmath.root(hi, k) if hi > 0 else _ZERO
-        m = (slo + shi) / 2
-        return RBall(m, (shi - slo) / 2 + 2 * _slack(m))
+        a = fzero if lo[0] else _bracket(mpf_nthroot(lo, k, prec + 20), prec)[0]
+        return _rball(*_span(a, _bracket(mpf_nthroot(hi, k, prec + 20), prec)[1], prec))
 
     powi = _powi
 
     def powr(self, e) -> "RBall":
         """Real power of a strictly positive ball (monotone endpoints)."""
-        e = mpf(e) if not isinstance(e, mpf) else e
-        if e == 0:
+        t = (e if isinstance(e, mpf) else mpf(e))._mpf_
+        if not t[1]:
             return RBall.one()
-        lo = self.mid - self.rad
-        if lo <= 0:
+        prec = mp.prec
+        lo, hi = _ends(self._m, self._r, prec)
+        if lo[0] or not lo[1]:
             raise BallDomainError("real power of a ball touching zero")
-        hi = self.mid + self.rad
-        a = lo**e
-        b = hi**e
-        if a > b:
-            a, b = b, a
-        m = (a + b) / 2
-        return RBall(m, (b - a) / 2 + 4 * _slack(m))
+        # x^e = exp(e log x) loses about log2|e log x| bits to the logarithm
+        wp = prec + 20 + max(abs(hi[2] + hi[3]), abs(lo[2] + lo[3])).bit_length() + max(0, t[2] + t[3])
+        ya = _bracket(mpf_pow(lo, t, wp), prec)
+        yb = _bracket(mpf_pow(hi, t, wp), prec)
+        a = ya[0] if mpf_le(ya[0], yb[0]) else yb[0]
+        b = yb[1] if mpf_le(ya[1], yb[1]) else ya[1]
+        return _rball(*_span(a, b, prec))
 
     def max1(self) -> "RBall":
         """Enclosure of max(1, x)."""
-        if self.mid - self.rad >= 1:
+        prec = mp.prec
+        lo, hi = _ends(self._m, self._r, prec)
+        if mpf_le(fone, lo):
             return self
-        hi = self.mid + self.rad
-        if hi <= 1:
+        if mpf_le(hi, fone):
             return RBall.one()
-        m = (1 + hi) / 2
-        return RBall(m, (hi - 1) / 2 + _slack(m))
+        return _rball(*_span(fone, hi, prec))
 
     def contains(self, x) -> bool:
-        x = mpf(x) if not isinstance(x, mpf) else x
-        return self.lo <= x <= self.hi
+        x = (x if isinstance(x, mpf) else mpf(x))._mpf_
+        lo, hi = _ends(self._m, self._r, mp.prec)
+        return mpf_le(lo, x) and mpf_le(x, hi)
 
     def overlaps(self, other: "RBall") -> bool:
-        return abs(self.mid - other.mid) <= self.rad + other.rad + _slack(self.mid) + _slack(other.mid)
+        """False only when the two balls are certainly disjoint."""
+        gap = mpf_abs(mpf_sub(self._m, other._m, RAD_BITS, "d"))
+        return mpf_le(gap, _up_add(self._r, other._r))
 
     def __repr__(self):
         return f"RBall({mpmath.nstr(self.mid, 17)} +/- {mpmath.nstr(self.rad, 5)})"
@@ -259,90 +445,82 @@ class RBall:
 class CBall:
     """Complex disk {z : |z - mid| <= rad}.
 
-    Each ball keeps |mid| together with the mpmath precision it was taken
-    at, so operations that need the modulus again at that precision read it
-    instead of computing another `hypot`. A ball used at another precision
-    takes the modulus afresh; the stored value never changes a result.
+    Each ball keeps a RAD_BITS-bit upper bound of |mid| once a product,
+    quotient or pivot search has needed it. The bound is taken from the
+    exact midpoint, so it is the same at every precision.
     """
 
-    __slots__ = ("mid", "rad", "_mod", "_mod_prec")
+    __slots__ = ("_m", "_r", "_a")
 
     def __init__(self, mid, rad=0):
-        self.mid = mid if isinstance(mid, mpc) else mpc(mid)
-        r = mpf(rad) if not isinstance(rad, mpf) else rad
-        if r < 0:
-            raise ValueError("negative radius")
-        self.rad = r
-        self._mod = None
-        self._mod_prec = 0
+        self._m = (mid if isinstance(mid, mpc) else mpc(mid))._mpc_
+        self._r = _radius(rad)
+        self._a = None
 
-    @staticmethod
-    def _of(mid: mpc, rad: mpf, mod: mpf, prec: int) -> "CBall":
-        """A ball whose |mid| = mod was taken at precision prec."""
-        b = object.__new__(CBall)
-        b.mid = mid
-        b.rad = rad
-        b._mod = mod
-        b._mod_prec = prec
-        return b
+    @property
+    def mid(self) -> mpc:
+        return _make_mpc(self._m)
 
-    def _modulus(self, prec: int) -> mpf:
-        """|mid| at precision prec (the ambient one)."""
-        if self._mod_prec != prec:
-            self._mod = abs(self.mid)
-            self._mod_prec = prec
-        return self._mod
+    @property
+    def rad(self) -> mpf:
+        return _make_mpf(self._r)
+
+    def _mag(self):
+        """The cached upper bound of |mid|."""
+        a = self._a
+        if a is None:
+            a = self._a = _mod_up(self._m)
+        return a
 
     @staticmethod
     def exact(x) -> "CBall":
         if isinstance(x, GaussianRational):
             return CBall.from_gaussian(x)
-        if isinstance(x, Fraction):
-            v, r = _as_mpf_pair(x)
-            return CBall(mpc(v), r)
-        if isinstance(x, int):
-            v = mpf(x)
-            return CBall(mpc(v), _ZERO if v == x else _slack(v))
-        return CBall(mpc(x), _ZERO)
+        if isinstance(x, mpc):
+            return _cball(x._mpc_, fzero)
+        if isinstance(x, complex):
+            return _cball((from_float(x.real), from_float(x.imag)), fzero)
+        m, r = _exact_real(x, mp.prec)
+        return _cball((m, fzero), r)
 
     @staticmethod
     def from_gaussian(g: GaussianRational) -> "CBall":
-        re, rr = _as_mpf_pair(g.re)
-        im, ri = _as_mpf_pair(g.im)
-        return CBall(mpc(re, im), rr + ri)
+        prec = mp.prec
+        re, rr = _exact_real(g.re, prec)
+        im, ri = _exact_real(g.im, prec)
+        return _cball((re, im), _up_add(rr, ri))
 
     @staticmethod
     def one() -> "CBall":
-        return CBall(mpc(1), _ZERO)
+        return _cball((fone, fzero), fzero, fone)
 
-    def _coerce(self, other) -> "CBall | None":
+    @staticmethod
+    def _coerce(other) -> "CBall | None":
         if isinstance(other, CBall):
             return other
         if isinstance(other, RBall):
-            return CBall(mpc(other.mid), other.rad)
-        if isinstance(other, (int, Fraction, GaussianRational)) or isinstance(other, (mpf, mpc, complex)):
+            return _cball((other._m, fzero), other._r)
+        if isinstance(other, (int, Fraction, GaussianRational, mpf, mpc, complex)):
             return CBall.exact(other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is CBall else self._coerce(other)
         if o is None:
             return NotImplemented
-        m = self.mid + o.mid
         prec = mp.prec
-        a = abs(m)
-        return CBall._of(m, self.rad + o.rad + _pad(a, prec), a, prec)
+        m = mpc_add(self._m, o._m, prec, "n")
+        return _cball(m, _up_add(_up_add(self._r, o._r), _complex_cushion(m, prec)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is CBall else self._coerce(other)
         if o is None:
             return NotImplemented
-        m = self.mid - o.mid
         prec = mp.prec
-        a = abs(m)
-        return CBall._of(m, self.rad + o.rad + _pad(a, prec), a, prec)
+        m = mpc_sub(self._m, o._m, prec, "n")
+        return _cball(m, _up_add(_up_add(self._r, o._r), _complex_cushion(m, prec)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -351,62 +529,66 @@ class CBall:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is CBall else self._coerce(other)
         if o is None:
             return NotImplemented
-        m = self.mid * o.mid
         prec = mp.prec
-        r = self._modulus(prec) * o.rad + o._modulus(prec) * self.rad + self.rad * o.rad
-        a = abs(m)
-        return CBall._of(m, r + 2 * _pad(a, prec), a, prec)
+        m = _mid_product(self._m, o._m, prec)
+        return _cball(m, _product_radius(_complex_cushion(m, prec), self, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is CBall else self._coerce(other)
         if o is None:
             return NotImplemented
-        prec = mp.prec
-        om = o._modulus(prec)
-        lb = om - o.rad - _pad(om, prec)
-        if lb <= 0:
+        ra, rb = self._r, o._r
+        low = _mod_down(o._m)
+        lb = mpf_sub(low, rb, RAD_BITS, "d")
+        if lb[0] or not lb[1]:
             raise BallDomainError("division by a ball containing zero")
-        m = self.mid / o.mid
-        a = abs(m)
-        r = (self.rad + a * o.rad) / lb
-        return CBall._of(m, r + 2 * _pad(a, prec), a, prec)
+        prec = mp.prec
+        m = mpc_div(self._m, o._m, prec, "n")
+        num = ra
+        if rb[1]:
+            num = _up_add(num, _up_mul(mpf_div(self._mag(), low, RAD_BITS, "u"), rb))
+        return _cball(m, _up_add(mpf_div(num, lb, RAD_BITS, "u"), _complex_cushion(m, prec)))
 
     def __neg__(self):
-        return CBall._of(-self.mid, self.rad, self._mod, self._mod_prec)
+        return _cball(mpc_neg(self._m), self._r, self._a)
 
     def abs(self) -> RBall:
+        re, im = self._m
+        if not im[1]:
+            return _rball(mpf_abs(re), self._r)
+        if not re[1]:
+            return _rball(mpf_abs(im), self._r)
         prec = mp.prec
-        a = self._modulus(prec)
-        return RBall(a, self.rad + _pad(a, prec))
+        a = mpf_hypot(re, im, prec, "n")
+        return _rball(a, _up_add(self._r, _real_cushion(a, prec)))
 
     def conj(self) -> "CBall":
-        return CBall._of(mpc(self.mid.real, -self.mid.imag), self.rad, self._mod, self._mod_prec)
+        re, im = self._m
+        return _cball((re, mpf_neg(im)), self._r, self._a)
 
     powi = _powi
 
     def contains_zero(self) -> bool:
-        prec = mp.prec
-        a = self._modulus(prec)
-        return a <= self.rad + _pad(a, prec)
+        return mpf_le(_mod_down(self._m), self._r)
 
     def overlaps(self, other: "CBall") -> bool:
-        prec = mp.prec
-        return abs(self.mid - other.mid) <= (
-            self.rad + other.rad + _pad(self._modulus(prec), prec) + _pad(other._modulus(prec), prec)
-        )
+        """False only when the two disks are certainly disjoint."""
+        gap = _mod_down(mpc_sub(self._m, other._m, RAD_BITS, "d"))
+        return mpf_le(gap, _up_add(self._r, other._r))
 
     def __repr__(self):
         return f"CBall({mpmath.nstr(self.mid, 17)} +/- {mpmath.nstr(self.rad, 5)})"
 
     def to_json(self) -> dict:
+        mid = self.mid
         return {
-            "re": json_real(self.mid.real),
-            "im": json_real(self.mid.imag),
+            "re": _json_part(mid.real),
+            "im": _json_part(mid.imag),
             "rad": json_real(self.rad),
         }
 
@@ -421,16 +603,34 @@ def ball_product(items, one=None):
 
 
 def ball_row_norm(row: "list[CBall]") -> RBall:
-    """Euclidean norm of a complex ball vector."""
-    total = RBall.exact(0)
+    """Euclidean norm of a complex ball vector: the norm of the midpoints,
+    bracketed by sums of squares rounded down and up, widened by the norm
+    of the radii (the triangle inequality)."""
+    prec = mp.prec
+    below = above = rads = fzero
     for z in row:
-        a = z.abs()
-        total = total + a * a
-    return total.sqrt()
+        for part in z._m:
+            if part[1]:
+                below = mpf_add(below, mpf_mul(part, part, prec, "d"), prec, "d")
+                above = mpf_add(above, mpf_mul(part, part, prec, "u"), prec, "u")
+        if z._r[1]:
+            rads = _up_add(rads, _up_mul(z._r, z._r))
+    m, r = _span(mpf_sqrt(below, prec, "f"), mpf_sqrt(above, prec, "c"), prec)
+    return _rball(m, _up_add(r, mpf_sqrt(rads, RAD_BITS, "u")))
+
+
+def _sub_product(c: CBall, f: CBall, x: CBall, prec: int) -> CBall:
+    """c - f x with the product's midpoint rounded on the way: one ball, no
+    intermediate one, each rounding with its cushion."""
+    p = _mid_product(f._m, x._m, prec)
+    m = mpc_sub(c._m, p, prec, "n")
+    r = _up_add(c._r, _up_add(_complex_cushion(p, prec), _complex_cushion(m, prec)))
+    return _cball(m, _product_radius(r, f, x))
 
 
 def ball_det(matrix: "list[list[CBall]]") -> CBall:
-    """Determinant by LU elimination with partial pivoting on |midpoint|.
+    """Determinant by LU elimination with partial pivoting on the cached
+    upper bounds of |mid|.
 
     Raises BallDomainError when a pivot ball contains zero, which callers
     treat as a certification failure at the current precision.
@@ -441,7 +641,11 @@ def ball_det(matrix: "list[list[CBall]]") -> CBall:
     det = CBall.one()
     sign = 1
     for k in range(n):
-        piv = max(range(k, n), key=lambda i: m[i][k]._modulus(prec))
+        piv, best = k, m[k][k]._mag()
+        for i in range(k + 1, n):
+            a = m[i][k]._mag()
+            if mpf_lt(best, a):
+                piv, best = i, a
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
@@ -449,12 +653,15 @@ def ball_det(matrix: "list[list[CBall]]") -> CBall:
         if pivot.contains_zero():
             raise BallDomainError("singular-to-precision pivot in ball determinant")
         det = det * pivot
+        top = m[k]
         for i in range(k + 1, n):
-            if m[i][k].mid == 0 and m[i][k].rad == 0:
+            row = m[i]
+            x = row[k]
+            if not x._r[1] and not x._m[0][1] and not x._m[1][1]:
                 continue
-            f = m[i][k] / pivot
+            f = x / pivot
             for j in range(k + 1, n):
-                m[i][j] = m[i][j] - f * m[k][j]
+                row[j] = _sub_product(row[j], f, top[j], prec)
     if sign < 0:
         det = -det
     return det

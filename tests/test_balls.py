@@ -1,4 +1,5 @@
-"""Ball arithmetic: enclosure of exact results, and the stored modulus."""
+"""Ball arithmetic: enclosure of exact results, modulus bounds, and the
+stored modulus."""
 import operator
 from fractions import Fraction
 
@@ -6,37 +7,38 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_hypot
 
 from rootsep import GaussianRational
-from rootsep.balls import CBall, RBall, _slack, working_precision
+from rootsep.balls import RAD_BITS, CBall, RBall, _mod_down, _mod_up, json_real, working_precision
 from rootsep.errors import BallDomainError
+
+
+def _t(x) -> Fraction:
+    """The exact rational value of a raw libmp tuple."""
+    sign, man, exp, _ = x
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
 
 def _q(x) -> Fraction:
     """The exact rational value of an mpf."""
-    sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
-
-
-def _reach(ball) -> Fraction:
-    """rad plus the midpoint cushion that `lo`, `hi` and `overlaps` add."""
-    return _q(ball.rad) + _q(_slack(ball.mid))
+    return _t(x._mpf_)
 
 
 def _encloses_real(ball: RBall, x: Fraction) -> bool:
-    return abs(_q(ball.mid) - x) <= _reach(ball)
+    return abs(_q(ball.mid) - x) <= _q(ball.rad)
 
 
 def _encloses_complex(ball: CBall, z: GaussianRational) -> bool:
     dre = _q(ball.mid.real) - z.re
     dim = _q(ball.mid.imag) - z.im
-    return dre * dre + dim * dim <= _reach(ball) ** 2
+    return dre * dre + dim * dim <= _q(ball.rad) ** 2
 
 
 def _encloses_modulus(ball: RBall, z: GaussianRational) -> bool:
     """|z| lies in the ball, decided on squares."""
-    lo = _q(ball.mid) - _reach(ball)
-    hi = _q(ball.mid) + _reach(ball)
+    lo = _q(ball.mid) - _q(ball.rad)
+    hi = _q(ball.mid) + _q(ball.rad)
     return (lo <= 0 or lo * lo <= z.norm()) and z.norm() <= hi * hi
 
 
@@ -50,6 +52,42 @@ rationals = st.one_of(
 )
 gaussians = st.builds(GaussianRational, rationals, rationals)
 precisions = st.sampled_from([24, 64, 200])
+
+# dyadic midpoints, exact at every precision used here, among them 0
+dyadics = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda m, s: m / Fraction(2) ** s, st.integers(-(2**20), 2**20), st.integers(-8, 30)),
+)
+# tight radii just below 1, radii near 2^-1100, and plain ones
+radii = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(1, 64).map(lambda k: Fraction(2**60 - k, 2**60)),
+    st.integers(-(2**20), 2**20).map(lambda k: Fraction(2**40 + k, 2**1140)),
+    st.fractions(min_value=0, max_value=10, max_denominator=10**6),
+)
+
+
+def _mpf(x: Fraction):
+    """x as an mpf, exactly (x is dyadic)."""
+    return mpmath.mp.make_mpf(from_man_exp(x.numerator, -(x.denominator.bit_length() - 1)))
+
+
+def _dyadic_above(x: Fraction) -> Fraction:
+    """A dyadic rational >= x >= 0."""
+    k = max(0, x.denominator.bit_length() - x.numerator.bit_length()) + 40
+    return Fraction(-(-x.numerator * 2**k // x.denominator), 2**k)
+
+
+def _real_ball(mid: Fraction, rad: Fraction):
+    """The ball, and points of it: the midpoint and both ends."""
+    return RBall(_mpf(mid), rad), [mid, mid - rad, mid + rad]
+
+
+def _complex_ball(re: Fraction, im: Fraction, rad: Fraction):
+    """The disk, and points of it: the centre and four points on the rim."""
+    ball = CBall(mpmath.mpc(_mpf(re), _mpf(im)), rad)
+    points = [(re, im), (re + rad, im), (re - rad, im), (re, im + rad), (re, im - rad)]
+    return ball, [GaussianRational(a, b) for a, b in points]
 
 
 def _operands(make, x, y):
@@ -88,6 +126,36 @@ class TestEnclosure:
                             continue
                         assert _encloses_complex(f(ba, bb), f(a, b)), (op, a, b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(dyadics, radii, dyadics, radii, precisions)
+    def test_real_balls_with_tight_and_tiny_radii(self, x, rx, y, ry, bits):
+        with working_precision(bits):
+            bx, xs = _real_ball(x, rx)
+            by, ys = _real_ball(y, ry)
+            for op, f in OPS.items():
+                if op == "/" and by.contains(0):
+                    continue
+                got = f(bx, by)
+                for a in xs:
+                    for b in ys:
+                        assert _encloses_real(got, f(a, b)), (op, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dyadics, dyadics, radii, dyadics, dyadics, radii, precisions)
+    def test_complex_balls_with_tight_and_tiny_radii(self, a, b, ra, c, d, rc, bits):
+        with working_precision(bits):
+            bz, zs = _complex_ball(a, b, ra)
+            bw, ws = _complex_ball(c, d, rc)
+            for z in zs:
+                assert _encloses_modulus(bz.abs(), z)
+            for op, f in OPS.items():
+                if op == "/" and bw.contains_zero():
+                    continue
+                got = f(bz, bw)
+                for z in zs:
+                    for w in ws:
+                        assert _encloses_complex(got, f(z, w)), (op, z, w)
+
     @settings(max_examples=60, deadline=None)
     @given(gaussians, precisions)
     def test_division_by_a_ball_holding_zero_raises(self, z, bits):
@@ -96,16 +164,98 @@ class TestEnclosure:
             with pytest.raises(BallDomainError):
                 bz / (bz - bz)
 
-    @pytest.mark.xfail(strict=True, reason="radii are rounded to nearest, not upward")
     def test_product_of_tight_balls_at_zero(self):
         # the corner points ra, rb of two balls centred on 0 multiply to
-        # ra*rb, but the product's radius is ra*rb rounded to nearest (here
-        # down) and a zero midpoint adds no cushion; open in ROADMAP item 3
+        # ra*rb: a zero midpoint adds no cushion, so the radius itself must
+        # be rounded up
         with working_precision(64):
             ra = mpmath.mpf(2**60 - 1) / 2**60
             rb = mpmath.mpf(2**60 - 3) / 2**60
             prod = RBall(0, ra) * RBall(0, rb)
             assert _encloses_real(prod, _q(ra) * _q(rb))
+
+    def test_radii_carry_at_most_rad_bits(self):
+        with working_precision(200):
+            z = CBall.exact(GaussianRational.of(Fraction(1, 3), Fraction(2, 7)))
+            w = RBall.exact(Fraction(5, 11))
+            for ball in (z * z - z, z / (z + 1), w * w - w, w.sqrt(), (z - z).abs()):
+                assert ball.rad._mpf_[3] <= RAD_BITS
+
+
+class TestEndpointMaps:
+    """lo/hi, sqrt, root, powr and max1, decided on exact powers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dyadics, radii, precisions)
+    def test_lo_hi_round_outward(self, x, rx, bits):
+        with working_precision(bits):
+            ball, points = _real_ball(x, rx)
+            for p in points:
+                assert _q(ball.lo) <= p <= _q(ball.hi)
+            assert ball.contains(ball.mid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dyadics, radii, precisions, st.sampled_from([2, 3, 5]))
+    def test_sqrt_and_root(self, x, rx, bits, k):
+        with working_precision(bits):
+            ball, points = _real_ball(abs(x) + _dyadic_above(rx), rx)
+            for name, got, n in (("sqrt", ball.sqrt(), 2), ("root", ball.root(k), k)):
+                lo = _q(got.mid) - _q(got.rad)
+                hi = _q(got.mid) + _q(got.rad)
+                for p in points:
+                    assert (lo <= 0 or lo**n <= p) and p <= hi**n, (name, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dyadics, radii, precisions, st.sampled_from([(3, 2), (-1, 2), (5, 4), (-3, 1), (7, 8)]))
+    def test_powr(self, x, rx, bits, e):
+        num, den = e
+        with working_precision(bits):
+            ball, points = _real_ball(abs(x) + 2 * _dyadic_above(rx) + Fraction(1, 8), rx)
+            got = ball.powr(mpmath.mpf(num) / den)
+            lo = _q(got.mid) - _q(got.rad)
+            hi = _q(got.mid) + _q(got.rad)
+            for p in points:
+                # p^(num/den) in [lo, hi], raised to the power den
+                assert (lo <= 0 or lo**den <= p**num) and p**num <= hi**den, p
+
+    @settings(max_examples=150, deadline=None)
+    @given(dyadics, radii, precisions)
+    def test_max1(self, x, rx, bits):
+        with working_precision(bits):
+            ball, points = _real_ball(x, rx)
+            got = ball.max1()
+            for p in points:
+                assert _encloses_real(got, max(Fraction(1), p)), p
+
+    def test_domain_errors(self):
+        with working_precision(64):
+            with pytest.raises(BallDomainError):
+                RBall(-2, 1).sqrt()
+            with pytest.raises(BallDomainError):
+                RBall(-2, 1).root(3)
+            with pytest.raises(BallDomainError):
+                RBall(1, 1).powr(mpmath.mpf(0.5))
+
+
+class TestModulusBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(dyadics, dyadics, st.integers(-1200, 1200))
+    def test_bounds_bracket_the_modulus(self, re, im, shift):
+        scale = Fraction(2) ** shift
+        m = (_mpf(re * scale)._mpf_, _mpf(im * scale)._mpf_)
+        norm = (re * re + im * im) * scale * scale
+        up, down = _mod_up(m), _mod_down(m)
+        assert up[3] <= RAD_BITS and down[3] <= RAD_BITS
+        assert _t(down) ** 2 <= norm <= _t(up) ** 2
+
+    def test_bound_where_hypot_undershoots(self):
+        # mpf_hypot rounds x^2 + y^2 to nearest before its upward square
+        # root, so its 'u' result lies below |x + iy| here
+        x = from_man_exp(871384697841, 0)
+        y = from_man_exp(206330329985, -7)
+        norm = _t(x) ** 2 + _t(y) ** 2
+        assert _t(mpf_hypot(x, y, RAD_BITS, "u")) ** 2 < norm
+        assert _t(_mod_down((x, y))) ** 2 <= norm <= _t(_mod_up((x, y))) ** 2
 
 
 class TestStoredModulus:
@@ -116,6 +266,8 @@ class TestStoredModulus:
             return z * w - w
 
     def test_ball_from_another_precision_takes_the_modulus_again(self):
+        # the stored bound is read off the exact midpoint, so a ball made at
+        # another precision gives the same results as a fresh copy
         made_low = self._made_at(64)
         with working_precision(256):
             made_here = CBall(made_low.mid, made_low.rad)
@@ -142,3 +294,20 @@ class TestStoredModulus:
             for got, want in ((z * y, fresh * y), (y / z, y / fresh), (z.abs(), fresh.abs())):
                 assert repr(got.mid) == repr(want.mid)
                 assert repr(got.rad) == repr(want.rad)
+
+
+class TestJson:
+    def test_nonzero_values_below_the_double_range_are_strings(self):
+        tiny = mpmath.ldexp(1, -4000)
+        assert json_real(tiny) == mpmath.nstr(tiny, 17)
+        assert json_real(-tiny) == mpmath.nstr(-tiny, 17)
+        assert json_real(mpmath.mpf(0)) == 0.0
+        assert json_real(mpmath.mpf(0.25)) == 0.25
+        assert json_real(mpmath.ldexp(1, 4000)) == mpmath.nstr(mpmath.ldexp(1, 4000), 17)
+        assert RBall(tiny, tiny).to_json() == {"mid": mpmath.nstr(tiny, 17), "rad": mpmath.nstr(tiny, 17)}
+
+    def test_midpoint_parts_below_the_double_range_stay_floats(self):
+        tiny = mpmath.ldexp(1, -4000)
+        got = CBall(mpmath.mpc(2, tiny), tiny).to_json()
+        assert got["re"] == 2.0 and got["im"] == 0.0
+        assert got["rad"] == mpmath.nstr(tiny, 17)

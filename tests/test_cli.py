@@ -132,7 +132,11 @@ class TestVerify:
         assert code == 0 and report["verdict"] == "holds"
         for value in (report["margin"], report["lhs"]["mid"], report["certificate"]["det_w"]["re"]):
             assert isinstance(value, str) and mpmath.mpf(value) > 1e308
-        # the rhs, about 10^-1134, is below the double range
+        # the rhs, about 10^-1134, is below the double range: a nonzero value
+        # is a string there too, never 0.0
+        for ball in (report["rhs"], report["components"]["mahler_power"]):
+            assert isinstance(ball["mid"], str) and 0 < mpmath.mpf(ball["mid"]) < 1e-308
+        assert all(isinstance(e["im"], float) for e in report["polynomial"]["roots"])
         assert isinstance(report["margin_bits"], float) and report["margin_bits"] > 6000
 
     def test_margin_bits(self, capsys):
