@@ -33,12 +33,21 @@ det W = det W_1 * prod(edge differences) compares two enclosures computed
 independently. The row-norm bounds and the Hadamard bound live only on the
 certificate (`row_norm_bounds`, `hadamard_rhs`), checked against the
 propagated radii by `rows_ok` and `hadamard_ok`.
+
+Every root-dependent factor is a product over one table of differences,
+built once per rung at its working precision (`_rung_table`): each
+v_j - v_i, i < j, is taken once, and each max(1, |v_j|) once. The
+certificate's distinctness check, step factors, edge product and det W
+read it, and so do the LHS (|edge product|), |sDisc_{d-r}| (from |det W|)
+and the Mahler measure, which shares max(1, |v_j|) with the row-norm
+bounds. `invariants.sdisc_abs_from_roots` and `invariants.mahler_measure`
+stay the independent routes for `compute_invariants` and the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isfinite
+from math import comb, isfinite, prod
 
 import mpmath
 from mpmath import mpf
@@ -52,7 +61,7 @@ from .balls import (
     json_real,
     working_precision,
 )
-from .divdiff import NodeList, power_basis_row
+from .divdiff import NodeList, _recurrence_pass, power_basis_row
 from .errors import (
     BallDomainError,
     CertificationError,
@@ -62,7 +71,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import RootGraph, _is_index, check_classical_admissible, min_total_degree, orient
-from .invariants import _abs_ball, discriminant, mahler_measure, sdisc_abs_from_roots
+from .invariants import _abs_ball, discriminant
 from .roots import RootSet, find_roots, refine
 
 COMPONENT_KEYS = (
@@ -147,9 +156,13 @@ class VandermondeCertificate:
     the sources of the edges finishing there, ending at the fully reduced
     matrix W_1. step_factors[i] is the product of (v_j - v_source) for the
     row replaced at step i (exact 1 for rows without incoming edges).
-    det_w is the product of (v_j - v_i) over i < j; det_w1 is LU of W_1,
-    which is built directly, so W itself is never formed. The row-norm
-    bounds and their product, the Hadamard bound, are kept only here.
+    det_w is the product of (v_j - v_i) over i < j, assembled from the
+    rung's difference table as edge_product (the product of the step
+    factors) times the differences no edge uses; det_w1 is LU of W_1, which
+    is built directly, so W itself is never formed, and is thereby compared
+    with the non-edge differences. The row-norm bounds read max(1, |v_j|)
+    off the same table; they and their product, the Hadamard bound, are
+    kept only here.
     """
 
     step_factors: tuple
@@ -188,11 +201,90 @@ def _sqrt3() -> RBall:
     return RBall.exact(3).sqrt()
 
 
-def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = None) -> VandermondeCertificate:
+@dataclass(frozen=True)
+class _RungTable:
+    """One rung's root differences and what the bound reads from them.
+
+    diff[i, j] = v_j - v_i for i < j, each taken once; max1[j] = max(1, |v_j|).
+    sources[j] lists the sources of the edges finishing at j, and
+    step_factors[i] is the product of (v_j - v_source) for the row replaced
+    at step i, highest row first (exact 1 for rows without incoming edges).
+    Each edge finishes at one row, so edge_product is the product of the
+    step factors, and det_w is edge_product times the other differences:
+    the product over i < j of (v_j - v_i).
+    """
+
+    diff: dict
+    max1: tuple
+    sources: tuple
+    step_factors: tuple
+    edge_product: CBall
+    det_w: CBall
+
+
+def _rung_table(roots: RootSet, g: RootGraph) -> _RungTable:
+    """The table of `roots` at the ambient precision, with the products over
+    the edges of `g`."""
+    vals = roots.values()
+    r = len(vals)
+    diff = {(i, j): vals[j] - vals[i] for j in range(r) for i in range(j)}
+    sources = tuple(tuple(a for a, _ in g.edges_into(j)) for j in range(r))
+    step_factors, edge_factors = [], []
+    for j in range(r - 1, 0, -1):
+        if sources[j]:
+            factor = ball_product([diff[a, j] for a in sources[j]], CBall.one())
+            edge_factors.append(factor)
+        else:
+            factor = CBall.one()
+        step_factors.append(factor)
+    edge_product = ball_product(edge_factors, CBall.one())
+    edges = set(g.oriented)
+    return _RungTable(
+        diff=diff,
+        max1=tuple(v.abs().max1() for v in vals),
+        sources=sources,
+        step_factors=tuple(step_factors),
+        edge_product=edge_product,
+        det_w=ball_product([dv for e, dv in diff.items() if e not in edges], edge_product),
+    )
+
+
+def _w1_rows(vals: list[CBall], sources: tuple) -> list[list[CBall]]:
+    """The fully reduced matrix W_1: row j is the divided difference of the
+    power basis over the sources of j plus v_j, or (1, v_j, ..., v_j^{r-1})
+    when no edge finishes at j. A row whose node tuple is another reduced
+    row's plus v_j runs that row's recurrence one pass further, which gives
+    `power_basis_row` on its nodes bit for bit: entry i of a pass reads only
+    entry i - 1, so the dropped last entry never feeds the others."""
+    r = len(vals)
+    built: dict[tuple, list[CBall]] = {}
+    rows = []
+    for j in range(r):
+        if not sources[j]:
+            rows.append(_vandermonde_row(vals[j], r))
+            continue
+        key = (*sources[j], j)
+        n = len(key)
+        prev = built.get(key[:-1])
+        if prev is None:
+            row = power_basis_row(r, NodeList(tuple(vals[i] for i in key)))
+        else:
+            h = prev[n - 2:-1]
+            _recurrence_pass(h, vals[j])
+            row = [CBall.exact(0)] * (n - 1) + h
+        built[key] = row
+        rows.append(row)
+    return rows
+
+
+def reduce_vandermonde(
+    roots: RootSet, g: RootGraph, precision: int | None = None, *, table: _RungTable | None = None
+) -> VandermondeCertificate:
     """Run the row-replacement reduction and certify its determinant identity.
 
-    Every root difference v_j - v_i, i < j, is taken once; the distinctness
-    check, det W, the step factors and the edge product all read it.
+    Reads the rung's difference table, `table` when the caller built it for
+    `g` at `precision`, else its own: the distinctness check, the step
+    factors, det W, the edge product and the row bounds' max(1, |v_j|).
     Raises CertificationError when the propagated radii cannot certify
     det W = det W_1 * prod(edge differences).
     """
@@ -203,47 +295,33 @@ def reduce_vandermonde(roots: RootSet, g: RootGraph, precision: int | None = Non
     precision = precision if precision is not None else roots.precision_bits
     with working_precision(precision):
         r = roots.r
-        vals = roots.values()
-        diff = {(i, j): vals[j] - vals[i] for j in range(r) for i in range(j)}
-        for (i, j), dv in diff.items():
-            if dv.abs().lo <= 0:
+        t = table if table is not None else _rung_table(roots, g)
+        for (i, j), dv in t.diff.items():
+            if dv.contains_zero():
                 raise CertificationError(
                     precision, f"nodes {i} and {j} are not certifiably distinct"
                 )
-        reduced = {}
-        step_factors = []
-        for j in range(r - 1, 0, -1):
-            sources = [a for a, _ in g.edges_into(j)]
-            if sources:
-                subset = NodeList(tuple(vals[a] for a in sources) + (vals[j],))
-                reduced[j] = power_basis_row(r, subset)
-                factor = ball_product([diff[a, j] for a in sources], CBall.one())
-            else:
-                factor = CBall.one()
-            step_factors.append(factor)
-        w1 = [reduced.get(j) or _vandermonde_row(vals[j], r) for j in range(r)]
-        det_w = ball_product(list(diff.values()), CBall.one())
+        w1 = _w1_rows(roots.values(), t.sources)
         try:
             det_w1 = ball_det(w1)
         except BallDomainError as exc:
             raise CertificationError(precision, str(exc)) from exc
-        edge_product = ball_product([diff[e] for e in g.oriented], CBall.one())
-        recombined = det_w1 * edge_product
-        gap = abs(det_w.mid - recombined.mid)
-        scale = max(abs(det_w.mid), abs(recombined.mid))
+        recombined = det_w1 * t.edge_product
+        gap = abs(t.det_w.mid - recombined.mid)
+        scale = max(abs(t.det_w.mid), abs(recombined.mid))
         rel = float(gap / scale) if scale > 0 else 0.0
         row_norms = tuple(ball_row_norm(row) for row in w1)
         # row j's bound: (r/sqrt(3))^d_j * sqrt(r) * max(1, |v_j|)^(r-1-d_j)
         edge_base, sqrt_r = RBall.exact(r) / _sqrt3(), RBall.exact(r).sqrt()
         row_bounds = tuple(
-            edge_base.powi(d) * sqrt_r * vals[j].abs().max1().powi(r - 1 - d)
+            edge_base.powi(d) * sqrt_r * t.max1[j].powi(r - 1 - d)
             for j, d in enumerate(g.in_degrees)
         )
         cert = VandermondeCertificate(
-            step_factors=tuple(step_factors),
-            det_w=det_w,
+            step_factors=t.step_factors,
+            det_w=t.det_w,
             det_w1=det_w1,
-            edge_product=edge_product,
+            edge_product=t.edge_product,
             row_norms=row_norms,
             row_norm_bounds=row_bounds,
             hadamard_rhs=ball_product(row_bounds),
@@ -376,16 +454,32 @@ def _as_graph(graph_or_edges, roots: RootSet) -> RootGraph:
     return orient(graph_or_edges, roots)
 
 
-def _components(roots: RootSet, n_edges: int, k: int = 1) -> dict:
+def _mahler(roots: RootSet, table: _RungTable) -> RBall:
+    """|lc| * prod max(1, |v_j|)^{m_j}, read off the table."""
+    acc = roots.leading_coeff.abs()
+    for e, m1 in zip(roots.entries, table.max1):
+        acc = acc * m1.powi(e.multiplicity)
+    return acc
+
+
+def _components(roots: RootSet, table: _RungTable, n_edges: int, k: int = 1) -> dict:
     """The main row of the component table (k = 1), or its square (k = 2),
-    the sep-product row, in COMPONENT_KEYS order."""
+    the sep-product row, in COMPONENT_KEYS order.
+
+    |sDisc_{d-r}| = (|lc|^{r-1} (prod m_j)^{1/2} |det W|)^2 takes det W from
+    the table, exactly 1 for a single distinct root."""
     d, r = roots.total_degree, roots.r
-    sdisc = sdisc_abs_from_roots(roots)
+    if r == 1:
+        sdisc = RBall.one()
+    else:
+        lc_part = roots.leading_coeff.abs().powi(r - 1)
+        root_part = lc_part * RBall.exact(prod(roots.multiplicities())).sqrt() * table.det_w.abs()
+        sdisc = root_part * root_part
     r_r = RBall.exact(r**r)
     mmin = min(d, 2 * d - 2 * r)
     return {
         "sdisc_sqrt": sdisc.sqrt() if k == 1 else sdisc,
-        "mahler_power": mahler_measure(roots).powi(-k * (r - 1)),
+        "mahler_power": _mahler(roots, table).powi(-k * (r - 1)),
         "edge_factor": (RBall.exact(r) / _sqrt3()).powi(-n_edges),
         "r_power": RBall.one() / (r_r.sqrt() if k == 1 else r_r),
         "multiplicity_factor": RBall.one() / RBall.exact(3**mmin).root(6 // k),
@@ -428,26 +522,29 @@ def _finish(
 
 
 def _graph_bound(variant: str, p, graph_or_edges, precision: int, roots: RootSet | None, check=None) -> BoundReport:
-    """The pipeline every graph variant runs: roots, orientation, reduction
-    certificate, LHS over the edges, components and verdict.
+    """The pipeline every graph variant runs: roots, orientation, the rung's
+    difference table, reduction certificate, LHS over the edges, components
+    and verdict.
 
-    `check(roots, g)` raises when a precondition of the variant fails and
-    returns the variant's report fields and the factors its row swaps into
-    the main row. A single distinct root is a degenerate success: the
-    product over edges is empty.
+    `check(roots, g, table)` raises when a precondition of the variant fails
+    and returns the variant's report fields and the factors its row swaps
+    into the main row. The LHS is |edge product| and the components read the
+    table too, also when the certificate fails. A single distinct root is a
+    degenerate success: the product over edges is empty.
     """
     if roots is None:
         roots = find_roots(p, precision)
     with working_precision(precision):
         g = _as_graph(graph_or_edges, roots)
-        extra, row = check(roots, g) if check else ({}, {})
+        table = _rung_table(roots, g)
+        extra, row = check(roots, g, table) if check else ({}, {})
         try:
-            cert = reduce_vandermonde(roots, g, precision)
+            cert = reduce_vandermonde(roots, g, precision, table=table)
         except CertificationError as exc:
             cert = None
             extra["certificate_error"] = str(exc)
-        lhs = ball_product([roots.distance(a, b) for a, b in g.oriented], RBall.one())
-        components = {**_components(roots, g.edge_count), **row}
+        lhs = table.edge_product.abs()
+        components = {**_components(roots, table, g.edge_count), **row}
         degenerate = roots.r == 1
         if degenerate:
             extra["degenerate"] = "single distinct root"
@@ -466,7 +563,7 @@ def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | No
     and the oriented graph must satisfy the in-degree cap.
     """
 
-    def check(roots, g):
+    def check(roots, g, table):
         d = p.degree
         if roots.r != d:
             raise PreconditionError(
@@ -496,10 +593,10 @@ def bound_remark_degree(p, graph_or_edges, precision: int = 128, roots: RootSet 
     if p.is_zero or p.leading != 1:
         raise PreconditionError("this variant requires a monic polynomial (leading coefficient exactly 1)")
 
-    def check(roots, g):
+    def check(roots, g, table):
         dtilde = min_total_degree(g)
         exponent = -(roots.r - 1) + mpf(dtilde) / 2
-        return {"min_total_degree": dtilde}, {"mahler_power": mahler_measure(roots).powr(exponent)}
+        return {"min_total_degree": dtilde}, {"mahler_power": _mahler(roots, table).powr(exponent)}
 
     return _graph_bound("remark_degree", p, graph_or_edges, precision, roots, check)
 
@@ -517,7 +614,7 @@ def bound_remark_pairs(
     -#E + (sum of the k - #E smallest hint exponents).
     """
 
-    def check(roots, g):
+    def check(roots, g, table):
         r = roots.r
         if r <= 2:
             raise PreconditionError(f"this variant requires r > 2 distinct roots, got r={r}")
@@ -573,7 +670,7 @@ def bound_sep_product(p, subset, precision: int = 128, roots: RootSet | None = N
         sub0 = bound_main(p, e0, precision, roots=roots)
         sub1 = bound_main(p, e1, precision, roots=roots)
         lhs = ball_product(seps, RBall.one())
-        components = _components(roots, len(subset), k=2)
+        components = _components(roots, _rung_table(roots, orient([], r)), len(subset), k=2)
         extra = {
             "subset": subset,
             "e0": [list(e) for e in e0],

@@ -100,9 +100,15 @@ def complete_homogeneous(k: int, nodes: list[CBall]) -> list[CBall]:
     h = [CBall.exact(0)] * (k + 1)
     h[0] = CBall.one()
     for v in nodes:
-        for i in range(1, k + 1):
-            h[i] = h[i] + v * h[i - 1]
+        _recurrence_pass(h, v)
     return h
+
+
+def _recurrence_pass(h: list[CBall], v: CBall) -> None:
+    """One node's pass of the column recurrence over h, in place: h_0..h_k
+    of some nodes become h_0..h_k of those nodes and v."""
+    for i in range(1, len(h)):
+        h[i] = h[i] + v * h[i - 1]
 
 
 def divdiff_monomial(p: int, nodes) -> CBall:

@@ -16,6 +16,12 @@ The discriminant and every principal subresultant coefficient come from that
 same chain. Vanishing decisions (the index d - r itself) are made exactly:
 the chain and the square-free decomposition must agree. Every input is an
 exact polynomial, a decimal literal having been parsed as its exact rational.
+
+`compute_invariants` evaluates both sdisc routes and the product-definition
+Mahler measure here. The bounds do not call these root-product routes: they
+take the same formulas, |sDisc_{d-r}| as (|lc|^{r-1} (prod m_j)^{1/2}
+|det W|)^2 and M from max(1, |v_j|), off the rung's table of root
+differences that their reduction certificate reads (`rootsep.bounds`).
 """
 from __future__ import annotations
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_add, mpf_lt, mpf_mul, mpf_sub
 
 from .balls import CBall, GUARD_BITS, RBall
 from .errors import IndistinguishableRootsError, PreconditionError, ValidationError
@@ -115,19 +115,26 @@ class RootSet:
         return (self.entries[i].value - self.entries[j].value).abs()
 
     def nearest_partner(self, j: int) -> tuple[int, RBall]:
-        """Index of the closest different root (ties broken by smallest
-        canonical index) and the distance."""
+        """Index of the closest different root and the distance as a ball.
+
+        The partner is chosen by the squared distance of the dyadic
+        midpoints, taken exactly and rounded once to `precision_bits`, so
+        that midpoint noise below the certified precision cannot break a
+        tie between equidistant roots; ties go to the smallest canonical
+        index. Only the partner's distance is taken in ball arithmetic."""
         if self.r < 2:
             raise PreconditionError("no different root: the root set has a single entry")
-        best_i = -1
-        best: RBall | None = None
-        for i in range(self.r):
+        mids = [(z.real._mpf_, z.imag._mpf_) for z in (e.value.mid for e in self.entries)]
+        xj, yj = mids[j]
+        best_i, best = -1, None
+        for i, (x, y) in enumerate(mids):
             if i == j:
                 continue
-            d = self.distance(i, j)
-            if best is None or d.mid < best.mid:
-                best, best_i = d, i
-        return best_i, best
+            dx, dy = mpf_sub(x, xj), mpf_sub(y, yj)
+            square = mpf_add(mpf_mul(dx, dx), mpf_mul(dy, dy), self.precision_bits, "n")
+            if best is None or mpf_lt(square, best):
+                best, best_i = square, i
+        return best_i, self.distance(best_i, j)
 
     def to_json(self) -> list[dict]:
         return [

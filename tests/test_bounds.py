@@ -34,8 +34,10 @@ from rootsep import (
     vandermonde_matrix,
     verify,
 )
-from rootsep.balls import ball_det, ball_product, working_precision
+from rootsep.balls import CBall, ball_det, ball_product, working_precision
 from rootsep.divdiff import power_basis_row
+from rootsep.invariants import sdisc_abs_from_subresultants
+from rootsep.roots import RootSet
 
 
 class TestLemmaAux:
@@ -207,6 +209,119 @@ class TestReduction:
             roots = find_roots(p, 128)
             cert = reduce_vandermonde(roots, orient(edges, roots), 128)
             assert cert.identity_rel_discrepancy <= 1e-10
+
+
+class TestRungTable:
+    def test_one_subtraction_per_pair_and_no_distance(self, monkeypatch):
+        # the certificate, the LHS, sDisc and the Mahler measure all read one
+        # table of differences
+        r = 12
+        p = ExactPoly.from_roots(
+            [GaussianRational.of(Fraction(k - 6, 2), Fraction(k % 3, 3)) for k in range(r)]
+        )
+        roots = find_roots(p, 128)
+        edges = [(i, j) for j in range(r) for i in range(j)]
+        subtractions, distances = [], []
+        real_sub, real_distance = CBall.__sub__, RootSet.distance
+
+        def sub_spy(self, other):
+            subtractions.append(1)
+            return real_sub(self, other)
+
+        def distance_spy(self, i, j):
+            distances.append((i, j))
+            return real_distance(self, i, j)
+
+        monkeypatch.setattr(CBall, "__sub__", sub_spy)
+        monkeypatch.setattr(RootSet, "distance", distance_spy)
+        rep = bound_main(p, edges, 128, roots=roots)
+        assert rep.holds and rep.certificate is not None
+        assert len(subtractions) == r * (r - 1) // 2
+        assert distances == []
+
+    # only rows that extend no other reduced row run the recurrence from
+    # scratch, listed by node count: row 1 of the complete graph; rows 3 and
+    # 5 of the other, where {0, 1, 2} -> 3 and {0, 1, 2, 3} -> 4 nest and
+    # {1, 4} -> 5 does not
+    @pytest.mark.parametrize("edges, scratch_rows", [
+        ([(i, j) for j in range(8) for i in range(j)], [2]),
+        ([(0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4), (1, 5), (4, 5)], [4, 3]),
+    ])
+    def test_extended_rows_are_power_basis_rows(self, edges, scratch_rows, monkeypatch):
+        import rootsep.bounds
+
+        p = ExactPoly.from_roots(
+            [GaussianRational.of(Fraction(k - 3, 3), Fraction(k % 2, 2)) for k in range(8)]
+        )
+        roots = find_roots(p, 128)
+        g = orient(edges, roots)
+        direct = []
+        real_row = rootsep.bounds.power_basis_row
+
+        def row_spy(r, nodes):
+            direct.append(len(nodes))
+            return real_row(r, nodes)
+
+        monkeypatch.setattr(rootsep.bounds, "power_basis_row", row_spy)
+        with working_precision(128):
+            vals = roots.values()
+            table = rootsep.bounds._rung_table(roots, g)
+            rows = rootsep.bounds._w1_rows(vals, table.sources)
+            reduced = [j for j in range(8) if table.sources[j]]
+            for j in reduced:
+                expected = real_row(8, [vals[a] for a in table.sources[j]] + [vals[j]])
+                assert [(repr(c.mid), repr(c.rad)) for c in rows[j]] == [
+                    (repr(c.mid), repr(c.rad)) for c in expected
+                ]
+        assert direct == scratch_rows
+
+
+def _degree_16_roots():
+    """The six Gaussian-rational roots, multiplicities 1..5, of the degree 16
+    polynomial in test_invariants."""
+    rng = random.Random(16)
+    roots = []
+    while len(roots) < 6:
+        q = GaussianRational(
+            Fraction(rng.randint(-6, 6), rng.choice((3, 5, 7, 8))),
+            Fraction(rng.randint(-6, 6), rng.choice((3, 5, 7, 8))),
+        )
+        if q not in roots:
+            roots.append(q)
+    return roots, [1, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("case", ["degree-16", "cluster-2^-200"])
+@pytest.mark.parametrize("variant", ["main", "remark_degree", "sep_product"])
+def test_table_routes_agree_with_independent_routes(variant, case):
+    # the report's sDisc, read off det W, overlaps the exact subresultant
+    # route, and its LHS the product of independently taken distances
+    if case == "degree-16":
+        q, mults = _degree_16_roots()
+        # remark_degree needs a monic polynomial
+        lead = 1 if variant == "remark_degree" else GaussianRational.of(2, 1)
+        precision = 128
+    else:
+        q = [GaussianRational.of(1), GaussianRational.of(1 + Fraction(1, 2**200)),
+             GaussianRational.of(-2, 1), GaussianRational.of(3)]
+        mults, lead, precision = [2, 2, 1, 1], 1, 256
+    p = ExactPoly.from_roots(q, mults, lead)
+    roots = find_roots(p, precision)
+    r = roots.r
+    if variant == "sep_product":
+        rep = bound_sep_product(p, list(range(r)), precision, roots=roots)
+        # the sep-product row is the main row squared: this slot holds |sDisc|
+        sdisc = rep.components["sdisc_sqrt"]
+        edges = [tuple(e) for e in rep.extra["e0"] + rep.extra["e1"]]
+    else:
+        edges = [(i, j) for j in range(r) for i in range(j)]
+        bound = bound_main if variant == "main" else bound_remark_degree
+        rep = bound(p, edges, precision, roots=roots)
+        sdisc = rep.components["sdisc_sqrt"] * rep.components["sdisc_sqrt"]
+    with working_precision(precision):
+        lhs = ball_product([roots.distance(a, b) for a, b in edges])
+        assert sdisc.overlaps(sdisc_abs_from_subresultants(p, precision))
+        assert rep.lhs.overlaps(lhs)
 
 
 class TestRowNormHadamard:

@@ -155,6 +155,20 @@ class TestSep:
         with pytest.raises(PreconditionError):
             sep(roots, 0)
 
+    def test_equidistant_partners_go_to_the_smallest_index(self):
+        # -7/4 is 5/12 from both -4/3 and -3/2 - i/3; the certified midpoints
+        # differ from those rationals below the precision, which must not
+        # decide the tie, at any ambient precision
+        q = [GaussianRational.of(Fraction(-4, 3)), GaussianRational.of(Fraction(-3, 2), Fraction(-1, 3)),
+             GaussianRational.of(Fraction(-7, 4))]
+        roots = find_roots(ExactPoly.from_roots(q), 128)
+        assert all(abs(e.value.mid - complex(z.re, z.im)) < 1e-12 for e, z in zip(roots.entries, q))
+        for bits in (53, 152, 300):
+            with mpmath.workprec(bits):
+                partner, dist = roots.nearest_partner(2)
+            assert partner == 0
+            assert abs(dist.mid - mpmath.mpf(5) / 12) < 1e-15
+
     def test_min_over_j_is_min_pairwise(self):
         rng = random.Random(3)
         for _ in range(10):
