@@ -27,6 +27,23 @@ up) and keeps it; the bound does not depend on the precision. Division and
 `mpf_hypot` serves neither: it rounds the sum of squares to nearest before
 its directed square root. `lo`/`hi` round outward, and `sqrt`, `root`,
 `powr` and `max1` map outward-rounded endpoints.
+
+Determinants. `ball_det` eliminates on one grid of Gaussian integers per
+matrix. An entry becomes (X + iY) / 2^w with its radius R a nonnegative int
+in units of 2^-w, where w = p + `DET_GUARD_BITS` - min t and t = exp + bc of
+the larger part of each nonzero entry: every nonzero entry keeps at least p
+bits relative to its own modulus, and a part far below that, such as a real
+root's imaginary noise, floors into the radius. Every rounding is counted
+upward in whole units: each floored part adds 2 units (a floor moves a part
+by less than 1), at the conversion, in each part of a multiplier f = x/p and
+in each part of a product f t. The radius of f is
+ceil((R_x |p|_lo + |x|_hi R_p) 2^w / (|p|_lo (|p|_lo - R_p))), and the
+update c - f t adds ceil((|f|_hi R_t + R_f (|t|_hi + R_t)) / 2^w) to R_c,
+with the moduli bounds from `math.isqrt` of X^2 + Y^2. The pivot is the
+entry of largest exact X^2 + Y^2, the first on ties, and one with
+isqrt(X^2 + Y^2) <= R may contain zero. Only the pivots become balls again,
+with exact dyadic midpoints and radii rounded up to RAD_BITS bits; the
+determinant is the sign times their product.
 """
 from __future__ import annotations
 
@@ -40,6 +57,7 @@ from mpmath.libmp import (
     fone,
     from_float,
     from_int,
+    from_man_exp,
     from_rational,
     fzero,
     mpc_add,
@@ -445,8 +463,8 @@ class RBall:
 class CBall:
     """Complex disk {z : |z - mid| <= rad}.
 
-    Each ball keeps a RAD_BITS-bit upper bound of |mid| once a product,
-    quotient or pivot search has needed it. The bound is taken from the
+    Each ball keeps a RAD_BITS-bit upper bound of |mid| once a product or
+    quotient has needed it. The bound is taken from the
     exact midpoint, so it is the same at every precision.
     """
 
@@ -619,49 +637,115 @@ def ball_row_norm(row: "list[CBall]") -> RBall:
     return _rball(m, _up_add(r, mpf_sqrt(rads, RAD_BITS, "u")))
 
 
-def _sub_product(c: CBall, f: CBall, x: CBall, prec: int) -> CBall:
-    """c - f x with the product's midpoint rounded on the way: one ball, no
-    intermediate one, each rounding with its cushion."""
-    p = _mid_product(f._m, x._m, prec)
-    m = mpc_sub(c._m, p, prec, "n")
-    r = _up_add(c._r, _up_add(_complex_cushion(p, prec), _complex_cushion(m, prec)))
-    return _cball(m, _product_radius(r, f, x))
+#: bits the determinant grid keeps beyond the working precision
+DET_GUARD_BITS = 8
+
+
+def _ceil_sqrt(n: int) -> int:
+    """ceil(sqrt(n)) for an int n >= 0."""
+    s = math.isqrt(n)
+    return s + (s * s < n)
+
+
+def _grid_part(part, w: int) -> tuple[int, bool]:
+    """part times 2^w truncated toward 0, and whether that lost bits."""
+    sign, man, exp, _ = part
+    k = exp + w
+    if k >= 0:
+        v = man << k
+        return (-v if sign else v), False
+    v = man >> -k
+    return (-v if sign else v), v << -k != man
+
+
+def _grid_entry(z: CBall, w: int) -> tuple[int, int, int]:
+    """(X, Y, R) with the disk of z inside {(X + iY + e) / 2^w : |e| <= R}:
+    the parts truncated toward 0, the radius rounded up, and 2 units more
+    for each part that lost bits."""
+    (re, im), rad = z._m, z._r
+    x, lost_x = _grid_part(re, w) if re[1] else (0, False)
+    y, lost_y = _grid_part(im, w) if im[1] else (0, False)
+    r = 2 * (lost_x + lost_y)
+    if rad[1]:
+        k = rad[2] + w
+        r += rad[1] << k if k >= 0 else -(-rad[1] >> -k)
+    return x, y, r
+
+
+def _grid_pivot(x: int, y: int, r: int, w: int) -> CBall:
+    """The ball (x + iy +/- r) / 2^w: an exact midpoint, the radius rounded
+    up to RAD_BITS bits."""
+    return _cball(
+        (from_man_exp(x, -w), from_man_exp(y, -w)),
+        from_man_exp(r, -w, RAD_BITS, "u") if r else fzero,
+    )
 
 
 def ball_det(matrix: "list[list[CBall]]") -> CBall:
-    """Determinant by LU elimination with partial pivoting on the cached
-    upper bounds of |mid|.
+    """Determinant by LU elimination on one grid of Gaussian integers, with
+    partial pivoting on the exact squared moduli (first row on ties).
 
-    Raises BallDomainError when a pivot ball contains zero, which callers
+    The entries go to (X + iY) / 2^w with radii in units of 2^-w (see the
+    module docstring), the elimination runs on Python ints with every
+    rounding counted upward in whole units, and only the pivots become balls
+    again: the determinant is the sign times their product.
+
+    Raises BallDomainError when a pivot ball may contain zero, which callers
     treat as a certification failure at the current precision.
     """
     n = len(matrix)
-    prec = mp.prec
-    m = [row[:] for row in matrix]
-    det = CBall.one()
+    if not n:
+        return CBall.one()
+    # t = exp + bc of the larger part of each nonzero entry
+    ts = [
+        max(p[2] + p[3] for p in z._m if p[1])
+        for row in matrix for z in row if z._m[0][1] or z._m[1][1]
+    ]
+    w = max(0, mp.prec + DET_GUARD_BITS - min(ts, default=0))
+    xs, ys, rs = [], [], []
+    for row in matrix:
+        xr, yr, rr = zip(*[_grid_entry(z, w) for z in row])
+        xs.append(list(xr))
+        ys.append(list(yr))
+        rs.append(list(rr))
+    pivots = []
     sign = 1
     for k in range(n):
-        piv, best = k, m[k][k]._mag()
+        piv, best = k, xs[k][k] ** 2 + ys[k][k] ** 2
         for i in range(k + 1, n):
-            a = m[i][k]._mag()
-            if mpf_lt(best, a):
+            a = xs[i][k] ** 2 + ys[i][k] ** 2
+            if a > best:
                 piv, best = i, a
         if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+            xs[k], xs[piv] = xs[piv], xs[k]
+            ys[k], ys[piv] = ys[piv], ys[k]
+            rs[k], rs[piv] = rs[piv], rs[k]
             sign = -sign
-        pivot = m[k][k]
-        if pivot.contains_zero():
+        xt, yt, rt = xs[k], ys[k], rs[k]
+        px, py, pr = xt[k], yt[k], rt[k]
+        lo = math.isqrt(best)
+        if lo <= pr:
             raise BallDomainError("singular-to-precision pivot in ball determinant")
-        det = det * pivot
-        top = m[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            x = row[k]
-            if not x._r[1] and not x._m[0][1] and not x._m[1][1]:
-                continue
-            f = x / pivot
-            for j in range(k + 1, n):
-                row[j] = _sub_product(row[j], f, top[j], prec)
-    if sign < 0:
-        det = -det
-    return det
+        pivots.append(_grid_pivot(px, py, pr, w))
+        rows = [i for i in range(k + 1, n) if xs[i][k] or ys[i][k] or rs[i][k]]
+        if not rows:
+            continue
+        k1 = k + 1
+        tx, ty, tr = xt[k1:], yt[k1:], rt[k1:]
+        mods = [_ceil_sqrt(a * a + b * b) for a, b in zip(tx, ty)]
+        reach = [m + c for m, c in zip(mods, tr)]
+        den = lo * (lo - pr)
+        for i in rows:
+            xr, yr, rr = xs[i], ys[i], rs[i]
+            x, y, r = xr[k], yr[k], rr[k]
+            fr = ((x * px + y * py) << w) // best
+            fi = ((y * px - x * py) << w) // best
+            # |x/p - X/P| <= (R_x |P| + |X| R_p) / (|P| (|P| - R_p)), falling in |P|
+            rf = -(-((r * lo + _ceil_sqrt(x * x + y * y) * pr) << w) // den) + 4
+            fm = _ceil_sqrt(fr * fr + fi * fi)
+            xr[k1:] = [c - ((fr * a - fi * b) >> w) for c, a, b in zip(xr[k1:], tx, ty)]
+            yr[k1:] = [c - ((fr * b + fi * a) >> w) for c, a, b in zip(yr[k1:], tx, ty)]
+            # + |f| R_t + R_f (|t| + R_t), rounded up, and 2 units per floored part
+            rr[k1:] = [c - (-(fm * a + rf * b) >> w) + 4 for c, a, b in zip(rr[k1:], tr, reach)]
+    det = ball_product(pivots)
+    return -det if sign < 0 else det

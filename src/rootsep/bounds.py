@@ -211,11 +211,13 @@ class _RungTable:
     at step i, highest row first (exact 1 for rows without incoming edges).
     Each edge finishes at one row, so edge_product is the product of the
     step factors, and det_w is edge_product times the other differences:
-    the product over i < j of (v_j - v_i).
+    the product over i < j of (v_j - v_i). edge_base is r/sqrt(3), the base
+    of the row-norm bounds and of the edge factor.
     """
 
     diff: dict
     max1: tuple
+    edge_base: RBall
     sources: tuple
     step_factors: tuple
     edge_product: CBall
@@ -242,6 +244,7 @@ def _rung_table(roots: RootSet, g: RootGraph) -> _RungTable:
     return _RungTable(
         diff=diff,
         max1=tuple(v.abs().max1() for v in vals),
+        edge_base=RBall.exact(r) / _sqrt3(),
         sources=sources,
         step_factors=tuple(step_factors),
         edge_product=edge_product,
@@ -311,10 +314,14 @@ def reduce_vandermonde(
         scale = max(abs(t.det_w.mid), abs(recombined.mid))
         rel = float(gap / scale) if scale > 0 else 0.0
         row_norms = tuple(ball_row_norm(row) for row in w1)
-        # row j's bound: (r/sqrt(3))^d_j * sqrt(r) * max(1, |v_j|)^(r-1-d_j)
-        edge_base, sqrt_r = RBall.exact(r) / _sqrt3(), RBall.exact(r).sqrt()
+        # row j's bound: (r/sqrt(3))^d_j * sqrt(r) * max(1, |v_j|)^(r-1-d_j),
+        # with the powers of r/sqrt(3) from one running product
+        powers = [RBall.one(), t.edge_base]
+        while len(powers) <= max(g.in_degrees):
+            powers.append(powers[-1] * t.edge_base)
+        sqrt_r = RBall.exact(r).sqrt()
         row_bounds = tuple(
-            edge_base.powi(d) * sqrt_r * t.max1[j].powi(r - 1 - d)
+            powers[d] * sqrt_r * t.max1[j].powi(r - 1 - d)
             for j, d in enumerate(g.in_degrees)
         )
         cert = VandermondeCertificate(
@@ -480,7 +487,7 @@ def _components(roots: RootSet, table: _RungTable, n_edges: int, k: int = 1) -> 
     return {
         "sdisc_sqrt": sdisc.sqrt() if k == 1 else sdisc,
         "mahler_power": _mahler(roots, table).powi(-k * (r - 1)),
-        "edge_factor": (RBall.exact(r) / _sqrt3()).powi(-n_edges),
+        "edge_factor": table.edge_base.powi(-n_edges),
         "r_power": RBall.one() / (r_r.sqrt() if k == 1 else r_r),
         "multiplicity_factor": RBall.one() / RBall.exact(3**mmin).root(6 // k),
     }
@@ -632,7 +639,7 @@ def bound_remark_pairs(
             "hint_pairs": [[a, b, float(dv)] for a, b, dv in pairs.pairs],
             "edge_exponent": float(exponent),
         }
-        return extra, {"edge_factor": (RBall.exact(r) / _sqrt3()).powr(exponent)}
+        return extra, {"edge_factor": table.edge_base.powr(exponent)}
 
     return _graph_bound("remark_pairs", p, graph_or_edges, precision, roots, check)
 

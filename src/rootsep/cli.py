@@ -15,6 +15,7 @@ writes it, or the error report of an input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -137,7 +138,10 @@ def _cmd_invariants(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged, and each call returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="rootsep",
         description="Certified lower bounds for products of root distances over graphs",

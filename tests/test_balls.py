@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, mpf_hypot
 
 from rootsep import GaussianRational
-from rootsep.balls import RAD_BITS, CBall, RBall, _mod_down, _mod_up, json_real, working_precision
+from rootsep.balls import (
+    RAD_BITS,
+    CBall,
+    RBall,
+    _mod_down,
+    _mod_up,
+    ball_det,
+    json_real,
+    working_precision,
+)
 from rootsep.errors import BallDomainError
 
 
@@ -256,6 +265,88 @@ class TestModulusBounds:
         norm = _t(x) ** 2 + _t(y) ** 2
         assert _t(mpf_hypot(x, y, RAD_BITS, "u")) ** 2 < norm
         assert _t(_mod_down((x, y))) ** 2 <= norm <= _t(_mod_up((x, y))) ** 2
+
+
+# entries of determinant tests: exact zeros and small rationals scaled by
+# 2^-200, 1 or 2^200, or by 2^-3000 like a real root's imaginary noise, each
+# widened by a radius from 0 up to 2^-1100 .. 2^-20
+det_scales = st.sampled_from(
+    [Fraction(1, 2**3000), Fraction(1, 2**200), Fraction(1), Fraction(2**200)]
+)
+det_parts = st.builds(
+    lambda a, b, scale: Fraction(a, b) * scale,
+    st.integers(-50, 50), st.integers(1, 12), det_scales,
+)
+_det_widened = st.tuples(
+    st.builds(GaussianRational, det_parts, det_parts),
+    st.one_of(
+        st.just(Fraction(0)),
+        st.integers(1, 2**20).map(lambda k: Fraction(k, 2**1120)),
+        st.integers(1, 2**20).map(lambda k: Fraction(k, 2**40)),
+    ),
+    # where the point sits in the widened disk, as a unit-bounded offset
+    st.sampled_from([(0, 0), (1, 0), (0, -1), (Fraction(-3, 5), Fraction(4, 5))]),
+)
+# one entry in five an exact zero
+det_entries = st.integers(0, 4).flatmap(
+    lambda k: _det_widened if k else st.just((GaussianRational.of(0), Fraction(0), (0, 0)))
+)
+
+
+def _exact_det(rows) -> GaussianRational:
+    """The determinant of a Gaussian-rational matrix by Fraction elimination."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    det = GaussianRational.of(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+        if piv is None:
+            return GaussianRational.of(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det = det * m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [c - f * t for c, t in zip(m[i], m[k])]
+    return det
+
+
+class TestDeterminant:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(det_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    ), precisions)
+    def test_encloses_the_determinant_of_a_point_in_each_ball(self, entries, bits):
+        with working_precision(bits):
+            balls, points = [], []
+            for row in entries:
+                balls.append([])
+                points.append([])
+                for g, widen, (a, b) in row:
+                    exact = CBall.exact(g)
+                    balls[-1].append(CBall(exact.mid, _q(exact.rad) + widen))
+                    points[-1].append(g + GaussianRational(widen * a, widen * b))
+            try:
+                got = ball_det(balls)
+            except BallDomainError:
+                return
+            assert _encloses_complex(got, _exact_det(points))
+
+    def test_exact_part_below_the_grid_floors_into_the_radius(self):
+        # 1 + 3i 2^-3000 with radius 0: the grid drops the imaginary part and
+        # must widen the radius for it
+        with working_precision(64):
+            z = CBall(mpmath.mpc(1, mpmath.ldexp(3, -3000)))
+            assert _encloses_complex(ball_det([[z]]), GaussianRational.of(1, Fraction(3, 2**3000)))
+
+    def test_schur_complement_holding_zero_raises(self):
+        # after the first pivot the second is (1 + e) - 1 = e, with radius 2e
+        with working_precision(128):
+            e = mpmath.ldexp(1, -40)
+            matrix = [[CBall.exact(1), CBall.exact(1)], [CBall.exact(1), CBall(1 + e, 2 * e)]]
+            with pytest.raises(BallDomainError, match="singular-to-precision pivot"):
+                ball_det(matrix)
 
 
 class TestStoredModulus:

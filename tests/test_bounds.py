@@ -35,7 +35,9 @@ from rootsep import (
     verify,
 )
 from rootsep.balls import CBall, ball_det, ball_product, working_precision
+from rootsep.bounds import _rung_table, _w1_rows
 from rootsep.divdiff import power_basis_row
+from rootsep.graph import preset_edges
 from rootsep.invariants import sdisc_abs_from_subresultants
 from rootsep.roots import RootSet
 
@@ -322,6 +324,60 @@ def test_table_routes_agree_with_independent_routes(variant, case):
         lhs = ball_product([roots.distance(a, b) for a, b in edges])
         assert sdisc.overlaps(sdisc_abs_from_subresultants(p, precision))
         assert rep.lhs.overlaps(lhs)
+
+
+def _path_w1(r: int):
+    """The reduced matrix W_1 of a path on the real roots (k - r/2)/4,
+    k = 0, ..., r - 1, at 128 bits."""
+    p = ExactPoly.from_roots([GaussianRational.of(Fraction(2 * k - r, 8)) for k in range(r)])
+    roots = find_roots(p, 128)
+    g = orient(preset_edges("path", roots), roots)
+    with working_precision(128):
+        return _w1_rows(roots.values(), _rung_table(roots, g).sources)
+
+
+class TestDeterminantOnIntegers:
+    def test_path_w1_divides_no_ball_and_multiplies_only_pivots(self, monkeypatch):
+        w1 = _path_w1(16)
+        muls, divs = [], []
+        real_mul, real_div = CBall.__mul__, CBall.__truediv__
+
+        def mul_spy(self, other):
+            muls.append(1)
+            return real_mul(self, other)
+
+        def div_spy(self, other):
+            divs.append(1)
+            return real_div(self, other)
+
+        monkeypatch.setattr(CBall, "__mul__", mul_spy)
+        monkeypatch.setattr(CBall, "__truediv__", div_spy)
+        with working_precision(128):
+            ball_det(w1)
+        assert divs == []
+        assert len(muls) <= 16
+
+    def test_imaginary_noise_on_real_entries_floors_into_the_radius(self):
+        w1 = _path_w1(12)
+        with working_precision(128):
+            tiny = mpmath.ldexp(1, -3000)
+            noisy = [
+                [CBall(mpmath.mpc(z.mid.real, tiny if (i + j) % 2 else -tiny), z.rad)
+                 for j, z in enumerate(row)]
+                for i, row in enumerate(w1)
+            ]
+            clean, got = ball_det(w1), ball_det(noisy)
+            assert got.overlaps(clean)
+            assert got.rad <= 2 * clean.rad
+
+    @pytest.mark.parametrize("preset", ["complete", "path"])
+    def test_roots_across_a_wide_range_certify(self, preset):
+        p = ExactPoly.from_roots(
+            [GaussianRational.of(v) for v in (Fraction(1, 2**100), 1, 3, 10)]
+        )
+        roots = find_roots(p, 128)
+        rep = bound_main(p, preset_edges(preset, roots), 128, roots=roots)
+        assert rep.holds and rep.certificate is not None
 
 
 class TestRowNormHadamard:

@@ -1,12 +1,17 @@
 """CLI subcommands: exit codes, JSON reports, atomic output."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import rootsep
 from rootsep import parse_polynomial
-from rootsep.cli import main
+from rootsep.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -234,3 +239,23 @@ class TestInvariants:
     def test_error(self, capsys):
         code, payload = run_cli(["invariants", "--poly", "7"], capsys)
         assert code == 1
+
+
+class TestParserReuse:
+    def test_one_process_matches_separate_runs(self, capsys):
+        # the parser is built once per process; a second command through it
+        # must report what a fresh process reports
+        commands = [
+            ["verify", "--poly", "(x-1)^2*(x+2)*(x-i)", "--preset", "nearest_neighbor"],
+            ["invariants", "--poly", "(x-1)^2*(x+2)*(x-i)"],
+        ]
+        in_process = [run_cli(args, capsys) for args in commands]
+        assert build_parser() is build_parser()
+        src = str(Path(rootsep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for args, (code, payload) in zip(commands, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "rootsep.cli", *args],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert (fresh.returncode, json.loads(fresh.stdout)) == (code, payload)
