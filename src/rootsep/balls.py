@@ -31,19 +31,26 @@ its directed square root. `lo`/`hi` round outward, and `sqrt`, `root`,
 Determinants. `ball_det` eliminates on one grid of Gaussian integers per
 matrix. An entry becomes (X + iY) / 2^w with its radius R a nonnegative int
 in units of 2^-w, where w = p + `DET_GUARD_BITS` - min t and t = exp + bc of
-the larger part of each nonzero entry: every nonzero entry keeps at least p
-bits relative to its own modulus, and a part far below that, such as a real
-root's imaginary noise, floors into the radius. Every rounding is counted
-upward in whole units: each floored part adds 2 units (a floor moves a part
-by less than 1), at the conversion, in each part of a multiplier f = x/p and
-in each part of a product f t. The radius of f is
+the larger part of each entry whose midpoint clears its radius (t > exp +
+bc of the radius, so |mid| > rad): every such entry keeps at least p bits
+relative to its own modulus. An entry that does not clear its radius, such
+as a midpoint of rounding noise below it, does not set the grid; it floors
+into its radius units, as does a part far below the grid. Every rounding is
+counted upward in whole units: each floored part adds 2 units (a floor
+moves a part by less than 1), at the conversion, in each part of a
+multiplier f = x/p and in each part of a product f t. The radius of f is
 ceil((R_x |p|_lo + |x|_hi R_p) 2^w / (|p|_lo (|p|_lo - R_p))), and the
 update c - f t adds ceil((|f|_hi R_t + R_f (|t|_hi + R_t)) / 2^w) to R_c,
 with the moduli bounds from `math.isqrt` of X^2 + Y^2. The pivot is the
 entry of largest exact X^2 + Y^2, the first on ties, and one with
-isqrt(X^2 + Y^2) <= R may contain zero. Only the pivots become balls again,
-with exact dyadic midpoints and radii rounded up to RAD_BITS bits; the
-determinant is the sign times their product.
+isqrt(X^2 + Y^2) <= R may contain zero. When the pivot, the rest of its row
+and a row's entry in its column are real, f is real and that row's update
+changes X and R only: its Y products are all 0. An entry is converted to
+the grid when its column is searched for a pivot, and the rest of its row
+only when the row takes part in an update, so a triangular matrix costs
+its diagonal. Only the pivots become balls again, with exact dyadic
+midpoints and radii rounded up to RAD_BITS bits; the determinant is the
+sign times their product.
 """
 from __future__ import annotations
 
@@ -672,6 +679,35 @@ def _grid_entry(z: CBall, w: int) -> tuple[int, int, int]:
     return x, y, r
 
 
+def _grid_row(row: "list[CBall]", k: int, w: int) -> list[list[int]]:
+    """[X, Y, R] lists of a row on the grid from column k on, with zeros
+    before it: the columns that the elimination has passed."""
+    pad = [0] * k
+    xs, ys, rs = zip(*[_grid_entry(z, w) for z in row[k:]])
+    return [pad + list(xs), pad + list(ys), pad + list(rs)]
+
+
+def _det_grid(matrix: "list[list[CBall]]") -> int:
+    """The w of `ball_det`'s grid: p + DET_GUARD_BITS - min t, t = exp + bc
+    of the larger part of each entry whose midpoint clears its radius
+    (t > exp + bc of the radius, so |mid| >= 2^(t - 1) > rad)."""
+    low = None
+    for row in matrix:
+        for z in row:
+            (re, im), rad = z._m, z._r
+            if re[1]:
+                t = re[2] + re[3]
+                if im[1]:
+                    t = max(t, im[2] + im[3])
+            elif im[1]:
+                t = im[2] + im[3]
+            else:
+                continue
+            if (not rad[1] or t > rad[2] + rad[3]) and (low is None or t < low):
+                low = t
+    return max(0, mp.prec + DET_GUARD_BITS - (0 if low is None else low))
+
+
 def _grid_pivot(x: int, y: int, r: int, w: int) -> CBall:
     """The ball (x + iy +/- r) / 2^w: an exact midpoint, the radius rounded
     up to RAD_BITS bits."""
@@ -681,6 +717,41 @@ def _grid_pivot(x: int, y: int, r: int, w: int) -> CBall:
     )
 
 
+def _eliminate(rows, k1, pivot, tail, w) -> None:
+    """row -= (x / p) pivot row on columns k1 and on, for each (row, x, y,
+    r) in `rows`, with (x, y, r) the row's entry in the pivot column; the
+    pivot is (px, py, pr, |p|_lo, |P|^2) and the tail (tx, ty, tr, reach)
+    the pivot row's [X, Y, R] from k1 on and |t|_hi + R_t."""
+    px, py, pr, lo, best = pivot
+    tx, ty, tr, reach = tail
+    den = lo * (lo - pr)
+    for (xr, yr, rr), x, y, r in rows:
+        fr = ((x * px + y * py) << w) // best
+        fi = ((y * px - x * py) << w) // best
+        # |x/p - X/P| <= (R_x |P| + |X| R_p) / (|P| (|P| - R_p)), falling in |P|
+        rf = -(-((r * lo + _ceil_sqrt(x * x + y * y) * pr) << w) // den) + 4
+        fm = _ceil_sqrt(fr * fr + fi * fi)
+        xr[k1:] = [c - ((fr * a - fi * b) >> w) for c, a, b in zip(xr[k1:], tx, ty)]
+        yr[k1:] = [c - ((fr * b + fi * a) >> w) for c, a, b in zip(yr[k1:], tx, ty)]
+        # + |f| R_t + R_f (|t| + R_t), rounded up, and 2 units per floored part
+        rr[k1:] = [c - (-(fm * a + rf * b) >> w) + 4 for c, a, b in zip(rr[k1:], tr, reach)]
+
+
+def _eliminate_real(rows, k1, pivot, tail, w) -> None:
+    """`_eliminate` where the pivot, its row's tail and every x are real:
+    f is real, the Y products are all 0 and Y stays as it is. Only X and R
+    change, by the same amounts as in `_eliminate`."""
+    px, _, pr, lo, best = pivot
+    tx, _, tr, reach = tail
+    den = lo * (lo - pr)
+    for (xr, _, rr), x, _, r in rows:
+        f = ((x * px) << w) // best
+        rf = -(-((r * lo + abs(x) * pr) << w) // den) + 4
+        fm = abs(f)
+        xr[k1:] = [c - ((f * a) >> w) for c, a in zip(xr[k1:], tx)]
+        rr[k1:] = [c - (-(fm * a + rf * b) >> w) + 4 for c, a, b in zip(rr[k1:], tr, reach)]
+
+
 def ball_det(matrix: "list[list[CBall]]") -> CBall:
     """Determinant by LU elimination on one grid of Gaussian integers, with
     partial pivoting on the exact squared moduli (first row on ties).
@@ -688,7 +759,8 @@ def ball_det(matrix: "list[list[CBall]]") -> CBall:
     The entries go to (X + iY) / 2^w with radii in units of 2^-w (see the
     module docstring), the elimination runs on Python ints with every
     rounding counted upward in whole units, and only the pivots become balls
-    again: the determinant is the sign times their product.
+    again: the determinant is the sign times their product. Entries reach
+    the grid lazily, and real rows skip the imaginary parts.
 
     Raises BallDomainError when a pivot ball may contain zero, which callers
     treat as a certification failure at the current precision.
@@ -696,56 +768,49 @@ def ball_det(matrix: "list[list[CBall]]") -> CBall:
     n = len(matrix)
     if not n:
         return CBall.one()
-    # t = exp + bc of the larger part of each nonzero entry
-    ts = [
-        max(p[2] + p[3] for p in z._m if p[1])
-        for row in matrix for z in row if z._m[0][1] or z._m[1][1]
-    ]
-    w = max(0, mp.prec + DET_GUARD_BITS - min(ts, default=0))
-    xs, ys, rs = [], [], []
-    for row in matrix:
-        xr, yr, rr = zip(*[_grid_entry(z, w) for z in row])
-        xs.append(list(xr))
-        ys.append(list(yr))
-        rs.append(list(rr))
+    w = _det_grid(matrix)
+    rows = list(matrix)
+    # [X, Y, R] of a row once it has taken part in an update, else None
+    grid: list = [None] * n
     pivots = []
     sign = 1
     for k in range(n):
-        piv, best = k, xs[k][k] ** 2 + ys[k][k] ** 2
-        for i in range(k + 1, n):
-            a = xs[i][k] ** 2 + ys[i][k] ** 2
+        col = [(g[0][k], g[1][k], g[2][k]) if g else _grid_entry(rows[i][k], w)
+               for i, g in enumerate(grid[k:], k)]
+        piv, best = 0, col[0][0] ** 2 + col[0][1] ** 2
+        for i in range(1, len(col)):
+            a = col[i][0] ** 2 + col[i][1] ** 2
             if a > best:
                 piv, best = i, a
-        if piv != k:
-            xs[k], xs[piv] = xs[piv], xs[k]
-            ys[k], ys[piv] = ys[piv], ys[k]
-            rs[k], rs[piv] = rs[piv], rs[k]
+        if piv:
+            rows[k], rows[k + piv] = rows[k + piv], rows[k]
+            grid[k], grid[k + piv] = grid[k + piv], grid[k]
+            col[0], col[piv] = col[piv], col[0]
             sign = -sign
-        xt, yt, rt = xs[k], ys[k], rs[k]
-        px, py, pr = xt[k], yt[k], rt[k]
+        px, py, pr = col[0]
         lo = math.isqrt(best)
         if lo <= pr:
             raise BallDomainError("singular-to-precision pivot in ball determinant")
         pivots.append(_grid_pivot(px, py, pr, w))
-        rows = [i for i in range(k + 1, n) if xs[i][k] or ys[i][k] or rs[i][k]]
-        if not rows:
+        active = [(i, c) for i, c in enumerate(col[1:], k + 1) if c[0] or c[1] or c[2]]
+        if not active:
             continue
         k1 = k + 1
-        tx, ty, tr = xt[k1:], yt[k1:], rt[k1:]
-        mods = [_ceil_sqrt(a * a + b * b) for a, b in zip(tx, ty)]
-        reach = [m + c for m, c in zip(mods, tr)]
-        den = lo * (lo - pr)
-        for i in rows:
-            xr, yr, rr = xs[i], ys[i], rs[i]
-            x, y, r = xr[k], yr[k], rr[k]
-            fr = ((x * px + y * py) << w) // best
-            fi = ((y * px - x * py) << w) // best
-            # |x/p - X/P| <= (R_x |P| + |X| R_p) / (|P| (|P| - R_p)), falling in |P|
-            rf = -(-((r * lo + _ceil_sqrt(x * x + y * y) * pr) << w) // den) + 4
-            fm = _ceil_sqrt(fr * fr + fi * fi)
-            xr[k1:] = [c - ((fr * a - fi * b) >> w) for c, a, b in zip(xr[k1:], tx, ty)]
-            yr[k1:] = [c - ((fr * b + fi * a) >> w) for c, a, b in zip(yr[k1:], tx, ty)]
-            # + |f| R_t + R_f (|t| + R_t), rounded up, and 2 units per floored part
-            rr[k1:] = [c - (-(fm * a + rf * b) >> w) + 4 for c, a, b in zip(rr[k1:], tr, reach)]
+        g = grid[k] or _grid_row(rows[k], k1, w)
+        tx, ty, tr = g[0][k1:], g[1][k1:], g[2][k1:]
+        real = not (py or any(ty))
+        mods = [abs(a) for a in tx] if real else [_ceil_sqrt(a * a + b * b) for a, b in zip(tx, ty)]
+        tail = (tx, ty, tr, [m + c for m, c in zip(mods, tr)])
+        pivot = (px, py, pr, lo, best)
+        updates = []
+        for i, (x, y, r) in active:
+            if grid[i] is None:
+                grid[i] = _grid_row(rows[i], k1, w)
+            updates.append((grid[i], x, y, r))
+        if real:
+            _eliminate_real([u for u in updates if not u[2]], k1, pivot, tail, w)
+            updates = [u for u in updates if u[2]]
+        if updates:
+            _eliminate(updates, k1, pivot, tail, w)
     det = ball_product(pivots)
     return -det if sign < 0 else det

@@ -34,8 +34,27 @@ EXIT_INPUT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
+def _json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)`, assembled here around the C encoder's
+    text for each scalar and key. The pure-Python encoder that `indent`
+    selects leaves a reference cycle of closures behind on every call, which
+    only a full collection frees, so a process writing many reports grows."""
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        # json writes a non-string key as the string of its JSON text
+        items = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _write_report(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=False)
+    text = _json_text(data)
     if out is None:
         print(text)
         return

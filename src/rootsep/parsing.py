@@ -102,22 +102,20 @@ class _Parser:
         return p
 
     def expr(self) -> ExactPoly:
+        """A sum of terms, added up once (`ExactPoly.sum_of`)."""
+        terms = []
         t = self.peek()
-        negate = False
         if t.kind == "op" and t.text in "+-":
             self.take()
-            negate = t.text == "-"
-        acc = self.term()
-        if negate:
-            acc = -acc
+        else:
+            t = None
         while True:
+            rhs = self.term()
+            terms.append(-rhs if t is not None and t.text == "-" else rhs)
             t = self.peek()
-            if t.kind == "op" and t.text in "+-":
-                self.take()
-                rhs = self.term()
-                acc = acc - rhs if t.text == "-" else acc + rhs
-            else:
-                return acc
+            if t.kind != "op" or t.text not in "+-":
+                return ExactPoly.sum_of(terms)
+            self.take()
 
     def term(self) -> ExactPoly:
         acc = self.factor()
@@ -134,7 +132,7 @@ class _Parser:
                     raise ParseError("division by zero", pos)
                 if divisor.degree > 0:
                     raise ParseError("division by a non-constant polynomial", pos)
-                acc = acc.scale(GR_ONE / divisor.coeff(0))
+                acc = acc // divisor
             elif t.kind == "name" or (t.kind == "op" and t.text == "("):
                 # implicit multiplication: 2x, 3(x-1), x(x+2); two adjacent
                 # number literals stay a syntax error
@@ -147,11 +145,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text == "^":
             self.take()
-            e = self.exponent()
-            acc = ExactPoly.constant(1)
-            for _ in range(e):
-                acc = acc * base
-            return acc
+            return _power(base, self.exponent())
         return base
 
     def exponent(self) -> int:
@@ -169,13 +163,14 @@ class _Parser:
     def atom(self) -> ExactPoly:
         t = self.take()
         if t.kind == "number":
-            return ExactPoly.constant(GaussianRational(t.value, Fraction(0)))
+            q = t.value
+            return ExactPoly(((q.numerator, 0),), q.denominator) if q else ExactPoly.zero()
         if t.kind == "name":
             name = t.text.lower()
             if name == "x":
                 return ExactPoly.x()
             if name == "i":
-                return ExactPoly.constant(GaussianRational(Fraction(0), Fraction(1)))
+                return ExactPoly(((0, 1),))
             raise ParseError(f"unknown name {t.text!r}", t.pos)
         if t.kind == "op" and t.text == "(":
             inner = self.expr()
@@ -185,6 +180,20 @@ class _Parser:
             inner = self.factor()
             return -inner if t.text == "-" else inner
         raise ParseError(f"unexpected token {t.text!r}", t.pos)
+
+
+def _power(base: ExactPoly, e: int) -> ExactPoly:
+    """base^e: x^e as its monomial, other bases by repeated squaring."""
+    if base == ExactPoly.x():
+        return ExactPoly(((0, 0),) * e + ((1, 0),))
+    acc = ExactPoly.constant(1)
+    while e:
+        if e & 1:
+            acc = acc * base
+        e >>= 1
+        if e:
+            base = base * base
+    return acc
 
 
 def _poly_from_json(data) -> ExactPoly:

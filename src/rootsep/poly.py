@@ -146,19 +146,25 @@ class ExactPoly:
             return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
         return GR_ZERO
 
-    def _combine(self, other: "ExactPoly", sign: int) -> "ExactPoly":
-        """self + sign * other."""
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, sign * (den // other.den)
-        a = self.nums + ((0, 0),) * (len(other.nums) - len(self.nums))
-        b = other.nums + ((0, 0),) * (len(self.nums) - len(other.nums))
-        return _reduced([(x * s + u * t, y * s + v * t) for (x, y), (u, v) in zip(a, b)], den)
+    @staticmethod
+    def sum_of(polys) -> "ExactPoly":
+        """The sum of `polys`, over the lcm of their denominators, reduced
+        once."""
+        polys = list(polys)
+        den = lcm(*(p.den for p in polys))
+        out = [[0, 0] for _ in range(max((len(p.nums) for p in polys), default=0))]
+        for p in polys:
+            s = den // p.den
+            for c, (re, im) in zip(out, p.nums):
+                c[0] += re * s
+                c[1] += im * s
+        return _reduced([(re, im) for re, im in out], den)
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        return self._combine(other, 1)
+        return ExactPoly.sum_of((self, other))
 
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
-        return self._combine(other, -1)
+        return ExactPoly.sum_of((self, -other))
 
     def __neg__(self) -> "ExactPoly":
         return ExactPoly(tuple((-re, -im) for re, im in self.nums), self.den)

@@ -34,6 +34,16 @@ f'(z) exactly, and the radius n |f(z)| / |f'(z)| is rounded once, upward.
 Root radii therefore do not depend on ball arithmetic or its rounding, and
 a midpoint that is exactly a root gets radius 0.
 
+A factor with real coefficients has real roots that Aberth leaves with an
+imaginary part of rounding noise. Each of its disks that meets the real
+axis is moved onto it, centred at Re z and certified again there. The
+factor's disks are pairwise disjoint, and there are as many as roots, so
+each holds exactly one root; an axis disk is its own mirror image, so the
+conjugate of its root lies in it too and is also a root of the real factor,
+hence the same root, which is real. Real roots thus come out with real
+midpoints, exact with radius 0 when dyadic, and the bound on them runs in
+real arithmetic.
+
 The disks of distinct factors must be pairwise disjoint too; one ladder
 doubles the working precision until every factor certifies and all disks
 are disjoint (or raises), and sorts the roots by (modulus, re, im) rounded
@@ -55,7 +65,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_add, mpf_lt, mpf_mul, mpf_sub
+from mpmath.libmp import from_float, from_man_exp, mpf_add, mpf_lt, mpf_mul, mpf_shift, mpf_sub
 
 from .balls import CBall, GUARD_BITS, RBall
 from .errors import IndistinguishableRootsError, PreconditionError, ValidationError
@@ -182,11 +192,20 @@ def _meet(a, b, cushion) -> bool:
 
 def _first_overlap(disks) -> tuple[int, int] | None:
     """First pair (j, i), j < i, of (center, radius) disks that are not
-    certifiably disjoint at the ambient precision, or None."""
-    cushion = 1 - mpmath.ldexp(mpf(1), 8 - mp.prec)
-    for i in range(len(disks)):
+    certifiably disjoint at the ambient precision, or None.
+
+    The test is `_meet`'s, |a - b| (1 - 2^(8 - prec)) <= r_a + r_b, decided
+    exactly on squares: centers and radii are dyadic, so they become ints at
+    one scale, and no square root is taken."""
+    parts = [(_dyadic(d[0].real), _dyadic(d[0].imag), _dyadic(d[1])) for d in disks]
+    low = min((e for disk in parts for m, e in disk if m), default=0)
+    ints = [tuple(m << (e - low) if m else 0 for m, e in disk) for disk in parts]
+    q = mp.prec - 8
+    cushion = ((1 << q) - 1) ** 2
+    for i, (x, y, r) in enumerate(ints):
         for j in range(i):
-            if _meet(disks[i], disks[j], cushion):
+            u, v, s = ints[j]
+            if ((x - u) ** 2 + (y - v) ** 2) * cushion <= (r + s) ** 2 << 2 * q:
                 return j, i
     return None
 
@@ -203,6 +222,19 @@ def _overlap_groups(disks) -> list[list[int]]:
     return [g for g in groups if len(g) > 1]
 
 
+def _log2_modulus(c: mpc) -> float:
+    """log2|c| for a nonzero dyadic c, read off its mantissas and exponents:
+    the modulus squared is an int times a power of two, so only `math.log2`
+    rounds, and no value leaves the float range."""
+    (a, ea), (b, eb) = _dyadic(c.real), _dyadic(c.imag)
+    if not b:
+        return math.log2(abs(a)) + ea
+    if not a:
+        return math.log2(abs(b)) + eb
+    low = min(ea, eb)
+    return math.log2((a << (ea - low)) ** 2 + (b << (eb - low)) ** 2) / 2 + low
+
+
 def _newton_starts(coeffs: list[mpc]) -> list[mpc]:
     """Aberth starting points from the Newton polygon of log2|c_k|.
 
@@ -214,14 +246,17 @@ def _newton_starts(coeffs: list[mpc]) -> list[mpc]:
     annulus, points reach its roots across it: a circle through a real
     cluster let two points close in along the circle and stall on the
     cluster's perpendicular bisector.
+
+    The logarithms come from the coefficients' dyadic ints, and each start
+    is a double times an exact power of two, so a polynomial outside the
+    float range still gets starts at the right scale.
     """
     n = len(coeffs) - 1
-    low = next(k for k, c in enumerate(coeffs) if c != 0)
     hull: list[tuple[int, float]] = []
-    for k in range(low, n + 1):
-        if coeffs[k] == 0:
+    for k, c in enumerate(coeffs):
+        if not c:
             continue
-        pt = (k, float(mpmath.log(abs(coeffs[k]), 2)))
+        pt = (k, _log2_modulus(c))
         # drop the last vertex unless it lies strictly above the chord
         while len(hull) >= 2 and (
             (hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
@@ -229,16 +264,16 @@ def _newton_starts(coeffs: list[mpc]) -> list[mpc]:
         ):
             hull.pop()
         hull.append(pt)
-    zs = [mpc(0)] * low
-    for (k1, _), (k2, _) in zip(hull, hull[1:]):
+    zs = [mpc(0)] * hull[0][0]
+    for (k1, l1), (k2, l2) in zip(hull, hull[1:]):
         m = k2 - k1
-        radius = (abs(coeffs[k1]) / abs(coeffs[k2])) ** (mpf(1) / m)
-        zs.extend(
-            mpf("0.7") * radius * mpmath.exp(
-                mpc(0, 2 * mpmath.pi * ((i + mpf("0.25")) / m + mpf(k1) / n) + mpf("0.5") / n)
-            )
-            for i in range(m)
-        )
+        scale = (l1 - l2) / m + math.log2(0.7)
+        e = math.floor(scale)
+        r = 2.0 ** (scale - e)
+        for i in range(m):
+            z = cmath.rect(r, 2 * math.pi * ((i + 0.25) / m + k1 / n) + 0.5 / n)
+            zs.append(mp.make_mpc((mpf_shift(from_float(z.real), e),
+                                   mpf_shift(from_float(z.imag), e))))
     return zs
 
 
@@ -577,8 +612,30 @@ def _certified_radius(nums, z: mpc) -> mpf | None:
     return mp.make_mpf(from_man_exp(root, -(t + s), mp.prec, "c"))
 
 
+def _onto_axis(nums, z: mpc, rad: mpf, p_bits: int) -> tuple[mpc, mpf]:
+    """The disk (z, rad) moved onto the real axis, centred at Re z and
+    certified again there, when it meets the axis and the new radius meets
+    the target; otherwise (z, rad) as it is."""
+    if not z.imag or abs(z.imag) > rad:
+        return z, rad
+    x = mpc(z.real)
+    r = _certified_radius(nums, x)
+    if r is None or r > _radius_target(x, p_bits):
+        return z, rad
+    return x, r
+
+
 def _solve_factor(factor: ExactPoly, p_bits: int, work_bits: int, warm=None) -> list[tuple[mpc, mpf]] | None:
-    """Roots of one square-free factor with certified radii, or None."""
+    """Roots of one square-free factor with certified radii, or None.
+
+    The n disks are pairwise disjoint with a factor-2 margin; each holds at
+    least one root, so each holds exactly one. A real factor's disks that
+    meet the real axis are moved onto it first (`_onto_axis`), as long as
+    they stay disjoint: a disk centred on the axis is its own mirror image,
+    so the conjugate of its one root is in it too, is a root of the real
+    factor, and is therefore that root. The root is real; its disk has a
+    real midpoint, and radius 0 when the root is dyadic, such as k/4.
+    """
     with mp.workprec(work_bits):
         coeffs = [CBall.from_gaussian(c).mid for c in factor.coeffs]
         # the tolerance follows the working precision, so escalated retries
@@ -590,12 +647,17 @@ def _solve_factor(factor: ExactPoly, p_bits: int, work_bits: int, warm=None) -> 
             if rad is None or rad > _radius_target(z, p_bits):
                 return None
             out.append((z, rad))
-        # disjoint disks within the factor certify one simple root per disk.
-        # They must be disjoint with a factor-2 margin, as in the float
+        candidates = [out]
+        if not any(im for _, im in factor.nums):
+            candidates.insert(0, [_onto_axis(factor.nums, z, rad, p_bits) for z, rad in out])
+        # The disks must be disjoint with a factor-2 margin, as in the float
         # phase: iterates stalled around a cluster they cannot resolve get
         # exact disks that are just disjoint, each with its root near the
         # rim, and too wide for any bound at this precision
-        return out if _first_overlap([(z, 2 * rad) for z, rad in out]) is None else None
+        for disks in candidates:
+            if _first_overlap([(z, 2 * rad) for z, rad in disks]) is None:
+                return disks
+        return None
 
 
 def _radius_target(z: mpc, precision: int) -> mpf:

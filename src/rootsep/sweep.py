@@ -16,7 +16,6 @@ boundary, where no finite precision can decide a non-strict inequality.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -202,6 +201,10 @@ def run_sweep(seed: int, params: SweepParams, jobs: int = 1) -> dict:
     params.validate()
     tasks = (repeat(seed), range(params.count), repeat(params))
     if jobs > 1:
+        # imported only here: multiprocessing adds about 2 MB to every
+        # process that imports rootsep, and most never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(run_instance, *tasks, chunksize=8))
     else:

@@ -292,6 +292,16 @@ det_entries = st.integers(0, 4).flatmap(
     lambda k: _det_widened if k else st.just((GaussianRational.of(0), Fraction(0), (0, 0)))
 )
 
+# real entries: a real midpoint, and a point of the disk on the real line
+_real_widened = st.tuples(
+    st.builds(GaussianRational, det_parts, st.just(Fraction(0))),
+    _det_widened.map(lambda entry: entry[1]),
+    st.sampled_from([(0, 0), (1, 0), (-1, 0), (Fraction(1, 3), 0)]),
+)
+real_det_entries = st.integers(0, 4).flatmap(
+    lambda k: _real_widened if k else st.just((GaussianRational.of(0), Fraction(0), (0, 0)))
+)
+
 
 def _exact_det(rows) -> GaussianRational:
     """The determinant of a Gaussian-rational matrix by Fraction elimination."""
@@ -312,12 +322,26 @@ def _exact_det(rows) -> GaussianRational:
     return det
 
 
+def _det_matrices(entries):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
 class TestDeterminant:
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.lists(det_entries, min_size=n, max_size=n), min_size=n, max_size=n)
-    ), precisions)
+    @given(_det_matrices(det_entries), precisions)
     def test_encloses_the_determinant_of_a_point_in_each_ball(self, entries, bits):
+        self._check_enclosure(entries, bits)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_det_matrices(real_det_entries), precisions)
+    def test_real_matrices_enclose_the_determinant(self, entries, bits):
+        # the real branch updates X and R only
+        self._check_enclosure(entries, bits)
+
+    @staticmethod
+    def _check_enclosure(entries, bits):
         with working_precision(bits):
             balls, points = [], []
             for row in entries:
@@ -332,6 +356,13 @@ class TestDeterminant:
             except BallDomainError:
                 return
             assert _encloses_complex(got, _exact_det(points))
+
+    def test_complex_entry_under_a_real_pivot_row(self):
+        # the pivot 1 and its row are real, but the entry i below it is not:
+        # that row's update is complex, det = 3 - 2i
+        with working_precision(64):
+            matrix = [[CBall.exact(1), CBall.exact(2)], [CBall(mpmath.mpc(0, 1)), CBall.exact(3)]]
+            assert _encloses_complex(ball_det(matrix), GaussianRational.of(3, -2))
 
     def test_exact_part_below_the_grid_floors_into_the_radius(self):
         # 1 + 3i 2^-3000 with radius 0: the grid drops the imaginary part and

@@ -34,6 +34,7 @@ from rootsep import (
     vandermonde_matrix,
     verify,
 )
+from rootsep import balls
 from rootsep.balls import CBall, ball_det, ball_product, working_precision
 from rootsep.bounds import _rung_table, _w1_rows
 from rootsep.divdiff import power_basis_row
@@ -356,6 +357,50 @@ class TestDeterminantOnIntegers:
             ball_det(w1)
         assert divs == []
         assert len(muls) <= 16
+
+    def test_real_path_w1_takes_the_real_branch(self, monkeypatch):
+        # roots k/4 are certified on the axis, so W_1 is real and every
+        # elimination step skips the imaginary parts
+        w1 = _path_w1(16)
+        assert all(z.mid.imag == 0 for row in w1 for z in row)
+        calls = {"real": 0, "complex": 0}
+
+        def spy(name, real):
+            def run(rows, *args):
+                calls[name] += len(rows)
+                return real(rows, *args)
+            return run
+
+        monkeypatch.setattr(balls, "_eliminate_real", spy("real", balls._eliminate_real))
+        monkeypatch.setattr(balls, "_eliminate", spy("complex", balls._eliminate))
+        with working_precision(128):
+            got = ball_det(w1)
+        assert calls["real"] > 0 and calls["complex"] == 0
+        assert got.mid.imag == 0
+
+    def test_entries_below_their_radius_leave_the_grid_alone(self, monkeypatch):
+        # a midpoint under its own radius is rounding noise: it floors into
+        # the radius and does not set the grid
+        grids = []
+        real_pivot = balls._grid_pivot
+
+        def pivot_spy(x, y, r, w):
+            grids.append(w)
+            return real_pivot(x, y, r, w)
+
+        monkeypatch.setattr(balls, "_grid_pivot", pivot_spy)
+        w1 = _path_w1(12)
+        with working_precision(128):
+            noise = [CBall(mpmath.mpc(mpmath.ldexp(3 * s, -160), mpmath.ldexp(-s, -158)),
+                           mpmath.ldexp(1, -150)) for s in (1, -1)]
+            noisy = [row + [noise[i % 2]] for i, row in enumerate(w1)]
+            noisy.append([noise[j % 2] for j in range(12)] + [w1[0][0]])
+            clean = ball_det(w1)
+            clean_grid = set(grids)
+            grids.clear()
+            got = ball_det(noisy)
+        assert len(clean_grid) == 1 and set(grids) == clean_grid
+        assert got.overlaps(clean * w1[0][0])
 
     def test_imaginary_noise_on_real_entries_floors_into_the_radius(self):
         w1 = _path_w1(12)

@@ -1,4 +1,5 @@
 """CLI subcommands: exit codes, JSON reports, atomic output."""
+import gc
 import json
 import math
 import os
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rootsep
 from rootsep import parse_polynomial
-from rootsep.cli import build_parser, main
+from rootsep.cli import _json_text, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -180,6 +183,30 @@ class TestOut:
         data = json.loads(out.read_text())
         assert data["verdict"] == "holds"
         assert not list(tmp_path.glob(".report-*"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+            st.text(max_size=4) | st.integers() | st.booleans() | st.none(), inner, max_size=4),
+        max_leaves=20,
+    ))
+    def test_report_text_is_json_dumps_with_indent_2(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_writing_a_report_leaves_no_garbage_cycle(self, tmp_path):
+        # every report a long-running process writes would otherwise wait
+        # in memory for a full collection
+        args = ["verify", "--poly", "x^2-1", "--preset", "complete", "--out", str(tmp_path / "r.json")]
+        main(args)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                main(args)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSweep:

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootsep import ExactPoly, GaussianRational, ParseError, parse_polynomial
-from rootsep.parsing import poly_to_json, render_exact_poly
+from rootsep.parsing import _Parser, poly_to_json, render_exact_poly
 
 
 def gr(re, im=0):
@@ -147,3 +149,99 @@ def test_json_round_trip():
     for _ in range(30):
         p = _random_exact_poly(rng)
         assert parse_polynomial(json.dumps(poly_to_json(p))) == p
+
+
+class _TermByTermParser(_Parser):
+    """The reference parser: every literal goes through GaussianRational, a
+    division multiplies by the inverse constant, a power is e
+    multiplications, and a sum is added up term by term."""
+
+    def expr(self) -> ExactPoly:
+        t = self.peek()
+        negate = t.kind == "op" and t.text in "+-" and self.take().text == "-"
+        acc = self.term()
+        if negate:
+            acc = -acc
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            op = self.take().text
+            rhs = self.term()
+            acc = acc - rhs if op == "-" else acc + rhs
+        return acc
+
+    def term(self) -> ExactPoly:
+        acc = self.factor()
+        while True:
+            t = self.peek()
+            if t.kind == "op" and t.text == "*":
+                self.take()
+                acc = acc * self.factor()
+            elif t.kind == "op" and t.text == "/":
+                self.take()
+                divisor = self.factor()
+                assert not divisor.is_zero and divisor.degree == 0
+                acc = acc.scale(GaussianRational.of(1) / divisor.coeff(0))
+            elif t.kind == "name" or (t.kind == "op" and t.text == "("):
+                acc = acc * self.factor()
+            else:
+                return acc
+
+    def factor(self) -> ExactPoly:
+        base = self.atom()
+        if self.peek().kind == "op" and self.peek().text == "^":
+            self.take()
+            acc = ExactPoly.constant(1)
+            for _ in range(self.exponent()):
+                acc = acc * base
+            return acc
+        return base
+
+    def atom(self) -> ExactPoly:
+        t = self.peek()
+        if t.kind == "number":
+            self.take()
+            return ExactPoly.constant(GaussianRational(t.value, Fraction(0)))
+        if t.kind == "name" and t.text.lower() == "i":
+            self.take()
+            return ExactPoly.constant(GaussianRational(Fraction(0), Fraction(1)))
+        return super().atom()
+
+
+README_INPUTS = [
+    "x^2 - 1",
+    "(x-1)^2*(x+2)",
+    "(x-1)*(x-1-1/1000000000000000000000000000000)*(x-3)",
+    "(x-0.5)^2*(x+1.25)",
+    "x^24 - 2*(100*x - 1)^2",
+    "(x-10^200)*(x+2*10^200)*(x-3)",
+    "x*(x-1)*(x-2)",
+    "(x-1)^2*x",
+    "(x-0.3)^6",
+]
+# powers of 0 and of x, implicit products, divisions and cancelling terms
+EDGE_INPUTS = [
+    "-x^3 + (2-i)x^0 - (x+i)^5 + 3/4*x^7 - 0^0 + 0^3*x",
+    "x^5/4 - (x+1)^3/(2-3*i) + 5/6/7",
+    "2*x^2 - x*x - x^2 + 0.25",
+]
+
+
+@pytest.mark.parametrize("text", README_INPUTS + EDGE_INPUTS)
+def test_parser_matches_the_term_by_term_parser(text):
+    assert parse_polynomial(text) == _TermByTermParser(text).parse()
+
+
+small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+exact_polys = st.lists(
+    st.builds(GaussianRational, small_fractions, st.one_of(st.just(Fraction(0)), small_fractions)),
+    min_size=1, max_size=18,
+).map(ExactPoly.from_coeffs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(exact_polys, st.lists(st.tuples(small_fractions, st.integers(0, 5)), max_size=3))
+def test_round_trip_matches_the_term_by_term_parser(p, powers):
+    # the rendered expansion, and a product of powers of linear factors
+    text = render_exact_poly(p)
+    assert parse_polynomial(text) == _TermByTermParser(text).parse() == p
+    factored = "*".join([f"({text})"] + [f"(x-({q}))^{e}" for q, e in powers])
+    assert parse_polynomial(factored) == _TermByTermParser(factored).parse()

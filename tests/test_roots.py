@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rootsep import (
     ExactPoly,
     GaussianRational,
+    IndistinguishableRootsError,
     PreconditionError,
     find_roots,
     min_pairwise_distance,
@@ -19,7 +20,14 @@ from rootsep import (
 )
 from rootsep.balls import CBall, working_precision
 from rootsep.poly import eval_poly
-from rootsep.roots import _canonical_key, _carry_target, _certified_radius, _radius_target
+from rootsep.roots import (
+    _canonical_key,
+    _carry_target,
+    _certified_radius,
+    _first_overlap,
+    _newton_starts,
+    _radius_target,
+)
 
 
 def test_plus_minus_one_order():
@@ -703,3 +711,101 @@ class TestRefine:
         refined = refine(p, roots, 512)
         assert refined.r == 32
         assert float_phase == {"unchanged": [], "sweeps": 0}
+
+
+def _disk_holds(disk: CBall, z: GaussianRational) -> bool:
+    """Whether z lies in the disk, decided in Fractions."""
+    dx = _as_fraction(disk.mid.real) - z.re
+    dy = _as_fraction(disk.mid.imag) - z.im
+    return dx * dx + dy * dy <= _as_fraction(disk.rad) ** 2
+
+
+class TestRealRootsOnTheAxis:
+    """A real factor's disks that meet the axis are certified on it: the one
+    root in such a disk is its own conjugate, so it is real."""
+
+    def test_dyadic_real_roots_are_exact(self):
+        ks = random.Random(16).sample(range(-32, 33), 16)
+        p = ExactPoly.from_roots([GaussianRational.of(Fraction(k, 4)) for k in ks])
+        roots = find_roots(p, 128)
+        assert roots.r == 16
+        assert all(e.value.mid.imag == 0 and e.value.rad == 0 for e in roots.entries)
+        assert sorted(_as_fraction(e.value.mid.real) for e in roots.entries) \
+            == sorted(Fraction(k, 4) for k in ks)
+
+    def test_non_dyadic_real_roots_are_on_the_axis_and_enclosed(self):
+        ks = random.Random(12).sample(range(-60, 61), 12)
+        p = ExactPoly.from_roots([GaussianRational.of(Fraction(k, 12)) for k in ks])
+        roots = find_roots(p, 128)
+        assert all(e.value.mid.imag == 0 for e in roots.entries)
+        for k in ks:
+            z = GaussianRational.of(Fraction(k, 12))
+            assert sum(_disk_holds(e.value, z) for e in roots.entries) == 1
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_conjugate_pair_below_the_radius_target_stays_off_the_axis(self, bits):
+        # (x - 1 - 2^-100 i)(x - 1 + 2^-100 i)(x - 3): a real polynomial whose
+        # pair is far closer to the axis than a 64-bit disk is wide
+        e = Fraction(1, 2**100)
+        p = parse_polynomial(f"(x-1-i/{2**100})*(x-1+i/{2**100})*(x-3)")
+        assert p == ExactPoly.from_roots([GaussianRational.of(1, -e), GaussianRational.of(1, e),
+                                          GaussianRational.of(3)])
+        assert all(im == 0 for _, im in p.nums)
+        try:
+            roots = find_roots(p, bits)
+        except IndistinguishableRootsError:
+            return
+        near_one = [d.value for d in roots.entries if abs(d.value.mid - 1) < 0.5]
+        assert len(near_one) == 2
+        assert not all(d.mid.imag == 0 for d in near_one)
+        for z in (GaussianRational.of(1, -e), GaussianRational.of(1, e)):
+            assert sum(_disk_holds(d, z) for d in near_one) == 1
+
+
+class TestDyadicKernels:
+    def test_newton_starts_outside_the_float_range(self):
+        # x^3 - 2^6000 (3 + 4i): three starts of modulus 0.7 (5 2^6000)^(1/3)
+        with mpmath.workprec(128):
+            coeffs = [-mpmath.mpc(3, 4) * mpmath.ldexp(1, 6000), mpmath.mpc(0), mpmath.mpc(0),
+                      mpmath.mpc(1)]
+            starts = _newton_starts(coeffs)
+            expected = 0.7 * 5 ** (1 / 3) * 2 ** (2000 - 1000)
+            assert len(starts) == 3
+            for z in starts:
+                assert abs(float(mpmath.ldexp(abs(z), -1000)) / expected - 1) < 1e-12
+
+    def test_newton_starts_keep_exact_zeros(self):
+        with mpmath.workprec(64):
+            starts = _newton_starts([mpmath.mpc(0)] * 2 + [mpmath.mpc(-4), mpmath.mpc(1)])
+        assert starts[:2] == [0, 0] and abs(abs(starts[2]) - 2.8) < 1e-12
+
+    @pytest.mark.parametrize("bits", [24, 64, 152])
+    def test_first_overlap_keeps_its_cushion(self, bits):
+        # centers 0 and 1: radii summing to 1 - 2^(7 - p) meet inside the
+        # cushion 1 - 2^(8 - p), radii summing to 1 - 2^(9 - p) do not
+        with mpmath.workprec(bits + 20):
+            disks = [[(mpmath.mpc(c), (1 - mpmath.ldexp(1, k - bits)) / 2) for c in (0, 1)]
+                     for k in (7, 9)]
+        with mpmath.workprec(bits):
+            assert _first_overlap(disks[0]) == (0, 1)
+            assert _first_overlap(disks[1]) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(mantissas, mantissas, st.integers(0, 2**70)), min_size=2, max_size=5),
+           st.integers(-80, 80), st.sampled_from([24, 64, 152]))
+    def test_first_overlap_is_the_exact_cushioned_test(self, disks, e, bits):
+        # |a - b| (1 - 2^(8 - p)) <= r_a + r_b, decided in Fractions
+        scale = Fraction(2) ** e
+        exact = [(x * scale, y * scale, r * scale) for x, y, r in disks]
+        with mpmath.workprec(160):
+            balls = [(mpmath.mpc(mpmath.ldexp(x, e), mpmath.ldexp(y, e)), mpmath.ldexp(r, e))
+                     for x, y, r in disks]
+        cushion = 1 - Fraction(2) ** (8 - bits)
+        expected = next(
+            ((j, i) for i in range(len(exact)) for j in range(i)
+             if ((exact[i][0] - exact[j][0]) ** 2 + (exact[i][1] - exact[j][1]) ** 2) * cushion ** 2
+             <= (exact[i][2] + exact[j][2]) ** 2),
+            None,
+        )
+        with mpmath.workprec(bits):
+            assert _first_overlap(balls) == expected

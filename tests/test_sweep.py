@@ -1,10 +1,16 @@
 """Instance generation and campaign plumbing."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rootsep import ExactPoly, ValidationError
 from rootsep.sweep import SweepParams, generate_instance, run_instance, run_sweep
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestGenerate:
@@ -122,3 +128,10 @@ class TestRunSweep:
     def test_parallel_matches_sequential(self):
         params = SweepParams(count=8)
         assert run_sweep(13, params, jobs=2) == run_sweep(13, params, jobs=1)
+
+    def test_only_a_parallel_sweep_loads_multiprocessing(self):
+        # a process that never starts a pool does not pay for the import
+        code = "import sys, rootsep.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC}, check=True).stdout
+        assert out.strip() == "False"
