@@ -28,16 +28,32 @@ up) and keeps it; the bound does not depend on the precision. Division and
 its directed square root. `lo`/`hi` round outward, and `sqrt`, `root`,
 `powr` and `max1` map outward-rounded endpoints.
 
-Determinants. `ball_det` eliminates on one grid of Gaussian integers per
-matrix. An entry becomes (X + iY) / 2^w with its radius R a nonnegative int
-in units of 2^-w, where w = p + `DET_GUARD_BITS` - min t and t = exp + bc of
-the larger part of each entry whose midpoint clears its radius (t > exp +
-bc of the radius, so |mid| > rad): every such entry keeps at least p bits
-relative to its own modulus. An entry that does not clear its radius, such
-as a midpoint of rounding noise below it, does not set the grid; it floors
-into its radius units, as does a part far below the grid. Every rounding is
-counted upward in whole units: each floored part adds 2 units (a floor
-moves a part by less than 1), at the conversion, in each part of a
+The rung grid. Each rung's certificate runs on Gaussian integers, and
+only the values it reports become balls. The rung table
+(`bounds._rung_table`) puts every root midpoint on one grid (X + iY) / 2^w,
+with w DET_GUARD_BITS above the finest bit of any midpoint part, so the
+midpoints are exact; a radius R is an int in units of 2^-w, rounded up.
+Root differences are then exact, with radius R_i + R_j, and their products
+(det W, the edge product, the step factors) are exact Gaussian-integer
+products with radius prod(A + R) - prod(A), A = ceil|X + iY| by
+`math.isqrt`. W_1 runs its column recurrence exactly on the same grid,
+with the majorant radius h(A + R) - h(A) (`bounds._w1_grid`), and hands
+its rows to `ball_det` as a `GridMatrix` on one finer grid 2^-W: W = p +
+DET_GUARD_BITS - min t, t the bit length of the larger part less the
+scale, over the entries whose midpoint clears its radius, so every such
+entry keeps at least p bits relative to its own modulus. Parts below the
+grid floor into the radius, one unit each. `grid_cball`, `grid_rball` and
+`grid_row_norm` turn grid values back into balls: the midpoint rounded to
+the working precision with its exact rounding error added to the radius,
+and moduli and row norms as isqrt brackets at the working precision
+(`grid_sqrt`: the grid of an exact root can be coarse), widened by R or
+ceil(sqrt(sum R^2)).
+
+Determinants. `ball_det` eliminates on that grid; a ball matrix goes to one
+first, with w chosen the same way from its entries' tuples and each part
+truncated toward 0 (2 units of radius per truncated part). Every rounding
+of the elimination is counted upward in whole units: each floored part
+adds 2 units (a floor moves a part by less than 1), in each part of a
 multiplier f = x/p and in each part of a product f t. The radius of f is
 ceil((R_x |p|_lo + |x|_hi R_p) 2^w / (|p|_lo (|p|_lo - R_p))), and the
 update c - f t adds ceil((|f|_hi R_t + R_f (|t|_hi + R_t)) / 2^w) to R_c,
@@ -45,18 +61,16 @@ with the moduli bounds from `math.isqrt` of X^2 + Y^2. The pivot is the
 entry of largest exact X^2 + Y^2, the first on ties, and one with
 isqrt(X^2 + Y^2) <= R may contain zero. When the pivot, the rest of its row
 and a row's entry in its column are real, f is real and that row's update
-changes X and R only: its Y products are all 0. An entry is converted to
-the grid when its column is searched for a pivot, and the rest of its row
-only when the row takes part in an update, so a triangular matrix costs
-its diagonal. Only the pivots become balls again, with exact dyadic
-midpoints and radii rounded up to RAD_BITS bits; the determinant is the
-sign times their product.
+changes X and R only: its Y products are all 0. Only the pivots become
+balls again, with exact dyadic midpoints and radii rounded up to RAD_BITS
+bits; the determinant is the sign times their product.
 """
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -627,23 +641,6 @@ def ball_product(items, one=None):
     return total
 
 
-def ball_row_norm(row: "list[CBall]") -> RBall:
-    """Euclidean norm of a complex ball vector: the norm of the midpoints,
-    bracketed by sums of squares rounded down and up, widened by the norm
-    of the radii (the triangle inequality)."""
-    prec = mp.prec
-    below = above = rads = fzero
-    for z in row:
-        for part in z._m:
-            if part[1]:
-                below = mpf_add(below, mpf_mul(part, part, prec, "d"), prec, "d")
-                above = mpf_add(above, mpf_mul(part, part, prec, "u"), prec, "u")
-        if z._r[1]:
-            rads = _up_add(rads, _up_mul(z._r, z._r))
-    m, r = _span(mpf_sqrt(below, prec, "f"), mpf_sqrt(above, prec, "c"), prec)
-    return _rball(m, _up_add(r, mpf_sqrt(rads, RAD_BITS, "u")))
-
-
 #: bits the determinant grid keeps beyond the working precision
 DET_GUARD_BITS = 8
 
@@ -679,18 +676,22 @@ def _grid_entry(z: CBall, w: int) -> tuple[int, int, int]:
     return x, y, r
 
 
-def _grid_row(row: "list[CBall]", k: int, w: int) -> list[list[int]]:
-    """[X, Y, R] lists of a row on the grid from column k on, with zeros
-    before it: the columns that the elimination has passed."""
-    pad = [0] * k
-    xs, ys, rs = zip(*[_grid_entry(z, w) for z in row[k:]])
-    return [pad + list(xs), pad + list(ys), pad + list(rs)]
+def _grid_row(row: "list[CBall]", w: int) -> list[list[int]]:
+    """[X, Y, R] lists of a row on the grid."""
+    return [list(parts) for parts in zip(*[_grid_entry(z, w) for z in row])]
+
+
+def _grid_scale(low: int | None) -> int:
+    """The w of a determinant grid whose smallest entry that clears its
+    radius lies below 2^low: p + DET_GUARD_BITS - low, at least 0."""
+    return max(0, mp.prec + DET_GUARD_BITS - (0 if low is None else low))
 
 
 def _det_grid(matrix: "list[list[CBall]]") -> int:
-    """The w of `ball_det`'s grid: p + DET_GUARD_BITS - min t, t = exp + bc
-    of the larger part of each entry whose midpoint clears its radius
-    (t > exp + bc of the radius, so |mid| >= 2^(t - 1) > rad)."""
+    """The w of `ball_det`'s grid for a ball matrix: `_grid_scale` of the
+    least t = exp + bc of the larger part of each entry whose midpoint
+    clears its radius (t > exp + bc of the radius, so |mid| >= 2^(t - 1) >
+    rad)."""
     low = None
     for row in matrix:
         for z in row:
@@ -705,7 +706,7 @@ def _det_grid(matrix: "list[list[CBall]]") -> int:
                 continue
             if (not rad[1] or t > rad[2] + rad[3]) and (low is None or t < low):
                 low = t
-    return max(0, mp.prec + DET_GUARD_BITS - (0 if low is None else low))
+    return _grid_scale(low)
 
 
 def _grid_pivot(x: int, y: int, r: int, w: int) -> CBall:
@@ -752,65 +753,107 @@ def _eliminate_real(rows, k1, pivot, tail, w) -> None:
         rr[k1:] = [c - (-(fm * a + rf * b) >> w) + 4 for c, a, b in zip(rr[k1:], tr, reach)]
 
 
-def ball_det(matrix: "list[list[CBall]]") -> CBall:
+class GridMatrix(NamedTuple):
+    """A square matrix on one grid: row i is [X, Y, R], three int lists, and
+    its entry k is (X[k] + i Y[k] +/- R[k]) / 2^w."""
+
+    rows: list
+    w: int
+
+
+def ball_det(matrix: "list[list[CBall]] | GridMatrix") -> CBall:
     """Determinant by LU elimination on one grid of Gaussian integers, with
     partial pivoting on the exact squared moduli (first row on ties).
 
-    The entries go to (X + iY) / 2^w with radii in units of 2^-w (see the
-    module docstring), the elimination runs on Python ints with every
-    rounding counted upward in whole units, and only the pivots become balls
-    again: the determinant is the sign times their product. Entries reach
-    the grid lazily, and real rows skip the imaginary parts.
+    A ball matrix goes to the grid first (see the module docstring); a
+    `GridMatrix` is eliminated as it is, in place. The elimination runs on
+    Python ints with every rounding counted upward in whole units, real rows
+    skip the imaginary parts, and only the pivots become balls again: the
+    determinant is the sign times their product.
 
     Raises BallDomainError when a pivot ball may contain zero, which callers
     treat as a certification failure at the current precision.
     """
-    n = len(matrix)
-    if not n:
-        return CBall.one()
-    w = _det_grid(matrix)
-    rows = list(matrix)
-    # [X, Y, R] of a row once it has taken part in an update, else None
-    grid: list = [None] * n
+    if isinstance(matrix, GridMatrix):
+        rows, w = matrix
+    else:
+        w = _det_grid(matrix)
+        rows = [_grid_row(row, w) for row in matrix]
+    n = len(rows)
     pivots = []
     sign = 1
     for k in range(n):
-        col = [(g[0][k], g[1][k], g[2][k]) if g else _grid_entry(rows[i][k], w)
-               for i, g in enumerate(grid[k:], k)]
-        piv, best = 0, col[0][0] ** 2 + col[0][1] ** 2
-        for i in range(1, len(col)):
-            a = col[i][0] ** 2 + col[i][1] ** 2
+        piv, best = k, rows[k][0][k] ** 2 + rows[k][1][k] ** 2
+        for i in range(k + 1, n):
+            a = rows[i][0][k] ** 2 + rows[i][1][k] ** 2
             if a > best:
                 piv, best = i, a
-        if piv:
-            rows[k], rows[k + piv] = rows[k + piv], rows[k]
-            grid[k], grid[k + piv] = grid[k + piv], grid[k]
-            col[0], col[piv] = col[piv], col[0]
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
-        px, py, pr = col[0]
+        xs, ys, rs = rows[k]
+        px, py, pr = xs[k], ys[k], rs[k]
         lo = math.isqrt(best)
         if lo <= pr:
             raise BallDomainError("singular-to-precision pivot in ball determinant")
         pivots.append(_grid_pivot(px, py, pr, w))
-        active = [(i, c) for i, c in enumerate(col[1:], k + 1) if c[0] or c[1] or c[2]]
+        active = [(g, g[0][k], g[1][k], g[2][k]) for g in rows[k + 1:]
+                  if g[0][k] or g[1][k] or g[2][k]]
         if not active:
             continue
         k1 = k + 1
-        g = grid[k] or _grid_row(rows[k], k1, w)
-        tx, ty, tr = g[0][k1:], g[1][k1:], g[2][k1:]
+        tx, ty, tr = xs[k1:], ys[k1:], rs[k1:]
         real = not (py or any(ty))
         mods = [abs(a) for a in tx] if real else [_ceil_sqrt(a * a + b * b) for a, b in zip(tx, ty)]
         tail = (tx, ty, tr, [m + c for m, c in zip(mods, tr)])
         pivot = (px, py, pr, lo, best)
-        updates = []
-        for i, (x, y, r) in active:
-            if grid[i] is None:
-                grid[i] = _grid_row(rows[i], k1, w)
-            updates.append((grid[i], x, y, r))
         if real:
-            _eliminate_real([u for u in updates if not u[2]], k1, pivot, tail, w)
-            updates = [u for u in updates if u[2]]
-        if updates:
-            _eliminate(updates, k1, pivot, tail, w)
-    det = ball_product(pivots)
+            _eliminate_real([u for u in active if not u[2]], k1, pivot, tail, w)
+            active = [u for u in active if u[2]]
+        if active:
+            _eliminate(active, k1, pivot, tail, w)
+    det = ball_product(pivots) if pivots else CBall.one()
     return -det if sign < 0 else det
+
+
+# --- the rung grid: values and row norms back as balls ------------------------
+
+
+def grid_cball(x: int, y: int, r: int, s: int) -> CBall:
+    """The ball (x + iy +/- r) / 2^s, its midpoint rounded to the working
+    precision: the rounding error joins r exactly, and the radius is rounded
+    up to RAD_BITS bits."""
+    prec = mp.prec
+    re, im = from_man_exp(x, -s, prec, "n"), from_man_exp(y, -s, prec, "n")
+    # rounding keeps the exponent at -s or above, so 2^s re is an int
+    r += abs(x - _grid_part(re, s)[0]) + abs(y - _grid_part(im, s)[0])
+    return _cball((re, im), from_man_exp(r, -s, RAD_BITS, "u") if r else fzero)
+
+
+def grid_rball(lo: int, hi: int, s: int) -> RBall:
+    """A ball holding [lo, hi] / 2^s, lo <= hi: the midpoint rounded to the
+    working precision, the radius its exact distance to the farther end,
+    rounded up to RAD_BITS bits."""
+    m = from_man_exp(lo + hi, -(s + 1), mp.prec, "n")
+    mid = _grid_part(m, s + 1)[0]
+    r = max(2 * hi - mid, mid - 2 * lo)
+    return _rball(m, from_man_exp(r, -(s + 1), RAD_BITS, "u") if r else fzero)
+
+
+def grid_sqrt(n: int, s: int) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo / 2^t <= sqrt(n) / 2^s <= hi / 2^t, t >= s, and
+    hi - lo <= 1 a unit at least DET_GUARD_BITS below the working
+    precision relative to sqrt(n): the isqrt bracket of n 4^(t - s)."""
+    k = max(0, mp.prec + DET_GUARD_BITS - n.bit_length() // 2)
+    n <<= 2 * k
+    return math.isqrt(n), _ceil_sqrt(n), s + k
+
+
+def grid_row_norm(row: "list[list[int]]", w: int) -> RBall:
+    """Euclidean norm of a grid row [X, Y, R]: the `grid_sqrt` bracket of
+    sum X^2 + Y^2, widened by ceil(sqrt(sum R^2)) (the triangle
+    inequality)."""
+    xs, ys, rs = row
+    lo, hi, t = grid_sqrt(sum(x * x for x in xs) + sum(y * y for y in ys), w)
+    e = _ceil_sqrt(sum(r * r for r in rs)) << (t - w)
+    return grid_rball(lo - e, hi + e, t)

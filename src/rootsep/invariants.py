@@ -13,15 +13,17 @@ Each quantity is available by two independent routes:
   formula.
 
 The discriminant and every principal subresultant coefficient come from that
-same chain. Vanishing decisions (the index d - r itself) are made exactly:
-the chain and the square-free decomposition must agree. Every input is an
-exact polynomial, a decimal literal having been parsed as its exact rational.
+same chain; `compute_invariants` takes it from the root set, whose
+square-free decomposition built it as the first gcd of Yun's algorithm.
+Vanishing decisions (the index d - r itself) are made exactly: the chain and
+the square-free decomposition must agree. Every input is an exact
+polynomial, a decimal literal having been parsed as its exact rational.
 
-`compute_invariants` evaluates both sdisc routes and the product-definition
-Mahler measure here. The bounds do not call these root-product routes: they
-take the same formulas, |sDisc_{d-r}| as (|lc|^{r-1} (prod m_j)^{1/2}
-|det W|)^2 and M from max(1, |v_j|), off the rung's table of root
-differences that their reduction certificate reads (`rootsep.bounds`).
+The root-product routes read the rung table of the bounds
+(`bounds._rung_table`): |sDisc_{d-r}| is (|lc|^{r-1} (prod m_j)^{1/2}
+|det W|)^2 with det W the exact product of the root differences on the
+table's grid, and M is `bounds._mahler` of the table's max(1, |v_j|).
+`compute_invariants` builds one table for both.
 """
 from __future__ import annotations
 
@@ -31,9 +33,16 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .balls import RBall, working_precision
+from .bounds import _mahler, _rung_table, _RungTable, _sdisc
 from .errors import JensenUnavailableError, RootsepError, ValidationError
 from .gaussian import GaussianRational
-from .poly import ExactPoly, _principal_coefficients, eval_poly, square_free_decomposition
+from .poly import (
+    ExactPoly,
+    _derivative_coefficients,
+    _principal_coefficients,
+    eval_poly,
+    square_free_decomposition,
+)
 from .roots import RootSet, find_roots
 
 # ---------------------------------------------------------------------------
@@ -100,34 +109,25 @@ def subdiscriminant(p: ExactPoly) -> tuple[int, GaussianRational]:
 # ---------------------------------------------------------------------------
 
 
-def mahler_measure(roots: RootSet) -> RBall:
-    """|lc| * prod max(1, |v_j|)^{m_j} with propagated radii."""
+def mahler_measure(roots: RootSet, table: _RungTable | None = None) -> RBall:
+    """|lc| * prod max(1, |v_j|)^{m_j}, with max(1, |v_j|) read off the rung
+    table of `roots` (`table` when the caller built it)."""
     with working_precision(roots.precision_bits):
-        acc = roots.leading_coeff.abs()
-        for e in roots.entries:
-            acc = acc * e.value.abs().max1().powi(e.multiplicity)
-        return acc
+        return _mahler(roots, table if table is not None else _rung_table(roots))
 
 
-def sdisc_abs_from_roots(roots: RootSet) -> RBall:
-    """(|lc|^{r-1} (prod m_j)^{1/2} prod_{i<j} |v_i - v_j|)^2.
+def sdisc_abs_from_roots(roots: RootSet, table: _RungTable | None = None) -> RBall:
+    """(|lc|^{r-1} (prod m_j)^{1/2} prod_{i<j} |v_i - v_j|)^2, with the
+    product of the differences, det W up to sign, read off the rung table of
+    `roots` (`table` when the caller built it).
 
     With a single distinct root every factor is treated as an empty product
     and the result is exactly 1.
     """
-    r = roots.r
-    if r == 1:
+    if roots.r == 1:
         return RBall.one()
     with working_precision(roots.precision_bits):
-        acc = roots.leading_coeff.abs().powi(r - 1)
-        mprod = 1
-        for e in roots.entries:
-            mprod *= e.multiplicity
-        acc = acc * RBall.exact(mprod).sqrt()
-        for j in range(r):
-            for i in range(j):
-                acc = acc * roots.distance(i, j)
-        return acc * acc
+        return _sdisc(roots, table if table is not None else _rung_table(roots))
 
 
 def sdisc_abs_from_subresultants(p: ExactPoly, precision: int = 128) -> RBall:
@@ -205,18 +205,23 @@ def compute_invariants(p, precision: int = 128, roots: RootSet | None = None) ->
     """Invariant bundle for an exact polynomial (a decimal literal is read as
     its exact rational).
 
-    One subresultant chain of (P, P') gives the index d - r (cross-checked
-    against the root set's r, which comes from the exact square-free
-    decomposition), |sDisc_{d-r}| and |Disc|; the two sdisc routes are both
-    evaluated (their agreement is a standing self-check).
+    The principal subresultant coefficients of (P, P') give the index d - r
+    (cross-checked against the root set's r, which comes from the exact
+    square-free decomposition), |sDisc_{d-r}| and |Disc|. They are read off
+    the chain Yun built for the root set (`RootSet.chain_heads`), rescaled
+    by powers of lc, so no chain is built here. The two sdisc routes are
+    both evaluated (their agreement is a standing self-check), and the
+    root-product route and M read one rung table.
     """
     with working_precision(precision):
         if roots is None:
             roots = find_roots(p, precision)
-        mahler = mahler_measure(roots)
-        sdisc_roots = sdisc_abs_from_roots(roots)
+        table = _rung_table(roots)
+        mahler = mahler_measure(roots, table)
+        sdisc_roots = sdisc_abs_from_roots(roots, table)
         d = p.degree
-        psc = _principal_coefficients(p, p.derivative())
+        psc = (_derivative_coefficients(p, roots.chain_heads) if roots.chain_heads
+               else _principal_coefficients(p, p.derivative()))
         index, sres = _first_nonzero(psc, d, roots.r)
         sdisc = RBall.one() if roots.r == 1 else _abs_ball(sres / p.leading)
         if not sdisc.overlaps(sdisc_roots):  # pragma: no cover

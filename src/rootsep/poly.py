@@ -12,7 +12,10 @@ sequence (Brown-Traub; in Ducos' formulation) on the same Gaussian-integer
 numerators: the gcd is its last nonzero element, and the principal
 subresultant coefficients are read off its elements. Its coefficients are
 minors of the Sylvester matrix, so their size stays polynomial in the degree
-whatever the content of the input.
+whatever the content of the input. Yun's first gcd is the chain of (monic P,
+its derivative), and `square_free_decomposition` returns that chain's
+principal coefficients with its factors, so that the subresultants of
+(P, P') cost no second chain.
 
 Every polynomial the package handles is an ExactPoly: the parser reads a
 decimal literal as its exact rational. `eval_poly` evaluates one in ball
@@ -89,7 +92,9 @@ class ExactPoly:
     @staticmethod
     def from_coeffs(seq) -> "ExactPoly":
         cs = [_coerce_scalar(c) for c in seq]
-        den = lcm(*(part.denominator for c in cs for part in (c.re, c.im)))
+        # star-args and tuple() take lists here: from a generator they shrink
+        # an over-allocated tuple, which leaves one more on a free list per call
+        den = lcm(*[part.denominator for c in cs for part in (c.re, c.im)])
         return _reduced(
             [(c.re.numerator * (den // c.re.denominator),
               c.im.numerator * (den // c.im.denominator)) for c in cs],
@@ -132,7 +137,7 @@ class ExactPoly:
 
     @property
     def coeffs(self) -> tuple[GaussianRational, ...]:
-        return tuple(self.coeff(k) for k in range(len(self.nums)))
+        return tuple([self.coeff(k) for k in range(len(self.nums))])
 
     @property
     def leading(self) -> GaussianRational:
@@ -151,7 +156,7 @@ class ExactPoly:
         """The sum of `polys`, over the lcm of their denominators, reduced
         once."""
         polys = list(polys)
-        den = lcm(*(p.den for p in polys))
+        den = lcm(*[p.den for p in polys])
         out = [[0, 0] for _ in range(max((len(p.nums) for p in polys), default=0))]
         for p in polys:
             s = den // p.den
@@ -167,7 +172,7 @@ class ExactPoly:
         return ExactPoly.sum_of((self, -other))
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple((-re, -im) for re, im in self.nums), self.den)
+        return ExactPoly(tuple([(-re, -im) for re, im in self.nums]), self.den)
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         out = [(0, 0)] * (len(self.nums) + len(other.nums) - 1)
@@ -292,20 +297,59 @@ def _subresultant_chain(a, b) -> dict[int, list]:
     return chain
 
 
+def _chain_heads(chain: dict, q: int) -> tuple:
+    """The X^j coefficient of S_j for j = 0 .. q, (0, 0) where S_j = 0."""
+    heads = []
+    for j in range(q + 1):
+        s_j = chain.get(j, ())
+        heads.append(s_j[j] if len(s_j) > j else (0, 0))
+    return tuple(heads)
+
+
 def _principal_coefficients(a: ExactPoly, b: ExactPoly) -> list[GaussianRational]:
     """Principal subresultant coefficients psc_0 .. psc_{deg b} of (a, b),
     deg a > deg b, read off one chain: psc_j is the X^j coefficient of S_j."""
     (ca, la), (cb, lb) = _scaled_int_coeffs(a), _scaled_int_coeffs(b)
-    chain = _subresultant_chain(ca, cb)
     p, q = a.degree, b.degree
     out = []
-    for j in range(q + 1):
-        s_j = chain.get(j, ())
-        re, im = s_j[j] if len(s_j) > j else (0, 0)
+    for j, (re, im) in enumerate(_chain_heads(_subresultant_chain(ca, cb), q)):
         # rows of a carry la once each, rows of b carry lb once each
         scale = la ** (q - j) * lb ** (p - j)
         out.append(GaussianRational(Fraction(re, scale), Fraction(im, scale)))
     return out
+
+
+def _derivative_coefficients(p: ExactPoly, heads: tuple) -> list[GaussianRational]:
+    """psc_0 .. psc_{d-1} of (P, P'), from the `heads` of the chain of (monic
+    P, its derivative) that `square_free_decomposition` builds.
+
+    P = lc * monic P and P' = lc * (monic P)', and psc_j is a determinant
+    with d - 1 - j rows of the first and d - j rows of the second, so
+    psc_j(P, P') = lc^(2d - 1 - 2j) psc_j(monic P, (monic P)'); the
+    denominators come in as in `_principal_coefficients`.
+    """
+    pm = p.monic()
+    la, lb = pm.den, pm.derivative().den
+    d, lc = p.degree, p.leading
+    lc2 = lc * lc
+    power = lc
+    out = []
+    for j in range(d - 1, -1, -1):
+        re, im = heads[j]
+        scale = la ** (d - 1 - j) * lb ** (d - j)
+        out.append(GaussianRational(Fraction(re, scale), Fraction(im, scale)) * power)
+        power = power * lc2
+    return out[::-1]
+
+
+class Decomposition(list):
+    """Yun's factors, a list of (factor, multiplicity), with `heads`: the
+    X^j coefficient of each S_j, j = 0 .. d - 1, of the subresultant chain of
+    (monic P, its derivative) whose last element is Yun's first gcd.
+    `_derivative_coefficients` turns them into the principal subresultant
+    coefficients of (P, P'), so that no second chain is built for them."""
+
+    heads: tuple = ()
 
 
 def gcd_exact(a: ExactPoly, b: ExactPoly) -> ExactPoly:
@@ -324,17 +368,22 @@ def gcd_exact(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     return _over(last, 1, last[-1])
 
 
-def square_free_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
+def square_free_decomposition(p: ExactPoly) -> Decomposition:
     """Yun decomposition: p = lc * prod factor_i^{mult_i} with monic, pairwise
-    coprime, square-free factors. Output ordered by increasing multiplicity."""
+    coprime, square-free factors. Output ordered by increasing multiplicity,
+    with the heads of Yun's first chain (see `Decomposition`)."""
     if p.is_zero or p.degree == 0:
         raise ValidationError("square-free decomposition needs degree >= 1")
     pm = p.monic()
     dp = pm.derivative()
-    g = gcd_exact(pm, dp)
+    chain = _subresultant_chain(pm.nums, dp.nums)
+    last = chain[min(chain)]
+    g = _over(last, 1, last[-1])
+    out = Decomposition()
+    out.heads = _chain_heads(chain, dp.degree)
     if g.degree == 0:
-        return [(pm, 1)]
-    out: list[tuple[ExactPoly, int]] = []
+        out.append((pm, 1))
+        return out
     w = pm // g
     y = dp // g
     z = y - w.derivative()

@@ -102,7 +102,10 @@ class RootSet:
     are pairwise disjoint. The polynomial is exact (a decimal literal is
     read as its exact rational), and the multiplicities come from its
     square-free decomposition, which the set carries in `factors` so that
-    `refine` does not compute it again.
+    `refine` does not compute it again, and `chain_heads`, the principal
+    coefficients of the chain of (monic P, its derivative) that Yun built on
+    the way (see `poly.Decomposition`), so that `compute_invariants` builds
+    no chain.
     """
 
     entries: tuple[RootEntry, ...]
@@ -110,6 +113,7 @@ class RootSet:
     total_degree: int
     precision_bits: int
     factors: tuple[tuple[ExactPoly, int], ...]
+    chain_heads: tuple = ()
 
     @property
     def r(self) -> int:
@@ -125,13 +129,19 @@ class RootSet:
         return (self.entries[i].value - self.entries[j].value).abs()
 
     def nearest_partner(self, j: int) -> tuple[int, RBall]:
-        """Index of the closest different root and the distance as a ball.
+        """Index of the closest different root (`partner`) and the distance
+        as a ball."""
+        i = self.partner(j)
+        return i, self.distance(i, j)
+
+    def partner(self, j: int) -> int:
+        """Index of the closest different root.
 
         The partner is chosen by the squared distance of the dyadic
         midpoints, taken exactly and rounded once to `precision_bits`, so
         that midpoint noise below the certified precision cannot break a
         tie between equidistant roots; ties go to the smallest canonical
-        index. Only the partner's distance is taken in ball arithmetic."""
+        index."""
         if self.r < 2:
             raise PreconditionError("no different root: the root set has a single entry")
         mids = [(z.real._mpf_, z.imag._mpf_) for z in (e.value.mid for e in self.entries)]
@@ -144,7 +154,7 @@ class RootSet:
             square = mpf_add(mpf_mul(dx, dx), mpf_mul(dy, dy), self.precision_bits, "n")
             if best is None or mpf_lt(square, best):
                 best, best_i = square, i
-        return best_i, self.distance(best_i, j)
+        return best_i
 
     def to_json(self) -> list[dict]:
         return [
@@ -199,7 +209,9 @@ def _first_overlap(disks) -> tuple[int, int] | None:
     one scale, and no square root is taken."""
     parts = [(_dyadic(d[0].real), _dyadic(d[0].imag), _dyadic(d[1])) for d in disks]
     low = min((e for disk in parts for m, e in disk if m), default=0)
-    ints = [tuple(m << (e - low) if m else 0 for m, e in disk) for disk in parts]
+    # tuple() of a list: of a generator it shrinks an over-allocated tuple,
+    # which leaves one more on a free list per call
+    ints = [tuple([m << (e - low) if m else 0 for m, e in disk]) for disk in parts]
     q = mp.prec - 8
     cushion = ((1 << q) - 1) ** 2
     for i, (x, y, r) in enumerate(ints):
@@ -374,7 +386,7 @@ class _FixedPoint:
         parts = [(_dyadic(c.real), _dyadic(c.imag)) for c in reversed(coeffs)]
         low = min(e for pair in parts for m, e in pair if m)
         return _FixedPoint(
-            tuple(tuple(m << (e - low + w) if m else 0 for m, e in pair) for pair in parts), w
+            tuple([tuple([m << (e - low + w) if m else 0 for m, e in pair]) for pair in parts]), w
         )
 
     def to_int(self, x: mpf) -> int:
@@ -685,7 +697,11 @@ def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None)
     attempt; if that does not certify, the Newton polygon starts a retry at
     the same working bits and every later attempt.
     """
-    factors = warm.factors if warm is not None else tuple(square_free_decomposition(p))
+    if warm is not None:
+        factors, heads = warm.factors, warm.chain_heads
+    else:
+        decomposition = square_free_decomposition(p)
+        factors, heads = tuple(decomposition), decomposition.heads
     starts: dict[int, list[mpc]] = {}
     for e in warm.entries if warm is not None else ():
         starts.setdefault(e.multiplicity, []).append(e.value.mid)
@@ -709,9 +725,9 @@ def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None)
                 if bad is None:
                     with mp.workprec(precision):
                         found.sort(key=lambda t: _canonical_key(t[0]))
-                    entries = tuple(RootEntry(CBall(z, rad), m) for z, rad, m in found)
+                    entries = tuple([RootEntry(CBall(z, rad), m) for z, rad, m in found])
                     return RootSet(entries, CBall.from_gaussian(p.leading), p.degree, precision,
-                                   factors)
+                                   factors, heads)
                 cluster = [mpmath.nstr(found[k][0], 8) for k in bad]
         work *= 2
     raise IndistinguishableRootsError(precision, cluster)
@@ -756,5 +772,5 @@ def refine(p: ExactPoly, roots: RootSet, precision: int) -> RootSet:
             with mp.workprec(precision):
                 entries = sorted(roots.entries, key=lambda e: _canonical_key(e.value.mid))
             return RootSet(tuple(entries), roots.leading_coeff, roots.total_degree, precision,
-                           roots.factors)
+                           roots.factors, roots.chain_heads)
     return _find_roots_exact(p, precision, warm=roots)

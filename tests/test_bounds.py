@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 
 def hp(make_expected):
@@ -35,12 +38,19 @@ from rootsep import (
     verify,
 )
 from rootsep import balls
-from rootsep.balls import CBall, ball_det, ball_product, working_precision
-from rootsep.bounds import _rung_table, _w1_rows
+from rootsep.balls import (
+    CBall,
+    ball_det,
+    ball_product,
+    grid_cball,
+    grid_row_norm,
+    working_precision,
+)
+from rootsep.bounds import _rung_table, _w1_grid
 from rootsep.divdiff import power_basis_row
 from rootsep.graph import preset_edges
 from rootsep.invariants import sdisc_abs_from_subresultants
-from rootsep.roots import RootSet
+from rootsep.roots import RootEntry, RootSet
 
 
 class TestLemmaAux:
@@ -215,17 +225,20 @@ class TestReduction:
 
 
 class TestRungTable:
-    def test_one_subtraction_per_pair_and_no_distance(self, monkeypatch):
+    def test_no_ball_subtraction_and_no_distance(self, monkeypatch):
         # the certificate, the LHS, sDisc and the Mahler measure all read one
-        # table of differences
+        # table of differences, taken on the grid
+        import rootsep.bounds
+
         r = 12
         p = ExactPoly.from_roots(
             [GaussianRational.of(Fraction(k - 6, 2), Fraction(k % 3, 3)) for k in range(r)]
         )
         roots = find_roots(p, 128)
         edges = [(i, j) for j in range(r) for i in range(j)]
-        subtractions, distances = [], []
+        subtractions, distances, tables = [], [], []
         real_sub, real_distance = CBall.__sub__, RootSet.distance
+        real_table = rootsep.bounds._rung_table
 
         def sub_spy(self, other):
             subtractions.append(1)
@@ -235,48 +248,214 @@ class TestRungTable:
             distances.append((i, j))
             return real_distance(self, i, j)
 
+        def table_spy(roots):
+            tables.append(roots)
+            return real_table(roots)
+
         monkeypatch.setattr(CBall, "__sub__", sub_spy)
         monkeypatch.setattr(RootSet, "distance", distance_spy)
+        monkeypatch.setattr(rootsep.bounds, "_rung_table", table_spy)
         rep = bound_main(p, edges, 128, roots=roots)
         assert rep.holds and rep.certificate is not None
-        assert len(subtractions) == r * (r - 1) // 2
+        assert len(tables) == 1
+        assert subtractions == []
         assert distances == []
 
-    # only rows that extend no other reduced row run the recurrence from
-    # scratch, listed by node count: row 1 of the complete graph; rows 3 and
-    # 5 of the other, where {0, 1, 2} -> 3 and {0, 1, 2, 3} -> 4 nest and
-    # {1, 4} -> 5 does not
-    @pytest.mark.parametrize("edges, scratch_rows", [
-        ([(i, j) for j in range(8) for i in range(j)], [2]),
-        ([(0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4), (1, 5), (4, 5)], [4, 3]),
-    ])
-    def test_extended_rows_are_power_basis_rows(self, edges, scratch_rows, monkeypatch):
+    def test_sep_product_builds_one_table(self, monkeypatch):
+        # one table serves the sep-product row, its distances and both
+        # sub-bounds
         import rootsep.bounds
 
+        q, mults = _degree_16_roots()
+        p = ExactPoly.from_roots(q, mults, GaussianRational.of(2, 1))
+        roots = find_roots(p, 128)
+        tables, subtractions, distances = [], [], []
+        real_table, real_sub, real_distance = rootsep.bounds._rung_table, CBall.__sub__, RootSet.distance
+
+        def table_spy(roots):
+            tables.append(roots)
+            return real_table(roots)
+
+        def sub_spy(self, other):
+            subtractions.append(1)
+            return real_sub(self, other)
+
+        def distance_spy(self, i, j):
+            distances.append((i, j))
+            return real_distance(self, i, j)
+
+        monkeypatch.setattr(rootsep.bounds, "_rung_table", table_spy)
+        monkeypatch.setattr(CBall, "__sub__", sub_spy)
+        monkeypatch.setattr(RootSet, "distance", distance_spy)
+        rep = bound_sep_product(p, list(range(roots.r)), 128, roots=roots)
+        assert rep.holds
+        assert len(tables) == 1
+        assert subtractions == [] and distances == []
+
+    # {0, 1, 2} -> 3 and {0, 1, 2, 3} -> 4 nest and {1, 4} -> 5 does not
+    @pytest.mark.parametrize("edges", [
+        [(i, j) for j in range(8) for i in range(j)],
+        [(0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4), (1, 5), (4, 5)],
+    ])
+    def test_w1_rows_overlap_power_basis_rows(self, edges):
+        # the grid rows, nested or not, overlap the ball oracle's rows
         p = ExactPoly.from_roots(
             [GaussianRational.of(Fraction(k - 3, 3), Fraction(k % 2, 2)) for k in range(8)]
         )
         roots = find_roots(p, 128)
         g = orient(edges, roots)
-        direct = []
-        real_row = rootsep.bounds.power_basis_row
-
-        def row_spy(r, nodes):
-            direct.append(len(nodes))
-            return real_row(r, nodes)
-
-        monkeypatch.setattr(rootsep.bounds, "power_basis_row", row_spy)
         with working_precision(128):
             vals = roots.values()
-            table = rootsep.bounds._rung_table(roots, g)
-            rows = rootsep.bounds._w1_rows(vals, table.sources)
-            reduced = [j for j in range(8) if table.sources[j]]
-            for j in reduced:
-                expected = real_row(8, [vals[a] for a in table.sources[j]] + [vals[j]])
-                assert [(repr(c.mid), repr(c.rad)) for c in rows[j]] == [
-                    (repr(c.mid), repr(c.rad)) for c in expected
-                ]
-        assert direct == scratch_rows
+            table = _rung_table(roots)
+            w1 = _w1_grid(table, table.edges(g).sources)
+            oracle = vandermonde_matrix(roots)
+            for j in range(8):
+                sources = [a for a, _ in g.edges_into(j)]
+                if sources:
+                    oracle[j] = power_basis_row(8, [vals[a] for a in sources] + [vals[j]])
+            for (xs, ys, rs), expected in zip(w1.rows, oracle):
+                got = [grid_cball(x, y, r, w1.w) for x, y, r in zip(xs, ys, rs)]
+                assert all(a.overlaps(b) for a, b in zip(got, expected))
+
+
+def _mpf(x: Fraction):
+    """x as an mpf, exactly (x is dyadic)."""
+    return mpmath.mp.make_mpf(from_man_exp(x.numerator, -(x.denominator.bit_length() - 1)))
+
+
+def _q(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _in_disk(z: GaussianRational, x: Fraction, y: Fraction, rad: Fraction) -> bool:
+    return (z.re - x) ** 2 + (z.im - y) ** 2 <= rad * rad
+
+
+def _in_ball(z: GaussianRational, ball: CBall) -> bool:
+    return _in_disk(z, _q(ball.mid.real), _q(ball.mid.imag), _q(ball.rad))
+
+
+def _norm_in(norm_sq: Fraction, ball) -> bool:
+    """sqrt(norm_sq) lies in the real ball, decided on squares."""
+    lo, hi = _q(ball.mid) - _q(ball.rad), _q(ball.mid) + _q(ball.rad)
+    return (lo <= 0 or lo * lo <= norm_sq) and norm_sq <= hi * hi
+
+
+def _h_row(r: int, nodes: list) -> list:
+    """Divided difference of the power basis over exact nodes: n - 1 zeros,
+    then h_0 .. h_{r-n} by the column recurrence."""
+    h = [GaussianRational.of(1)] + [GaussianRational.of(0)] * (r - len(nodes))
+    for v in nodes:
+        for i in range(1, len(h)):
+            h[i] = h[i] + v * h[i - 1]
+    return [GaussianRational.of(0)] * (len(nodes) - 1) + h
+
+
+# dyadic midpoint parts, 0 among them, some with more bits than a W_1 entry
+# keeps on ball_det's grid, and radii: 0 (exact dyadic roots), plain, near 1
+# and near 2^-1100
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda m, s: m / Fraction(2) ** s, st.integers(-(2**40), 2**40), st.integers(-4, 60)),
+    st.builds(lambda m, s: m / Fraction(2) ** s, st.integers(-(2**90), 2**90), st.integers(80, 92)),
+)
+_radii = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda m, s: Fraction(m, 2**s), st.integers(1, 2**30), st.integers(40, 140)),
+    st.integers(1, 64).map(lambda k: Fraction(2**60 - k, 2**61)),
+    st.integers(-(2**20), 2**20).map(lambda k: Fraction(2**40 + k, 2**1140)),
+)
+# offsets inside the unit disk: the centre and points on the rim
+_units = st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+                          (Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(-3, 5))])
+# half the draws are exact dyadic roots throughout, whose W_1 entries carry
+# no radius but the units of their floors
+_disks = st.builds(
+    lambda disks, exact: [(x, y, Fraction(0) if exact else rad, u) for x, y, rad, u in disks],
+    st.lists(st.tuples(_parts, _parts, _radii, _units), min_size=2, max_size=5),
+    st.booleans(),
+)
+
+
+def _sampled_roots(disks):
+    """A root set on the disks, and one exact point of each disk."""
+    with mp.workprec(256):  # mpc rounds its parts at the working precision
+        entries = tuple(
+            RootEntry(CBall(mpmath.mpc(_mpf(x), _mpf(y)), rad), 1) for x, y, rad, _ in disks
+        )
+    roots = RootSet(entries, CBall.one(), len(disks), 128, ())
+    points = [GaussianRational(x + rad * u, y + rad * v) for x, y, rad, (u, v) in disks]
+    return roots, points
+
+
+class TestGridEnclosure:
+    @settings(max_examples=60, deadline=None)
+    @given(_disks)
+    def test_grid_holds_the_midpoints_exactly(self, disks):
+        # every midpoint is exact on the grid and every radius is its ball
+        # radius rounded up to a unit, so a difference adds no cushion
+        roots, _ = _sampled_roots(disks)
+        with working_precision(128):
+            table = _rung_table(roots)
+        scale = 2**table.w
+        units = []
+        for e, (x, y, h, l) in zip(roots.entries, table.nodes):
+            assert Fraction(x, scale) == _q(e.value.mid.real)
+            assert Fraction(y, scale) == _q(e.value.mid.imag)
+            rad = _q(e.value.rad) * scale
+            assert rad <= h - l < rad + 1
+            units.append(h - l)
+        for (i, j), (x, y, h, l) in table.diff.items():
+            assert h - l == units[i] + units[j]
+        # the moduli of exact roots keep the working precision, whatever
+        # the grid
+        for (x, y, h, l), m1 in zip(table.nodes, table.max1):
+            if h == l:
+                assert _q(m1.rad) <= _q(m1.mid) / 2**140
+        for (i, j), (x, y, h, l) in table.diff.items():
+            if h == l and (x or y):
+                with working_precision(128):
+                    dist = table.distance(i, j)
+                assert _q(dist.rad) <= _q(dist.mid) / 2**140
+
+    @settings(max_examples=60, deadline=None)
+    @given(_disks, st.data())
+    def test_table_products_and_w1_enclose_their_values(self, disks, data):
+        roots, z = _sampled_roots(disks)
+        r = roots.r
+        pairs = [(i, j) for j in range(r) for i in range(j)]
+        edges = [e for e in pairs if data.draw(st.booleans())]
+        g = orient(edges, r)
+        with working_precision(128):
+            table = _rung_table(roots)
+            products = table.edges(g)
+            w1 = _w1_grid(table, products.sources)
+            norms = [grid_row_norm(row, w1.w) for row in w1.rows]
+        unit = Fraction(1, 2**table.w)
+        det_w = GaussianRational.of(1)
+        for (i, j) in pairs:
+            dz = z[j] - z[i]
+            x, y, h, l = table.diff[i, j]
+            assert _in_disk(dz, x * unit, y * unit, (h - l) * unit)
+            det_w = det_w * dz
+        assert _in_ball(det_w, table.det_w)
+        edge_product = GaussianRational.of(1)
+        for j, factor in zip(range(r - 1, 0, -1), products.step_factors):
+            step = GaussianRational.of(1)
+            for a in products.sources[j]:
+                step = step * (z[j] - z[a])
+            assert _in_ball(step, factor)
+            edge_product = edge_product * step
+        assert _in_ball(edge_product, products.edge_product)
+        unit = Fraction(1, 2**w1.w)
+        for j, ((xs, ys, rs), norm) in enumerate(zip(w1.rows, norms)):
+            exact = _h_row(r, [z[a] for a in products.sources[j]] + [z[j]])
+            for h, x, y, rad in zip(exact, xs, ys, rs):
+                assert _in_disk(h, x * unit, y * unit, rad * unit)
+            assert _norm_in(sum(h.norm() for h in exact), norm)
+        for zj, m1 in zip(z, table.max1):
+            assert _norm_in(max(Fraction(1), zj.norm()), m1)
 
 
 def _degree_16_roots():
@@ -334,7 +513,7 @@ def _path_w1(r: int):
     roots = find_roots(p, 128)
     g = orient(preset_edges("path", roots), roots)
     with working_precision(128):
-        return _w1_rows(roots.values(), _rung_table(roots, g).sources)
+        return _step_matrices(roots, g)[-1]
 
 
 class TestDeterminantOnIntegers:
@@ -650,6 +829,17 @@ def _clustered_instance(eps: Fraction):
     return ExactPoly.from_roots(roots)
 
 
+def _two_cluster_instance(eps: Fraction):
+    """Roots 1 - eps, 1 + eps, 3 - eps, 3 + eps, -5. With the edge (0, 1),
+    W_1 keeps the Vandermonde rows of 3 - eps and 3 + eps, which differ by
+    about 2 eps: for eps = 1e-30 that is below the 64-bit rung's grid, so
+    the rung is inconclusive, while the root disks found there are tight
+    enough to be carried to 128 bits."""
+    return ExactPoly.from_roots(
+        [GaussianRational.of(v) for v in (1 - eps, 1 + eps, 3 - eps, 3 + eps, -5)]
+    )
+
+
 def _hints_for(p, edges, n_pairs=2):
     roots = find_roots(p, 128)
     r = roots.r
@@ -812,7 +1002,7 @@ class TestVerify:
     def test_root_set_spares_the_first_rung(self, monkeypatch):
         import rootsep.roots
 
-        p = _clustered_instance(Fraction(1, 10**30))
+        p = _two_cluster_instance(Fraction(1, 10**30))
         expected = verify(p, [(0, 1)], "main", precision=64, ceiling=256)
         assert expected.precision_bits == 128
         roots = find_roots(p, 64)
@@ -896,7 +1086,7 @@ class TestVerify:
 
     def test_remark_variants_match_the_direct_call(self):
         # eps = 1e-30 is inconclusive at 64 bits, so the ladder escalates
-        p = _clustered_instance(Fraction(1, 10**30))
+        p = _two_cluster_instance(Fraction(1, 10**30))
         hints = [(0, 1, 1.0), (2, 3, 1.0)]
         for variant, direct in (
             ("remark_degree", lambda bits, roots: bound_remark_degree(p, [(0, 1)], bits, roots)),

@@ -2,7 +2,11 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 from rootsep import (
     ExactPoly,
@@ -19,9 +23,18 @@ from rootsep import (
     sdisc_abs_from_subresultants,
     subdiscriminant,
 )
-from rootsep.balls import working_precision
+import rootsep.cli
+import rootsep.poly
+from rootsep.balls import CBall, working_precision
 from rootsep.invariants import principal_subresultant
-from rootsep.poly import _scaled_int_coeffs, _subresultant_chain, square_free_decomposition
+from rootsep.poly import (
+    _derivative_coefficients,
+    _principal_coefficients,
+    _scaled_int_coeffs,
+    _subresultant_chain,
+    square_free_decomposition,
+)
+from rootsep.roots import RootEntry, RootSet
 
 
 class TestMahler:
@@ -331,3 +344,84 @@ def test_degree_16_gaussian_multiplicities():
     for poly in chain.values():
         for re, im in poly:
             assert max(abs(re), abs(im)).bit_length() <= bound_bits
+
+
+class TestOneChain:
+    def test_yun_chain_gives_the_principal_coefficients(self):
+        # rescaling the (monic P, P') chain by powers of lc gives psc of (P, P')
+        rng = random.Random(7)
+        for _ in range(25):
+            p = _forced_multiplicity_poly(rng)
+            if rng.random() < 0.5:
+                p = p.scale(GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                                             Fraction(rng.randint(-3, 3), 7)))
+            heads = square_free_decomposition(p).heads
+            assert _derivative_coefficients(p, heads) == _principal_coefficients(p, p.derivative())
+
+    def test_invariants_command_builds_three_chains(self, monkeypatch, capsys):
+        # Yun builds three, and compute_invariants reads the first of them
+        calls = []
+        real_chain = rootsep.poly._subresultant_chain
+
+        def chain_spy(a, b):
+            calls.append(len(a) - 1)
+            return real_chain(a, b)
+
+        monkeypatch.setattr(rootsep.poly, "_subresultant_chain", chain_spy)
+        assert rootsep.cli.main(["invariants", "--poly", "(x-1)^2*(x+2)^3*(x-i)"]) == 0
+        assert len(calls) == 3
+        assert '"sdisc_index": 3' in capsys.readouterr().out
+
+
+def _mpf(x: Fraction):
+    """x as an mpf, exactly (x is dyadic)."""
+    return mpmath.mp.make_mpf(from_man_exp(x.numerator, -(x.denominator.bit_length() - 1)))
+
+
+def _q(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+# dyadic midpoint parts, 0 among them; radii 0, plain, near 1 and near
+# 2^-1100; points at the centre and on the rim of each disk
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda m, s: m / Fraction(2) ** s, st.integers(-(2**40), 2**40), st.integers(-4, 60)),
+)
+_radii = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda m, s: Fraction(m, 2**s), st.integers(1, 2**30), st.integers(40, 140)),
+    st.integers(1, 64).map(lambda k: Fraction(2**60 - k, 2**61)),
+    st.integers(-(2**20), 2**20).map(lambda k: Fraction(2**40 + k, 2**1140)),
+)
+_units = st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+                          (Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(-3, 5))])
+
+
+class TestTableRoutesEnclose:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_parts, _parts, _radii, _units, st.integers(1, 3)),
+                    min_size=1, max_size=5))
+    def test_sdisc_and_mahler_enclose_their_values(self, disks):
+        # |sDisc| and M(P), read off the rung table, hold their values at
+        # points of the root disks (lc = 1), decided on squares for M
+        entries = tuple(RootEntry(CBall(mpmath.mpc(_mpf(x), _mpf(y)), rad), m)
+                        for x, y, rad, _, m in disks)
+        d = sum(m for *_, m in disks)
+        roots = RootSet(entries, CBall.one(), d, 128, ())
+        z = [GaussianRational(x + rad * u, y + rad * v) for x, y, rad, (u, v), _ in disks]
+        sdisc, mahler = sdisc_abs_from_roots(roots), mahler_measure(roots)
+        exact_sdisc = Fraction(1)
+        if len(z) > 1:
+            for m in (m for *_, m in disks):
+                exact_sdisc *= m
+            for j in range(len(z)):
+                for i in range(j):
+                    exact_sdisc *= (z[j] - z[i]).norm()
+        assert abs(_q(sdisc.mid) - exact_sdisc) <= _q(sdisc.rad)
+        mahler_sq = Fraction(1)
+        for zj, (*_, m) in zip(z, disks):
+            mahler_sq *= max(Fraction(1), zj.norm()) ** m
+        lo, hi = _q(mahler.mid) - _q(mahler.rad), _q(mahler.mid) + _q(mahler.rad)
+        assert (lo <= 0 or lo * lo <= mahler_sq) and mahler_sq <= hi * hi
