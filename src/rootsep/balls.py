@@ -28,31 +28,34 @@ up) and keeps it; the bound does not depend on the precision. Division and
 its directed square root. `lo`/`hi` round outward, and `sqrt`, `root`,
 `powr` and `max1` map outward-rounded endpoints.
 
-The rung grid. Each rung's certificate runs on Gaussian integers, and
-only the values it reports become balls. The rung table
-(`bounds._rung_table`) puts every root midpoint on one grid (X + iY) / 2^w,
-with w DET_GUARD_BITS above the finest bit of any midpoint part, so the
-midpoints are exact; a radius R is an int in units of 2^-w, rounded up.
-Root differences are then exact, with radius R_i + R_j, and their products
+The rung table. Each rung's certificate runs on Gaussian integers, and
+only the values it reports become balls. A `RootSet` builds one
+`RungTable` (`RootSet.table`), once, at its own precision, and every
+root-dependent factor of a bound reads it: the LHS, |sDisc_{d-r}| through
+det W, M(P) through max(1, |v_j|), the certificate and the root distances.
+It puts every root midpoint on one grid (X + iY) / 2^w, with w
+DET_GUARD_BITS above the finest bit of any midpoint part, so the midpoints
+are exact; a radius R is an int in units of 2^-w, rounded up. Root
+differences are then exact, with radius R_i + R_j, and their products
 (det W, the edge product, the step factors) are exact Gaussian-integer
 products with radius prod(A + R) - prod(A), A = ceil|X + iY| by
-`math.isqrt`. W_1 runs its column recurrence exactly on the same grid,
-with the majorant radius h(A + R) - h(A) (`bounds._w1_grid`), and hands
-its rows to `ball_det` as a `GridMatrix` on one finer grid 2^-W: W = p +
+`math.isqrt`. The table does not depend on the graph: `RungTable.edges`
+takes the products over the edges of one, and `RungTable.w1` runs W_1's
+column recurrence exactly on the same grid, with the majorant radius h(A +
+R) - h(A), and hands its rows to `ball_det` as a `GridMatrix`.
+`grid_cball`, `grid_rball` and `grid_row_norm` turn grid values back into
+balls: the midpoint rounded to the working precision with its exact
+rounding error added to the radius, and moduli and row norms as isqrt
+brackets at the working precision (`grid_sqrt`: the grid of an exact root
+can be coarse), widened by R or ceil(sqrt(sum R^2)).
+
+Determinants. `ball_det` eliminates on one finer grid 2^-W, onto which
+`_grid_matrix` puts W_1 and any ball matrix by one rule: W = p +
 DET_GUARD_BITS - min t, t the bit length of the larger part less the
 scale, over the entries whose midpoint clears its radius, so every such
 entry keeps at least p bits relative to its own modulus. Parts below the
-grid floor into the radius, one unit each. `grid_cball`, `grid_rball` and
-`grid_row_norm` turn grid values back into balls: the midpoint rounded to
-the working precision with its exact rounding error added to the radius,
-and moduli and row norms as isqrt brackets at the working precision
-(`grid_sqrt`: the grid of an exact root can be coarse), widened by R or
-ceil(sqrt(sum R^2)).
-
-Determinants. `ball_det` eliminates on that grid; a ball matrix goes to one
-first, with w chosen the same way from its entries' tuples and each part
-truncated toward 0 (2 units of radius per truncated part). Every rounding
-of the elimination is counted upward in whole units: each floored part
+grid floor into the radius, one unit each. Every rounding of the
+elimination is counted upward in whole units: each floored part
 adds 2 units (a floor moves a part by less than 1), in each part of a
 multiplier f = x/p and in each part of a product f t. The radius of f is
 ceil((R_x |p|_lo + |x|_hi R_p) 2^w / (|p|_lo (|p|_lo - R_p))), and the
@@ -68,7 +71,8 @@ bits; the determinant is the sign times their product.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -116,11 +120,15 @@ _make_mpc = mp.make_mpc
 _new = object.__new__
 
 
-@contextmanager
+def _at_prec(prec: int):
+    """A context at mpmath precision `prec`: none is entered when `prec` is
+    the ambient precision already, as on every nested call of a rung."""
+    return nullcontext() if mp.prec == prec else mp.workprec(prec)
+
+
 def working_precision(bits: int):
     """Set the ambient mpmath precision (plus guard bits) for a pipeline run."""
-    with mp.workprec(bits + GUARD_BITS):
-        yield
+    return _at_prec(bits + GUARD_BITS)
 
 
 def json_real(x) -> float | str:
@@ -651,62 +659,57 @@ def _ceil_sqrt(n: int) -> int:
     return s + (s * s < n)
 
 
-def _grid_part(part, w: int) -> tuple[int, bool]:
-    """part times 2^w truncated toward 0, and whether that lost bits."""
+def _grid_part(part, w: int) -> int:
+    """part times 2^w truncated toward 0."""
     sign, man, exp, _ = part
     k = exp + w
-    if k >= 0:
-        v = man << k
-        return (-v if sign else v), False
-    v = man >> -k
-    return (-v if sign else v), v << -k != man
+    v = man << k if k >= 0 else man >> -k
+    return -v if sign else v
 
 
-def _grid_entry(z: CBall, w: int) -> tuple[int, int, int]:
-    """(X, Y, R) with the disk of z inside {(X + iY + e) / 2^w : |e| <= R}:
-    the parts truncated toward 0, the radius rounded up, and 2 units more
-    for each part that lost bits."""
+def _scaled(z: CBall) -> tuple[int, int, int, int]:
+    """(X, Y, R, s) with z = (X + iY +/- R) / 2^s exactly, s the finest bit
+    of any part, at least 0."""
     (re, im), rad = z._m, z._r
-    x, lost_x = _grid_part(re, w) if re[1] else (0, False)
-    y, lost_y = _grid_part(im, w) if im[1] else (0, False)
-    r = 2 * (lost_x + lost_y)
-    if rad[1]:
-        k = rad[2] + w
-        r += rad[1] << k if k >= 0 else -(-rad[1] >> -k)
-    return x, y, r
+    s = 0
+    for t in (re, im, rad):
+        if t[1] and -t[2] > s:
+            s = -t[2]
+    return _grid_part(re, s), _grid_part(im, s), _grid_part(rad, s), s
 
 
-def _grid_row(row: "list[CBall]", w: int) -> list[list[int]]:
-    """[X, Y, R] lists of a row on the grid."""
-    return [list(parts) for parts in zip(*[_grid_entry(z, w) for z in row])]
+def _place(x: int, y: int, r: int, k: int) -> tuple[int, int, int]:
+    """(x + iy +/- r) 2^k as ints: exact for k >= 0, else each part floored
+    with one unit of radius per floored part (a floor moves a part by less
+    than one unit) and the radius rounded up."""
+    if k >= 0:
+        return x << k, y << k, r << k
+    fx, fy = x >> -k, y >> -k
+    return fx, fy, -(-r >> -k) + (fx << -k != x) + (fy << -k != y)
 
 
-def _grid_scale(low: int | None) -> int:
-    """The w of a determinant grid whose smallest entry that clears its
-    radius lies below 2^low: p + DET_GUARD_BITS - low, at least 0."""
-    return max(0, mp.prec + DET_GUARD_BITS - (0 if low is None else low))
-
-
-def _det_grid(matrix: "list[list[CBall]]") -> int:
-    """The w of `ball_det`'s grid for a ball matrix: `_grid_scale` of the
-    least t = exp + bc of the larger part of each entry whose midpoint
-    clears its radius (t > exp + bc of the radius, so |mid| >= 2^(t - 1) >
-    rad)."""
+def _grid_matrix(rows) -> "GridMatrix":
+    """A matrix of exact entries (X, Y, R, s), each (X + iY +/- R) / 2^s, on
+    `ball_det`'s grid 2^-W: W = p + DET_GUARD_BITS - min t, at least 0, over
+    the entries whose midpoint clears its radius, t the bit length of the
+    larger part less s; each entry is `_place`d there."""
     low = None
-    for row in matrix:
-        for z in row:
-            (re, im), rad = z._m, z._r
-            if re[1]:
-                t = re[2] + re[3]
-                if im[1]:
-                    t = max(t, im[2] + im[3])
-            elif im[1]:
-                t = im[2] + im[3]
-            else:
-                continue
-            if (not rad[1] or t > rad[2] + rad[3]) and (low is None or t < low):
-                low = t
-    return _grid_scale(low)
+    for row in rows:
+        for x, y, r, s in row:
+            top = max(abs(x), abs(y)).bit_length()
+            if top > r.bit_length() and (low is None or top - s < low):
+                low = top - s
+    w = max(0, mp.prec + DET_GUARD_BITS - (0 if low is None else low))
+    out = []
+    for row in rows:
+        xs, ys, rs = [], [], []
+        for x, y, r, s in row:
+            x, y, r = _place(x, y, r, w - s)
+            xs.append(x)
+            ys.append(y)
+            rs.append(r)
+        out.append([xs, ys, rs])
+    return GridMatrix(out, w)
 
 
 def _grid_pivot(x: int, y: int, r: int, w: int) -> CBall:
@@ -774,11 +777,9 @@ def ball_det(matrix: "list[list[CBall]] | GridMatrix") -> CBall:
     Raises BallDomainError when a pivot ball may contain zero, which callers
     treat as a certification failure at the current precision.
     """
-    if isinstance(matrix, GridMatrix):
-        rows, w = matrix
-    else:
-        w = _det_grid(matrix)
-        rows = [_grid_row(row, w) for row in matrix]
+    if not isinstance(matrix, GridMatrix):
+        matrix = _grid_matrix([[_scaled(z) for z in row] for row in matrix])
+    rows, w = matrix
     n = len(rows)
     pivots = []
     sign = 1
@@ -826,7 +827,7 @@ def grid_cball(x: int, y: int, r: int, s: int) -> CBall:
     prec = mp.prec
     re, im = from_man_exp(x, -s, prec, "n"), from_man_exp(y, -s, prec, "n")
     # rounding keeps the exponent at -s or above, so 2^s re is an int
-    r += abs(x - _grid_part(re, s)[0]) + abs(y - _grid_part(im, s)[0])
+    r += abs(x - _grid_part(re, s)) + abs(y - _grid_part(im, s))
     return _cball((re, im), from_man_exp(r, -s, RAD_BITS, "u") if r else fzero)
 
 
@@ -835,7 +836,7 @@ def grid_rball(lo: int, hi: int, s: int) -> RBall:
     working precision, the radius its exact distance to the farther end,
     rounded up to RAD_BITS bits."""
     m = from_man_exp(lo + hi, -(s + 1), mp.prec, "n")
-    mid = _grid_part(m, s + 1)[0]
+    mid = _grid_part(m, s + 1)
     r = max(2 * hi - mid, mid - 2 * lo)
     return _rball(m, from_man_exp(r, -(s + 1), RAD_BITS, "u") if r else fzero)
 
@@ -857,3 +858,202 @@ def grid_row_norm(row: "list[list[int]]", w: int) -> RBall:
     lo, hi, t = grid_sqrt(sum(x * x for x in xs) + sum(y * y for y in ys), w)
     e = _ceil_sqrt(sum(r * r for r in rs)) << (t - w)
     return grid_rball(lo - e, hi + e, t)
+
+
+# --- the rung table -----------------------------------------------------------
+
+
+def _grid_product(items) -> tuple[int, int, int, int]:
+    """The exact product of grid values (x, y, h, l), each x + iy with a
+    radius h - l: (X, Y, H, L), X + iY the product of the midpoints and H -
+    L its radius, H the product of the h and L of the l. With h = A + R and
+    l = A, A >= |x + iy|, H - L = prod(A + R) - prod(A) bounds |prod z -
+    prod(x + iy)| for z in the disks: expanding prod(x + iy + e), every
+    term with an e is at most its majorant in A and R. The product runs as
+    a balanced tree, which keeps Python's big-int multiplications even."""
+    items = list(items)
+    if not items:
+        return 1, 0, 1, 1
+    while len(items) > 1:
+        paired = [
+            (a * c - b * d, a * d + b * c, h * g, l * m)
+            for (a, b, h, l), (c, d, g, m) in zip(items[::2], items[1::2])
+        ]
+        if len(items) % 2:
+            paired.append(items[-1])
+        items = paired
+    return items[0]
+
+
+def _grid_ball(product, n: int, w: int) -> CBall:
+    """A `_grid_product` of n factors on the grid 2^-w as a ball."""
+    x, y, h, l = product
+    return grid_cball(x, y, h - l, n * w)
+
+
+@dataclass(frozen=True)
+class EdgeProducts:
+    """The products over the edges of one graph, read off a rung table.
+
+    sources[j] lists the sources of the edges finishing at j, and
+    step_factors[i] is the product of (v_j - v_source) for the row replaced
+    at step i, highest row first (exact 1 for rows without incoming edges).
+    Each edge finishes at one row, so edge_product is the product of the
+    step factors, taken on the grid.
+    """
+
+    sources: tuple
+    step_factors: tuple
+    edge_product: CBall
+
+
+@dataclass(frozen=True)
+class RungTable:
+    """One rung's root differences on one grid of Gaussian integers (see
+    the module docstring); a `RootSet` builds its own once, on first use.
+
+    nodes[j] = (X, Y, A + R, A) is root j, (X + iY) / 2^w exactly, with its
+    radius R in units of 2^-w, rounded up, and A = ceil|X + iY|. diff[i, j]
+    = (X_j - X_i, Y_j - Y_i, A + R, A) for i < j, R = R_i + R_j and A =
+    ceil|X + iY|, is v_j - v_i exactly; when no root has a radius, A is 0
+    throughout, so products carry radius 0 without any square root. det_w,
+    the product over i < j of (v_j - v_i), is one exact product; max1[j] =
+    max(1, |v_j|) is the `grid_sqrt` bracket of X^2 + Y^2 widened by R; and
+    edge_base is r/sqrt(3). Everything the table hands out, these balls,
+    those of `distance` and `edges` and the grid of `w1`, is taken at
+    `prec`, the precision it was built at.
+    """
+
+    prec: int
+    w: int
+    nodes: tuple
+    diff: dict
+    max1: tuple
+    edge_base: RBall
+    det_w: CBall
+    _edges: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @staticmethod
+    def build(values: "list[CBall]") -> "RungTable":
+        """The table of the root balls `values`, at the ambient precision."""
+        r = len(values)
+        w = max([0, *(-part[2] for v in values for part in v._m if part[1])]) + DET_GUARD_BITS
+        grid = [_place(x, y, rad, w - s) for x, y, rad, s in map(_scaled, values)]
+        with_radius = any(rad for _, _, rad in grid)
+        nodes = []
+        for x, y, rad in grid:
+            a = (_ceil_sqrt(x * x + y * y) if y else abs(x)) if with_radius else 0
+            nodes.append((x, y, a + rad, a))
+        diff = {}
+        for j, (xj, yj, rj) in enumerate(grid):
+            for i in range(j):
+                xi, yi, ri = grid[i]
+                x, y = xj - xi, yj - yi
+                if with_radius:
+                    a = _ceil_sqrt(x * x + y * y) if y else abs(x)
+                    diff[i, j] = (x, y, a + ri + rj, a)
+                else:
+                    diff[i, j] = (x, y, 0, 0)
+        max1 = []
+        for x, y, rad in grid:
+            lo, hi, t = grid_sqrt(x * x + y * y, w)
+            rad, one = rad << (t - w), 1 << t
+            max1.append(grid_rball(max(one, lo - rad), max(one, hi + rad), t))
+        return RungTable(
+            prec=mp.prec,
+            w=w,
+            nodes=tuple(nodes),
+            diff=diff,
+            max1=tuple(max1),
+            edge_base=RBall.exact(r) / RBall.exact(3).sqrt(),
+            det_w=_grid_ball(_grid_product(diff.values()), len(diff), w),
+        )
+
+    def indistinct(self) -> "tuple[int, int] | None":
+        """The first pair (i, j) whose difference may be 0 (X^2 + Y^2 <=
+        R^2, decided exactly), or None."""
+        for key, (x, y, h, l) in self.diff.items():
+            if x * x + y * y <= (h - l) ** 2:
+                return key
+        return None
+
+    def distance(self, i: int, j: int) -> RBall:
+        """|v_j - v_i| as a ball."""
+        x, y, h, l = self.diff[min(i, j), max(i, j)]
+        with _at_prec(self.prec):
+            lo, hi, t = grid_sqrt(x * x + y * y, self.w)
+            r = (h - l) << (t - self.w)
+            return grid_rball(lo - r, hi + r, t)
+
+    def edges(self, g) -> EdgeProducts:
+        """The step factors and the edge product of the graph `g`, taken
+        once per graph."""
+        done = self._edges.get(g.oriented)
+        if done is not None:
+            return done
+        r = len(self.nodes)
+        # tuple() of lists throughout: of a generator it allocates 10 slots
+        # and shrinks them, which leaves one more tuple on the free list of
+        # the result's size per call, until that list holds 2000
+        sources = tuple([tuple([a for a, _ in g.edges_into(j)]) for j in range(r)])
+        steps, step_factors = [], []
+        with _at_prec(self.prec):
+            for j in range(r - 1, 0, -1):
+                if sources[j]:
+                    step = _grid_product(self.diff[a, j] for a in sources[j])
+                    steps.append(step)
+                    step_factors.append(_grid_ball(step, len(sources[j]), self.w))
+                else:
+                    step_factors.append(CBall.one())
+            done = self._edges[g.oriented] = EdgeProducts(
+                sources=sources,
+                step_factors=tuple(step_factors),
+                edge_product=_grid_ball(_grid_product(steps), g.edge_count, self.w),
+            )
+        return done
+
+    def w1(self, sources: tuple) -> GridMatrix:
+        """The fully reduced matrix W_1 on `ball_det`'s grid, for the edge
+        sources of `edges`.
+
+        Row j is the divided difference of the power basis over the sources
+        of j plus v_j: n - 1 zeros, then h_0 .. h_{r-n} of its n nodes (one
+        node, v_j, when no edge finishes at j, which gives 1, v_j, ...,
+        v_j^{r-1}). The column recurrence h_i += v h_{i-1}, one pass per
+        node, runs exactly on the table's grid: h_i of nodes (X + iY) / 2^w
+        is H_i / 2^(i w) with H_i += (X + iY) H_{i-1} on Gaussian integers.
+        h_i has nonnegative coefficients, so with A >= |node| its radius is
+        at most h_i(A + R) - h_i(A), and the same recurrence gives both
+        terms on the nodes' (A + R, A). A row whose nodes are another row's
+        plus v_j runs that row's recurrence one more pass (entry i of a pass
+        reads only entry i - 1, so the dropped last entry never feeds the
+        others). The entries then go to one grid by `_grid_matrix`.
+        """
+        r = len(sources)
+        built: dict[tuple, list] = {}
+        rows = []
+        for j in range(r):
+            key = (*sources[j], j)
+            n = len(key)
+            prev = built.get(key[:-1])
+            if prev is None:
+                h = [[1] + [0] * (r - n), [0] * (r - n + 1), [1] + [0] * (r - n), [1] + [0] * (r - n)]
+                passes = key
+            else:
+                h = [part[:-1] for part in prev]
+                passes = key[-1:]
+            hx, hy, hm, hl = h
+            for a in passes:
+                x, y, m, l = self.nodes[a]
+                for i in range(1, len(hx)):
+                    u, v = hx[i - 1], hy[i - 1]
+                    hx[i] += x * u - y * v
+                    hy[i] += x * v + y * u
+                    hm[i] += m * hm[i - 1]
+                    hl[i] += l * hl[i - 1]
+            built[key] = h
+            rows.append([(0, 0, 0, 0)] * (n - 1) + [
+                (x, y, m - l, i * self.w) for i, (x, y, m, l) in enumerate(zip(hx, hy, hm, hl))
+            ])
+        with _at_prec(self.prec):
+            return _grid_matrix(rows)

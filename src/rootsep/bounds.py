@@ -34,45 +34,24 @@ independently. The row-norm bounds and the Hadamard bound live only on the
 certificate (`row_norm_bounds`, `hadamard_rhs`), checked against the
 propagated radii by `rows_ok` and `hadamard_ok`.
 
-Every root-dependent factor is read off one table per rung
-(`_rung_table`), built on one grid of Gaussian integers (see `balls`): each
-v_j - v_i, i < j, is taken once and exactly, each max(1, |v_j|) once, and
-det W is one exact product. It does not depend on the graph, so one table
-serves every graph of a rung (`_RungTable.edges` takes the step factors
-and the edge product of one), and `bound_sep_product` hands it to both of
-its sub-bounds. The certificate's distinctness check, step factors, edge
-product, det W and W_1 read it, and so do the LHS (|edge product|),
-|sDisc_{d-r}| (from |det W|), the Mahler measure, which shares
-max(1, |v_j|) with the row-norm bounds, and the sep-product distances.
-`invariants.sdisc_abs_from_roots` and `invariants.mahler_measure` read it
-too; `_mahler` is the only Mahler product.
+Every root-dependent factor is read off the root set's rung table
+(`RootSet.table`, see `balls`), so a rung builds one for all its graphs:
+the certificate's distinctness check, step factors, edge product, det W and
+W_1, the LHS (|edge product|), the sep-product distances, and, through
+`invariants.sdisc_abs_from_roots` and `invariants.mahler_measure`,
+|sDisc_{d-r}| (from |det W|) and the Mahler measure, which shares
+max(1, |v_j|) with the row-norm bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isfinite, prod
+from math import comb, isfinite
 
 import mpmath
 from mpmath import mpf
 
-from .balls import (
-    DET_GUARD_BITS,
-    CBall,
-    GridMatrix,
-    RBall,
-    _ceil_sqrt,
-    _grid_entry,
-    _grid_scale,
-    ball_det,
-    ball_product,
-    grid_cball,
-    grid_rball,
-    grid_row_norm,
-    grid_sqrt,
-    json_real,
-    working_precision,
-)
+from .balls import CBall, RBall, ball_det, ball_product, grid_row_norm, json_real, working_precision
 from .errors import (
     BallDomainError,
     CertificationError,
@@ -82,6 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import RootGraph, _is_index, check_classical_admissible, min_total_degree, orient
+from .invariants import _abs_ball, _chain_coefficients, mahler_measure, sdisc_abs_from_roots
 from .roots import RootSet, find_roots, refine
 
 COMPONENT_KEYS = (
@@ -205,232 +185,11 @@ class VandermondeCertificate:
         }
 
 
-def _sqrt3() -> RBall:
-    return RBall.exact(3).sqrt()
+def reduce_vandermonde(roots: RootSet, g: RootGraph) -> VandermondeCertificate:
+    """Run the row-replacement reduction and certify its determinant identity,
+    at the root set's precision.
 
-
-def _grid_product(items) -> tuple[int, int, int, int]:
-    """The exact product of grid values (x, y, h, l), each x + iy with a
-    radius h - l: (X, Y, H, L), X + iY the product of the midpoints and H -
-    L its radius, H the product of the h and L of the l. With h = A + R and
-    l = A, A >= |x + iy|, H - L = prod(A + R) - prod(A) bounds |prod z -
-    prod(x + iy)| for z in the disks: expanding prod(x + iy + e), every
-    term with an e is at most its majorant in A and R. The product runs as
-    a balanced tree, which keeps Python's big-int multiplications even."""
-    items = list(items)
-    if not items:
-        return 1, 0, 1, 1
-    while len(items) > 1:
-        paired = [
-            (a * c - b * d, a * d + b * c, h * g, l * m)
-            for (a, b, h, l), (c, d, g, m) in zip(items[::2], items[1::2])
-        ]
-        if len(items) % 2:
-            paired.append(items[-1])
-        items = paired
-    return items[0]
-
-
-def _grid_ball(product, n: int, w: int) -> CBall:
-    """A `_grid_product` of n factors on the grid 2^-w as a ball."""
-    x, y, h, l = product
-    return grid_cball(x, y, h - l, n * w)
-
-
-@dataclass(frozen=True)
-class _RungTable:
-    """One rung's root differences on one grid of Gaussian integers.
-
-    Every root midpoint is (X + iY) / 2^w, exactly: w is DET_GUARD_BITS
-    above the finest bit of any midpoint part. Its radius R is an int in
-    units of 2^-w, rounded up. nodes[j] = (X, Y, A + R, A) with A =
-    ceil|X + iY|, the node as the W_1 recurrence and its majorant read it.
-    diff[i, j] = (X_j - X_i, Y_j - Y_i, A + R, A) for i < j, R = R_i + R_j
-    and A = ceil|X + iY|, is v_j - v_i exactly, with no cushion; when no
-    root has a radius, A is 0 throughout, so products carry radius 0 without
-    any square root. Distinctness is the exact test X^2 + Y^2 > R^2.
-
-    det_w, the product over i < j of (v_j - v_i), is one exact
-    Gaussian-integer product (`_grid_product`) and becomes a ball once;
-    max1[j] = max(1, |v_j|) comes from the isqrt bracket of X^2 + Y^2,
-    taken at the working precision (`grid_sqrt`), widened by R. `edges(g)`
-    takes the products over the edges of a graph off the same table, and
-    `_w1_grid` builds W_1 on it, so one table serves every graph of the
-    rung: the certificate, the LHS, |sDisc| (from |det W|), the Mahler
-    measure and the sep-product distances. edge_base is r/sqrt(3), the base
-    of the row-norm bounds and of the edge factor.
-    """
-
-    w: int
-    nodes: tuple
-    diff: dict
-    max1: tuple
-    edge_base: RBall
-    det_w: CBall
-
-    def distance(self, i: int, j: int) -> RBall:
-        """|v_j - v_i| as a ball, from the table."""
-        x, y, h, l = self.diff[min(i, j), max(i, j)]
-        lo, hi, t = grid_sqrt(x * x + y * y, self.w)
-        r = (h - l) << (t - self.w)
-        return grid_rball(lo - r, hi + r, t)
-
-    def edges(self, g: RootGraph) -> "_EdgeProducts":
-        """The step factors and the edge product of `g`."""
-        r = len(self.nodes)
-        # tuple() of lists throughout: of a generator it allocates 10 slots
-        # and shrinks them, which leaves one more tuple on the free list of
-        # the result's size per call, until that list holds 2000
-        sources = tuple([tuple([a for a, _ in g.edges_into(j)]) for j in range(r)])
-        steps, step_factors = [], []
-        for j in range(r - 1, 0, -1):
-            if sources[j]:
-                step = _grid_product(self.diff[a, j] for a in sources[j])
-                steps.append(step)
-                step_factors.append(_grid_ball(step, len(sources[j]), self.w))
-            else:
-                step_factors.append(CBall.one())
-        return _EdgeProducts(
-            table=self,
-            sources=sources,
-            step_factors=tuple(step_factors),
-            edge_product=_grid_ball(_grid_product(steps), g.edge_count, self.w),
-        )
-
-
-@dataclass(frozen=True)
-class _EdgeProducts:
-    """The products over the edges of one graph, read off a rung table.
-
-    sources[j] lists the sources of the edges finishing at j, and
-    step_factors[i] is the product of (v_j - v_source) for the row replaced
-    at step i, highest row first (exact 1 for rows without incoming edges).
-    Each edge finishes at one row, so edge_product is the product of the
-    step factors, taken on the grid.
-    """
-
-    table: _RungTable
-    sources: tuple
-    step_factors: tuple
-    edge_product: CBall
-
-
-def _rung_table(roots: RootSet) -> _RungTable:
-    """The table of `roots`, its balls rounded at the ambient precision."""
-    vals = roots.values()
-    r = len(vals)
-    w = max((-part[2] for v in vals for part in v._m if part[1]), default=0)
-    w = max(0, w) + DET_GUARD_BITS
-    grid = [_grid_entry(v, w) for v in vals]
-    with_radius = any(rad for _, _, rad in grid)
-    nodes = []
-    for x, y, rad in grid:
-        a = (_ceil_sqrt(x * x + y * y) if y else abs(x)) if with_radius else 0
-        nodes.append((x, y, a + rad, a))
-    diff = {}
-    for j, (xj, yj, rj) in enumerate(grid):
-        for i in range(j):
-            xi, yi, ri = grid[i]
-            x, y = xj - xi, yj - yi
-            if with_radius:
-                a = _ceil_sqrt(x * x + y * y) if y else abs(x)
-                diff[i, j] = (x, y, a + ri + rj, a)
-            else:
-                diff[i, j] = (x, y, 0, 0)
-    max1 = []
-    for x, y, rad in grid:
-        lo, hi, t = grid_sqrt(x * x + y * y, w)
-        rad, one = rad << (t - w), 1 << t
-        max1.append(grid_rball(max(one, lo - rad), max(one, hi + rad), t))
-    return _RungTable(
-        w=w,
-        nodes=tuple(nodes),
-        diff=diff,
-        max1=tuple(max1),
-        edge_base=RBall.exact(r) / _sqrt3(),
-        det_w=_grid_ball(_grid_product(diff.values()), len(diff), w),
-    )
-
-
-def _w1_grid(table: _RungTable, sources: tuple) -> GridMatrix:
-    """The fully reduced matrix W_1 on `ball_det`'s grid.
-
-    Row j is the divided difference of the power basis over the sources of
-    j plus v_j: n - 1 zeros, then h_0 .. h_{r-n} of its n nodes (one node,
-    v_j, when no edge finishes at j, which gives 1, v_j, ..., v_j^{r-1}).
-    The column recurrence h_i += v h_{i-1}, one pass per node, runs exactly
-    on the table's grid: h_i of nodes (X + iY) / 2^w is H_i / 2^(i w) with
-    H_i += (X + iY) H_{i-1} on Gaussian integers. h_i has nonnegative
-    coefficients, so with A >= |node| its radius is at most h_i(A + R) -
-    h_i(A), and the same recurrence gives both terms on the nodes' (A + R,
-    A). A row whose nodes are another row's plus v_j runs that row's
-    recurrence one more pass (entry i of a pass reads only entry i - 1, so
-    the dropped last entry never feeds the others).
-
-    Each entry then goes to one grid 2^-W, W = `_grid_scale` of the least t
-    = bit length of the larger part minus i w over the entries that clear
-    their radius: a shift, exact to the left, floored to the right with one
-    unit of radius per floored part, the radius rounded up.
-    """
-    r = len(sources)
-    built: dict[tuple, list] = {}
-    exact = []
-    low = None
-    for j in range(r):
-        key = (*sources[j], j)
-        n = len(key)
-        prev = built.get(key[:-1])
-        if prev is None:
-            h = [[1] + [0] * (r - n), [0] * (r - n + 1), [1] + [0] * (r - n), [1] + [0] * (r - n)]
-            passes = key
-        else:
-            h = [part[:-1] for part in prev]
-            passes = key[-1:]
-        hx, hy, hm, hl = h
-        for a in passes:
-            x, y, m, l = table.nodes[a]
-            for i in range(1, len(hx)):
-                u, v = hx[i - 1], hy[i - 1]
-                hx[i] += x * u - y * v
-                hy[i] += x * v + y * u
-                hm[i] += m * hm[i - 1]
-                hl[i] += l * hl[i - 1]
-        built[key] = h
-        exact.append((n, h))
-        for i, (x, y, m, l) in enumerate(zip(hx, hy, hm, hl)):
-            top = max(abs(x), abs(y)).bit_length()
-            if top > (m - l).bit_length():
-                t = top - i * table.w
-                if low is None or t < low:
-                    low = t
-    big_w = _grid_scale(low)
-    rows = []
-    for n, (hx, hy, hm, hl) in exact:
-        xs, ys, rs = [0] * (n - 1), [0] * (n - 1), [0] * (n - 1)
-        for i, (x, y, m, l) in enumerate(zip(hx, hy, hm, hl)):
-            k = big_w - i * table.w
-            if k >= 0:
-                xs.append(x << k)
-                ys.append(y << k)
-                rs.append((m - l) << k)
-            else:
-                fx, fy = x >> -k, y >> -k
-                lost = (fx << -k != x) + (fy << -k != y)
-                xs.append(fx)
-                ys.append(fy)
-                rs.append(-(-(m - l) >> -k) + lost)
-        rows.append([xs, ys, rs])
-    return GridMatrix(rows, big_w)
-
-
-def reduce_vandermonde(
-    roots: RootSet, g: RootGraph, precision: int | None = None, *,
-    products: _EdgeProducts | None = None,
-) -> VandermondeCertificate:
-    """Run the row-replacement reduction and certify its determinant identity.
-
-    Reads the rung's difference table and the products over the edges of
-    `g`, `products` when the caller took them at `precision`, else its own:
+    Reads the root set's rung table and its products over the edges of `g`:
     the distinctness check, the step factors, det W, the edge product and
     the row bounds' max(1, |v_j|). W_1 is built on the table's grid and
     handed to `ball_det` as grid rows, and its row norms are read off the
@@ -441,17 +200,17 @@ def reduce_vandermonde(
         raise ValidationError(
             f"graph has {g.vertex_count} vertices but the root set has {roots.r}"
         )
-    precision = precision if precision is not None else roots.precision_bits
+    precision = roots.precision_bits
     with working_precision(precision):
         r = roots.r
-        e = products if products is not None else _rung_table(roots).edges(g)
-        t = e.table
-        for (i, j), (x, y, h, l) in t.diff.items():
-            if x * x + y * y <= (h - l) ** 2:
-                raise CertificationError(
-                    precision, f"nodes {i} and {j} are not certifiably distinct"
-                )
-        w1 = _w1_grid(t, e.sources)
+        t = roots.table
+        e = t.edges(g)
+        pair = t.indistinct()
+        if pair is not None:
+            raise CertificationError(
+                precision, f"nodes {pair[0]} and {pair[1]} are not certifiably distinct"
+            )
+        w1 = t.w1(e.sources)
         row_norms = tuple([grid_row_norm(row, w1.w) for row in w1.rows])
         try:
             det_w1 = ball_det(w1)
@@ -557,11 +316,10 @@ class ClusterHint:
     pairs: tuple
 
     @staticmethod
-    def build(pairs, roots: RootSet, precision: int | None = None) -> "ClusterHint":
-        precision = precision if precision is not None else roots.precision_bits
-        with working_precision(precision):
+    def build(pairs, roots: RootSet) -> "ClusterHint":
+        with working_precision(roots.precision_bits):
             r = roots.r
-            base = _sqrt3() / RBall.exact(r)
+            base = RBall.exact(3).sqrt() / RBall.exact(r)
             seen = set()
             checked = []
             for entry in pairs:
@@ -608,36 +366,17 @@ def _as_graph(graph_or_edges, roots: RootSet) -> RootGraph:
     return orient(graph_or_edges, roots)
 
 
-def _mahler(roots: RootSet, table: _RungTable) -> RBall:
-    """|lc| * prod max(1, |v_j|)^{m_j}, read off the table."""
-    acc = roots.leading_coeff.abs()
-    for e, m1 in zip(roots.entries, table.max1):
-        acc = acc * m1.powi(e.multiplicity)
-    return acc
-
-
-def _sdisc(roots: RootSet, table: _RungTable) -> RBall:
-    """|sDisc_{d-r}| = (|lc|^{r-1} (prod m_j)^{1/2} |det W|)^2 with det W from
-    the table, exactly 1 for a single distinct root."""
-    r = roots.r
-    if r == 1:
-        return RBall.one()
-    lc_part = roots.leading_coeff.abs().powi(r - 1)
-    root_part = lc_part * RBall.exact(prod(roots.multiplicities())).sqrt() * table.det_w.abs()
-    return root_part * root_part
-
-
-def _components(roots: RootSet, table: _RungTable, n_edges: int, k: int = 1) -> dict:
+def _components(roots: RootSet, n_edges: int, k: int = 1) -> dict:
     """The main row of the component table (k = 1), or its square (k = 2),
     the sep-product row, in COMPONENT_KEYS order."""
     d, r = roots.total_degree, roots.r
-    sdisc = _sdisc(roots, table)
+    sdisc = sdisc_abs_from_roots(roots)
     r_r = RBall.exact(r**r)
     mmin = min(d, 2 * d - 2 * r)
     return {
         "sdisc_sqrt": sdisc.sqrt() if k == 1 else sdisc,
-        "mahler_power": _mahler(roots, table).powi(-k * (r - 1)),
-        "edge_factor": table.edge_base.powi(-n_edges),
+        "mahler_power": mahler_measure(roots).powi(-k * (r - 1)),
+        "edge_factor": roots.table.edge_base.powi(-n_edges),
         "r_power": RBall.one() / (r_r.sqrt() if k == 1 else r_r),
         "multiplicity_factor": RBall.one() / RBall.exact(3**mmin).root(6 // k),
     }
@@ -678,36 +417,38 @@ def _finish(
     )
 
 
+def _rung_roots(p, roots: RootSet | None, precision: int) -> RootSet:
+    """The root set of `p` at `precision`: `roots`, a root set of `p` found
+    at any precision, carried there by `refine`, or a fresh one. The rung
+    table, and with it every bound of the rung, runs at its precision."""
+    return find_roots(p, precision) if roots is None else refine(p, roots, precision)
+
+
 def _graph_bound(
     variant: str, p, graph_or_edges, precision: int, roots: RootSet | None, check=None,
-    table: _RungTable | None = None,
 ) -> BoundReport:
-    """The pipeline every graph variant runs: roots, orientation, the rung's
-    difference table (`table` when the caller built it for `roots` at
-    `precision`), reduction certificate, LHS over the edges, components and
-    verdict.
+    """The pipeline every graph variant runs: roots at `precision`
+    (`_rung_roots`), orientation, reduction certificate, LHS over the edges,
+    components and verdict.
 
-    `check(roots, g, table)` raises when a precondition of the variant fails
-    and returns the variant's report fields and the factors its row swaps
-    into the main row. The LHS is |edge product| and the components read the
-    table too, also when the certificate fails. A single distinct root is a
-    degenerate success: the product over edges is empty.
+    `check(roots, g)` raises when a precondition of the variant fails and
+    returns the variant's report fields and the factors its row swaps into
+    the main row. The LHS is |edge product| off the root set's rung table,
+    which the certificate and the components read too, also when the
+    certificate fails. A single distinct root is a degenerate success: the
+    product over edges is empty.
     """
-    if roots is None:
-        roots = find_roots(p, precision)
+    roots = _rung_roots(p, roots, precision)
     with working_precision(precision):
         g = _as_graph(graph_or_edges, roots)
-        if table is None:
-            table = _rung_table(roots)
-        extra, row = check(roots, g, table) if check else ({}, {})
-        products = table.edges(g)
+        extra, row = check(roots, g) if check else ({}, {})
         try:
-            cert = reduce_vandermonde(roots, g, precision, products=products)
+            cert = reduce_vandermonde(roots, g)
         except CertificationError as exc:
             cert = None
             extra["certificate_error"] = str(exc)
-        lhs = products.edge_product.abs()
-        components = {**_components(roots, table, g.edge_count), **row}
+        lhs = roots.table.edges(g).edge_product.abs()
+        components = {**_components(roots, g.edge_count), **row}
         degenerate = roots.r == 1
         if degenerate:
             extra["degenerate"] = "single distinct root"
@@ -726,7 +467,7 @@ def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | No
     and the oriented graph must satisfy the in-degree cap.
     """
 
-    def check(roots, g, table):
+    def check(roots, g):
         d = p.degree
         if roots.r != d:
             raise PreconditionError(
@@ -744,9 +485,7 @@ def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | No
             )
         if d == 1:
             return {}, {}
-        from .invariants import _abs_ball, discriminant  # invariants reads this module's table
-
-        disc_abs = _abs_ball(discriminant(p))
+        disc_abs = _abs_ball(_chain_coefficients(p, roots)[0] / p.leading)
         return {}, {"sdisc_sqrt": disc_abs.sqrt(), "multiplicity_factor": RBall.one()}
 
     return _graph_bound("classical", p, graph_or_edges, precision, roots, check)
@@ -758,10 +497,10 @@ def bound_remark_degree(p, graph_or_edges, precision: int = 128, roots: RootSet 
     if p.is_zero or p.leading != 1:
         raise PreconditionError("this variant requires a monic polynomial (leading coefficient exactly 1)")
 
-    def check(roots, g, table):
+    def check(roots, g):
         dtilde = min_total_degree(g)
         exponent = -(roots.r - 1) + mpf(dtilde) / 2
-        return {"min_total_degree": dtilde}, {"mahler_power": _mahler(roots, table).powr(exponent)}
+        return {"min_total_degree": dtilde}, {"mahler_power": mahler_measure(roots).powr(exponent)}
 
     return _graph_bound("remark_degree", p, graph_or_edges, precision, roots, check)
 
@@ -779,11 +518,11 @@ def bound_remark_pairs(
     -#E + (sum of the k - #E smallest hint exponents).
     """
 
-    def check(roots, g, table):
+    def check(roots, g):
         r = roots.r
         if r <= 2:
             raise PreconditionError(f"this variant requires r > 2 distinct roots, got r={r}")
-        pairs = hints if isinstance(hints, ClusterHint) else ClusterHint.build(hints, roots, precision)
+        pairs = hints if isinstance(hints, ClusterHint) else ClusterHint.build(hints, roots)
         n_edges = g.edge_count
         if n_edges >= pairs.k:
             raise PreconditionError(
@@ -797,7 +536,7 @@ def bound_remark_pairs(
             "hint_pairs": [[a, b, float(dv)] for a, b, dv in pairs.pairs],
             "edge_exponent": float(exponent),
         }
-        return extra, {"edge_factor": table.edge_base.powr(exponent)}
+        return extra, {"edge_factor": roots.table.edge_base.powr(exponent)}
 
     return _graph_bound("remark_pairs", p, graph_or_edges, precision, roots, check)
 
@@ -811,8 +550,7 @@ def bound_sep_product(p, subset, precision: int = 128, roots: RootSet | None = N
     occur at most twice, once per endpoint), and composes the main bound for
     both graphs; #E0 + #E1 equals the subset size.
     """
-    if roots is None:
-        roots = find_roots(p, precision)
+    roots = _rung_roots(p, roots, precision)
     with working_precision(precision):
         r = roots.r
         if r < 2:
@@ -821,22 +559,21 @@ def bound_sep_product(p, subset, precision: int = 128, roots: RootSet | None = N
             if not _is_index(v) or not 0 <= v < r:
                 raise ValidationError(f"subset index {v!r} out of range 0..{r - 1}")
         subset = sorted(set(subset))
-        table = _rung_table(roots)
         counts: dict[tuple[int, int], int] = {}
         seps = []
         for v in subset:
             partner = roots.partner(v)
             key = (min(v, partner), max(v, partner))
             counts[key] = counts.get(key, 0) + 1
-            seps.append(table.distance(*key))
+            seps.append(roots.distance(*key))
         e0 = sorted(counts)
         e1 = sorted(k for k, c in counts.items() if c == 2)
         if len(e0) + len(e1) != len(subset):  # pragma: no cover
             raise RootsepError("edge split does not match the subset size")
-        sub0 = _graph_bound("main", p, e0, precision, roots, table=table)
-        sub1 = _graph_bound("main", p, e1, precision, roots, table=table)
+        sub0 = _graph_bound("main", p, e0, precision, roots)
+        sub1 = _graph_bound("main", p, e1, precision, roots)
         lhs = ball_product(seps, RBall.one())
-        components = _components(roots, table, len(subset), k=2)
+        components = _components(roots, len(subset), k=2)
         extra = {
             "subset": subset,
             "e0": [list(e) for e in e0],
@@ -876,8 +613,8 @@ def verify(
     and surface as an inconclusive report at the ceiling.
 
     `roots`, a root set of `p` found at any precision, is carried to the
-    first rung by `refine`; each later rung gets the newest certified set,
-    its predecessor's, the same way. A set whose disks are already as tight
+    first rung by `refine` (`_rung_roots`); each later rung gets the newest
+    certified set, its predecessor's, the same way. A set whose disks are already as tight
     as a fresh solve at a rung would make them is used as it is there;
     otherwise the rung solves again, warm-started from it. `p` is exact (the
     parser reads a decimal literal as its exact rational), so every rung
@@ -897,8 +634,7 @@ def verify(
     prec = precision
     while True:
         try:
-            rung_roots = refine(p, roots, prec) if roots is not None else None
-            report = _DISPATCH[variant](p, *inputs, prec, roots=rung_roots)
+            report = _DISPATCH[variant](p, *inputs, prec, roots=roots)
         except (IndistinguishableRootsError, CertificationError, BallDomainError) as exc:
             report = BoundReport(
                 variant=variant,

@@ -139,7 +139,7 @@ def _cmd_certificate(args) -> tuple[dict, int]:
     p = parse_polynomial(args.poly)
     roots = find_roots(p, precision)
     graph = _resolve_graph(args, roots)
-    cert = reduce_vandermonde(roots, graph, precision)
+    cert = reduce_vandermonde(roots, graph)
     return {**cert.to_json(), "roots": roots.to_json(), "graph": graph.to_json(),
             "precision_bits": precision}, EXIT_OK
 

@@ -12,7 +12,7 @@ Nodes must be pairwise distinct. Balls whose disks touch are rejected:
 regularizing near-duplicates would silently change the functional.
 
 This module is public API and the tests' oracle: the pipeline builds its
-reduced rows W_1 on the rung grid of `bounds._w1_grid`, which runs the
+reduced rows W_1 on the rung grid of `balls.RungTable.w1`, which runs the
 monomial route's recurrence on Gaussian integers.
 """
 from __future__ import annotations

@@ -136,7 +136,7 @@ def preset_edges(name: str, roots) -> list[tuple[int, int]]:
         for j in range(r):
             if r < 2:
                 break
-            partner, _ = roots.nearest_partner(j)
+            partner = roots.partner(j)
             key = (min(j, partner), max(j, partner))
             if key not in seen:
                 seen.add(key)

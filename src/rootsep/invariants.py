@@ -19,21 +19,19 @@ Vanishing decisions (the index d - r itself) are made exactly: the chain and
 the square-free decomposition must agree. Every input is an exact
 polynomial, a decimal literal having been parsed as its exact rational.
 
-The root-product routes read the rung table of the bounds
-(`bounds._rung_table`): |sDisc_{d-r}| is (|lc|^{r-1} (prod m_j)^{1/2}
-|det W|)^2 with det W the exact product of the root differences on the
-table's grid, and M is `bounds._mahler` of the table's max(1, |v_j|).
-`compute_invariants` builds one table for both.
+The root-product routes read the root set's rung table (`RootSet.table`,
+see `balls`), as the bounds do: |sDisc_{d-r}| is (|lc|^{r-1} (prod
+m_j)^{1/2} |det W|)^2, and M is |lc| prod max(1, |v_j|)^{m_j}.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import mpmath
 from mpmath import mpc, mpf
 
 from .balls import RBall, working_precision
-from .bounds import _mahler, _rung_table, _RungTable, _sdisc
 from .errors import JensenUnavailableError, RootsepError, ValidationError
 from .gaussian import GaussianRational
 from .poly import (
@@ -82,6 +80,15 @@ def _abs_ball(w: GaussianRational) -> RBall:
     return RBall.exact(w.norm()).sqrt()
 
 
+def _chain_coefficients(p: ExactPoly, roots: RootSet) -> list[GaussianRational]:
+    """psc_0 .. psc_{d-1} of (P, P'), read off the chain Yun built for
+    `roots` (`RootSet.chain_heads`), rescaled by powers of lc; a hand-built
+    set without heads gets a chain of its own."""
+    if roots.chain_heads:
+        return _derivative_coefficients(p, roots.chain_heads)
+    return _principal_coefficients(p, p.derivative())
+
+
 def discriminant(p: ExactPoly) -> GaussianRational:
     """Classical discriminant, exact: (-1)^(d(d-1)/2) Res(P, P') / lc(P)."""
     if p.is_zero or p.degree < 2:
@@ -109,25 +116,31 @@ def subdiscriminant(p: ExactPoly) -> tuple[int, GaussianRational]:
 # ---------------------------------------------------------------------------
 
 
-def mahler_measure(roots: RootSet, table: _RungTable | None = None) -> RBall:
+def mahler_measure(roots: RootSet) -> RBall:
     """|lc| * prod max(1, |v_j|)^{m_j}, with max(1, |v_j|) read off the rung
-    table of `roots` (`table` when the caller built it)."""
+    table of `roots`."""
     with working_precision(roots.precision_bits):
-        return _mahler(roots, table if table is not None else _rung_table(roots))
+        acc = roots.leading_coeff.abs()
+        for e, m1 in zip(roots.entries, roots.table.max1):
+            acc = acc * m1.powi(e.multiplicity)
+        return acc
 
 
-def sdisc_abs_from_roots(roots: RootSet, table: _RungTable | None = None) -> RBall:
+def sdisc_abs_from_roots(roots: RootSet) -> RBall:
     """(|lc|^{r-1} (prod m_j)^{1/2} prod_{i<j} |v_i - v_j|)^2, with the
     product of the differences, det W up to sign, read off the rung table of
-    `roots` (`table` when the caller built it).
+    `roots`.
 
     With a single distinct root every factor is treated as an empty product
     and the result is exactly 1.
     """
-    if roots.r == 1:
+    r = roots.r
+    if r == 1:
         return RBall.one()
     with working_precision(roots.precision_bits):
-        return _sdisc(roots, table if table is not None else _rung_table(roots))
+        lc_part = roots.leading_coeff.abs().powi(r - 1)
+        root_part = lc_part * RBall.exact(prod(roots.multiplicities())).sqrt() * roots.table.det_w.abs()
+        return root_part * root_part
 
 
 def sdisc_abs_from_subresultants(p: ExactPoly, precision: int = 128) -> RBall:
@@ -211,17 +224,15 @@ def compute_invariants(p, precision: int = 128, roots: RootSet | None = None) ->
     the chain Yun built for the root set (`RootSet.chain_heads`), rescaled
     by powers of lc, so no chain is built here. The two sdisc routes are
     both evaluated (their agreement is a standing self-check), and the
-    root-product route and M read one rung table.
+    root-product route and M read the root set's rung table.
     """
     with working_precision(precision):
         if roots is None:
             roots = find_roots(p, precision)
-        table = _rung_table(roots)
-        mahler = mahler_measure(roots, table)
-        sdisc_roots = sdisc_abs_from_roots(roots, table)
+        mahler = mahler_measure(roots)
+        sdisc_roots = sdisc_abs_from_roots(roots)
         d = p.degree
-        psc = (_derivative_coefficients(p, roots.chain_heads) if roots.chain_heads
-               else _principal_coefficients(p, p.derivative()))
+        psc = _chain_coefficients(p, roots)
         index, sres = _first_nonzero(psc, d, roots.r)
         sdisc = RBall.one() if roots.r == 1 else _abs_ball(sres / p.leading)
         if not sdisc.overlaps(sdisc_roots):  # pragma: no cover

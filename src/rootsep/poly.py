@@ -243,11 +243,6 @@ def _over(nums, den: int, mu: tuple[int, int]) -> ExactPoly:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_int_coeffs(p: ExactPoly) -> tuple[tuple[tuple[int, int], ...], int]:
-    """(numerators, denominator): the Gaussian integers den * coefficient."""
-    return p.nums, p.den
-
-
 def _pdivmod(a, b):
     """(q, r) with lc(b)^(m+1) a = q b + r and deg r < deg b, m = deg a - deg b
     (q = 0 and r = a when m < 0); every step of the long division is an exact
@@ -309,7 +304,7 @@ def _chain_heads(chain: dict, q: int) -> tuple:
 def _principal_coefficients(a: ExactPoly, b: ExactPoly) -> list[GaussianRational]:
     """Principal subresultant coefficients psc_0 .. psc_{deg b} of (a, b),
     deg a > deg b, read off one chain: psc_j is the X^j coefficient of S_j."""
-    (ca, la), (cb, lb) = _scaled_int_coeffs(a), _scaled_int_coeffs(b)
+    ca, la, cb, lb = a.nums, a.den, b.nums, b.den
     p, q = a.degree, b.degree
     out = []
     for j, (re, im) in enumerate(_chain_heads(_subresultant_chain(ca, cb), q)):

@@ -62,12 +62,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_float, from_man_exp, mpf_add, mpf_lt, mpf_mul, mpf_shift, mpf_sub
+from mpmath.libmp import from_float, from_int, from_man_exp, mpf_lt, mpf_shift
 
-from .balls import CBall, GUARD_BITS, RBall
+from .balls import CBall, GUARD_BITS, RBall, RungTable, working_precision
 from .errors import IndistinguishableRootsError, PreconditionError, ValidationError
 from .poly import ExactPoly, _horner, square_free_decomposition
 
@@ -104,8 +105,9 @@ class RootSet:
     square-free decomposition, which the set carries in `factors` so that
     `refine` does not compute it again, and `chain_heads`, the principal
     coefficients of the chain of (monic P, its derivative) that Yun built on
-    the way (see `poly.Decomposition`), so that `compute_invariants` builds
-    no chain.
+    the way (see `poly.Decomposition`), so that `compute_invariants` and
+    `bound_classical` build no chain. Root distances, and every
+    root-dependent factor of a bound, read the set's rung table (`table`).
     """
 
     entries: tuple[RootEntry, ...]
@@ -125,35 +127,35 @@ class RootSet:
     def multiplicities(self) -> list[int]:
         return [e.multiplicity for e in self.entries]
 
-    def distance(self, i: int, j: int) -> RBall:
-        return (self.entries[i].value - self.entries[j].value).abs()
+    @cached_property
+    def table(self) -> RungTable:
+        """The set's rung table (see `balls`), built on first use at
+        `precision_bits`."""
+        with working_precision(self.precision_bits):
+            return RungTable.build(self.values())
 
-    def nearest_partner(self, j: int) -> tuple[int, RBall]:
-        """Index of the closest different root (`partner`) and the distance
-        as a ball."""
-        i = self.partner(j)
-        return i, self.distance(i, j)
+    def distance(self, i: int, j: int) -> RBall:
+        """|v_i - v_j| as a ball, read off the rung table."""
+        return self.table.distance(i, j)
 
     def partner(self, j: int) -> int:
         """Index of the closest different root.
 
         The partner is chosen by the squared distance of the dyadic
-        midpoints, taken exactly and rounded once to `precision_bits`, so
-        that midpoint noise below the certified precision cannot break a
-        tie between equidistant roots; ties go to the smallest canonical
-        index."""
+        midpoints, exact on the rung table's grid and rounded once to
+        `precision_bits`, so that midpoint noise below the certified
+        precision cannot break a tie between equidistant roots; ties go to
+        the smallest canonical index."""
         if self.r < 2:
             raise PreconditionError("no different root: the root set has a single entry")
-        mids = [(z.real._mpf_, z.imag._mpf_) for z in (e.value.mid for e in self.entries)]
-        xj, yj = mids[j]
+        diff = self.table.diff
         best_i, best = -1, None
-        for i, (x, y) in enumerate(mids):
-            if i == j:
-                continue
-            dx, dy = mpf_sub(x, xj), mpf_sub(y, yj)
-            square = mpf_add(mpf_mul(dx, dx), mpf_mul(dy, dy), self.precision_bits, "n")
-            if best is None or mpf_lt(square, best):
-                best, best_i = square, i
+        for i in range(self.r):
+            if i != j:
+                x, y, _, _ = diff[min(i, j), max(i, j)]
+                square = from_int(x * x + y * y, self.precision_bits, "n")
+                if best is None or mpf_lt(square, best):
+                    best, best_i = square, i
         return best_i
 
     def to_json(self) -> list[dict]:
@@ -167,8 +169,7 @@ def sep(roots: RootSet, j: int) -> RBall:
     """Distance from root j to its closest different root."""
     if not 0 <= j < roots.r:
         raise ValidationError(f"root index {j} out of range 0..{roots.r - 1}")
-    _, d = roots.nearest_partner(j)
-    return d
+    return roots.distance(roots.partner(j), j)
 
 
 def min_pairwise_distance(roots: RootSet) -> RBall:
@@ -194,19 +195,13 @@ def _canonical_key(z: mpc):
     return (m, *(+x if abs(x) > floor else mpf(0) for x in (z.real, z.imag)))
 
 
-def _meet(a, b, cushion) -> bool:
-    """Whether the (center, radius) disks a and b are not certifiably
-    disjoint; `cushion` is 1 - 2^(8 - prec) at the ambient precision."""
-    return abs(a[0] - b[0]) * cushion <= a[1] + b[1]
+def _meets(disks):
+    """The test whether two (center, radius) disks are not certifiably
+    disjoint at the ambient precision: `meets(i, j)` for disks i and j.
 
-
-def _first_overlap(disks) -> tuple[int, int] | None:
-    """First pair (j, i), j < i, of (center, radius) disks that are not
-    certifiably disjoint at the ambient precision, or None.
-
-    The test is `_meet`'s, |a - b| (1 - 2^(8 - prec)) <= r_a + r_b, decided
-    exactly on squares: centers and radii are dyadic, so they become ints at
-    one scale, and no square root is taken."""
+    The test is |a - b| (1 - 2^(8 - prec)) <= r_a + r_b, decided exactly on
+    squares: centers and radii are dyadic (mpmath values or floats), so
+    they become ints at one scale, and no square root is taken."""
     parts = [(_dyadic(d[0].real), _dyadic(d[0].imag), _dyadic(d[1])) for d in disks]
     low = min((e for disk in parts for m, e in disk if m), default=0)
     # tuple() of a list: of a generator it shrinks an over-allocated tuple,
@@ -214,21 +209,32 @@ def _first_overlap(disks) -> tuple[int, int] | None:
     ints = [tuple([m << (e - low) if m else 0 for m, e in disk]) for disk in parts]
     q = mp.prec - 8
     cushion = ((1 << q) - 1) ** 2
-    for i, (x, y, r) in enumerate(ints):
+
+    def meets(i: int, j: int) -> bool:
+        (x, y, r), (u, v, s) = ints[i], ints[j]
+        return ((x - u) ** 2 + (y - v) ** 2) * cushion <= (r + s) ** 2 << 2 * q
+
+    return meets
+
+
+def _first_overlap(disks) -> tuple[int, int] | None:
+    """First pair (j, i), j < i, of (center, radius) disks that `_meets`,
+    or None."""
+    meets = _meets(disks)
+    for i in range(len(disks)):
         for j in range(i):
-            u, v, s = ints[j]
-            if ((x - u) ** 2 + (y - v) ** 2) * cushion <= (r + s) ** 2 << 2 * q:
+            if meets(j, i):
                 return j, i
     return None
 
 
 def _overlap_groups(disks) -> list[list[int]]:
     """Indices of the disks that meet another, grouped by the transitive
-    closure of `_first_overlap`'s test; each group in ascending order."""
-    cushion = 1 - mpmath.ldexp(mpf(1), 8 - mp.prec)
+    closure of `_meets`; each group in ascending order."""
+    meets = _meets(disks)
     groups: list[list[int]] = []
-    for i, disk in enumerate(disks):
-        touching = [g for g in groups if any(_meet(disks[j], disk, cushion) for j in g)]
+    for i in range(len(disks)):
+        touching = [g for g in groups if any(meets(j, i) for j in g)]
         groups = [g for g in groups if g not in touching]
         groups.append(sorted(j for g in touching for j in g) + [i])
     return [g for g in groups if len(g) > 1]
@@ -358,9 +364,12 @@ def _float_sweep(coeffs: list[complex], zs: list[complex], tiny: float) -> float
     return worst
 
 
-def _dyadic(x: mpf) -> tuple[int, int]:
+def _dyadic(x: mpf | float) -> tuple[int, int]:
     """(m, e) with x = m 2^e exactly, m signed (mpmath's `man_exp` drops the
-    sign)."""
+    sign), for an mpf or a finite float."""
+    if isinstance(x, float):
+        m, d = x.as_integer_ratio()
+        return m, 1 - d.bit_length()
     sign, man, exp, _ = x._mpf_
     return (-man if sign else man), exp
 

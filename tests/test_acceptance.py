@@ -273,7 +273,8 @@ def test_criterion_8_improvement_monotonicity():
         rs = find_roots(p, 128)
         r = rs.r
         dists = sorted(
-            (rs.distance(i, j).mid, i, j) for j in range(r) for i in range(j)
+            ((rs.entries[i].value - rs.entries[j].value).abs().mid, i, j)
+            for j in range(r) for i in range(j)
         )
         hints = []
         for dist, i, j in dists[:2]:

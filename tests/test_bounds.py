@@ -40,17 +40,23 @@ from rootsep import (
 from rootsep import balls
 from rootsep.balls import (
     CBall,
+    RungTable,
     ball_det,
     ball_product,
     grid_cball,
     grid_row_norm,
     working_precision,
 )
-from rootsep.bounds import _rung_table, _w1_grid
 from rootsep.divdiff import power_basis_row
 from rootsep.graph import preset_edges
-from rootsep.invariants import sdisc_abs_from_subresultants
+from rootsep.invariants import compute_invariants, mahler_measure, sdisc_abs_from_subresultants
 from rootsep.roots import RootEntry, RootSet
+
+
+def _ball_distance(roots, i, j):
+    """|v_i - v_j| by ball subtraction at the ambient precision: an oracle
+    independent of the rung table."""
+    return (roots.entries[i].value - roots.entries[j].value).abs()
 
 
 class TestLemmaAux:
@@ -136,7 +142,7 @@ class TestVandermonde:
             with working_precision(128):
                 det = ball_det(vandermonde_matrix(roots)).abs()
                 prod = ball_product(
-                    [roots.distance(i, j) for j in range(roots.r) for i in range(j)]
+                    [_ball_distance(roots, i, j) for j in range(roots.r) for i in range(j)]
                 )
                 assert det.overlaps(prod)
 
@@ -172,14 +178,14 @@ def _step_matrices(roots, g):
 class TestReduction:
     def test_empty_edges_identity(self):
         roots = find_roots(parse_polynomial("x^2-1"), 128)
-        cert = reduce_vandermonde(roots, orient([], roots), 128)
+        cert = reduce_vandermonde(roots, orient([], roots))
         assert all(f.mid == 1 for f in cert.step_factors)
         assert abs(cert.det_w.mid - cert.det_w1.mid) < 1e-30
 
     def test_two_by_two_reduction(self):
         roots = find_roots(parse_polynomial("x^2-1"), 128)
         g = orient([(0, 1)], roots)
-        cert = reduce_vandermonde(roots, g, 128)
+        cert = reduce_vandermonde(roots, g)
         with working_precision(128):
             w1 = _step_matrices(roots, g)[-1]
             # the rebuilt matrix is the one the reduction took det_w1 of
@@ -192,7 +198,7 @@ class TestReduction:
 
     def test_path_reduction(self):
         roots = find_roots(parse_polynomial("x*(x-1)*(x-2)"), 128)
-        cert = reduce_vandermonde(roots, orient([(0, 1), (1, 2)], roots), 128)
+        cert = reduce_vandermonde(roots, orient([(0, 1), (1, 2)], roots))
         combined = cert.det_w1 * cert.edge_product
         assert abs(combined.mid - 2) < 1e-28
         assert abs(cert.det_w.mid - 2) < 1e-28
@@ -204,7 +210,7 @@ class TestReduction:
             p, edges = _random_instance(rng)
             roots = find_roots(p, 128)
             g = orient(edges, roots)
-            cert = reduce_vandermonde(roots, g, 128)
+            cert = reduce_vandermonde(roots, g)
             with working_precision(128):
                 matrices = _step_matrices(roots, g)
                 # the rebuilt sequence runs from the reduction's W to its W_1
@@ -220,25 +226,35 @@ class TestReduction:
         for _ in range(10):
             p, edges = _random_instance(rng)
             roots = find_roots(p, 128)
-            cert = reduce_vandermonde(roots, orient(edges, roots), 128)
+            cert = reduce_vandermonde(roots, orient(edges, roots))
             assert cert.identity_rel_discrepancy <= 1e-10
+
+
+def _spy_builds(monkeypatch) -> list:
+    """The ambient precision of every rung table built from here on."""
+    builds = []
+    real_build = RungTable.build
+
+    def build_spy(values):
+        builds.append(mp.prec)
+        return real_build(values)
+
+    monkeypatch.setattr(RungTable, "build", staticmethod(build_spy))
+    return builds
 
 
 class TestRungTable:
     def test_no_ball_subtraction_and_no_distance(self, monkeypatch):
         # the certificate, the LHS, sDisc and the Mahler measure all read one
         # table of differences, taken on the grid
-        import rootsep.bounds
-
         r = 12
         p = ExactPoly.from_roots(
             [GaussianRational.of(Fraction(k - 6, 2), Fraction(k % 3, 3)) for k in range(r)]
         )
         roots = find_roots(p, 128)
         edges = [(i, j) for j in range(r) for i in range(j)]
-        subtractions, distances, tables = [], [], []
+        subtractions, distances = [], []
         real_sub, real_distance = CBall.__sub__, RootSet.distance
-        real_table = rootsep.bounds._rung_table
 
         def sub_spy(self, other):
             subtractions.append(1)
@@ -248,49 +264,49 @@ class TestRungTable:
             distances.append((i, j))
             return real_distance(self, i, j)
 
-        def table_spy(roots):
-            tables.append(roots)
-            return real_table(roots)
-
         monkeypatch.setattr(CBall, "__sub__", sub_spy)
         monkeypatch.setattr(RootSet, "distance", distance_spy)
-        monkeypatch.setattr(rootsep.bounds, "_rung_table", table_spy)
+        builds = _spy_builds(monkeypatch)
         rep = bound_main(p, edges, 128, roots=roots)
         assert rep.holds and rep.certificate is not None
-        assert len(tables) == 1
+        assert len(builds) == 1
         assert subtractions == []
         assert distances == []
 
-    def test_sep_product_builds_one_table(self, monkeypatch):
-        # one table serves the sep-product row, its distances and both
-        # sub-bounds
-        import rootsep.bounds
-
-        q, mults = _degree_16_roots()
-        p = ExactPoly.from_roots(q, mults, GaussianRational.of(2, 1))
-        roots = find_roots(p, 128)
-        tables, subtractions, distances = [], [], []
-        real_table, real_sub, real_distance = rootsep.bounds._rung_table, CBall.__sub__, RootSet.distance
-
-        def table_spy(roots):
-            tables.append(roots)
-            return real_table(roots)
+    @pytest.mark.parametrize("variant", ["main", "sep_product"])
+    def test_one_table_per_rung(self, variant, monkeypatch):
+        # the first rung is inconclusive, so the ladder runs two; each rung
+        # builds one table, at its own precision, for the certificate, the
+        # components, the distances and both sep-product sub-bounds
+        eps = Fraction(1, 10**30)
+        p = ExactPoly.from_roots(
+            [GaussianRational.of(1), GaussianRational.of(1 + eps), GaussianRational.of(3)]
+        )
+        builds, subtractions = _spy_builds(monkeypatch), []
+        real_sub = CBall.__sub__
 
         def sub_spy(self, other):
             subtractions.append(1)
             return real_sub(self, other)
 
-        def distance_spy(self, i, j):
-            distances.append((i, j))
-            return real_distance(self, i, j)
-
-        monkeypatch.setattr(rootsep.bounds, "_rung_table", table_spy)
         monkeypatch.setattr(CBall, "__sub__", sub_spy)
-        monkeypatch.setattr(RootSet, "distance", distance_spy)
-        rep = bound_sep_product(p, list(range(roots.r)), 128, roots=roots)
-        assert rep.holds
-        assert len(tables) == 1
-        assert subtractions == [] and distances == []
+        # the edge (1, 2), and the sep-product graphs of root 2, leave both
+        # near-equal rows in W_1
+        rep = verify(p, [(1, 2)], variant, precision=64, ceiling=256, subset=[2])
+        assert rep.holds and rep.precision_bits == 128
+        assert builds == [64 + balls.GUARD_BITS, 128 + balls.GUARD_BITS]
+        assert subtractions == []
+
+    def test_invariants_reuse_the_bounds_table(self, monkeypatch):
+        q, mults = _degree_16_roots()
+        p = ExactPoly.from_roots(q, mults, GaussianRational.of(2, 1))
+        roots = find_roots(p, 128)
+        builds = _spy_builds(monkeypatch)
+        rep = bound_main(p, [(0, 1), (1, 2)], 128, roots=roots)
+        assert rep.holds and len(builds) == 1
+        bundle = compute_invariants(p, 128, roots=roots)
+        assert len(builds) == 1
+        assert bundle.mahler.overlaps(mahler_measure(roots))
 
     # {0, 1, 2} -> 3 and {0, 1, 2, 3} -> 4 nest and {1, 4} -> 5 does not
     @pytest.mark.parametrize("edges", [
@@ -306,8 +322,8 @@ class TestRungTable:
         g = orient(edges, roots)
         with working_precision(128):
             vals = roots.values()
-            table = _rung_table(roots)
-            w1 = _w1_grid(table, table.edges(g).sources)
+            table = roots.table
+            w1 = table.w1(table.edges(g).sources)
             oracle = vandermonde_matrix(roots)
             for j in range(8):
                 sources = [a for a, _ in g.edges_into(j)]
@@ -396,8 +412,7 @@ class TestGridEnclosure:
         # every midpoint is exact on the grid and every radius is its ball
         # radius rounded up to a unit, so a difference adds no cushion
         roots, _ = _sampled_roots(disks)
-        with working_precision(128):
-            table = _rung_table(roots)
+        table = roots.table
         scale = 2**table.w
         units = []
         for e, (x, y, h, l) in zip(roots.entries, table.nodes):
@@ -428,9 +443,9 @@ class TestGridEnclosure:
         edges = [e for e in pairs if data.draw(st.booleans())]
         g = orient(edges, r)
         with working_precision(128):
-            table = _rung_table(roots)
+            table = roots.table
             products = table.edges(g)
-            w1 = _w1_grid(table, products.sources)
+            w1 = table.w1(products.sources)
             norms = [grid_row_norm(row, w1.w) for row in w1.rows]
         unit = Fraction(1, 2**table.w)
         det_w = GaussianRational.of(1)
@@ -501,7 +516,7 @@ def test_table_routes_agree_with_independent_routes(variant, case):
         rep = bound(p, edges, precision, roots=roots)
         sdisc = rep.components["sdisc_sqrt"] * rep.components["sdisc_sqrt"]
     with working_precision(precision):
-        lhs = ball_product([roots.distance(a, b) for a, b in edges])
+        lhs = ball_product([_ball_distance(roots, a, b) for a, b in edges])
         assert sdisc.overlaps(sdisc_abs_from_subresultants(p, precision))
         assert rep.lhs.overlaps(lhs)
 
@@ -608,7 +623,7 @@ class TestRowNormHadamard:
     def test_reduced_row(self):
         roots = find_roots(parse_polynomial("x^2-1"), 128)
         g = orient([(0, 1)], roots)
-        cert = reduce_vandermonde(roots, g, 128)
+        cert = reduce_vandermonde(roots, g)
         norm, bound = cert.row_norms[1], cert.row_norm_bounds[1]
         assert abs(norm.mid - 1) < 1e-30
         assert abs(bound.mid - hp(lambda: 2 * mpmath.sqrt(2) / mpmath.sqrt(3))) < 1e-25
@@ -616,7 +631,7 @@ class TestRowNormHadamard:
     def test_unreduced_row_equality(self):
         roots = find_roots(parse_polynomial("x^2-1"), 128)
         g = orient([(0, 1)], roots)
-        cert = reduce_vandermonde(roots, g, 128)
+        cert = reduce_vandermonde(roots, g)
         norm, bound = cert.row_norms[0], cert.row_norm_bounds[0]
         root2 = hp(lambda: mpmath.sqrt(2))
         assert abs(norm.mid - root2) < 1e-30
@@ -627,7 +642,7 @@ class TestRowNormHadamard:
         p = parse_polynomial("(x-3)*(x-5)")
         roots = find_roots(p, 128)
         g = orient([(0, 1)], roots)
-        cert = reduce_vandermonde(roots, g, 128)
+        cert = reduce_vandermonde(roots, g)
         bound = cert.row_norm_bounds[1]
         expected = hp(lambda: 2 / mpmath.sqrt(3) * mpmath.sqrt(2))
         assert abs(bound.mid - expected) < 1e-25
@@ -635,7 +650,7 @@ class TestRowNormHadamard:
     def test_hadamard_values(self):
         roots = find_roots(parse_polynomial("x^2-1"), 128)
         g = orient([(0, 1)], roots)
-        cert = reduce_vandermonde(roots, g, 128)
+        cert = reduce_vandermonde(roots, g)
         h = cert.hadamard_rhs
         assert abs(h.mid - hp(lambda: 4 / mpmath.sqrt(3))) < 1e-25
         assert cert.det_w1.abs().lo <= h.hi
@@ -643,14 +658,14 @@ class TestRowNormHadamard:
     def test_hadamard_empty_edges(self):
         roots = find_roots(parse_polynomial("x*(x-1)"), 128)
         g = orient([], roots)
-        cert = reduce_vandermonde(roots, g, 128)
+        cert = reduce_vandermonde(roots, g)
         h = cert.hadamard_rhs
         assert abs(h.mid - 2) < 1e-25
 
     def test_hadamard_single_root(self):
         roots = find_roots(parse_polynomial("(x-1)^3"), 128)
         g = orient([], roots)
-        cert = reduce_vandermonde(roots, g, 128)
+        cert = reduce_vandermonde(roots, g)
         assert abs(cert.hadamard_rhs.mid - 1) < 1e-25
 
     def test_chain_random(self):
@@ -659,7 +674,7 @@ class TestRowNormHadamard:
             p, edges = _random_instance(rng)
             roots = find_roots(p, 128)
             g = orient(edges, roots)
-            cert = reduce_vandermonde(roots, g, 128)
+            cert = reduce_vandermonde(roots, g)
             assert cert.rows_ok()
             assert cert.hadamard_ok()
             with working_precision(128):
@@ -729,6 +744,16 @@ class TestBoundMain:
                 "sdisc_sqrt", "mahler_power", "edge_factor", "r_power", "multiplicity_factor",
             }
 
+    def test_root_set_is_carried_to_the_bound_precision(self):
+        # the table and the certificate run at the precision the report states
+        p = parse_polynomial("x*(x-1/3)*(x-3)")
+        roots = find_roots(p, 128)
+        rep = bound_main(p, [(0, 1)], 256, roots=roots)
+        assert rep.holds and rep.roots.precision_bits == 256
+        assert _exact_fields(rep) == _exact_fields(
+            bound_main(p, [(0, 1)], 256, roots=refine(p, roots, 256))
+        )
+
     def test_degenerate_single_root(self):
         rep = bound_main(parse_polynomial("(x-1)^3"), [], 128)
         assert rep.holds
@@ -791,6 +816,31 @@ class TestBoundClassical:
         )
 
 
+    def test_disc_read_off_the_root_set(self, monkeypatch):
+        # |Disc| comes from the chain Yun built for the root set; a
+        # hand-built set without chain heads builds one of its own
+        import dataclasses
+
+        import rootsep.poly
+
+        p = parse_polynomial("(x-1/4)*(x+3/4)*(x-5/2)*(x+7/2)")
+        roots = find_roots(p, 128)
+        g = orient(preset_edges("path", roots), roots)
+        chains = []
+        real_chain = rootsep.poly._subresultant_chain
+
+        def chain_spy(a, b):
+            chains.append(len(a) - 1)
+            return real_chain(a, b)
+
+        monkeypatch.setattr(rootsep.poly, "_subresultant_chain", chain_spy)
+        rep = bound_classical(p, g, 128, roots=roots)
+        assert rep.holds and chains == []
+        bare = bound_classical(p, g, 128, roots=dataclasses.replace(roots, chain_heads=()))
+        assert chains == [4]
+        assert _exact_fields(bare) == _exact_fields(rep)
+
+
 class TestBoundRemarkDegree:
     def test_monic_unit_mahler(self):
         p = parse_polynomial("x^2-1")
@@ -844,7 +894,7 @@ def _hints_for(p, edges, n_pairs=2):
     roots = find_roots(p, 128)
     r = roots.r
     dists = sorted(
-        (float(roots.distance(i, j).mid), i, j)
+        (float(_ball_distance(roots, i, j).mid), i, j)
         for j in range(r)
         for i in range(j)
     )
@@ -896,7 +946,7 @@ class TestBoundRemarkPairs:
         roots = find_roots(p, 128)
         # the far pair cannot satisfy any positive Delta certificate
         far = max(
-            ((float(roots.distance(i, j).mid), i, j) for j in range(roots.r) for i in range(j))
+            ((float(_ball_distance(roots, i, j).mid), i, j) for j in range(roots.r) for i in range(j))
         )
         with pytest.raises(ValidationError, match="violates"):
             ClusterHint.build([(far[1], far[2], 0.5)], roots)

@@ -30,7 +30,6 @@ from rootsep.invariants import principal_subresultant
 from rootsep.poly import (
     _derivative_coefficients,
     _principal_coefficients,
-    _scaled_int_coeffs,
     _subresultant_chain,
     square_free_decomposition,
 )
@@ -332,8 +331,7 @@ def test_degree_16_gaussian_multiplicities():
 
     # every chain coefficient is a minor of the Sylvester matrix of the
     # integer-scaled (P, P'), so Hadamard's bound on that matrix caps its size
-    ca, _ = _scaled_int_coeffs(p)
-    cb, _ = _scaled_int_coeffs(p.derivative())
+    ca, cb = p.nums, p.derivative().nums
 
     def norm_sq(coeffs):
         return sum(re * re + im * im for re, im in coeffs)

@@ -1,4 +1,5 @@
 """Root finding: canonical ordering, certified disks, residuals, sep."""
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from rootsep.roots import (
     _certified_radius,
     _first_overlap,
     _newton_starts,
+    _overlap_groups,
     _radius_target,
 )
 
@@ -173,7 +175,8 @@ class TestSep:
         assert all(abs(e.value.mid - complex(z.re, z.im)) < 1e-12 for e, z in zip(roots.entries, q))
         for bits in (53, 152, 300):
             with mpmath.workprec(bits):
-                partner, dist = roots.nearest_partner(2)
+                partner = roots.partner(2)
+                dist = roots.distance(partner, 2)
             assert partner == 0
             assert abs(dist.mid - mpmath.mpf(5) / 12) < 1e-15
 
@@ -809,3 +812,45 @@ class TestDyadicKernels:
         )
         with mpmath.workprec(bits):
             assert _first_overlap(balls) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(-60, 60), st.sampled_from([24, 64, 152]))
+    def test_overlap_groups_are_the_closure_of_the_exact_test(self, data, e, bits):
+        # float disks with centers close enough to meet, or far apart so
+        # that only the disks added tangent or nearly tangent to earlier
+        # ones, along the axes and the 3-4-5 diagonals, meet them; the groups
+        # are the components of the cushioned test decided in Fractions
+        coord = st.one_of(st.integers(-(2**20), 2**20), st.integers(-(2**40), 2**40))
+        disks = data.draw(st.lists(st.tuples(coord, coord, st.integers(0, 2**20)),
+                                   min_size=1, max_size=5))
+        for _ in range(data.draw(st.integers(0, 3))):
+            x, y, r = data.draw(st.sampled_from(disks))
+            dx, dy, n = data.draw(st.sampled_from([(1, 0, 1), (0, -1, 1), (3, 4, 5), (-4, 3, 5)]))
+            t = data.draw(st.integers(2**14, 2**20))
+            # at 24 bits the cushion takes about n t 2^-16 off the distance
+            shave = -(n * t >> (bits - 8))
+            gap = data.draw(st.sampled_from([0, 0, 1, -1, 40, -40, shave, shave + 1, shave - 1]))
+            if n * t - r + gap >= 0:
+                disks.append((x + dx * t, y + dy * t, n * t - r + gap))
+        floats = [(complex(math.ldexp(x, e), math.ldexp(y, e)), math.ldexp(r, e)) for x, y, r in disks]
+        cushion = 1 - Fraction(2) ** (8 - bits)
+        parent = list(range(len(disks)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        met = set()
+        for i, (x, y, r) in enumerate(disks):
+            for j in range(i):
+                u, v, s = disks[j]
+                if Fraction((x - u) ** 2 + (y - v) ** 2) * cushion ** 2 <= (r + s) ** 2:
+                    parent[find(i)] = find(j)
+                    met.update((i, j))
+        expected = {}
+        for i in sorted(met):
+            expected.setdefault(find(i), []).append(i)
+        with mpmath.workprec(bits):
+            got = _overlap_groups(floats)
+        assert sorted(got) == sorted(expected.values())

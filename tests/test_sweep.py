@@ -52,7 +52,7 @@ class TestGenerate:
 
                 roots = find_roots(p, 128)
                 dmin = min(
-                    roots.distance(i, j).mid
+                    (roots.entries[i].value - roots.entries[j].value).abs().mid
                     for j in range(roots.r)
                     for i in range(j)
                 )
@@ -87,9 +87,11 @@ class TestRunInstance:
         rec = run_instance(101, 52, params)
         assert rec["multiplicities"][:2] == [2, 2]
         assert solved == [128]
-        # a fresh solve on every rung gives the same record
+        # a fresh solve on every rung gives the same record; like `refine`,
+        # the stand-in keeps a set that is already at the rung's precision
         monkeypatch.setattr(
-            rootsep.bounds, "refine", lambda p, roots, bits: rootsep.roots.find_roots(p, bits)
+            rootsep.bounds, "refine",
+            lambda p, roots, bits: roots if roots.precision_bits == bits else rootsep.roots.find_roots(p, bits),
         )
         fresh = run_instance(101, 52, params)
         assert solved == [128, 128, 256]
