@@ -61,7 +61,8 @@ from .errors import (
     ValidationError,
 )
 from .graph import RootGraph, _is_index, check_classical_admissible, min_total_degree, orient
-from .invariants import _abs_ball, _chain_coefficients, mahler_measure, sdisc_abs_from_roots
+from .invariants import _abs_ball, mahler_measure, sdisc_abs_from_roots
+from .poly import _derivative_coefficients
 from .roots import RootSet, find_roots, refine
 
 COMPONENT_KEYS = (
@@ -485,7 +486,7 @@ def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | No
             )
         if d == 1:
             return {}, {}
-        disc_abs = _abs_ball(_chain_coefficients(p, roots)[0] / p.leading)
+        disc_abs = _abs_ball(_derivative_coefficients(p, roots.chain_heads)[0] / p.leading)
         return {}, {"sdisc_sqrt": disc_abs.sqrt(), "multiplicity_factor": RBall.one()}
 
     return _graph_bound("classical", p, graph_or_edges, precision, roots, check)

@@ -13,8 +13,9 @@ Each quantity is available by two independent routes:
   formula.
 
 The discriminant and every principal subresultant coefficient come from that
-same chain; `compute_invariants` takes it from the root set, whose
-square-free decomposition built it as the first gcd of Yun's algorithm.
+same chain; `compute_invariants` takes it from the root set's square-free
+decomposition: Yun's first chain, or, when the F_q test proved P
+square-free, the chain built once, on the first read (`poly.Decomposition`).
 Vanishing decisions (the index d - r itself) are made exactly: the chain and
 the square-free decomposition must agree. Every input is an exact
 polynomial, a decimal literal having been parsed as its exact rational.
@@ -78,15 +79,6 @@ def _abs_ball(w: GaussianRational) -> RBall:
     if w.is_real:
         return RBall.exact(abs(w.re))
     return RBall.exact(w.norm()).sqrt()
-
-
-def _chain_coefficients(p: ExactPoly, roots: RootSet) -> list[GaussianRational]:
-    """psc_0 .. psc_{d-1} of (P, P'), read off the chain Yun built for
-    `roots` (`RootSet.chain_heads`), rescaled by powers of lc; a hand-built
-    set without heads gets a chain of its own."""
-    if roots.chain_heads:
-        return _derivative_coefficients(p, roots.chain_heads)
-    return _principal_coefficients(p, p.derivative())
 
 
 def discriminant(p: ExactPoly) -> GaussianRational:
@@ -221,8 +213,10 @@ def compute_invariants(p, precision: int = 128, roots: RootSet | None = None) ->
     The principal subresultant coefficients of (P, P') give the index d - r
     (cross-checked against the root set's r, which comes from the exact
     square-free decomposition), |sDisc_{d-r}| and |Disc|. They are read off
-    the chain Yun built for the root set (`RootSet.chain_heads`), rescaled
-    by powers of lc, so no chain is built here. The two sdisc routes are
+    the chain of (monic P, P') that the root set's decomposition holds
+    (`RootSet.chain_heads`), rescaled by powers of lc: Yun's first chain,
+    or, for a P the F_q test proved square-free, that chain built on this
+    first read and kept for the next. The two sdisc routes are
     both evaluated (their agreement is a standing self-check), and the
     root-product route and M read the root set's rung table.
     """
@@ -232,7 +226,7 @@ def compute_invariants(p, precision: int = 128, roots: RootSet | None = None) ->
         mahler = mahler_measure(roots)
         sdisc_roots = sdisc_abs_from_roots(roots)
         d = p.degree
-        psc = _chain_coefficients(p, roots)
+        psc = _derivative_coefficients(p, roots.chain_heads)
         index, sres = _first_nonzero(psc, d, roots.r)
         sdisc = RBall.one() if roots.r == 1 else _abs_ball(sres / p.leading)
         if not sdisc.overlaps(sdisc_roots):  # pragma: no cover

@@ -17,6 +17,17 @@ its derivative), and `square_free_decomposition` returns that chain's
 principal coefficients with its factors, so that the subresultants of
 (P, P') cost no second chain.
 
+Most inputs are square-free, and for them Yun needs no chain at all:
+`square_free_decomposition` first maps the numerators of monic P to F_q for
+one fixed prime q = 1 (mod 4), i to a square root of -1, and runs Euclid on
+(P mod q, P' mod q). When the leading coefficient survives and that gcd is
+a nonzero constant, P is square-free (Brown, JACM 18, 1971): a nontrivial
+gcd over the Gaussian integers divides P, so by Gauss's lemma its leading
+coefficient divides lc(P) and its degree survives the reduction. An unlucky
+prime can only raise the gcd's degree mod q, so it costs the chain, never a
+wrong answer. The chain's principal coefficients are then built only when
+they are read (`Decomposition.heads`).
+
 Every polynomial the package handles is an ExactPoly: the parser reads a
 decimal literal as its exact rational. `eval_poly` evaluates one in ball
 arithmetic with a radius that covers all rounding.
@@ -342,9 +353,23 @@ class Decomposition(list):
     X^j coefficient of each S_j, j = 0 .. d - 1, of the subresultant chain of
     (monic P, its derivative) whose last element is Yun's first gcd.
     `_derivative_coefficients` turns them into the principal subresultant
-    coefficients of (P, P'), so that no second chain is built for them."""
+    coefficients of (P, P'), so that no second chain is built for them.
 
-    heads: tuple = ()
+    A decomposition that Yun ran to the end holds its chain's heads; one
+    that the F_q test settled builds that chain on the first read of
+    `heads`, and only then."""
+
+    def __init__(self, monic: ExactPoly, heads: tuple | None = None):
+        super().__init__()
+        self.monic = monic
+        self._heads = heads
+
+    @property
+    def heads(self) -> tuple:
+        if self._heads is None:
+            dp = self.monic.derivative()
+            self._heads = _chain_heads(_subresultant_chain(self.monic.nums, dp.nums), dp.degree)
+        return self._heads
 
 
 def gcd_exact(a: ExactPoly, b: ExactPoly) -> ExactPoly:
@@ -363,19 +388,59 @@ def gcd_exact(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     return _over(last, 1, last[-1])
 
 
+#: a prime q = 1 (mod 4) below 2^62, and a square root of -1 modulo q: the
+#: image of i in F_q
+_Q = 2**62 - 87
+_IOTA = 120863620846201794
+
+
+def _square_free_mod_q(nums) -> bool:
+    """True when the Gaussian-integer polynomial `nums` (lowest degree first,
+    degree below q) keeps its leading coefficient in F_q and is coprime to
+    its derivative there, which proves it square-free (see the module
+    docstring). False proves nothing."""
+    a = [(re + _IOTA * im) % _Q for re, im in nums]
+    if not a[-1]:
+        return False
+    b = [k * c % _Q for k, c in enumerate(a)][1:]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _Q)
+        n = len(b) - 1
+        # a <- a mod b, one quotient term at a time
+        while len(a) > n:
+            c = a.pop() * inv % _Q
+            if c:
+                k = len(a) - n
+                a[k:] = [(x - c * y) % _Q for x, y in zip(a[k:], b)]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
 def square_free_decomposition(p: ExactPoly) -> Decomposition:
     """Yun decomposition: p = lc * prod factor_i^{mult_i} with monic, pairwise
     coprime, square-free factors. Output ordered by increasing multiplicity,
-    with the heads of Yun's first chain (see `Decomposition`)."""
+    with the heads of Yun's first chain (see `Decomposition`).
+
+    A p that the F_q test proves square-free (`_square_free_mod_q`) is its
+    own single factor, and no chain is built until `heads` is read. Any
+    other p, square-free under an unlucky prime included, runs Yun on the
+    chain of (monic p, its derivative)."""
     if p.is_zero or p.degree == 0:
         raise ValidationError("square-free decomposition needs degree >= 1")
     pm = p.monic()
+    if _square_free_mod_q(pm.nums):
+        out = Decomposition(pm)
+        out.append((pm, 1))
+        return out
     dp = pm.derivative()
     chain = _subresultant_chain(pm.nums, dp.nums)
     last = chain[min(chain)]
     g = _over(last, 1, last[-1])
-    out = Decomposition()
-    out.heads = _chain_heads(chain, dp.degree)
+    out = Decomposition(pm, _chain_heads(chain, dp.degree))
     if g.degree == 0:
         out.append((pm, 1))
         return out

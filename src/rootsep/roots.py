@@ -70,7 +70,7 @@ from mpmath.libmp import from_float, from_int, from_man_exp, mpf_lt, mpf_shift
 
 from .balls import CBall, GUARD_BITS, RBall, RungTable, working_precision
 from .errors import IndistinguishableRootsError, PreconditionError, ValidationError
-from .poly import ExactPoly, _horner, square_free_decomposition
+from .poly import Decomposition, ExactPoly, _horner, square_free_decomposition
 
 #: doubled-precision certification retries before giving up
 MAX_ESCALATIONS = 4
@@ -78,6 +78,10 @@ MAX_ESCALATIONS = 4
 #: 2^-(p + TOL_EXTRA_BITS)
 TOL_EXTRA_BITS = 12
 _MAX_ABERTH_ITERS = 600
+#: the global phase of `_converge` gives up after this many sweeps in a row
+#: that do not halve its best correction; the longest such run that then
+#: converged, over the acceptance sweep and the benchmark workloads, was 7
+_HOVER_SWEEPS = 32
 #: an iterate where p' = 0 moves by this much, relative and absolute
 _NUDGE = 2.0 ** -12
 #: the float phase hands over to the integer sweeps at this relative correction
@@ -103,10 +107,10 @@ class RootSet:
     are pairwise disjoint. The polynomial is exact (a decimal literal is
     read as its exact rational), and the multiplicities come from its
     square-free decomposition, which the set carries in `factors` so that
-    `refine` does not compute it again, and `chain_heads`, the principal
-    coefficients of the chain of (monic P, its derivative) that Yun built on
-    the way (see `poly.Decomposition`), so that `compute_invariants` and
-    `bound_classical` build no chain. Root distances, and every
+    `refine` does not compute it again. With it comes the chain of (monic
+    P, P') that `chain_heads` reads: Yun's first chain, or, when the F_q
+    test proved P square-free, a chain built lazily on the first read, so
+    `verify` with `main` never builds it. Root distances, and every
     root-dependent factor of a bound, read the set's rung table (`table`).
     """
 
@@ -114,8 +118,18 @@ class RootSet:
     leading_coeff: CBall
     total_degree: int
     precision_bits: int
-    factors: tuple[tuple[ExactPoly, int], ...]
-    chain_heads: tuple = ()
+    factors: Decomposition
+
+    @property
+    def chain_heads(self) -> tuple:
+        """The heads of the chain of (monic P, its derivative) (see
+        `poly.Decomposition`), which `compute_invariants` and
+        `bound_classical` read instead of building a chain. When the F_q
+        test proved P square-free, the chain is built here, on the first
+        read for the decomposition; `refine` carries the decomposition, so a
+        carried set reads the same heads, and `verify` with `main` never
+        builds them."""
+        return self.factors.heads
 
     @property
     def r(self) -> int:
@@ -302,12 +316,17 @@ def _converge(coeffs, zs, tol, tiny):
 
     Runs until the corrections reach `tol` relative or stagnate near the
     rounding floor (ill-conditioned clusters stagnate well above any preset
-    tolerance), then returns `zs`. `tiny` stands in for a zero difference
-    between two iterates.
+    tolerance), then returns `zs`. In the global phase, while the largest
+    correction is above 1e-6, corrections may hover before convergence sets
+    in, but iterates around a cluster they cannot separate hover for good:
+    the sweeps stop once `_HOVER_SWEEPS` of them in a row have not halved
+    the best correction, and the caller's grouping or certification judges
+    the iterates. `tiny` stands in for a zero difference between two
+    iterates.
     """
     sweep = _fixed_sweep if isinstance(coeffs, _FixedPoint) else _float_sweep
-    best = math.inf
-    stalled = 0
+    best = global_best = math.inf
+    stalled = hover = 0
     polish = False
     for _ in range(_MAX_ABERTH_ITERS):
         worst = sweep(coeffs, zs, tiny)
@@ -320,9 +339,14 @@ def _converge(coeffs, zs, tol, tiny):
             polish = True
             continue
         if worst > 1e-6:
-            # global phase: corrections may hover before convergence sets in
             stalled = 0
             best = worst
+            if worst < global_best / 2:
+                global_best, hover = worst, 0
+            else:
+                hover += 1
+                if hover >= _HOVER_SWEEPS:
+                    return zs
         elif worst < best / 2:
             best = worst
             stalled = 0
@@ -706,11 +730,7 @@ def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None)
     attempt; if that does not certify, the Newton polygon starts a retry at
     the same working bits and every later attempt.
     """
-    if warm is not None:
-        factors, heads = warm.factors, warm.chain_heads
-    else:
-        decomposition = square_free_decomposition(p)
-        factors, heads = tuple(decomposition), decomposition.heads
+    factors = warm.factors if warm is not None else square_free_decomposition(p)
     starts: dict[int, list[mpc]] = {}
     for e in warm.entries if warm is not None else ():
         starts.setdefault(e.multiplicity, []).append(e.value.mid)
@@ -736,7 +756,7 @@ def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None)
                         found.sort(key=lambda t: _canonical_key(t[0]))
                     entries = tuple([RootEntry(CBall(z, rad), m) for z, rad, m in found])
                     return RootSet(entries, CBall.from_gaussian(p.leading), p.degree, precision,
-                                   factors, heads)
+                                   factors)
                 cluster = [mpmath.nstr(found[k][0], 8) for k in bad]
         work *= 2
     raise IndistinguishableRootsError(precision, cluster)
@@ -781,5 +801,5 @@ def refine(p: ExactPoly, roots: RootSet, precision: int) -> RootSet:
             with mp.workprec(precision):
                 entries = sorted(roots.entries, key=lambda e: _canonical_key(e.value.mid))
             return RootSet(tuple(entries), roots.leading_coeff, roots.total_degree, precision,
-                           roots.factors, roots.chain_heads)
+                           roots.factors)
     return _find_roots_exact(p, precision, warm=roots)

@@ -817,15 +817,12 @@ class TestBoundClassical:
 
 
     def test_disc_read_off_the_root_set(self, monkeypatch):
-        # |Disc| comes from the chain Yun built for the root set; a
-        # hand-built set without chain heads builds one of its own
-        import dataclasses
-
+        # p is square-free, so find_roots builds no chain; |Disc| comes from
+        # the chain of (monic p, p'), built on the first read for the root
+        # set's decomposition and kept for the next
         import rootsep.poly
 
         p = parse_polynomial("(x-1/4)*(x+3/4)*(x-5/2)*(x+7/2)")
-        roots = find_roots(p, 128)
-        g = orient(preset_edges("path", roots), roots)
         chains = []
         real_chain = rootsep.poly._subresultant_chain
 
@@ -834,11 +831,15 @@ class TestBoundClassical:
             return real_chain(a, b)
 
         monkeypatch.setattr(rootsep.poly, "_subresultant_chain", chain_spy)
+        roots = find_roots(p, 128)
+        g = orient(preset_edges("path", roots), roots)
+        assert chains == []
         rep = bound_classical(p, g, 128, roots=roots)
-        assert rep.holds and chains == []
-        bare = bound_classical(p, g, 128, roots=dataclasses.replace(roots, chain_heads=()))
-        assert chains == [4]
-        assert _exact_fields(bare) == _exact_fields(rep)
+        assert rep.holds and chains == [4]
+        again = bound_classical(p, g, 128, roots=refine(p, roots, 256))
+        assert again.holds and chains == [4]
+        monkeypatch.setattr(rootsep.poly, "_subresultant_chain", real_chain)
+        assert _exact_fields(rep) == _exact_fields(bound_classical(p, g, 128))
 
 
 class TestBoundRemarkDegree:

@@ -268,6 +268,38 @@ class TestInvariants:
         assert code == 1
 
 
+class TestChainsBuilt:
+    SQUARE_FREE = "(x-1/3-i/5)*(x+2/7+3*i/8)*(x-5/8+i)*(x+1-2*i/3)"
+
+    @pytest.fixture
+    def chains(self, monkeypatch):
+        """The degree of the first polynomial of each subresultant chain
+        built."""
+        import rootsep.poly
+
+        built = []
+        real_chain = rootsep.poly._subresultant_chain
+
+        def chain_spy(a, b):
+            built.append(len(a) - 1)
+            return real_chain(a, b)
+
+        monkeypatch.setattr(rootsep.poly, "_subresultant_chain", chain_spy)
+        return built
+
+    def test_verify_on_square_free_input_builds_no_chain(self, chains, capsys):
+        code, report = run_cli(["verify", "--poly", self.SQUARE_FREE, "--preset", "complete"], capsys)
+        assert code == 0 and report["verdict"] == "holds"
+        assert chains == []
+
+    def test_invariants_on_square_free_input_builds_one_chain(self, chains, capsys):
+        code, payload = run_cli(["invariants", "--poly", self.SQUARE_FREE], capsys)
+        assert code == 0
+        assert payload["r"] == payload["d"] == 4 and payload["sdisc_index"] == 0
+        assert payload["disc_abs"] == payload["sdisc_abs"]
+        assert chains == [4]
+
+
 class TestParserReuse:
     def test_one_process_matches_separate_runs(self, capsys):
         # the parser is built once per process; a second command through it

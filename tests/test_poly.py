@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsep import ExactPoly, GaussianRational, ValidationError, gcd_exact
-from rootsep.poly import eval_poly, square_free_decomposition
+import rootsep.poly
+from rootsep.poly import (
+    _IOTA,
+    _Q,
+    _square_free_mod_q,
+    _subresultant_chain,
+    eval_poly,
+    square_free_decomposition,
+)
 
 
 def P(*coeffs):
@@ -143,6 +151,121 @@ class TestSquareFree:
             p = ExactPoly.from_roots(roots, mults)
             r = sum(f.degree for f, _ in square_free_decomposition(p))
             assert r == len(roots)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 12 primes as bases: deterministic below
+    3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert n < 3_317_044_064_679_887_385_961_981
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _chain_decomposition(p: ExactPoly):
+    """square_free_decomposition(p) with the F_q test switched off, and its
+    heads."""
+    real = rootsep.poly._square_free_mod_q
+    rootsep.poly._square_free_mod_q = lambda nums: False
+    try:
+        out = square_free_decomposition(p)
+    finally:
+        rootsep.poly._square_free_mod_q = real
+    return list(out), out.heads
+
+
+def _chain_gcd_degree(p: ExactPoly) -> int:
+    pm = p.monic()
+    chain = _subresultant_chain(pm.nums, pm.derivative().nums)
+    return len(chain[min(chain)]) - 1
+
+
+# Gaussian-rational coefficients; parts near q and iota, and the numerator
+# (iota, -1) that vanishes mod q, make unlucky reductions likely
+_ints = st.one_of(st.integers(-9, 9), st.sampled_from([_Q, -_Q, 2 * _Q, _IOTA, _IOTA + 1]))
+_dens = st.one_of(st.integers(1, 6), st.just(_Q))
+_scalars = st.builds(
+    lambda a, b, c, real: GaussianRational(Fraction(a, c), Fraction(0 if real else b, c)),
+    _ints, _ints, _dens, st.booleans(),
+)
+_leads = st.one_of(_scalars.filter(lambda c: not c.is_zero),
+                   st.just(GaussianRational.of(_IOTA, -1)), st.just(GaussianRational.of(_Q)))
+_factors = st.lists(
+    st.tuples(st.lists(_scalars, min_size=1, max_size=3), st.sampled_from((1, 1, 1, 2, 3))),
+    min_size=1, max_size=3,
+)
+
+
+def _product(factors, lead) -> ExactPoly:
+    p = ExactPoly.constant(lead)
+    for low, mult in factors:
+        f = ExactPoly.from_coeffs([*low, 1])
+        for _ in range(mult):
+            p = p * f
+    return p
+
+
+class TestSquareFreeModQ:
+    def test_constants(self):
+        assert _is_prime(_Q) and _Q < 2**62
+        assert _Q % 4 == 1 and (_IOTA * _IOTA + 1) % _Q == 0
+        # strong pseudoprimes: to bases 2, 3, 5, 7, and to every prime base
+        # up to 23; both are rejected
+        assert not _is_prime(3_215_031_751) and not _is_prime(3_825_123_056_546_413_051)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_factors, _leads)
+    def test_never_square_free_with_a_repeated_factor(self, factors, lead):
+        # a verdict of square-free is a proof: the chain's gcd is 1, and the
+        # decomposition is the one the chain gives
+        p = _product(factors, lead)
+        if p.degree == 0:
+            return
+        proved = _square_free_mod_q(p.monic().nums)
+        if any(mult > 1 for _, mult in factors):
+            assert not proved
+        if proved:
+            assert _chain_gcd_degree(p) == 0
+        decomposition = square_free_decomposition(p)
+        assert (list(decomposition), decomposition.heads) == _chain_decomposition(p)
+
+    @pytest.mark.parametrize("p", [
+        # lc = q vanishes mod q
+        P(5, -2, 0, _Q),
+        # lc = iota - i: the numerator (iota, -1) maps to 0
+        P(1, 0, GaussianRational.of(_IOTA, -1)),
+        # x (x - q) is square-free, but its image x^2 is not
+        P(0, -_Q, 1),
+    ])
+    def test_unlucky_prime_falls_back_to_the_chain(self, p, monkeypatch):
+        chains = []
+        real_chain = rootsep.poly._subresultant_chain
+
+        def chain_spy(a, b):
+            chains.append(len(a) - 1)
+            return real_chain(a, b)
+
+        expected = _chain_decomposition(p)
+        assert not _square_free_mod_q(p.monic().nums)
+        monkeypatch.setattr(rootsep.poly, "_subresultant_chain", chain_spy)
+        decomposition = square_free_decomposition(p)
+        assert chains == [p.degree]
+        assert decomposition == [(p.monic(), 1)] == expected[0]
+        assert decomposition.heads == expected[1] and chains == [p.degree]
 
 
 class TestZeroPolynomial:

@@ -468,6 +468,51 @@ class TestFloatPhase:
             assert group == [z for k, z in enumerate(floats) if k not in kept]
 
 
+def _d64_path() -> ExactPoly:
+    ks = random.Random(64).sample(range(-960, 961), 64)
+    return ExactPoly.from_roots([GaussianRational.of(Fraction(k, 12)) for k in ks])
+
+
+def _disks(roots):
+    return [(repr(e.value.mid), repr(e.value.rad), e.multiplicity) for e in roots.entries]
+
+
+class TestHoveringFloatPhase:
+    def test_d64_stops_hovering_with_the_same_roots(self, monkeypatch):
+        # on the d = 64 path the float corrections hover around 0.1 without
+        # halving; the float phase stops after _HOVER_SWEEPS such sweeps
+        # instead of running all _MAX_ABERTH_ITERS. Its disks all meet
+        # either way, and the whole polynomial restarts from the root of
+        # p^(63), which is linear, so the restart and the roots are the same
+        import rootsep.poly
+        import rootsep.roots
+
+        p = _d64_path()
+        sweeps, chains = [], []
+        real_sweep = rootsep.roots._float_sweep
+        real_chain = rootsep.poly._subresultant_chain
+
+        def sweep_spy(coeffs, zs, tiny):
+            sweeps.append(len(zs))
+            return real_sweep(coeffs, zs, tiny)
+
+        def chain_spy(a, b):
+            chains.append(len(a) - 1)
+            return real_chain(a, b)
+
+        monkeypatch.setattr(rootsep.roots, "_float_sweep", sweep_spy)
+        monkeypatch.setattr(rootsep.poly, "_subresultant_chain", chain_spy)
+        roots = find_roots(p, 128)
+        # p is square-free, which the F_q test proves without a chain
+        assert roots.r == 64 and chains == []
+        assert rootsep.roots._HOVER_SWEEPS < len(sweeps) < 2 * rootsep.roots._HOVER_SWEEPS
+        sweeps.clear()
+        monkeypatch.setattr(rootsep.roots, "_HOVER_SWEEPS", rootsep.roots._MAX_ABERTH_ITERS)
+        hovering = find_roots(p, 128)
+        assert len(sweeps) == rootsep.roots._MAX_ABERTH_ITERS
+        assert _disks(hovering) == _disks(roots)
+
+
 class TestClusterRestart:
     """Clusters closer than double precision restart from their center;
     from the Newton polygon, Aberth converges to them only linearly."""
