@@ -25,8 +25,8 @@ upper bound of it once (squares, their sum and the square root all rounded
 up) and keeps it; the bound does not depend on the precision. Division and
 `contains_zero` take the matching lower bound, rounded down throughout.
 `mpf_hypot` serves neither: it rounds the sum of squares to nearest before
-its directed square root. `lo`/`hi` round outward, and `sqrt`, `root`,
-`powr` and `max1` map outward-rounded endpoints.
+its directed square root. `lo`/`hi` round outward, and `sqrt`, `root` and
+`powr` map outward-rounded endpoints.
 
 The rung table. Each rung's certificate runs on Gaussian integers, and
 only the values it reports become balls. A `RootSet` builds one
@@ -461,16 +461,6 @@ class RBall:
         a = ya[0] if mpf_le(ya[0], yb[0]) else yb[0]
         b = yb[1] if mpf_le(ya[1], yb[1]) else ya[1]
         return _rball(*_span(a, b, prec))
-
-    def max1(self) -> "RBall":
-        """Enclosure of max(1, x)."""
-        prec = mp.prec
-        lo, hi = _ends(self._m, self._r, prec)
-        if mpf_le(fone, lo):
-            return self
-        if mpf_le(hi, fone):
-            return RBall.one()
-        return _rball(*_span(fone, hi, prec))
 
     def contains(self, x) -> bool:
         x = (x if isinstance(x, mpf) else mpf(x))._mpf_

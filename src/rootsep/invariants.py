@@ -94,12 +94,14 @@ def discriminant(p: ExactPoly) -> GaussianRational:
 def subdiscriminant(p: ExactPoly) -> tuple[int, GaussianRational]:
     """(d - r, exact value of the first nonvanishing subdiscriminant).
 
-    The index is cross-checked against the square-free decomposition.
+    The index is cross-checked against the square-free decomposition, whose
+    chain (`poly.Decomposition.heads`) gives psc(P, P').
     """
     if p.is_zero or p.degree < 1:
         raise ValidationError("subdiscriminant needs degree >= 1")
-    r = sum(f.degree for f, _ in square_free_decomposition(p))
-    k, sres = _first_nonzero(_principal_coefficients(p, p.derivative()), p.degree, r)
+    dec = square_free_decomposition(p)
+    r = sum(f.degree for f, _ in dec)
+    k, sres = _first_nonzero(_derivative_coefficients(p, dec.heads), p.degree, r)
     return k, sres / p.leading
 
 

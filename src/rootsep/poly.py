@@ -478,7 +478,7 @@ def eval_poly(p: ExactPoly, z, precision: int | None = None) -> CBall:
 
 def _horner(coeffs, z):
     """Value and derivative of sum coeffs[k] z^k in one pass, in the
-    arithmetic of z (mpc or CBall)."""
+    arithmetic of z: Python `complex` (the roots' float phase) or `CBall`."""
     p = coeffs[-1]
     dp = 0 * z
     for c in reversed(coeffs[:-1]):

@@ -3,13 +3,14 @@
 The input is an exact polynomial (a decimal literal was parsed as its exact
 rational). It goes through square-free decomposition first, so every factor
 has simple roots and the multiplicities are exact; each factor is then
-solved by Aberth-Ehrlich simultaneous iteration, started from the Newton
-polygon of log2|c_k|: one circle per hull edge, whose radius estimates the
-modulus of that edge's roots, and exact zeros for a vanishing constant
-term. Each approximation z gets a rigorous inclusion radius
-n * |f(z) / f'(z)| (the disk of that radius around z contains at least one
-root of f); pairwise disjoint disks then certify a bijection between disks
-and roots.
+solved by Aberth-Ehrlich simultaneous iteration on its Gaussian-integer
+numerators, never on rounded coefficients (mpc values carry only points),
+started from the Newton polygon of log2|c_k|: one circle per hull edge,
+whose radius estimates the modulus of that edge's roots, and exact zeros
+for a vanishing constant term. Each approximation z gets a rigorous
+inclusion radius n * |f(z) / f'(z)| (the disk of that radius around z
+contains at least one root of f); pairwise disjoint disks then certify a
+bijection between disks and roots.
 
 The sweeps run in double precision first, on Python `complex` values, and
 sweeps on fixed-point Gaussian integers only polish what they reach
@@ -18,14 +19,14 @@ iterate is kept when double precision has isolated it: its inclusion disk,
 padded by a bound on Horner's rounding error and doubled, meets no other.
 Iterates whose disks meet, transitively, form a cluster of m roots closer
 than double precision resolves; the cluster restarts from its center, the
-centroid sharpened by Newton's method on p^(m-1), at the m smallest
-Newton-polygon starts of p shifted to that center (MPSolve's cluster
-analysis; Bini & Fiorentino, Numer. Algorithms 23, 2000), so the integer
-sweeps separate it from starts at its own scale. When the float phase
-cannot be trusted (a coefficient outside the float range, an iterate that
-overflows or meets p' = 0, a center whose Newton step fails) the integer
-sweeps start from the Newton polygon as if there were no float phase. Both
-arithmetics share one set of stopping, polish and stall rules
+centroid sharpened by Newton's method on p^(m-1) evaluated exactly, at the
+m smallest Newton-polygon starts of p shifted exactly to that center
+(MPSolve's cluster analysis; Bini & Fiorentino, Numer. Algorithms 23, 2000),
+so the integer sweeps separate it from starts at its own scale. When the
+float phase cannot be trusted (a coefficient outside the float range, an
+iterate that overflows or meets p' = 0, a center whose Newton step fails)
+the integer sweeps start from the Newton polygon as if there were no float
+phase. Both arithmetics share one set of stopping, polish and stall rules
 (`_converge`).
 
 Every disk is then certified in exact arithmetic. Its midpoint is dyadic, so
@@ -254,21 +255,9 @@ def _overlap_groups(disks) -> list[list[int]]:
     return [g for g in groups if len(g) > 1]
 
 
-def _log2_modulus(c: mpc) -> float:
-    """log2|c| for a nonzero dyadic c, read off its mantissas and exponents:
-    the modulus squared is an int times a power of two, so only `math.log2`
-    rounds, and no value leaves the float range."""
-    (a, ea), (b, eb) = _dyadic(c.real), _dyadic(c.imag)
-    if not b:
-        return math.log2(abs(a)) + ea
-    if not a:
-        return math.log2(abs(b)) + eb
-    low = min(ea, eb)
-    return math.log2((a << (ea - low)) ** 2 + (b << (eb - low)) ** 2) / 2 + low
-
-
-def _newton_starts(coeffs: list[mpc]) -> list[mpc]:
-    """Aberth starting points from the Newton polygon of log2|c_k|.
+def _newton_starts(nums) -> list[mpc]:
+    """Aberth starting points from the Newton polygon of log2|c_k|, c_k the
+    Gaussian-integer `nums` (lowest degree first).
 
     Each trailing zero coefficient is an exact root at 0 and starts there.
     Each edge (k1, k2) of the upper convex hull of the points (k, log2|c_k|)
@@ -279,16 +268,16 @@ def _newton_starts(coeffs: list[mpc]) -> list[mpc]:
     cluster let two points close in along the circle and stall on the
     cluster's perpendicular bisector.
 
-    The logarithms come from the coefficients' dyadic ints, and each start
-    is a double times an exact power of two, so a polynomial outside the
-    float range still gets starts at the right scale.
+    log2|c_k| is log2(re^2 + im^2) / 2 of the exact ints, and each start is
+    a double times an exact power of two, so a polynomial outside the float
+    range still gets starts at the right scale.
     """
-    n = len(coeffs) - 1
+    n = len(nums) - 1
     hull: list[tuple[int, float]] = []
-    for k, c in enumerate(coeffs):
-        if not c:
+    for k, (re, im) in enumerate(nums):
+        if not (re or im):
             continue
-        pt = (k, _log2_modulus(c))
+        pt = (k, math.log2(re * re + im * im) / 2)
         # drop the last vertex unless it lies strictly above the chord
         while len(hull) >= 2 and (
             (hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
@@ -403,24 +392,18 @@ class _FixedPoint:
     """A polynomial for Aberth sweeps on fixed-point Gaussian integers.
 
     An iterate is a pair (x, y) of ints standing for (x + iy) / 2^w. `top`
-    holds the polynomial's Gaussian-integer coefficients, highest degree
-    first, each multiplied by 2^w, so Horner's rule adds them to values at
-    the same scale.
+    holds the factor's Gaussian-integer numerators, highest degree first,
+    each multiplied by 2^w, so Horner's rule adds them to values at the same
+    scale.
     """
 
     top: tuple[tuple[int, int], ...]
     w: int
 
     @staticmethod
-    def of(coeffs: list[mpc], w: int) -> "_FixedPoint":
-        """The polynomial 2^e sum coeffs[k] x^k for the smallest e that makes
-        every coefficient a Gaussian integer. mpmath values are dyadic, so
-        the conversion is exact."""
-        parts = [(_dyadic(c.real), _dyadic(c.imag)) for c in reversed(coeffs)]
-        low = min(e for pair in parts for m, e in pair if m)
-        return _FixedPoint(
-            tuple([tuple([m << (e - low + w) if m else 0 for m, e in pair]) for pair in parts]), w
-        )
+    def of(nums, w: int) -> "_FixedPoint":
+        """The numerators `nums` (lowest degree first) shifted to scale 2^w."""
+        return _FixedPoint(tuple([(re << w, im << w) for re, im in reversed(nums)]), w)
 
     def to_int(self, x: mpf) -> int:
         """floor(x 2^w)."""
@@ -485,67 +468,76 @@ def _fixed_sweep(poly: _FixedPoint, zs: list[tuple[int, int]], tiny: int) -> mpf
     return mpf(worst_num) / worst_den if worst_den else math.inf
 
 
-def _taylor_shift(coeffs: list[mpc], c: mpc) -> list[mpc]:
-    """Coefficients of p(c + y), lowest degree first, for p given by
-    `coeffs`: n rounds of synthetic division by (x - c)."""
-    q = list(coeffs)
-    n = len(q) - 1
+def _taylor_shift(nums, c: mpc) -> list[tuple[int, int]]:
+    """Gaussian-integer coefficients of 2^(sn) p(c + y), lowest degree first,
+    for p of degree n with numerators `nums` and a dyadic c = C / 2^s.
+
+    q(u) = 2^(sn) p(u / 2^s) has integer coefficients; n rounds of
+    synthetic division by (u - C) shift it to q(C + u) exactly, and
+    u = 2^s y turns that into 2^(sn) p(c + y)."""
+    cr, ci, s = _grid_point(c)
+    n = len(nums) - 1
+    q = [(re << s * (n - k), im << s * (n - k)) for k, (re, im) in enumerate(nums)]
     for i in range(n):
         for k in range(n - 1, i - 1, -1):
-            q[k] += c * q[k + 1]
-    return q
+            (ur, ui), (vr, vi) = q[k + 1], q[k]
+            q[k] = (vr + cr * ur - ci * ui, vi + cr * ui + ci * ur)
+    return [(re << s * k, im << s * k) for k, (re, im) in enumerate(q)]
 
 
-def _cluster_starts(coeffs: list[mpc], zs: list[complex]) -> list[mpc] | None:
+def _cluster_starts(nums, zs: list[complex]) -> list[mpc] | None:
     """Aberth starts for m >= 2 float iterates `zs` of a cluster that double
     precision did not separate, or None when the center's Newton iteration
-    meets a zero or non-finite derivative.
+    meets a zero derivative.
 
     The center starts at the iterates' centroid and is sharpened by Newton's
     method on p^(m-1), whose root near an m-cluster is the cluster's mean to
     second order in its radius (MPSolve's cluster analysis; Bini &
-    Fiorentino, Numer. Algorithms 23, 2000). Newton stops when its step is
-    under 2^-prec relative or no longer halves (the rounding floor). p is
-    then Taylor-shifted to the center, and the m smallest-modulus points of
-    the shifted Newton polygon, which estimates the roots' distances from
-    the center, are the starts.
+    Fiorentino, Numer. Algorithms 23, 2000), evaluated exactly
+    (`_exact_horner`); Newton stops when its step is under 2^-prec relative
+    or no longer halves (the rounding floor). p is then Taylor-shifted to
+    the center exactly, and the m smallest-modulus points of the shifted
+    Newton polygon, which estimates the roots' distances from the center,
+    are the starts.
     """
     m = len(zs)
-    derivative = coeffs
+    derivative = nums
     for _ in range(m - 1):
-        derivative = [k * c for k, c in enumerate(derivative)][1:]
+        derivative = [(k * re, k * im) for k, (re, im) in enumerate(derivative)][1:]
     center = mpc(sum(zs) / m)
     tol = mpmath.ldexp(mpf(1), -mp.prec)
     last = mpmath.inf
     for _ in range(_MAX_ABERTH_ITERS):
-        value, slope = _horner(derivative, center)
-        if slope == 0 or not mpmath.isfinite(slope):
+        (ar, ai), (br, bi), s = _exact_horner(derivative, center)
+        if not (br or bi):
             return None
-        step = value / slope
+        # f / f' = A / (B 2^s) for f = p^(m-1)
+        step = mpc(ar, ai) / mpc(mpf((br, s)), mpf((bi, s)))
         center -= step
         size = abs(step)
         if size <= tol * (1 + abs(center)) or size > last / 2:
             break
         last = size
-    ys = sorted(_newton_starts(_taylor_shift(coeffs, center)), key=abs)[:m]
+    ys = sorted(_newton_starts(_taylor_shift(nums, center)), key=abs)[:m]
     return [center + y for y in ys]
 
 
-def _float_phase(coeffs: list[mpc], starts: list[mpc]) -> list[mpc]:
+def _float_phase(factor: ExactPoly, starts: list[mpc]) -> list[mpc]:
     """Aberth iterates from `starts` computed in double precision, with
     every cluster that double precision did not separate restarted around
     its center; or `starts` itself when the float phase cannot be trusted.
 
-    The sweeps run on Python `complex` values until every correction is
-    under 2^-45 relative or they stall. Each iterate gets the disk n (|p(z)|
-    + 4 n 2^-53 sum |c_k| |z|^k) / |p'(z)|, the inclusion radius padded by
-    Horner's rounding error, doubled. When these disks are pairwise
-    disjoint (a factor-2 margin), double precision has isolated every root
-    and the iterates are kept. Otherwise the isolated iterates are kept,
-    and the iterates whose disks meet, transitively, form groups. A pair of
-    roots closer than double precision resolves gives p(z) = 0 at both
-    iterates, and a real polynomial's iteration can then leave them as a
-    conjugate pair on their bisector; the padding groups them. Each group
+    The sweeps run on Python `complex` values (the coefficients correctly
+    rounded) until every correction is under 2^-45 relative or they stall.
+    Each iterate gets the disk n (|p(z)| + 4 n 2^-53 sum |c_k| |z|^k) /
+    |p'(z)|, the inclusion radius padded by Horner's rounding error,
+    doubled. When these disks are pairwise disjoint (a factor-2 margin),
+    double precision has isolated every root and the iterates are kept.
+    Otherwise the isolated iterates are kept, and the iterates whose disks
+    meet, transitively, form groups. A pair of roots closer than double
+    precision resolves gives p(z) = 0 at both iterates, and a real
+    polynomial's iteration can then leave them as a conjugate pair on their
+    bisector; the padding groups them. Each group
     restarts from its center (`_cluster_starts`), so the integer sweeps
     separate the cluster from starts at its own scale instead of
     converging to it linearly from afar. `starts` comes back unchanged when
@@ -553,13 +545,14 @@ def _float_phase(coeffs: list[mpc], starts: list[mpc]) -> list[mpc]:
     the float range, p' is 0 at an iterate, or a center's Newton iteration
     fails.
     """
-    cs = [complex(c) for c in coeffs]
-    if any(not cmath.isfinite(f) or (f == 0 and c != 0) for f, c in zip(cs, coeffs)):
-        return starts
+    nums, den = factor.nums, factor.den
     zs = [complex(z) for z in starts]
     n = len(zs)
-    moduli = [abs(c) for c in cs]
     try:
+        cs = [complex(re / den, im / den) for re, im in nums]
+        if any(f == 0 and (re or im) for f, (re, im) in zip(cs, nums)):
+            return starts
+        moduli = [abs(c) for c in cs]
         _converge(cs, zs, _FLOAT_TOL, _FLOAT_TINY)
         disks = []
         for z in zs:
@@ -568,13 +561,13 @@ def _float_phase(coeffs: list[mpc], starts: list[mpc]) -> list[mpc]:
             # doubled radii: disjoint with a factor-2 margin
             disks.append((z, 2 * n * (abs(p) + noise) / abs(dp)))
     except ArithmeticError:
-        # overflow, or p' = 0 at an iterate
+        # a coefficient or an iterate overflows, or p' = 0 at an iterate
         return starts
     if not all(math.isfinite(rad) for _, rad in disks):
         return starts
     out = [mpc(z) for z in zs]
     for group in _overlap_groups(disks):
-        restart = _cluster_starts(coeffs, [zs[k] for k in group])
+        restart = _cluster_starts(nums, [zs[k] for k in group])
         if restart is None:
             return starts
         for k, z in zip(group, restart):
@@ -582,8 +575,8 @@ def _float_phase(coeffs: list[mpc], starts: list[mpc]) -> list[mpc]:
     return out
 
 
-def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> list[mpc]:
-    """Aberth-Ehrlich iteration on a polynomial given by mpc coefficients.
+def _aberth(factor: ExactPoly, tol_bits: int, warm: list[mpc] | None = None) -> list[mpc]:
+    """Aberth-Ehrlich iteration on a factor's Gaussian-integer numerators.
 
     Without `warm` starts, the Newton-polygon starts first go through the
     double-precision phase (`_float_phase`): the integer sweeps polish the
@@ -593,46 +586,44 @@ def _aberth(coeffs: list[mpc], tol_bits: int, warm: list[mpc] | None = None) -> 
     carried from another precision, hold more than 53 bits and skip the
     float phase.
 
-    The polishing sweeps run on the coefficients as Gaussian integers and on
-    fixed-point iterates at one scale 2^w (`_FixedPoint`), w = prec +
-    ceil(log2 max(1, max|z|)) + ceil(log2 1 / min(1, min nonzero |z|)) over
-    the starts: every iterate and every 1 / (z_k - z_j) then carries `prec`
-    bits relative to its size. They run to a relative correction of
-    2^-tol_bits or until they stagnate; the caller's certification step is
-    the arbiter of success. The iterates come back rounded to mpc at the
-    ambient precision. Deterministic for fixed inputs and precision.
+    The polishing sweeps run on the numerators and on fixed-point iterates
+    at one scale 2^w (`_FixedPoint`), w = prec + ceil(log2 max(1, max|z|))
+    + ceil(log2 1 / min(1, min nonzero |z|)) over the starts: every iterate
+    and every 1 / (z_k - z_j) then carries `prec` bits relative to its
+    size. They run to a relative correction of 2^-tol_bits or until they
+    stagnate; the caller's certification step is the arbiter of success.
+    The iterates come back rounded to mpc at the ambient precision, and a
+    linear factor's root is -n_0 / n_1, rounded there. Deterministic for
+    fixed inputs and precision.
     """
-    n = len(coeffs) - 1
-    if n == 1:
-        return [-coeffs[0] / coeffs[1]]
-    if warm is not None:
-        starts = [mpc(z) for z in warm]
-    else:
-        starts = _float_phase(coeffs, _newton_starts(coeffs))
+    nums = factor.nums
+    if len(nums) == 2:
+        return [-mpc(*nums[0]) / mpc(*nums[1])]
+    starts = ([mpc(z) for z in warm] if warm is not None
+              else _float_phase(factor, _newton_starts(nums)))
     sizes = [mpmath.mag(z) for z in starts if z]
     w = mp.prec + max([0, *sizes]) + max([0, *(1 - e for e in sizes)])
-    poly = _FixedPoint.of(coeffs, w)
+    poly = _FixedPoint.of(nums, w)
     zs = [(poly.to_int(z.real), poly.to_int(z.imag)) for z in starts]
     _converge(poly, zs, mpmath.ldexp(mpf(1), -tol_bits), 1 << (w - mp.prec // 2))
     return [mpc(mpf((x, -w)), mpf((y, -w))) for x, y in zs]
 
 
-def _certified_radius(nums, z: mpc) -> mpf | None:
-    """n |f(z)| / |f'(z)| rounded upward at the ambient precision, for f of
-    degree n with Gaussian-integer coefficients `nums` (lowest degree first);
-    None when f'(z) = 0. The disk of that radius around z holds a root of f.
-
-    The dyadic midpoint z = (x + iy) / 2^s makes the evaluation exact:
-    integer Horner gives 2^(sn) f(z) and 2^(s(n-1)) f'(z), and the quotient
-    of their squared moduli is rounded once, upward, to an integer whose
-    square root is taken upward by `math.isqrt`.
-    """
+def _grid_point(z: mpc) -> tuple[int, int, int]:
+    """(x, y, s) with z = (x + iy) / 2^s exactly and s >= 0, for a dyadic z."""
     parts = (_dyadic(z.real), _dyadic(z.imag))
     low = min((e for m, e in parts if m), default=0)
     x, y = (m << (e - low) if m else 0 for m, e in parts)
-    s = -low
-    if s < 0:
-        x, y, s = x << -s, y << -s, 0
+    if low > 0:
+        return x << low, y << low, 0
+    return x, y, -low
+
+
+def _exact_horner(nums, z: mpc) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """(A, B, s), A = 2^(sn) f(z) and B = 2^(s(n-1)) f'(z) as Gaussian
+    integers, for f of degree n with Gaussian-integer coefficients `nums`
+    (lowest degree first) at the dyadic z = (x + iy) / 2^s."""
+    x, y, s = _grid_point(z)
     n = len(nums) - 1
     ar, ai = nums[-1]
     br, bi = n * ar, n * ai
@@ -642,6 +633,21 @@ def _certified_radius(nums, z: mpc) -> mpf | None:
         ar, ai = ar * x - ai * y + (cr << shift), ar * y + ai * x + (ci << shift)
         if k:
             br, bi = br * x - bi * y + (k * cr << shift), br * y + bi * x + (k * ci << shift)
+    return (ar, ai), (br, bi), s
+
+
+def _certified_radius(nums, z: mpc) -> mpf | None:
+    """n |f(z)| / |f'(z)| rounded upward at the ambient precision, for f of
+    degree n with Gaussian-integer coefficients `nums` (lowest degree first);
+    None when f'(z) = 0. The disk of that radius around z holds a root of f.
+
+    The dyadic midpoint z = (x + iy) / 2^s makes the evaluation exact
+    (`_exact_horner` gives 2^(sn) f(z) and 2^(s(n-1)) f'(z)), and the
+    quotient of their squared moduli is rounded once, upward, to an integer
+    whose square root is taken upward by `math.isqrt`.
+    """
+    n = len(nums) - 1
+    (ar, ai), (br, bi), s = _exact_horner(nums, z)
     # rad^2 = n^2 |A|^2 / (|B|^2 2^(2s)), A = 2^(sn) f(z), B = 2^(s(n-1)) f'(z)
     num, den = n * n * (ar * ar + ai * ai), br * br + bi * bi
     if den == 0:
@@ -682,10 +688,9 @@ def _solve_factor(factor: ExactPoly, p_bits: int, work_bits: int, warm=None) -> 
     real midpoint, and radius 0 when the root is dyadic, such as k/4.
     """
     with mp.workprec(work_bits):
-        coeffs = [CBall.from_gaussian(c).mid for c in factor.coeffs]
         # the tolerance follows the working precision, so escalated retries
         # genuinely separate closer roots
-        zs = _aberth(coeffs, max(p_bits + TOL_EXTRA_BITS, work_bits - 24), warm=warm)
+        zs = _aberth(factor, max(p_bits + TOL_EXTRA_BITS, work_bits - 24), warm=warm)
         out = []
         for z in zs:
             rad = _certified_radius(factor.nums, z)

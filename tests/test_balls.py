@@ -192,7 +192,7 @@ class TestEnclosure:
 
 
 class TestEndpointMaps:
-    """lo/hi, sqrt, root, powr and max1, decided on exact powers."""
+    """lo/hi, sqrt, root and powr, decided on exact powers."""
 
     @settings(max_examples=150, deadline=None)
     @given(dyadics, radii, precisions)
@@ -226,15 +226,6 @@ class TestEndpointMaps:
             for p in points:
                 # p^(num/den) in [lo, hi], raised to the power den
                 assert (lo <= 0 or lo**den <= p**num) and p**num <= hi**den, p
-
-    @settings(max_examples=150, deadline=None)
-    @given(dyadics, radii, precisions)
-    def test_max1(self, x, rx, bits):
-        with working_precision(bits):
-            ball, points = _real_ball(x, rx)
-            got = ball.max1()
-            for p in points:
-                assert _encloses_real(got, max(Fraction(1), p)), p
 
     def test_domain_errors(self):
         with working_precision(64):

@@ -370,6 +370,21 @@ class TestOneChain:
         assert len(calls) == 3
         assert '"sdisc_index": 3' in capsys.readouterr().out
 
+    def test_subdiscriminant_reads_the_decomposition_chain(self, monkeypatch):
+        # Yun's three chains, the first of which holds psc(P, P'): no fourth
+        p = parse_polynomial("(x-1)^2*(x+2)^3*(x-i)")
+        psc = _principal_coefficients(p, p.derivative())
+        calls = []
+        real_chain = rootsep.poly._subresultant_chain
+
+        def chain_spy(a, b):
+            calls.append(len(a) - 1)
+            return real_chain(a, b)
+
+        monkeypatch.setattr(rootsep.poly, "_subresultant_chain", chain_spy)
+        assert subdiscriminant(p) == (3, psc[3] / p.leading)
+        assert len(calls) == 3
+
 
 def _mpf(x: Fraction):
     """x as an mpf, exactly (x is dyadic)."""

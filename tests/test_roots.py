@@ -25,10 +25,12 @@ from rootsep.roots import (
     _canonical_key,
     _carry_target,
     _certified_radius,
+    _exact_horner,
     _first_overlap,
     _newton_starts,
     _overlap_groups,
     _radius_target,
+    _taylor_shift,
 )
 
 
@@ -195,7 +197,7 @@ class TestSep:
 class TestEscalation:
     def test_close_pair_resolved_by_escalation(self, monkeypatch):
         # 10^-80 apart inside one square-free factor: the disks separate
-        # only after the working precision has doubled three times
+        # only after the working precision has doubled twice
         import rootsep.roots
 
         p = ExactPoly.from_roots(
@@ -213,12 +215,12 @@ class TestEscalation:
         monkeypatch.setattr(rootsep.roots, "_solve_factor", spy)
         roots = find_roots(p, 64)
         assert roots.r == 3
-        assert work == [88, 176, 352, 704]
+        assert work == [88, 176, 352]
 
-    def test_coefficients_become_balls_once_per_attempt(self, monkeypatch):
-        # one attempt on the one cubic factor converts its 4 coefficients,
-        # and the root set its leading coefficient; certifying each root
-        # reads the same balls
+    def test_only_the_leading_coefficient_becomes_a_ball(self, monkeypatch):
+        # the solver reads each factor's Gaussian-integer numerators on
+        # every attempt; only the root set's leading coefficient is a ball,
+        # for one attempt (the cubic) as for three (the 10^-80 pair)
         import rootsep.roots
 
         calls = []
@@ -229,9 +231,12 @@ class TestEscalation:
             return real(g)
 
         monkeypatch.setattr(rootsep.roots.CBall, "from_gaussian", staticmethod(spy))
-        roots = find_roots(parse_polynomial("(x-1)*(x-2)*(x-3)"), 128)
-        assert roots.r == 3
-        assert len(calls) == 5
+        for p, bits in ((parse_polynomial("(x-1)*(x-2)*(x-3)"), 128),
+                        (ExactPoly.from_roots([1, 1 + Fraction(1, 10**80), 3]), 64)):
+            calls.clear()
+            roots = find_roots(p, bits)
+            assert roots.r == 3
+            assert calls == [p.leading]
 
     def test_real_cluster_on_the_start_circle(self):
         # all three roots have modulus 1/2, the radius of the one Newton
@@ -338,8 +343,8 @@ def float_phase(monkeypatch):
     real_phase = rootsep.roots._float_phase
     real_converge = rootsep.roots._converge
 
-    def phase_spy(coeffs, starts):
-        out = real_phase(coeffs, starts)
+    def phase_spy(factor, starts):
+        out = real_phase(factor, starts)
         seen["unchanged"].append(out is starts)
         return out
 
@@ -356,24 +361,34 @@ def float_phase(monkeypatch):
 def mpc_horner(monkeypatch):
     """Counts the polishing evaluations past the float phase: one
     `_fixed_horner` call per Aberth correction of the integer sweeps, and
-    one `_horner` call at an mpc point per Newton step on a cluster's
-    center."""
+    one `_exact_horner` call per Newton step on a cluster's center (the
+    calls that certify disks are not counted)."""
     import rootsep.roots
 
     calls = {"mpc": 0}
-    real_horner = rootsep.roots._horner
+    in_cluster = [False]
+    real_exact_horner = rootsep.roots._exact_horner
     real_fixed_horner = rootsep.roots._fixed_horner
+    real_cluster_starts = rootsep.roots._cluster_starts
 
-    def horner_spy(coeffs, z):
-        calls["mpc"] += isinstance(z, mpmath.mpc)
-        return real_horner(coeffs, z)
+    def exact_horner_spy(nums, z):
+        calls["mpc"] += in_cluster[0]
+        return real_exact_horner(nums, z)
 
     def fixed_horner_spy(poly, x, y):
         calls["mpc"] += 1
         return real_fixed_horner(poly, x, y)
 
-    monkeypatch.setattr(rootsep.roots, "_horner", horner_spy)
+    def cluster_spy(nums, zs):
+        in_cluster[0] = True
+        try:
+            return real_cluster_starts(nums, zs)
+        finally:
+            in_cluster[0] = False
+
+    monkeypatch.setattr(rootsep.roots, "_exact_horner", exact_horner_spy)
     monkeypatch.setattr(rootsep.roots, "_fixed_horner", fixed_horner_spy)
+    monkeypatch.setattr(rootsep.roots, "_cluster_starts", cluster_spy)
     return calls
 
 
@@ -386,9 +401,9 @@ def cluster_groups(monkeypatch):
     groups = []
     real_cluster_starts = rootsep.roots._cluster_starts
 
-    def cluster_spy(coeffs, zs):
+    def cluster_spy(nums, zs):
         groups.append(list(zs))
-        return real_cluster_starts(coeffs, zs)
+        return real_cluster_starts(nums, zs)
 
     monkeypatch.setattr(rootsep.roots, "_cluster_starts", cluster_spy)
     return groups
@@ -443,8 +458,8 @@ class TestFloatPhase:
         real_phase = rootsep.roots._float_phase
         real_converge = rootsep.roots._converge
 
-        def phase_spy(coeffs, starts):
-            out = real_phase(coeffs, starts)
+        def phase_spy(factor, starts):
+            out = real_phase(factor, starts)
             phases.append((starts, out))
             return out
 
@@ -511,6 +526,15 @@ class TestHoveringFloatPhase:
         hovering = find_roots(p, 128)
         assert len(sweeps) == rootsep.roots._MAX_ABERTH_ITERS
         assert _disks(hovering) == _disks(roots)
+
+
+class TestExactPolishing:
+    def test_d64_radii_meet_the_carry_target(self):
+        # polished on the factor's exact numerators, every 128-bit disk is
+        # as tight as `refine` asks of a carried set, 2^-(128 + 12) max(1, |z|)
+        roots = find_roots(_d64_path(), 128)
+        assert roots.r == 64
+        assert _meets_target(roots, 128, _carry_target)
 
 
 class TestClusterRestart:
@@ -647,9 +671,10 @@ class TestExactRadius:
 
 
 def _degree_32():
-    """32 real roots (-465 + 30 j) / 12, 5/2 apart in [-40, 40]."""
+    """32 real roots (-155 + 10 j) / 12, 5/6 apart in [-13, 13]; none is
+    dyadic, so no 128-bit disk is exact."""
     return ExactPoly.from_roots(
-        [GaussianRational.of(Fraction(-465 + 30 * j, 12)) for j in range(32)]
+        [GaussianRational.of(Fraction(-155 + 10 * j, 12)) for j in range(32)]
     )
 
 
@@ -732,13 +757,13 @@ class TestRefine:
         real_aberth = rootsep.roots._aberth
         real_newton = rootsep.roots._newton_starts
 
-        def aberth_spy(coeffs, tol_bits, warm=None):
+        def aberth_spy(factor, tol_bits, warm=None):
             warmed.append(warm is not None)
-            return real_aberth(coeffs, tol_bits, warm)
+            return real_aberth(factor, tol_bits, warm)
 
-        def newton_spy(coeffs):
-            newton.append(len(coeffs))
-            return real_newton(coeffs)
+        def newton_spy(nums):
+            newton.append(len(nums))
+            return real_newton(nums)
 
         monkeypatch.setattr(rootsep.roots, "_aberth", aberth_spy)
         monkeypatch.setattr(rootsep.roots, "_newton_starts", newton_spy)
@@ -813,19 +838,66 @@ class TestRealRootsOnTheAxis:
 class TestDyadicKernels:
     def test_newton_starts_outside_the_float_range(self):
         # x^3 - 2^6000 (3 + 4i): three starts of modulus 0.7 (5 2^6000)^(1/3)
+        starts = _newton_starts([(-3 << 6000, -4 << 6000), (0, 0), (0, 0), (1, 0)])
+        expected = 0.7 * 5 ** (1 / 3) * 2 ** (2000 - 1000)
+        assert len(starts) == 3
         with mpmath.workprec(128):
-            coeffs = [-mpmath.mpc(3, 4) * mpmath.ldexp(1, 6000), mpmath.mpc(0), mpmath.mpc(0),
-                      mpmath.mpc(1)]
-            starts = _newton_starts(coeffs)
-            expected = 0.7 * 5 ** (1 / 3) * 2 ** (2000 - 1000)
-            assert len(starts) == 3
             for z in starts:
                 assert abs(float(mpmath.ldexp(abs(z), -1000)) / expected - 1) < 1e-12
 
     def test_newton_starts_keep_exact_zeros(self):
+        starts = _newton_starts([(0, 0)] * 2 + [(-4, 0), (1, 0)])
         with mpmath.workprec(64):
-            starts = _newton_starts([mpmath.mpc(0)] * 2 + [mpmath.mpc(-4), mpmath.mpc(1)])
-        assert starts[:2] == [0, 0] and abs(abs(starts[2]) - 2.8) < 1e-12
+            assert starts[:2] == [0, 0] and abs(abs(starts[2]) - 2.8) < 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(gaussian_ints, min_size=1, max_size=6),
+           st.one_of(st.just(0), mantissas), st.one_of(st.just(0), mantissas),
+           st.integers(-90, 90))
+    def test_taylor_shift_is_a_positive_multiple_of_p_at_c_plus_y(self, nums, x, y, e):
+        if nums[-1] == (0, 0):
+            nums[-1] = (1, 0)
+        with mpmath.workprec(256):
+            c = mpmath.mpc(mpmath.ldexp(x, e), mpmath.ldexp(y, e))  # exact
+        cx, cy = x * Fraction(2) ** e, y * Fraction(2) ** e
+        # p(c + y) = sum_j y^j sum_{k >= j} binom(k, j) a_k c^(k - j), in Fractions
+        powers = [(Fraction(1), Fraction(0))]
+        for _ in nums:
+            a, b = powers[-1]
+            powers.append((a * cx - b * cy, a * cy + b * cx))
+        exact = []
+        for j in range(len(nums)):
+            re = im = Fraction(0)
+            for k in range(j, len(nums)):
+                (ar, ai), (pr, pi) = nums[k], powers[k - j]
+                re += math.comb(k, j) * (ar * pr - ai * pi)
+                im += math.comb(k, j) * (ar * pi + ai * pr)
+            exact.append((re, im))
+        shifted = _taylor_shift(nums, c)
+        lead_re, lead_im = exact[-1]
+        scale = (shifted[-1][0] * lead_re + shifted[-1][1] * lead_im) \
+            / (lead_re * lead_re + lead_im * lead_im)
+        assert scale > 0
+        assert shifted == [(scale * re, scale * im) for re, im in exact]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(gaussian_ints, min_size=1, max_size=7),
+           st.one_of(st.just(0), mantissas), st.one_of(st.just(0), mantissas), exponents)
+    def test_exact_horner_scales_f_and_its_derivative(self, nums, x, y, e):
+        # (A, B, s) = (2^(sn) f(z), 2^(s(n-1)) f'(z), s) for z = (x + iy) 2^e
+        if nums[-1] == (0, 0):
+            nums[-1] = (1, 0)
+        f = ExactPoly(tuple(nums))
+        n = f.degree
+        with mpmath.workprec(128):
+            z = mpmath.mpc(mpmath.ldexp(x, e), mpmath.ldexp(y, e))  # exact
+        point = GaussianRational(x * Fraction(2) ** e, y * Fraction(2) ** e)
+        (ar, ai), (br, bi), s = _exact_horner(nums, z)
+        assert s >= 0
+        value, slope = f.eval_exact(point), f.derivative().eval_exact(point)
+        assert (Fraction(ar), Fraction(ai)) == (value.re * 2 ** (s * n), value.im * 2 ** (s * n))
+        scale = Fraction(2) ** (s * (n - 1))
+        assert (Fraction(br), Fraction(bi)) == (slope.re * scale, slope.im * scale)
 
     @pytest.mark.parametrize("bits", [24, 64, 152])
     def test_first_overlap_keeps_its_cushion(self, bits):
