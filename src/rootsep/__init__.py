@@ -6,7 +6,6 @@ The package exposes:
 * high-precision root finding with certified error disks (`roots`),
 * Mahler measure, discriminant and subdiscriminants by independent routes
   (`invariants`),
-* divided differences in three mutually checking formulations (`divdiff`),
 * graphs on root indices with the canonical orientation (`graph`),
 * the bound variants with reduction certificates and directed-rounding
   verdicts (`bounds`),
@@ -26,16 +25,9 @@ from .bounds import (
     lemma_aux_check,
     multiplicity_product_bound,
     reduce_vandermonde,
-    vandermonde_matrix,
     verify,
 )
-from .divdiff import (
-    NodeList,
-    divdiff_explicit,
-    divdiff_monomial,
-    divdiff_recursive,
-    divdiff_vector,
-)
+from . import divdiff  # noqa: F401  the layer of the reduction's rows
 from .errors import (
     CertificationError,
     IndistinguishableRootsError,
@@ -85,7 +77,6 @@ __all__ = [
     "IndistinguishableRootsError",
     "InvariantBundle",
     "JensenUnavailableError",
-    "NodeList",
     "ParseError",
     "PreconditionError",
     "RBall",
@@ -103,10 +94,6 @@ __all__ = [
     "check_classical_admissible",
     "compute_invariants",
     "discriminant",
-    "divdiff_explicit",
-    "divdiff_monomial",
-    "divdiff_recursive",
-    "divdiff_vector",
     "eval_poly",
     "find_roots",
     "gcd_exact",
@@ -129,7 +116,6 @@ __all__ = [
     "sep",
     "square_free_decomposition",
     "subdiscriminant",
-    "vandermonde_matrix",
     "verify",
     "working_precision",
 ]

@@ -34,39 +34,28 @@ only the values it reports become balls. A `RootSet` builds one
 root-dependent factor of a bound reads it: the LHS, |sDisc_{d-r}| through
 det W, M(P) through max(1, |v_j|), the certificate and the root distances.
 It puts every root midpoint on one grid (X + iY) / 2^w, with w
-DET_GUARD_BITS above the finest bit of any midpoint part, so the midpoints
+GRID_GUARD_BITS above the finest bit of any midpoint part, so the midpoints
 are exact; a radius R is an int in units of 2^-w, rounded up. Root
 differences are then exact, with radius R_i + R_j, and their products
 (det W, the edge product, the step factors) are exact Gaussian-integer
 products with radius prod(A + R) - prod(A), A = ceil|X + iY| by
 `math.isqrt`. The table does not depend on the graph: `RungTable.edges`
-takes the products over the edges of one, and `RungTable.w1` runs W_1's
-column recurrence exactly on the same grid, with the majorant radius h(A +
-R) - h(A), and hands its rows to `ball_det` as a `GridMatrix`.
-`grid_cball`, `grid_rball` and `grid_row_norm` turn grid values back into
-balls: the midpoint rounded to the working precision with its exact
-rounding error added to the radius, and moduli and row norms as isqrt
+takes the products over the edges of one, and `bounds` runs W_1's column
+recurrence exactly on the same grid and checks the reduction identity on
+those integers modulo q: a wrong W_1 passes at the midpoints only if the
+prime ideal (q, i - iota) divides the difference of the two sides, and at a
+second, hashed point with probability below r^2/q. `grid_cball` and `grid_rball` turn
+grid values back into balls: the midpoint rounded to the working precision
+with its exact rounding error added to the radius, and moduli as isqrt
 brackets at the working precision (`grid_sqrt`: the grid of an exact root
-can be coarse), widened by R or ceil(sqrt(sum R^2)).
+can be coarse), widened by R.
 
-Determinants. `ball_det` eliminates on one finer grid 2^-W, onto which
-`_grid_matrix` puts W_1 and any ball matrix by one rule: W = p +
-DET_GUARD_BITS - min t, t the bit length of the larger part less the
-scale, over the entries whose midpoint clears its radius, so every such
-entry keeps at least p bits relative to its own modulus. Parts below the
-grid floor into the radius, one unit each. Every rounding of the
-elimination is counted upward in whole units: each floored part
-adds 2 units (a floor moves a part by less than 1), in each part of a
-multiplier f = x/p and in each part of a product f t. The radius of f is
-ceil((R_x |p|_lo + |x|_hi R_p) 2^w / (|p|_lo (|p|_lo - R_p))), and the
-update c - f t adds ceil((|f|_hi R_t + R_f (|t|_hi + R_t)) / 2^w) to R_c,
-with the moduli bounds from `math.isqrt` of X^2 + Y^2. The pivot is the
-entry of largest exact X^2 + Y^2, the first on ties, and one with
-isqrt(X^2 + Y^2) <= R may contain zero. When the pivot, the rest of its row
-and a row's entry in its column are real, f is real and that row's update
-changes X and R only: its Y products are all 0. Only the pivots become
-balls again, with exact dyadic midpoints and radii rounded up to RAD_BITS
-bits; the determinant is the sign times their product.
+Brackets. A value that is a product of many factors, such as a power of
+max(1, |v_j|) (`RungTable.max1_power`, the one route for those powers) or
+a row-norm bound, is carried as a bracket (lo, hi) of raw tuples, each
+product and power rounded outward to `bracket_bits`, GRID_GUARD_BITS above
+the working precision (`bracket_mul`, and `mpf_pow_int`, which rounds in
+one direction throughout). Only the result becomes a ball (`bracket_ball`).
 """
 from __future__ import annotations
 
@@ -74,7 +63,6 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -101,6 +89,7 @@ from mpmath.libmp import (
     mpf_nthroot,
     mpf_pos,
     mpf_pow,
+    mpf_pow_int,
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
@@ -639,8 +628,8 @@ def ball_product(items, one=None):
     return total
 
 
-#: bits the determinant grid keeps beyond the working precision
-DET_GUARD_BITS = 8
+#: bits the rung grid, and every bracket, keep beyond the working precision
+GRID_GUARD_BITS = 8
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -678,136 +667,7 @@ def _place(x: int, y: int, r: int, k: int) -> tuple[int, int, int]:
     return fx, fy, -(-r >> -k) + (fx << -k != x) + (fy << -k != y)
 
 
-def _grid_matrix(rows) -> "GridMatrix":
-    """A matrix of exact entries (X, Y, R, s), each (X + iY +/- R) / 2^s, on
-    `ball_det`'s grid 2^-W: W = p + DET_GUARD_BITS - min t, at least 0, over
-    the entries whose midpoint clears its radius, t the bit length of the
-    larger part less s; each entry is `_place`d there."""
-    low = None
-    for row in rows:
-        for x, y, r, s in row:
-            top = max(abs(x), abs(y)).bit_length()
-            if top > r.bit_length() and (low is None or top - s < low):
-                low = top - s
-    w = max(0, mp.prec + DET_GUARD_BITS - (0 if low is None else low))
-    out = []
-    for row in rows:
-        xs, ys, rs = [], [], []
-        for x, y, r, s in row:
-            x, y, r = _place(x, y, r, w - s)
-            xs.append(x)
-            ys.append(y)
-            rs.append(r)
-        out.append([xs, ys, rs])
-    return GridMatrix(out, w)
-
-
-def _grid_pivot(x: int, y: int, r: int, w: int) -> CBall:
-    """The ball (x + iy +/- r) / 2^w: an exact midpoint, the radius rounded
-    up to RAD_BITS bits."""
-    return _cball(
-        (from_man_exp(x, -w), from_man_exp(y, -w)),
-        from_man_exp(r, -w, RAD_BITS, "u") if r else fzero,
-    )
-
-
-def _eliminate(rows, k1, pivot, tail, w) -> None:
-    """row -= (x / p) pivot row on columns k1 and on, for each (row, x, y,
-    r) in `rows`, with (x, y, r) the row's entry in the pivot column; the
-    pivot is (px, py, pr, |p|_lo, |P|^2) and the tail (tx, ty, tr, reach)
-    the pivot row's [X, Y, R] from k1 on and |t|_hi + R_t."""
-    px, py, pr, lo, best = pivot
-    tx, ty, tr, reach = tail
-    den = lo * (lo - pr)
-    for (xr, yr, rr), x, y, r in rows:
-        fr = ((x * px + y * py) << w) // best
-        fi = ((y * px - x * py) << w) // best
-        # |x/p - X/P| <= (R_x |P| + |X| R_p) / (|P| (|P| - R_p)), falling in |P|
-        rf = -(-((r * lo + _ceil_sqrt(x * x + y * y) * pr) << w) // den) + 4
-        fm = _ceil_sqrt(fr * fr + fi * fi)
-        xr[k1:] = [c - ((fr * a - fi * b) >> w) for c, a, b in zip(xr[k1:], tx, ty)]
-        yr[k1:] = [c - ((fr * b + fi * a) >> w) for c, a, b in zip(yr[k1:], tx, ty)]
-        # + |f| R_t + R_f (|t| + R_t), rounded up, and 2 units per floored part
-        rr[k1:] = [c - (-(fm * a + rf * b) >> w) + 4 for c, a, b in zip(rr[k1:], tr, reach)]
-
-
-def _eliminate_real(rows, k1, pivot, tail, w) -> None:
-    """`_eliminate` where the pivot, its row's tail and every x are real:
-    f is real, the Y products are all 0 and Y stays as it is. Only X and R
-    change, by the same amounts as in `_eliminate`."""
-    px, _, pr, lo, best = pivot
-    tx, _, tr, reach = tail
-    den = lo * (lo - pr)
-    for (xr, _, rr), x, _, r in rows:
-        f = ((x * px) << w) // best
-        rf = -(-((r * lo + abs(x) * pr) << w) // den) + 4
-        fm = abs(f)
-        xr[k1:] = [c - ((f * a) >> w) for c, a in zip(xr[k1:], tx)]
-        rr[k1:] = [c - (-(fm * a + rf * b) >> w) + 4 for c, a, b in zip(rr[k1:], tr, reach)]
-
-
-class GridMatrix(NamedTuple):
-    """A square matrix on one grid: row i is [X, Y, R], three int lists, and
-    its entry k is (X[k] + i Y[k] +/- R[k]) / 2^w."""
-
-    rows: list
-    w: int
-
-
-def ball_det(matrix: "list[list[CBall]] | GridMatrix") -> CBall:
-    """Determinant by LU elimination on one grid of Gaussian integers, with
-    partial pivoting on the exact squared moduli (first row on ties).
-
-    A ball matrix goes to the grid first (see the module docstring); a
-    `GridMatrix` is eliminated as it is, in place. The elimination runs on
-    Python ints with every rounding counted upward in whole units, real rows
-    skip the imaginary parts, and only the pivots become balls again: the
-    determinant is the sign times their product.
-
-    Raises BallDomainError when a pivot ball may contain zero, which callers
-    treat as a certification failure at the current precision.
-    """
-    if not isinstance(matrix, GridMatrix):
-        matrix = _grid_matrix([[_scaled(z) for z in row] for row in matrix])
-    rows, w = matrix
-    n = len(rows)
-    pivots = []
-    sign = 1
-    for k in range(n):
-        piv, best = k, rows[k][0][k] ** 2 + rows[k][1][k] ** 2
-        for i in range(k + 1, n):
-            a = rows[i][0][k] ** 2 + rows[i][1][k] ** 2
-            if a > best:
-                piv, best = i, a
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        xs, ys, rs = rows[k]
-        px, py, pr = xs[k], ys[k], rs[k]
-        lo = math.isqrt(best)
-        if lo <= pr:
-            raise BallDomainError("singular-to-precision pivot in ball determinant")
-        pivots.append(_grid_pivot(px, py, pr, w))
-        active = [(g, g[0][k], g[1][k], g[2][k]) for g in rows[k + 1:]
-                  if g[0][k] or g[1][k] or g[2][k]]
-        if not active:
-            continue
-        k1 = k + 1
-        tx, ty, tr = xs[k1:], ys[k1:], rs[k1:]
-        real = not (py or any(ty))
-        mods = [abs(a) for a in tx] if real else [_ceil_sqrt(a * a + b * b) for a, b in zip(tx, ty)]
-        tail = (tx, ty, tr, [m + c for m, c in zip(mods, tr)])
-        pivot = (px, py, pr, lo, best)
-        if real:
-            _eliminate_real([u for u in active if not u[2]], k1, pivot, tail, w)
-            active = [u for u in active if u[2]]
-        if active:
-            _eliminate(active, k1, pivot, tail, w)
-    det = ball_product(pivots) if pivots else CBall.one()
-    return -det if sign < 0 else det
-
-
-# --- the rung grid: values and row norms back as balls ------------------------
+# --- the rung grid: values and brackets back as balls -------------------------
 
 
 def grid_cball(x: int, y: int, r: int, s: int) -> CBall:
@@ -833,21 +693,30 @@ def grid_rball(lo: int, hi: int, s: int) -> RBall:
 
 def grid_sqrt(n: int, s: int) -> tuple[int, int, int]:
     """(lo, hi, t) with lo / 2^t <= sqrt(n) / 2^s <= hi / 2^t, t >= s, and
-    hi - lo <= 1 a unit at least DET_GUARD_BITS below the working
+    hi - lo <= 1 a unit at least GRID_GUARD_BITS below the working
     precision relative to sqrt(n): the isqrt bracket of n 4^(t - s)."""
-    k = max(0, mp.prec + DET_GUARD_BITS - n.bit_length() // 2)
+    k = max(0, mp.prec + GRID_GUARD_BITS - n.bit_length() // 2)
     n <<= 2 * k
     return math.isqrt(n), _ceil_sqrt(n), s + k
 
 
-def grid_row_norm(row: "list[list[int]]", w: int) -> RBall:
-    """Euclidean norm of a grid row [X, Y, R]: the `grid_sqrt` bracket of
-    sum X^2 + Y^2, widened by ceil(sqrt(sum R^2)) (the triangle
-    inequality)."""
-    xs, ys, rs = row
-    lo, hi, t = grid_sqrt(sum(x * x for x in xs) + sum(y * y for y in ys), w)
-    e = _ceil_sqrt(sum(r * r for r in rs)) << (t - w)
-    return grid_rball(lo - e, hi + e, t)
+def bracket_bits() -> int:
+    """The bits every bracket keeps: GRID_GUARD_BITS above the working
+    precision."""
+    return mp.prec + GRID_GUARD_BITS
+
+
+def bracket_mul(a, b) -> tuple:
+    """The product of two brackets (lo, hi) of nonnegative numbers, raw
+    tuples rounded outward to `bracket_bits`."""
+    p = bracket_bits()
+    return mpf_mul(a[0], b[0], p, "f"), mpf_mul(a[1], b[1], p, "c")
+
+
+def bracket_ball(b) -> RBall:
+    """A ball holding the bracket b = (lo, hi), lo <= hi: the midpoint
+    rounded to the working precision, the radius rounded up."""
+    return _rball(*_span(b[0], b[1], mp.prec))
 
 
 # --- the rung table -----------------------------------------------------------
@@ -885,15 +754,15 @@ def _grid_ball(product, n: int, w: int) -> CBall:
 class EdgeProducts:
     """The products over the edges of one graph, read off a rung table.
 
-    sources[j] lists the sources of the edges finishing at j, and
-    step_factors[i] is the product of (v_j - v_source) for the row replaced
-    at step i, highest row first (exact 1 for rows without incoming edges).
-    Each edge finishes at one row, so edge_product is the product of the
-    step factors, taken on the grid.
+    sources[j] lists the sources of the edges finishing at j, and steps[i]
+    is the exact `_grid_product` of (v_j - v_source) for the row replaced at
+    step i, highest row first, with its factor count (None for rows without
+    incoming edges). Each edge finishes at one row, so edge_product is the
+    product of the steps, taken on the grid.
     """
 
     sources: tuple
-    step_factors: tuple
+    steps: tuple
     edge_product: CBall
 
 
@@ -907,11 +776,12 @@ class RungTable:
     = (X_j - X_i, Y_j - Y_i, A + R, A) for i < j, R = R_i + R_j and A =
     ceil|X + iY|, is v_j - v_i exactly; when no root has a radius, A is 0
     throughout, so products carry radius 0 without any square root. det_w,
-    the product over i < j of (v_j - v_i), is one exact product; max1[j] =
-    max(1, |v_j|) is the `grid_sqrt` bracket of X^2 + Y^2 widened by R; and
-    edge_base is r/sqrt(3). Everything the table hands out, these balls,
-    those of `distance` and `edges` and the grid of `w1`, is taken at
-    `prec`, the precision it was built at.
+    the product over i < j of (v_j - v_i), is one exact product; max1[j] is
+    the bracket (lo, hi) of max(1, |v_j|) over its disk: the `grid_sqrt`
+    bracket of X^2 + Y^2 widened by R, as two exact raw tuples, whose
+    powers `max1_power` takes; and edge_base is r/sqrt(3). Everything the
+    table hands out, these balls and those of `distance` and `edges`, is
+    taken at `prec`, the precision it was built at.
     """
 
     prec: int
@@ -927,7 +797,7 @@ class RungTable:
     def build(values: "list[CBall]") -> "RungTable":
         """The table of the root balls `values`, at the ambient precision."""
         r = len(values)
-        w = max([0, *(-part[2] for v in values for part in v._m if part[1])]) + DET_GUARD_BITS
+        w = max([0, *(-part[2] for v in values for part in v._m if part[1])]) + GRID_GUARD_BITS
         grid = [_place(x, y, rad, w - s) for x, y, rad, s in map(_scaled, values)]
         with_radius = any(rad for _, _, rad in grid)
         nodes = []
@@ -948,7 +818,7 @@ class RungTable:
         for x, y, rad in grid:
             lo, hi, t = grid_sqrt(x * x + y * y, w)
             rad, one = rad << (t - w), 1 << t
-            max1.append(grid_rball(max(one, lo - rad), max(one, hi + rad), t))
+            max1.append((from_man_exp(max(one, lo - rad), -t), from_man_exp(max(one, hi + rad), -t)))
         return RungTable(
             prec=mp.prec,
             w=w,
@@ -958,6 +828,15 @@ class RungTable:
             edge_base=RBall.exact(r) / RBall.exact(3).sqrt(),
             det_w=_grid_ball(_grid_product(diff.values()), len(diff), w),
         )
+
+    def max1_power(self, j: int, k: int) -> tuple:
+        """The bracket of max(1, |v_j|)^k, rounded outward to
+        `bracket_bits` at the table's precision: the one route for these
+        powers, which the row-norm bounds and the Mahler measure read."""
+        lo, hi = self.max1[j]
+        with _at_prec(self.prec):
+            p = bracket_bits()
+            return mpf_pow_int(lo, k, p, "f"), mpf_pow_int(hi, k, p, "c")
 
     def indistinct(self) -> "tuple[int, int] | None":
         """The first pair (i, j) whose difference may be 0 (X^2 + Y^2 <=
@@ -976,7 +855,7 @@ class RungTable:
             return grid_rball(lo - r, hi + r, t)
 
     def edges(self, g) -> EdgeProducts:
-        """The step factors and the edge product of the graph `g`, taken
+        """The step products and the edge product of the graph `g`, taken
         once per graph."""
         done = self._edges.get(g.oriented)
         if done is not None:
@@ -986,64 +865,13 @@ class RungTable:
         # and shrinks them, which leaves one more tuple on the free list of
         # the result's size per call, until that list holds 2000
         sources = tuple([tuple([a for a, _ in g.edges_into(j)]) for j in range(r)])
-        steps, step_factors = [], []
+        steps = tuple([
+            (_grid_product([self.diff[a, j] for a in sources[j]]), len(sources[j])) if sources[j] else None
+            for j in range(r - 1, 0, -1)
+        ])
         with _at_prec(self.prec):
-            for j in range(r - 1, 0, -1):
-                if sources[j]:
-                    step = _grid_product(self.diff[a, j] for a in sources[j])
-                    steps.append(step)
-                    step_factors.append(_grid_ball(step, len(sources[j]), self.w))
-                else:
-                    step_factors.append(CBall.one())
-            done = self._edges[g.oriented] = EdgeProducts(
-                sources=sources,
-                step_factors=tuple(step_factors),
-                edge_product=_grid_ball(_grid_product(steps), g.edge_count, self.w),
+            edge_product = _grid_ball(
+                _grid_product([s[0] for s in steps if s is not None]), g.edge_count, self.w
             )
+        done = self._edges[g.oriented] = EdgeProducts(sources, steps, edge_product)
         return done
-
-    def w1(self, sources: tuple) -> GridMatrix:
-        """The fully reduced matrix W_1 on `ball_det`'s grid, for the edge
-        sources of `edges`.
-
-        Row j is the divided difference of the power basis over the sources
-        of j plus v_j: n - 1 zeros, then h_0 .. h_{r-n} of its n nodes (one
-        node, v_j, when no edge finishes at j, which gives 1, v_j, ...,
-        v_j^{r-1}). The column recurrence h_i += v h_{i-1}, one pass per
-        node, runs exactly on the table's grid: h_i of nodes (X + iY) / 2^w
-        is H_i / 2^(i w) with H_i += (X + iY) H_{i-1} on Gaussian integers.
-        h_i has nonnegative coefficients, so with A >= |node| its radius is
-        at most h_i(A + R) - h_i(A), and the same recurrence gives both
-        terms on the nodes' (A + R, A). A row whose nodes are another row's
-        plus v_j runs that row's recurrence one more pass (entry i of a pass
-        reads only entry i - 1, so the dropped last entry never feeds the
-        others). The entries then go to one grid by `_grid_matrix`.
-        """
-        r = len(sources)
-        built: dict[tuple, list] = {}
-        rows = []
-        for j in range(r):
-            key = (*sources[j], j)
-            n = len(key)
-            prev = built.get(key[:-1])
-            if prev is None:
-                h = [[1] + [0] * (r - n), [0] * (r - n + 1), [1] + [0] * (r - n), [1] + [0] * (r - n)]
-                passes = key
-            else:
-                h = [part[:-1] for part in prev]
-                passes = key[-1:]
-            hx, hy, hm, hl = h
-            for a in passes:
-                x, y, m, l = self.nodes[a]
-                for i in range(1, len(hx)):
-                    u, v = hx[i - 1], hy[i - 1]
-                    hx[i] += x * u - y * v
-                    hy[i] += x * v + y * u
-                    hm[i] += m * hm[i - 1]
-                    hl[i] += l * hl[i - 1]
-            built[key] = h
-            rows.append([(0, 0, 0, 0)] * (n - 1) + [
-                (x, y, m - l, i * self.w) for i, (x, y, m, l) in enumerate(zip(hx, hy, hm, hl))
-            ])
-        with _at_prec(self.prec):
-            return _grid_matrix(rows)

@@ -27,10 +27,13 @@ The reduction certificate replays the determinant factorization that proves
 the bound. W is the Vandermonde matrix of the roots. W_1 replaces each row
 with incoming edges by the divided difference of the power basis over the
 edge sources plus the vertex itself, and keeps the powers in the other rows.
-det W is taken from its closed form, the product over i < j of
-(v_j - v_i), and det W_1 by `ball_det` of W_1, so the identity
-det W = det W_1 * prod(edge differences) compares two enclosures computed
-independently. The row-norm bounds and the Hadamard bound live only on the
+The identity det W = det W_1 * prod(edge differences) is a polynomial
+identity in the roots, so it is checked exactly, on W_1's grid integers,
+modulo q = 2^62 - 87 with i sent to iota, at the grid midpoints and at a
+second point hashed from them (see `VandermondeCertificate`): a wrong W_1
+passes the first only if the prime ideal (q, i - iota) divides the
+difference of the two sides, and the second with probability below r^2/q.
+det W_1 is then the product of the non-edge differences. The row-norm bounds and the Hadamard bound live only on the
 certificate (`row_norm_bounds`, `hadamard_rhs`), checked against the
 propagated radii by `rows_ok` and `hadamard_ok`.
 
@@ -44,14 +47,34 @@ max(1, |v_j|) with the row-norm bounds.
 """
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, isfinite
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import fone, from_man_exp, from_rational, mpf_sqrt
 
-from .balls import CBall, RBall, ball_det, ball_product, grid_row_norm, json_real, working_precision
+from .balls import (
+    CBall,
+    EdgeProducts,
+    RBall,
+    RungTable,
+    _at_prec,
+    _ceil_sqrt,
+    _grid_ball,
+    _grid_product,
+    ball_product,
+    bracket_ball,
+    bracket_bits,
+    bracket_mul,
+    json_real,
+    working_precision,
+)
 from .errors import (
     BallDomainError,
     CertificationError,
@@ -62,7 +85,7 @@ from .errors import (
 )
 from .graph import RootGraph, _is_index, check_classical_admissible, min_total_degree, orient
 from .invariants import _abs_ball, mahler_measure, sdisc_abs_from_roots
-from .poly import _derivative_coefficients
+from .poly import _IOTA, _Q, _derivative_coefficients
 from .roots import RootSet, find_roots, refine
 
 COMPONENT_KEYS = (
@@ -126,53 +149,312 @@ def multiplicity_product_bound(multiplicities) -> tuple[mpf, mpf]:
 # ---------------------------------------------------------------------------
 
 
-def vandermonde_matrix(roots: RootSet) -> list[list[CBall]]:
-    """r x r matrix with row j = (1, v_j, ..., v_j^{r-1})."""
+class W1Row(NamedTuple):
+    """Row j of W_1 on the rung grid: `start` = n - 1 zeros for its n nodes,
+    then entry i = (xs[i] + i ys[i] +/- rads[i]) / 2^(i w), i = 0 .. r - n;
+    `at_point` holds the same entries at the second point, mod q."""
+
+    start: int
+    xs: list
+    ys: list
+    rads: list
+    at_point: list
+
+
+def _w1(t: RungTable, sources: tuple, point: tuple) -> tuple:
+    """W_1 for the edge sources of `RungTable.edges`, on the table's grid and
+    at `point` mod q, in one pass.
+
+    Row j is the divided difference of the power basis over the sources of
+    j plus v_j: n - 1 zeros, then h_0 .. h_{r-n} of its n nodes (one node,
+    v_j, when no edge finishes at j, which gives 1, v_j, ..., v_j^{r-1}).
+    The column recurrence h_i += v h_{i-1}, one pass per node, runs exactly
+    on the grid: h_i of nodes (X + iY) / 2^w is H_i / 2^(i w) with H_i +=
+    (X + iY) H_{i-1} on Gaussian integers. h_i has nonnegative
+    coefficients, so with A >= |node| its radius is at most h_i(A + R) -
+    h_i(A), and the same recurrence gives both terms on the nodes' (A + R,
+    A), and the values at `point`. A row whose nodes are another row's plus
+    v_j runs that row's recurrence one more pass (entry i of a pass reads
+    only entry i - 1, so the dropped last entry never feeds the others).
+    """
+    r = len(sources)
+    built: dict[tuple, list] = {}
     rows = []
-    for v in roots.values():
-        row = [CBall.one()]
-        for _ in range(roots.r - 1):
-            row.append(row[-1] * v)
-        rows.append(row)
-    return rows
+    for j in range(r):
+        key = (*sources[j], j)
+        n = len(key)
+        prev = built.get(key[:-1])
+        if prev is None:
+            h = [[1] + [0] * (r - n) for _ in range(5)]
+            h[1][0] = 0
+            passes = key
+        else:
+            h = [part[:-1] for part in prev]
+            passes = key[-1:]
+        hx, hy, hm, hl, ht = h
+        for a in passes:
+            x, y, m, l = t.nodes[a]
+            s = point[a]
+            for i in range(1, len(hx)):
+                u, v = hx[i - 1], hy[i - 1]
+                hx[i] += x * u - y * v
+                hy[i] += x * v + y * u
+                hm[i] += m * hm[i - 1]
+                hl[i] += l * hl[i - 1]
+                ht[i] = (ht[i] + s * ht[i - 1]) % _Q
+        built[key] = h
+        rows.append(W1Row(n - 1, hx, hy, [a - b for a, b in zip(hm, hl)], ht))
+    return tuple(rows)
+
+
+def _second_point(t: RungTable) -> tuple:
+    """The identity's second point: one residue mod q per node, drawn by a
+    `random.Random` seeded with the bytes of w and the grid numerators, each
+    after its length, which it hashes with SHA-512; the same grid gives the
+    same point on every run."""
+    data = [t.w.to_bytes(8, "little")]
+    for x, y, _, _ in t.nodes:
+        for v in (x, y):
+            n = v.bit_length() // 8 + 1
+            data += [n.to_bytes(4, "little"), v.to_bytes(n, "little", signed=True)]
+    rng = random.Random(b"".join(data))
+    return tuple([rng.randrange(_Q) for _ in t.nodes])
+
+
+def _det_mod_q(rows: list) -> int:
+    """The determinant of a square matrix over F_q, by elimination; the
+    rows, lists of residues, are overwritten. A row is reduced mod q only
+    where it is read: below the pivot its entries stay sums of products
+    of residues, a few bits above q^2."""
+    n = len(rows)
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k] % _Q), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        p = rows[k][k] % _Q
+        det = det * p % _Q
+        inv = pow(p, -1, _Q)
+        tail = [b % _Q for b in rows[k][k + 1:]]
+        for row in rows[k + 1:]:
+            f = row[k] * inv % _Q
+            if f:
+                row[k + 1:] = [a - f * b for a, b in zip(row[k + 1:], tail)]
+    return det % _Q
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    """Whether the reduction identity held modulo (q, i - iota), and at
+    which points: the residues X_j + iota Y_j of the grid midpoints, and
+    the second point."""
+
+    holds: bool
+    points: tuple
+
+    def to_json(self) -> dict:
+        return {"holds": self.holds, "q": _Q, "iota": _IOTA, "points": [list(p) for p in self.points]}
+
+
+def _identity(t: RungTable, sources: tuple, rows: tuple, point: tuple) -> IdentityCheck:
+    """Check det M = prod over the pairs i < j that are no edge of (Z_j -
+    Z_i) mod q, at the grid midpoints Z_j = X_j + iota Y_j and at `point`.
+    M is W_1 with column c scaled by 2^(c w) and row j by 2^-((n_j - 1) w):
+    the integers of `rows`. Times E, the product of the edge numerators Z_j
+    - Z_source, this is det M E = prod over all i < j of (Z_j - Z_i), the
+    identity det W = det W_1 E on the grid; without E it still says
+    something where an edge numerator vanishes mod q."""
+    mids = tuple([(x + _IOTA * y) % _Q for x, y, _, _ in t.nodes])
+    edges = {(a, j) for j, s in enumerate(sources) for a in s}
+    pairs = [(i, j) for j in range(len(rows)) for i in range(j) if (i, j) not in edges]
+    holds = True
+    for values, matrix in (
+        (mids, [[0] * w.start + [(x + _IOTA * y) % _Q for x, y in zip(w.xs, w.ys)] for w in rows]),
+        (point, [[0] * w.start + w.at_point for w in rows]),
+    ):
+        rhs = 1
+        for i, j in pairs:
+            rhs = rhs * (values[j] - values[i]) % _Q
+        holds = holds and _det_mod_q(matrix) == rhs
+    return IdentityCheck(holds, (mids, point))
+
+
+def _exceeds(a: int, b: int, c: int) -> bool:
+    """sqrt(a) > sqrt(b) + sqrt(c), for ints a, b, c >= 0, decided
+    exactly: a - b - c > 2 sqrt(bc)."""
+    d = a - b - c
+    return d > 0 and d * d > 4 * b * c
 
 
 @dataclass(frozen=True)
 class VandermondeCertificate:
-    """The row-replacement reduction's determinants plus its checks.
+    """The row-replacement reduction and its checks.
 
     Starting from the Vandermonde matrix W, each step replaces one row
     (highest index first) by the divided difference of the power basis over
     the sources of the edges finishing there, ending at the fully reduced
     matrix W_1. step_factors[i] is the product of (v_j - v_source) for the
     row replaced at step i (exact 1 for rows without incoming edges).
-    det_w is the product of (v_j - v_i) over i < j, one exact product on
-    the rung table's grid, and edge_product the product of the step
-    factors; det_w1 is `ball_det` of W_1, which is built directly on the
-    same grid, so W itself is never formed. The row norms are read off
-    W_1's grid rows, and the row-norm bounds read max(1, |v_j|) off the
-    table; they and their product, the Hadamard bound, are kept only here.
+    det_w is the product of (v_j - v_i) over i < j, one exact product on the
+    rung table's grid, and edge_product E the product of the step factors.
+
+    `identity` checks det W = det W_1 E exactly modulo the prime ideal (q,
+    i - iota), on the integers of W_1 that `_w1` builds: at the grid
+    midpoints, where a wrong W_1 passes only if (q, i - iota) divides the
+    difference of the two sides, and at a second point drawn from a hash of
+    the grid, where a wrong W_1 makes that difference a nonzero polynomial
+    of degree below r^2, which vanishes there with probability below r^2 /
+    q (Schwartz, JACM 27, 1980; Zippel, EUROSAM 1979). W is never formed,
+    and det_w1 is det W / E: the exact grid product of the non-edge
+    differences, with the table's majorant radius, whatever the conditioning
+    of W_1.
+
+    `rows_ok` (each row norm at most (r/sqrt(3))^d_j sqrt(r) max(1,
+    |v_j|)^(r-1-d_j)) and `hadamard_ok` (|det W_1| at most the product of
+    those bounds) compare lower ends with upper ends, decided as exact
+    inequalities between grid integers. The balls (step_factors, det_w1,
+    row_norms, row_norm_bounds, hadamard_rhs) are built only when read, the
+    bounds from brackets rounded outward to `balls.bracket_bits`.
     """
 
-    step_factors: tuple
-    det_w: CBall
-    det_w1: CBall
-    edge_product: CBall
-    row_norms: tuple
-    row_norm_bounds: tuple
-    hadamard_rhs: RBall
-    identity_rel_discrepancy: float
+    table: RungTable
+    products: EdgeProducts
+    in_degrees: tuple
+    rows: tuple
+    identity: IdentityCheck
 
-    def identity_certified(self) -> bool:
-        return self.det_w.overlaps(self.det_w1 * self.edge_product)
+    @cached_property
+    def step_factors(self) -> tuple:
+        with _at_prec(self.table.prec):
+            return tuple([CBall.one() if s is None else _grid_ball(*s, self.table.w) for s in self.products.steps])
 
-    def hadamard_ok(self) -> bool:
-        return self.det_w1.abs().lo <= self.hadamard_rhs.hi
+    @property
+    def det_w(self) -> CBall:
+        return self.table.det_w
+
+    @property
+    def edge_product(self) -> CBall:
+        return self.products.edge_product
+
+    @cached_property
+    def _nonedge(self) -> tuple:
+        """The exact product of the non-edge differences, and its count."""
+        edges = {(a, j) for j, s in enumerate(self.products.sources) for a in s}
+        items = [v for key, v in self.table.diff.items() if key not in edges]
+        return _grid_product(items), len(items)
+
+    @cached_property
+    def det_w1(self) -> CBall:
+        with _at_prec(self.table.prec):
+            return _grid_ball(*self._nonedge, self.table.w)
+
+    @cached_property
+    def row_norms(self) -> tuple:
+        """Each row's midpoint norm and radius norm on one grid 2^e,
+        `bracket_bits` below its largest entry: each part floored (one unit
+        up for the upper end) and each radius rounded up, so the isqrt
+        brackets of the sums of squares are at most about 2 bracket_bits
+        bits. The radius norm widens the bracket (the triangle
+        inequality)."""
+        w, out = self.table.w, []
+        with _at_prec(self.table.prec):
+            bits = bracket_bits()
+            for row in self.rows:
+                e = max(max(abs(x), abs(y)).bit_length() - i * w for i, (x, y) in enumerate(zip(row.xs, row.ys))) - bits
+                lo = hi = c = 0
+                for i, (x, y, rad) in enumerate(zip(row.xs, row.ys, row.rads)):
+                    s = e + i * w
+                    if s <= 0:
+                        x, y, rad = abs(x) << -s, abs(y) << -s, rad << -s
+                        lo += x * x + y * y
+                        hi += x * x + y * y
+                    else:
+                        x, y, rad = abs(x) >> s, abs(y) >> s, -(-rad >> s)
+                        lo += x * x + y * y
+                        hi += (x + 1) ** 2 + (y + 1) ** 2
+                    c += rad * rad
+                c = _ceil_sqrt(c)
+                out.append(bracket_ball((from_man_exp(math.isqrt(lo) - c, e), from_man_exp(_ceil_sqrt(hi) + c, e))))
+        return tuple(out)
+
+    @cached_property
+    def _bounds(self) -> tuple:
+        """Per row, the bracket of sqrt(r^(2d+1) / 3^d) max(1, |v_j|)^(r-1-d),
+        d = d_j, with the power from `RungTable.max1_power`."""
+        t, r = self.table, len(self.rows)
+        with _at_prec(t.prec):
+            p = bracket_bits()
+            return tuple([
+                bracket_mul(
+                    [mpf_sqrt(from_rational(r ** (2 * d + 1), 3**d, p, rnd), p, rnd) for rnd in "fc"],
+                    t.max1_power(j, r - 1 - d),
+                )
+                for j, d in enumerate(self.in_degrees)
+            ])
+
+    @cached_property
+    def row_norm_bounds(self) -> tuple:
+        with _at_prec(self.table.prec):
+            return tuple([bracket_ball(b) for b in self._bounds])
+
+    @cached_property
+    def hadamard_rhs(self) -> RBall:
+        with _at_prec(self.table.prec):
+            h = (fone, fone)
+            for b in self._bounds:
+                h = bracket_mul(h, b)
+            return bracket_ball(h)
+
+    def _square_bound(self, rows, scale: int) -> tuple[int, int]:
+        """(b, f): the squared product of the bounds of `rows`, at the upper
+        end of max(1, |v_j|) = man 2^exp, is b 2^f / 3^(sum d_j), f with
+        `scale` added."""
+        r, items, f = len(self.rows), [], scale
+        for j in rows:
+            d = self.in_degrees[j]
+            _, man, exp, _ = self.table.max1[j][1]
+            items.append(r ** (2 * d + 1) * man ** (2 * (r - 1 - d)))
+            f += 2 * (r - 1 - d) * exp
+        # a balanced product tree: `_grid_product` of real, exact grid values
+        return _grid_product([(b, 0, 1, 1) for b in items])[0], f
+
+    @cached_property
+    def _rows_ok(self) -> bool:
+        r, w = len(self.rows), self.table.w
+        for j, (row, d) in enumerate(zip(self.rows, self.in_degrees)):
+            # the row's squared norms, of its midpoints and of its radii, and
+            # its squared bound, times 3^d 4^(k w), k = r - 1 - d its last
+            # entry: a = sum |H_i|^2 4^((k - i) w), c likewise with R_i
+            a = c = 0
+            for x, y, rad in zip(row.xs, row.ys, row.rads):
+                a = (a << 2 * w) + x * x + y * y
+                c = (c << 2 * w) + rad * rad
+            b, f = self._square_bound([j], 2 * (r - 1 - d) * w)
+            if _exceeds(3**d * a << max(0, -f), b << max(0, f), 3**d * c << max(0, -f)):
+                return False
+        return True
 
     def rows_ok(self) -> bool:
-        return all(
-            n.lo <= b.hi for n, b in zip(self.row_norms, self.row_norm_bounds)
-        )
+        """No row norm's lower end exceeds its bound's upper end, decided
+        exactly on the grid integers."""
+        return self._rows_ok
+
+    @cached_property
+    def _hadamard_ok(self) -> bool:
+        # times 3^#E 4^(w m): |X + iY| - (H - L) > the product of the bounds?
+        (x, y, h, l), m = self._nonedge
+        n_edges = sum(self.in_degrees)
+        b, f = self._square_bound(range(len(self.rows)), 2 * m * self.table.w)
+        a, c = 3**n_edges * (x * x + y * y), 3**n_edges * (h - l) ** 2
+        return not _exceeds(a << max(0, -f), b << max(0, f), c << max(0, -f))
+
+    def hadamard_ok(self) -> bool:
+        """The lower end of |det W_1| does not exceed the Hadamard bound's
+        upper end, decided exactly on the grid integers."""
+        return self._hadamard_ok
 
     def to_json(self) -> dict:
         return {
@@ -182,20 +464,19 @@ class VandermondeCertificate:
             "row_norms": [n.to_json() for n in self.row_norms],
             "row_norm_bounds": [b.to_json() for b in self.row_norm_bounds],
             "hadamard": self.hadamard_rhs.to_json(),
-            "identity_rel_discrepancy": self.identity_rel_discrepancy,
+            "identity": self.identity.to_json(),
         }
 
 
 def reduce_vandermonde(roots: RootSet, g: RootGraph) -> VandermondeCertificate:
-    """Run the row-replacement reduction and certify its determinant identity,
+    """Run the row-replacement reduction and check its determinant identity,
     at the root set's precision.
 
-    Reads the root set's rung table and its products over the edges of `g`:
-    the distinctness check, the step factors, det W, the edge product and
-    the row bounds' max(1, |v_j|). W_1 is built on the table's grid and
-    handed to `ball_det` as grid rows, and its row norms are read off the
-    same rows. Raises CertificationError when the propagated radii cannot
-    certify det W = det W_1 * prod(edge differences).
+    Reads the root set's rung table and its products over the edges of `g`,
+    builds W_1 on the table's grid and at the second point in one pass
+    (`_w1`), and checks the identity modulo q at both points (`_identity`);
+    the certificate records whether it held. Raises CertificationError when
+    two nodes are not certifiably distinct.
     """
     if g.vertex_count != roots.r:
         raise ValidationError(
@@ -203,7 +484,6 @@ def reduce_vandermonde(roots: RootSet, g: RootGraph) -> VandermondeCertificate:
         )
     precision = roots.precision_bits
     with working_precision(precision):
-        r = roots.r
         t = roots.table
         e = t.edges(g)
         pair = t.indistinct()
@@ -211,39 +491,9 @@ def reduce_vandermonde(roots: RootSet, g: RootGraph) -> VandermondeCertificate:
             raise CertificationError(
                 precision, f"nodes {pair[0]} and {pair[1]} are not certifiably distinct"
             )
-        w1 = t.w1(e.sources)
-        row_norms = tuple([grid_row_norm(row, w1.w) for row in w1.rows])
-        try:
-            det_w1 = ball_det(w1)
-        except BallDomainError as exc:
-            raise CertificationError(precision, str(exc)) from exc
-        recombined = det_w1 * e.edge_product
-        gap = abs(t.det_w.mid - recombined.mid)
-        scale = max(abs(t.det_w.mid), abs(recombined.mid))
-        rel = float(gap / scale) if scale > 0 else 0.0
-        # row j's bound: (r/sqrt(3))^d_j * sqrt(r) * max(1, |v_j|)^(r-1-d_j),
-        # with the powers of r/sqrt(3) from one running product
-        powers = [RBall.one(), t.edge_base]
-        while len(powers) <= max(g.in_degrees):
-            powers.append(powers[-1] * t.edge_base)
-        sqrt_r = RBall.exact(r).sqrt()
-        row_bounds = tuple([
-            powers[d] * sqrt_r * t.max1[j].powi(r - 1 - d)
-            for j, d in enumerate(g.in_degrees)
-        ])
-        cert = VandermondeCertificate(
-            step_factors=e.step_factors,
-            det_w=t.det_w,
-            det_w1=det_w1,
-            edge_product=e.edge_product,
-            row_norms=row_norms,
-            row_norm_bounds=row_bounds,
-            hadamard_rhs=ball_product(row_bounds),
-            identity_rel_discrepancy=rel,
-        )
-        if not cert.identity_certified():
-            raise CertificationError(precision, "determinant identity not certified")
-        return cert
+        point = _second_point(t)
+        rows = _w1(t, e.sources, point)
+        return VandermondeCertificate(t, e, g.in_degrees, rows, _identity(t, e.sources, rows, point))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +698,9 @@ def _graph_bound(
         except CertificationError as exc:
             cert = None
             extra["certificate_error"] = str(exc)
+        else:
+            if not cert.identity.holds:
+                extra["certificate_error"] = "determinant identity fails modulo q"
         lhs = roots.table.edges(g).edge_product.abs()
         components = {**_components(roots, g.edge_count), **row}
         degenerate = roots.r == 1

@@ -141,7 +141,7 @@ def _cmd_certificate(args) -> tuple[dict, int]:
     graph = _resolve_graph(args, roots)
     cert = reduce_vandermonde(roots, graph)
     return {**cert.to_json(), "roots": roots.to_json(), "graph": graph.to_json(),
-            "precision_bits": precision}, EXIT_OK
+            "precision_bits": precision}, EXIT_OK if cert.identity.holds else EXIT_INCONCLUSIVE
 
 
 def _cmd_invariants(args) -> tuple[dict, int]:

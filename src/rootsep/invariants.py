@@ -32,7 +32,7 @@ from math import prod
 import mpmath
 from mpmath import mpc, mpf
 
-from .balls import RBall, working_precision
+from .balls import RBall, bracket_ball, bracket_mul, working_precision
 from .errors import JensenUnavailableError, RootsepError, ValidationError
 from .gaussian import GaussianRational
 from .poly import (
@@ -111,13 +111,15 @@ def subdiscriminant(p: ExactPoly) -> tuple[int, GaussianRational]:
 
 
 def mahler_measure(roots: RootSet) -> RBall:
-    """|lc| * prod max(1, |v_j|)^{m_j}, with max(1, |v_j|) read off the rung
-    table of `roots`."""
+    """|lc| * prod max(1, |v_j|)^{m_j}, with the powers of max(1, |v_j|)
+    the rung table's brackets (`RungTable.max1_power`), multiplied as
+    brackets; only their product becomes a ball."""
     with working_precision(roots.precision_bits):
-        acc = roots.leading_coeff.abs()
-        for e, m1 in zip(roots.entries, roots.table.max1):
-            acc = acc * m1.powi(e.multiplicity)
-        return acc
+        t = roots.table
+        acc = t.max1_power(0, roots.entries[0].multiplicity)
+        for j, e in enumerate(roots.entries[1:], 1):
+            acc = bracket_mul(acc, t.max1_power(j, e.multiplicity))
+        return roots.leading_coeff.abs() * bracket_ball(acc)
 
 
 def sdisc_abs_from_roots(roots: RootSet) -> RBall:

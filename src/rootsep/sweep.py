@@ -170,9 +170,7 @@ def run_instance(seed: int, index: int, params: SweepParams) -> dict:
         "margin": report.margin_json(),
         "violated": report.verdict not in ("holds", "inconclusive"),
         "resolved_bits": params.precision_bits if report.holds else None,
-        "certificate_rel_discrepancy": (
-            report.certificate.identity_rel_discrepancy if report.certificate else None
-        ),
+        "identity_holds": report.certificate.identity.holds if report.certificate else None,
         "hadamard_ok": report.certificate.hadamard_ok() if report.certificate else None,
         "rows_ok": report.certificate.rows_ok() if report.certificate else None,
     }
@@ -214,10 +212,6 @@ def run_sweep(seed: int, params: SweepParams, jobs: int = 1) -> dict:
         rec for rec in records if rec["verdict_first"] != "holds"
     ]
     unresolved = [rec for rec in records if rec["verdict_final"] != "holds"]
-    worst_discrepancy = max(
-        (rec["certificate_rel_discrepancy"] or 0.0 for rec in records),
-        default=0.0,
-    )
     return {
         "seed": seed,
         "count": params.count,
@@ -232,6 +226,8 @@ def run_sweep(seed: int, params: SweepParams, jobs: int = 1) -> dict:
         "row_bound_failures": sum(
             1 for rec in records if rec["rows_ok"] is False
         ),
-        "worst_certificate_rel_discrepancy": worst_discrepancy,
+        "identity_failures": sum(
+            1 for rec in records if rec["identity_holds"] is False
+        ),
         "instances": records,
     }

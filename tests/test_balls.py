@@ -16,11 +16,12 @@ from rootsep.balls import (
     RBall,
     _mod_down,
     _mod_up,
-    ball_det,
     json_real,
     working_precision,
 )
 from rootsep.errors import BallDomainError
+
+from oracles import ball_det, exact_det
 
 
 def _t(x) -> Fraction:
@@ -294,25 +295,6 @@ real_det_entries = st.integers(0, 4).flatmap(
 )
 
 
-def _exact_det(rows) -> GaussianRational:
-    """The determinant of a Gaussian-rational matrix by Fraction elimination."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    det = GaussianRational.of(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not m[i][k].is_zero), None)
-        if piv is None:
-            return GaussianRational.of(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det = det * m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            m[i] = [c - f * t for c, t in zip(m[i], m[k])]
-    return det
-
-
 def _det_matrices(entries):
     return st.integers(1, 6).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -346,7 +328,7 @@ class TestDeterminant:
                 got = ball_det(balls)
             except BallDomainError:
                 return
-            assert _encloses_complex(got, _exact_det(points))
+            assert _encloses_complex(got, exact_det(points))
 
     def test_complex_entry_under_a_real_pivot_row(self):
         # the pivot 1 and its row are real, but the entry i below it is not:

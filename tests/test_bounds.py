@@ -1,14 +1,22 @@
 """Bound variants, the reduction certificate and the exact lemma checks."""
+import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def hp(make_expected):
@@ -34,23 +42,23 @@ from rootsep import (
     parse_polynomial,
     reduce_vandermonde,
     refine,
-    vandermonde_matrix,
     verify,
 )
-from rootsep import balls
+from rootsep import balls, bounds
 from rootsep.balls import (
     CBall,
     RungTable,
-    ball_det,
     ball_product,
     grid_cball,
-    grid_row_norm,
     working_precision,
 )
-from rootsep.divdiff import power_basis_row
 from rootsep.graph import preset_edges
 from rootsep.invariants import compute_invariants, mahler_measure, sdisc_abs_from_subresultants
+from rootsep.poly import _IOTA, _Q
 from rootsep.roots import RootEntry, RootSet
+
+import oracles
+from oracles import ball_det, power_basis_row, vandermonde_matrix
 
 
 def _ball_distance(roots, i, j):
@@ -221,13 +229,16 @@ class TestReduction:
                     after = ball_det(matrices[step + 1])
                     assert before.overlaps(after * factor)
 
-    def test_identity_discrepancy_small(self):
+    def test_identity_holds_modulo_q(self):
         rng = random.Random(9)
         for _ in range(10):
             p, edges = _random_instance(rng)
             roots = find_roots(p, 128)
             cert = reduce_vandermonde(roots, orient(edges, roots))
-            assert cert.identity_rel_discrepancy <= 1e-10
+            assert cert.identity.holds
+            with working_precision(128):
+                # det_w1 is det W / E, the product of the non-edge differences
+                assert cert.det_w.overlaps(cert.det_w1 * cert.edge_product)
 
 
 def _spy_builds(monkeypatch) -> list:
@@ -276,12 +287,14 @@ class TestRungTable:
     @pytest.mark.parametrize("variant", ["main", "sep_product"])
     def test_one_table_per_rung(self, variant, monkeypatch):
         # the first rung is inconclusive, so the ladder runs two; each rung
-        # builds one table, at its own precision, for the certificate, the
-        # components, the distances and both sep-product sub-bounds
-        eps = Fraction(1, 10**30)
-        p = ExactPoly.from_roots(
-            [GaussianRational.of(1), GaussianRational.of(1 + eps), GaussianRational.of(3)]
-        )
+        # that has a root set builds one table, at its own precision, for
+        # the certificate, the components, the distances and both
+        # sep-product sub-bounds. main's 64-bit rung has one (_tight_pair)
+        # and sep_product's none: 64 bits cannot separate _far_cluster's pair
+        if variant == "main":
+            p, edges, tables = _tight_pair(), [], [64, 128]
+        else:
+            p, edges, tables = _far_cluster(), [(1, 2)], [128]
         builds, subtractions = _spy_builds(monkeypatch), []
         real_sub = CBall.__sub__
 
@@ -290,11 +303,9 @@ class TestRungTable:
             return real_sub(self, other)
 
         monkeypatch.setattr(CBall, "__sub__", sub_spy)
-        # the edge (1, 2), and the sep-product graphs of root 2, leave both
-        # near-equal rows in W_1
-        rep = verify(p, [(1, 2)], variant, precision=64, ceiling=256, subset=[2])
+        rep = verify(p, edges, variant, precision=64, ceiling=256, subset=[2])
         assert rep.holds and rep.precision_bits == 128
-        assert builds == [64 + balls.GUARD_BITS, 128 + balls.GUARD_BITS]
+        assert builds == [bits + balls.GUARD_BITS for bits in tables]
         assert subtractions == []
 
     def test_invariants_reuse_the_bounds_table(self, monkeypatch):
@@ -323,15 +334,16 @@ class TestRungTable:
         with working_precision(128):
             vals = roots.values()
             table = roots.table
-            w1 = table.w1(table.edges(g).sources)
+            sources = table.edges(g).sources
+            w1 = bounds._w1(table, sources, bounds._second_point(table))
             oracle = vandermonde_matrix(roots)
             for j in range(8):
-                sources = [a for a, _ in g.edges_into(j)]
-                if sources:
-                    oracle[j] = power_basis_row(8, [vals[a] for a in sources] + [vals[j]])
-            for (xs, ys, rs), expected in zip(w1.rows, oracle):
-                got = [grid_cball(x, y, r, w1.w) for x, y, r in zip(xs, ys, rs)]
-                assert all(a.overlaps(b) for a, b in zip(got, expected))
+                if sources[j]:
+                    oracle[j] = power_basis_row(8, [vals[a] for a in sources[j]] + [vals[j]])
+            for row, expected in zip(w1, oracle):
+                got = [grid_cball(x, y, r, i * table.w) for i, (x, y, r) in enumerate(zip(row.xs, row.ys, row.rads))]
+                assert all(z.mid == 0 and z.rad == 0 for z in expected[:row.start])
+                assert all(a.overlaps(b) for a, b in zip(got, expected[row.start:]))
 
 
 def _mpf(x: Fraction):
@@ -356,6 +368,18 @@ def _norm_in(norm_sq: Fraction, ball) -> bool:
     """sqrt(norm_sq) lies in the real ball, decided on squares."""
     lo, hi = _q(ball.mid) - _q(ball.rad), _q(ball.mid) + _q(ball.rad)
     return (lo <= 0 or lo * lo <= norm_sq) and norm_sq <= hi * hi
+
+
+def _t(x) -> Fraction:
+    """The exact value of a raw libmp tuple."""
+    sign, man, exp, _ = x
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _in_bracket(norm_sq: Fraction, bracket) -> bool:
+    """sqrt(norm_sq) lies in the bracket (lo, hi) of raw tuples."""
+    lo, hi = _t(bracket[0]), _t(bracket[1])
+    return lo * lo <= norm_sq <= hi * hi
 
 
 def _h_row(r: int, nodes: list) -> list:
@@ -405,6 +429,121 @@ def _sampled_roots(disks):
     return roots, points
 
 
+def _identity_of(roots, g, sources=None, rows=None):
+    """`bounds._identity` on the grid of `roots` for the graph g, with W_1
+    built for `sources` (default: g's) or given as `rows`."""
+    t = roots.table
+    true_sources = t.edges(g).sources
+    point = bounds._second_point(t)
+    if rows is None:
+        rows = bounds._w1(t, true_sources if sources is None else sources, point)
+    return bounds._identity(t, true_sources, rows, point)
+
+
+def _w1_matrix(rows, entry) -> list:
+    """The square matrix of W_1's rows (see `bounds.W1Row`), each entry
+    mapped by `entry`."""
+    return [[entry(0, 0)] * row.start + [entry(x, y) for x, y in zip(row.xs, row.ys)] for row in rows]
+
+
+# Gaussian integers, a fifth of them 0, for matrices that need row swaps
+_gauss = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+    st.tuples(st.integers(-(2**200), 2**200), st.integers(-2, 2)),
+)
+
+
+class TestIdentityCheck:
+    @settings(max_examples=80, deadline=None)
+    @given(_disks, st.data())
+    def test_a_wrong_w1_fails_the_check(self, disks, data):
+        roots, _ = _sampled_roots(disks)
+        r = roots.r
+        t = roots.table
+        assume(len({(x, y) for x, y, _, _ in t.nodes}) == r)
+        g = orient([e for e in ((i, j) for j in range(r) for i in range(j)) if data.draw(st.booleans())], r)
+        sources = t.edges(g).sources
+        rows = bounds._w1(t, sources, bounds._second_point(t))
+        assert _identity_of(roots, g).holds
+        kind = data.draw(st.sampled_from(["entry", "drop", "replace", "swap"]))
+        if kind == "entry":
+            # a perturbed entry fails exactly when it changes the determinant
+            j = data.draw(st.integers(0, r - 1))
+            i = data.draw(st.integers(0, len(rows[j].xs) - 1))
+            dx, dy = data.draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (3, -2)]))
+            xs, ys = list(rows[j].xs), list(rows[j].ys)
+            xs[i] += dx
+            ys[i] += dy
+            wrong = rows[:j] + (rows[j]._replace(xs=xs, ys=ys),) + rows[j + 1:]
+            gauss = lambda x, y: GaussianRational.of(x, y)  # noqa: E731
+            same = oracles.exact_det(_w1_matrix(wrong, gauss)) == oracles.exact_det(_w1_matrix(rows, gauss))
+            assert _identity_of(roots, g, rows=wrong).holds == same
+            return
+        if kind == "swap":
+            j, k = data.draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+            wrong = list(rows)
+            wrong[j], wrong[k] = wrong[k], wrong[j]
+            assert not _identity_of(roots, g, rows=tuple(wrong)).holds
+            return
+        fed = [j for j in range(r) if sources[j]]
+        assume(fed)
+        j = data.draw(st.sampled_from(fed))
+        a = data.draw(st.sampled_from(sources[j]))
+        kept = [b for b in sources[j] if b != a]
+        if kind == "replace":
+            others = [b for b in range(j) if b not in sources[j]]
+            assume(others)
+            kept.append(data.draw(st.sampled_from(others)))
+        wrong = sources[:j] + (tuple(sorted(kept)),) + sources[j + 1:]
+        assert not _identity_of(roots, g, sources=wrong).holds
+
+    def test_the_second_point_is_checked(self):
+        # the complete graph's W_1 is unit upper triangular, so one more unit
+        # on the diagonal doubles its determinant, at either point alone
+        roots = find_roots(parse_polynomial("x*(x-1/3)*(x+2/5)"), 128)
+        g = orient([(0, 1), (0, 2), (1, 2)], roots)
+        t = roots.table
+        rows = bounds._w1(t, t.edges(g).sources, bounds._second_point(t))
+        assert _identity_of(roots, g, rows=rows).holds
+        last = rows[-1]
+        at_point = [last.at_point[0] + 1] + last.at_point[1:]
+        assert not _identity_of(roots, g, rows=rows[:-1] + (last._replace(at_point=at_point),)).holds
+        xs = [last.xs[0] + 1] + last.xs[1:]
+        assert not _identity_of(roots, g, rows=rows[:-1] + (last._replace(xs=xs),)).holds
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(_gauss, min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    def test_modular_determinant_matches_the_exact_one(self, entries):
+        exact = oracles.exact_det([[GaussianRational.of(x, y) for x, y in row] for row in entries])
+        assert exact.re.denominator == exact.im.denominator == 1
+        mod_q = bounds._det_mod_q([[(x + _IOTA * y) % _Q for x, y in row] for row in entries])
+        assert mod_q == (exact.re.numerator + _IOTA * exact.im.numerator) % _Q
+
+    def test_second_point_is_the_same_on_every_run(self):
+        # the point hashes the grid numerators, not Python's salted hashes
+        code = (
+            "from rootsep import find_roots, parse_polynomial\n"
+            "from rootsep.bounds import _second_point\n"
+            "roots = find_roots(parse_polynomial('(x-1/3-i/5)*(x+2/7)*(x-5/8+i)*(x+1)'), 128)\n"
+            "print(list(_second_point(roots.table)))"
+        )
+        runs = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")
+        ]
+        roots = find_roots(parse_polynomial("(x-1/3-i/5)*(x+2/7)*(x-5/8+i)*(x+1)"), 128)
+        point = bounds._second_point(roots.table)
+        assert runs[0] == runs[1] == f"{list(point)}\n"
+        assert all(0 <= v < _Q for v in point) and len(set(point)) == 4
+        # a table on other numerators draws another point
+        other = find_roots(parse_polynomial("(x-1/3-i/5)*(x+2/7)*(x-5/8+i)*(x+2)"), 128)
+        assert bounds._second_point(other.table) != point
+
+
 class TestGridEnclosure:
     @settings(max_examples=60, deadline=None)
     @given(_disks)
@@ -427,7 +566,7 @@ class TestGridEnclosure:
         # the grid
         for (x, y, h, l), m1 in zip(table.nodes, table.max1):
             if h == l:
-                assert _q(m1.rad) <= _q(m1.mid) / 2**140
+                assert _t(m1[1]) - _t(m1[0]) <= _t(m1[0]) / 2**140
         for (i, j), (x, y, h, l) in table.diff.items():
             if h == l and (x or y):
                 with working_precision(128):
@@ -445,8 +584,14 @@ class TestGridEnclosure:
         with working_precision(128):
             table = roots.table
             products = table.edges(g)
-            w1 = table.w1(products.sources)
-            norms = [grid_row_norm(row, w1.w) for row in w1.rows]
+            # the certificate on the table as it is: the disks may meet
+            point = bounds._second_point(table)
+            w1 = bounds._w1(table, products.sources, point)
+            cert = bounds.VandermondeCertificate(
+                table, products, g.in_degrees, w1, bounds._identity(table, products.sources, w1, point)
+            )
+        # the identity is exact: it holds whatever the disks
+        assert cert.identity.holds
         unit = Fraction(1, 2**table.w)
         det_w = GaussianRational.of(1)
         for (i, j) in pairs:
@@ -456,21 +601,34 @@ class TestGridEnclosure:
             det_w = det_w * dz
         assert _in_ball(det_w, table.det_w)
         edge_product = GaussianRational.of(1)
-        for j, factor in zip(range(r - 1, 0, -1), products.step_factors):
+        for j, factor in zip(range(r - 1, 0, -1), cert.step_factors):
             step = GaussianRational.of(1)
             for a in products.sources[j]:
                 step = step * (z[j] - z[a])
             assert _in_ball(step, factor)
             edge_product = edge_product * step
         assert _in_ball(edge_product, products.edge_product)
-        unit = Fraction(1, 2**w1.w)
-        for j, ((xs, ys, rs), norm) in enumerate(zip(w1.rows, norms)):
+        det_w1 = GaussianRational.of(1)
+        for (i, j) in pairs:
+            if i not in products.sources[j]:
+                det_w1 = det_w1 * (z[j] - z[i])
+        assert _in_ball(det_w1, cert.det_w1)
+        hadamard = Fraction(1)
+        for j, (row, norm, bound) in enumerate(zip(w1, cert.row_norms, cert.row_norm_bounds)):
             exact = _h_row(r, [z[a] for a in products.sources[j]] + [z[j]])
-            for h, x, y, rad in zip(exact, xs, ys, rs):
+            assert all(h.is_zero for h in exact[:row.start])
+            for i, (h, x, y, rad) in enumerate(zip(exact[row.start:], row.xs, row.ys, row.rads)):
+                unit = Fraction(1, 2 ** (i * table.w))
                 assert _in_disk(h, x * unit, y * unit, rad * unit)
             assert _norm_in(sum(h.norm() for h in exact), norm)
+            # the bound's square: r^(2d+1) / 3^d max(1, |z_j|^2)^(r-1-d)
+            d = g.in_degrees[j]
+            square = Fraction(r ** (2 * d + 1), 3**d) * max(Fraction(1), z[j].norm()) ** (r - 1 - d)
+            assert _norm_in(square, bound)
+            hadamard *= square
+        assert _norm_in(hadamard, cert.hadamard_rhs)
         for zj, m1 in zip(z, table.max1):
-            assert _norm_in(max(Fraction(1), zj.norm()), m1)
+            assert _in_bracket(max(Fraction(1), zj.norm()), m1)
 
 
 def _degree_16_roots():
@@ -565,8 +723,8 @@ class TestDeterminantOnIntegers:
                 return real(rows, *args)
             return run
 
-        monkeypatch.setattr(balls, "_eliminate_real", spy("real", balls._eliminate_real))
-        monkeypatch.setattr(balls, "_eliminate", spy("complex", balls._eliminate))
+        monkeypatch.setattr(oracles, "_eliminate_real", spy("real", oracles._eliminate_real))
+        monkeypatch.setattr(oracles, "_eliminate", spy("complex", oracles._eliminate))
         with working_precision(128):
             got = ball_det(w1)
         assert calls["real"] > 0 and calls["complex"] == 0
@@ -576,13 +734,13 @@ class TestDeterminantOnIntegers:
         # a midpoint under its own radius is rounding noise: it floors into
         # the radius and does not set the grid
         grids = []
-        real_pivot = balls._grid_pivot
+        real_pivot = oracles._grid_pivot
 
         def pivot_spy(x, y, r, w):
             grids.append(w)
             return real_pivot(x, y, r, w)
 
-        monkeypatch.setattr(balls, "_grid_pivot", pivot_spy)
+        monkeypatch.setattr(oracles, "_grid_pivot", pivot_spy)
         w1 = _path_w1(12)
         with working_precision(128):
             noise = [CBall(mpmath.mpc(mpmath.ldexp(3 * s, -160), mpmath.ldexp(-s, -158)),
@@ -667,6 +825,22 @@ class TestRowNormHadamard:
         g = orient([], roots)
         cert = reduce_vandermonde(roots, g)
         assert abs(cert.hadamard_rhs.mid - 1) < 1e-25
+
+    def test_checks_decide_at_equality_and_fail_on_a_wrong_bound(self):
+        # roots +-1, no edges: W_1 = W = [[1, -1], [1, 1]], each row norm
+        # sqrt(2) is its bound sqrt(2) max(1, 1), and |det W_1| = 2 the
+        # Hadamard bound: both checks hold, at equality
+        roots = find_roots(parse_polynomial("x^2-1"), 128)
+        assert roots.entries[0].value.rad == 0
+        cert = reduce_vandermonde(roots, orient([], roots))
+        assert cert.rows_ok() and cert.hadamard_ok()
+        # roots +-2 with in-degrees 1 claimed: each bound sqrt(8/3) is below
+        # the row norms sqrt(5), and their product 8/3 below |det W_1| = 4
+        roots = find_roots(parse_polynomial("x^2-4"), 128)
+        cert = reduce_vandermonde(roots, orient([], roots))
+        assert cert.rows_ok() and cert.hadamard_ok()
+        wrong = dataclasses.replace(cert, in_degrees=(1, 1))
+        assert not wrong.rows_ok() and not wrong.hadamard_ok()
 
     def test_chain_random(self):
         rng = random.Random(41)
@@ -880,14 +1054,21 @@ def _clustered_instance(eps: Fraction):
     return ExactPoly.from_roots(roots)
 
 
-def _two_cluster_instance(eps: Fraction):
-    """Roots 1 - eps, 1 + eps, 3 - eps, 3 + eps, -5. With the edge (0, 1),
-    W_1 keeps the Vandermonde rows of 3 - eps and 3 + eps, which differ by
-    about 2 eps: for eps = 1e-30 that is below the 64-bit rung's grid, so
-    the rung is inconclusive, while the root disks found there are tight
-    enough to be carried to 128 bits."""
+def _tight_pair():
+    """(x - c)(x + c), c = 1 + 2^-84: its roots are exact from 64 bits on,
+    and with no edges LHS = 1 against RHS = 1/c, a margin of about 2^-84
+    that the 64-bit rung's rounding cannot resolve and the 128-bit rung's
+    can."""
+    c = 1 + Fraction(1, 2**84)
+    return ExactPoly.from_roots([GaussianRational.of(c), GaussianRational.of(-c)])
+
+
+def _far_cluster():
+    """Roots 1, 1 + 2^-1500 and 3: at 64 bits `find_roots` cannot separate
+    the pair (its working precision stops at 1408 bits), at 128 bits it
+    can."""
     return ExactPoly.from_roots(
-        [GaussianRational.of(v) for v in (1 - eps, 1 + eps, 3 - eps, 3 + eps, -5)]
+        [GaussianRational.of(1), GaussianRational.of(1 + Fraction(1, 2**1500)), GaussianRational.of(3)]
     )
 
 
@@ -1016,13 +1197,9 @@ class TestVerify:
             verify(parse_polynomial("x^2-1"), [(0, 1)], "nope")
 
     def test_escalation_resolves_tight_instance(self):
-        # the pair 1, 1 + 1e-30 is inconclusive at 64 bits; only escalation
-        # separates it. The edge (1, 2) leaves both near-equal rows in W_1
-        eps = Fraction(1, 10**30)
-        p = ExactPoly.from_roots(
-            [GaussianRational.of(1), GaussianRational.of(1 + eps), GaussianRational.of(3)]
-        )
-        rep = verify(p, [(1, 2)], "main", precision=64, ceiling=512)
+        # the pair 1, 1 + 2^-1500 is indistinguishable at 64 bits; only
+        # escalation separates it
+        rep = verify(_far_cluster(), [(1, 2)], "main", precision=64, ceiling=512)
         assert rep.holds
         assert rep.precision_bits == 128
 
@@ -1053,8 +1230,10 @@ class TestVerify:
     def test_root_set_spares_the_first_rung(self, monkeypatch):
         import rootsep.roots
 
-        p = _two_cluster_instance(Fraction(1, 10**30))
-        expected = verify(p, [(0, 1)], "main", precision=64, ceiling=256)
+        # _tight_pair's roots are exact at 64 bits and its 64-bit rung is
+        # inconclusive, so its root set is carried to 128 bits as it is
+        p = _tight_pair()
+        expected = verify(p, [], "main", precision=64, ceiling=256)
         assert expected.precision_bits == 128
         roots = find_roots(p, 64)
         solved = []
@@ -1065,13 +1244,13 @@ class TestVerify:
             return real_solve(poly, bits, warm)
 
         monkeypatch.setattr(rootsep.roots, "_find_roots_exact", counting_solve)
-        rep = verify(p, [(0, 1)], "main", precision=64, ceiling=256, roots=roots)
+        rep = verify(p, [], "main", precision=64, ceiling=256, roots=roots)
         assert _exact_fields(rep) == _exact_fields(expected)
         carried = refine(p, roots, 128)
-        assert _exact_fields(rep) == _exact_fields(bound_main(p, [(0, 1)], 128, roots=carried))
+        assert _exact_fields(rep) == _exact_fields(bound_main(p, [], 128, roots=carried))
         assert solved == []
         # a root set at another precision is carried to it, not solved again
-        again = verify(p, [(0, 1)], "main", precision=128, ceiling=256, roots=roots)
+        again = verify(p, [], "main", precision=128, ceiling=256, roots=roots)
         assert solved == []
         assert _exact_fields(again) == _exact_fields(rep)
 
@@ -1136,16 +1315,19 @@ class TestVerify:
         assert rep.precision_bits == 1024
 
     def test_remark_variants_match_the_direct_call(self):
-        # eps = 1e-30 is inconclusive at 64 bits, so the ladder escalates
-        p = _two_cluster_instance(Fraction(1, 10**30))
-        hints = [(0, 1, 1.0), (2, 3, 1.0)]
-        for variant, direct in (
-            ("remark_degree", lambda bits, roots: bound_remark_degree(p, [(0, 1)], bits, roots)),
-            ("remark_pairs", lambda bits, roots: bound_remark_pairs(p, [(0, 1)], hints, bits, roots)),
+        # both are inconclusive at 64 bits, so the ladder escalates:
+        # remark_degree on _tight_pair's margin, whose 64-bit root set the
+        # ladder carries up, and remark_pairs on _far_cluster's pair, which
+        # 64 bits cannot separate
+        pair, cluster = _tight_pair(), _far_cluster()
+        hints = [(0, 1, 1.0)]
+        for variant, p, direct in (
+            ("remark_degree", pair, lambda bits, roots: bound_remark_degree(pair, [], bits, roots)),
+            ("remark_pairs", cluster, lambda bits, roots: bound_remark_pairs(cluster, [], hints, bits, roots)),
         ):
-            rep = verify(p, [(0, 1)], variant, precision=64, ceiling=1024, hints=hints)
+            rep = verify(p, [], variant, precision=64, ceiling=1024, hints=hints)
             assert rep.holds and rep.precision_bits > 64
-            # the ladder carries the 64-bit root set up to the rung that holds
+            # the report is the direct call's at the rung that holds
             assert _exact_fields(rep) == _exact_fields(direct(rep.precision_bits, rep.roots))
             assert direct(rep.precision_bits, None).verdict == rep.verdict
 

@@ -240,7 +240,9 @@ class TestCertificate:
         assert abs(payload["det_w"]["re"] - 2) < 1e-9
         assert len(payload["step_factors"]) == 2
         assert len(payload["row_norms"]) == 3
-        assert payload["identity_rel_discrepancy"] <= 1e-10
+        assert payload["identity"]["holds"] is True
+        assert payload["identity"]["q"] == 2**62 - 87
+        assert [len(point) for point in payload["identity"]["points"]] == [3, 3]
 
 
 class TestInvariants:

@@ -4,16 +4,17 @@ import random
 import mpmath
 import pytest
 
-from rootsep import (
+from rootsep import ValidationError
+from rootsep.balls import CBall, working_precision
+
+from oracles import (
     NodeList,
-    ValidationError,
     divdiff_explicit,
     divdiff_monomial,
     divdiff_recursive,
     divdiff_vector,
+    power_basis_row,
 )
-from rootsep.divdiff import power_basis_row
-from rootsep.balls import CBall, working_precision
 
 
 class TestRecursive:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rootsep import ExactPoly, ValidationError
+from rootsep import ExactPoly, GaussianRational, ValidationError
 from rootsep.sweep import SweepParams, generate_instance, run_instance, run_sweep
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -65,17 +65,25 @@ class TestRunInstance:
         rec = run_instance(42, 0, params)
         assert rec["verdict_final"] in ("holds", "inconclusive")
         assert not rec["violated"]
-        assert rec["certificate_rel_discrepancy"] is None or rec["certificate_rel_discrepancy"] <= 1e-10
+        assert rec["identity_holds"] in (True, None)
 
     def test_escalation_carries_the_first_root_set(self, monkeypatch):
-        # instance 52 of seed 101 clusters two roots of its multiplicity-2
-        # factor 2^-200 apart, and its one edge (0, 2) leaves both in W_1:
-        # inconclusive at 128 bits, holds at 256, where the disks certified
-        # at 128 bits already meet the radius target
+        # no generated instance is inconclusive at 128 bits, so the slot
+        # holds (x - c)(x + c), c = 1 + 2^-147, with no edges: its roots are
+        # exact at 128 bits, and LHS = 1 against RHS = 1/c is inconclusive
+        # there and holds at 256, where the disks certified at 128 bits
+        # already meet the radius target
         import rootsep.bounds
         import rootsep.roots
+        import rootsep.sweep
 
-        params = SweepParams(max_degree=8, force_cluster=Fraction(1, 2**200))
+        c = 1 + Fraction(1, 2**147)
+        p = ExactPoly.from_roots([GaussianRational.of(c), GaussianRational.of(-c)])
+        monkeypatch.setattr(
+            rootsep.sweep, "generate_instance",
+            lambda seed, index, params: (p, {"edges": []}, {"index": index, "multiplicities": [1, 1]}),
+        )
+        params = SweepParams()
         solved = []
         real_solve = rootsep.roots._find_roots_exact
 
@@ -85,7 +93,6 @@ class TestRunInstance:
 
         monkeypatch.setattr(rootsep.roots, "_find_roots_exact", counting_solve)
         rec = run_instance(101, 52, params)
-        assert rec["multiplicities"][:2] == [2, 2]
         assert solved == [128]
         # a fresh solve on every rung gives the same record; like `refine`,
         # the stand-in keeps a set that is already at the rung's precision
