@@ -4,8 +4,8 @@ The package exposes:
 
 * exact polynomial arithmetic over the Gaussian rationals (`poly`),
 * high-precision root finding with certified error disks (`roots`),
-* Mahler measure, discriminant and subdiscriminants by independent routes
-  (`invariants`),
+* the Mahler measure, |Disc| and |sDisc_{d-r}| from one subresultant chain,
+  cross-checked by the root-product formula (`invariants`),
 * graphs on root indices with the canonical orientation (`graph`),
 * the bound variants with reduction certificates and directed-rounding
   verdicts (`bounds`),
@@ -22,8 +22,6 @@ from .bounds import (
     bound_remark_degree,
     bound_remark_pairs,
     bound_sep_product,
-    lemma_aux_check,
-    multiplicity_product_bound,
     reduce_vandermonde,
     verify,
 )
@@ -31,7 +29,6 @@ from . import divdiff  # noqa: F401  the layer of the reduction's rows
 from .errors import (
     CertificationError,
     IndistinguishableRootsError,
-    JensenUnavailableError,
     ParseError,
     PreconditionError,
     RootsepError,
@@ -48,21 +45,16 @@ from .graph import (
 from .invariants import (
     InvariantBundle,
     compute_invariants,
-    discriminant,
     mahler_measure,
-    mahler_measure_jensen,
     sdisc_abs_from_roots,
-    sdisc_abs_from_subresultants,
-    subdiscriminant,
 )
 from .parsing import parse_polynomial, render_exact_poly
 from .poly import (
     ExactPoly,
-    eval_poly,
     gcd_exact,
     square_free_decomposition,
 )
-from .roots import RootSet, find_roots, min_pairwise_distance, refine, sep
+from .roots import RootSet, find_roots, refine, sep
 from .sweep import SweepParams, generate_instance, run_sweep
 
 __version__ = "0.1.0"
@@ -76,7 +68,6 @@ __all__ = [
     "GaussianRational",
     "IndistinguishableRootsError",
     "InvariantBundle",
-    "JensenUnavailableError",
     "ParseError",
     "PreconditionError",
     "RBall",
@@ -93,17 +84,11 @@ __all__ = [
     "bound_sep_product",
     "check_classical_admissible",
     "compute_invariants",
-    "discriminant",
-    "eval_poly",
     "find_roots",
     "gcd_exact",
     "generate_instance",
-    "lemma_aux_check",
     "mahler_measure",
-    "mahler_measure_jensen",
-    "min_pairwise_distance",
     "min_total_degree",
-    "multiplicity_product_bound",
     "orient",
     "parse_polynomial",
     "preset_edges",
@@ -112,10 +97,8 @@ __all__ = [
     "render_exact_poly",
     "run_sweep",
     "sdisc_abs_from_roots",
-    "sdisc_abs_from_subresultants",
     "sep",
     "square_free_decomposition",
-    "subdiscriminant",
     "verify",
     "working_precision",
 ]

@@ -435,10 +435,13 @@ class RBall:
     powi = _powi
 
     def powr(self, e) -> "RBall":
-        """Real power of a strictly positive ball (monotone endpoints)."""
+        """Real power of a strictly positive ball (monotone endpoints), for a
+        finite exponent."""
         t = (e if isinstance(e, mpf) else mpf(e))._mpf_
-        if not t[1]:
+        if t == fzero:
             return RBall.one()
+        if not t[1]:  # nan and the infinities carry no mantissa
+            raise BallDomainError("real power with a non-finite exponent")
         prec = mp.prec
         lo, hi = _ends(self._m, self._r, prec)
         if lo[0] or not lo[1]:

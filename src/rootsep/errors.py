@@ -47,10 +47,6 @@ class CertificationError(RootsepError):
         super().__init__(msg)
 
 
-class JensenUnavailableError(RootsepError):
-    """A root lies too close to the unit circle for the quadrature cross-check."""
-
-
 class BallDomainError(RootsepError):
     """A ball operation left its domain (division by a ball containing zero,
     root of a ball touching zero, ...)."""

@@ -1,67 +1,36 @@
 """Algebraic quantities on the right-hand side of the bounds.
 
-Each quantity is available by two independent routes:
-
-* Mahler measure: the root-product definition (authoritative) and a
-  trapezoidal quadrature of log|P| on the unit circle (cross-check only,
-  unusable when a root sits near the circle).
-* |sDisc_{d-r}|: the root-product formula (squared pairwise distances times
-  the multiplicity product) and the exact principal subresultant coefficient
-  of (P, P'), read off the subresultant chain that `rootsep.poly` builds over
-  the Gaussian integers. Only the absolute value is consumed downstream, so
-  the subresultant route is normalized by absolute value against the root
-  formula.
-
-The discriminant and every principal subresultant coefficient come from that
-same chain; `compute_invariants` takes it from the root set's square-free
-decomposition: Yun's first chain, or, when the F_q test proved P
-square-free, the chain built once, on the first read (`poly.Decomposition`).
-Vanishing decisions (the index d - r itself) are made exactly: the chain and
-the square-free decomposition must agree. Every input is an exact
-polynomial, a decimal literal having been parsed as its exact rational.
+`compute_invariants` gives M(P), |Disc| and |sDisc_{d-r}| with the index
+d - r. The exact factors are the principal subresultant coefficients of
+(P, P'), read off the subresultant chain that the root set's square-free
+decomposition holds (`RootSet.chain_heads`): Yun's first chain, or, when the
+F_q test proved P square-free, the chain built once, on the first read
+(`poly.Decomposition`). The index d - r is decided exactly: the chain and
+the square-free decomposition must agree. Only absolute values are consumed
+downstream, so |sDisc_{d-r}| is returned as a ball, irrational when the
+subdiscriminant is not real. Every input is an exact polynomial, a decimal
+literal having been parsed as its exact rational.
 
 The root-product routes read the root set's rung table (`RootSet.table`,
 see `balls`), as the bounds do: |sDisc_{d-r}| is (|lc|^{r-1} (prod
 m_j)^{1/2} |det W|)^2, and M is |lc| prod max(1, |v_j|)^{m_j}.
+`compute_invariants` checks on every call that the two |sDisc_{d-r}|
+routes agree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
 
-import mpmath
-from mpmath import mpc, mpf
-
 from .balls import RBall, bracket_ball, bracket_mul, working_precision
-from .errors import JensenUnavailableError, RootsepError, ValidationError
+from .errors import RootsepError
 from .gaussian import GaussianRational
-from .poly import (
-    ExactPoly,
-    _derivative_coefficients,
-    _principal_coefficients,
-    eval_poly,
-    square_free_decomposition,
-)
+from .poly import _derivative_coefficients
 from .roots import RootSet, find_roots
 
 # ---------------------------------------------------------------------------
-# exact subresultant routes (all read one subresultant chain)
+# the exact route: the chain of (P, P')
 # ---------------------------------------------------------------------------
-
-
-def principal_subresultant(a: ExactPoly, b: ExactPoly, j: int) -> GaussianRational:
-    """j-th principal subresultant coefficient of (a, b), deg a > deg b.
-
-    By definition the determinant of the classical coefficient matrix with
-    rows X^k*a and X^k*b over the column exponents deg(a)+deg(b)-j-1 .. j;
-    index 0 gives the resultant.
-    """
-    p, q = a.degree, b.degree
-    if not p > q >= 0:
-        raise ValidationError("principal_subresultant needs deg a > deg b >= 0")
-    if not 0 <= j <= q:
-        raise ValidationError(f"subresultant index {j} out of range 0..{q}")
-    return _principal_coefficients(a, b)[j]
 
 
 def _first_nonzero(psc: list[GaussianRational], d: int, r: int) -> tuple[int, GaussianRational]:
@@ -79,30 +48,6 @@ def _abs_ball(w: GaussianRational) -> RBall:
     if w.is_real:
         return RBall.exact(abs(w.re))
     return RBall.exact(w.norm()).sqrt()
-
-
-def discriminant(p: ExactPoly) -> GaussianRational:
-    """Classical discriminant, exact: (-1)^(d(d-1)/2) Res(P, P') / lc(P)."""
-    if p.is_zero or p.degree < 2:
-        raise ValidationError("discriminant needs degree >= 2")
-    res = _principal_coefficients(p, p.derivative())[0]
-    d = p.degree
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return res / p.leading * sign
-
-
-def subdiscriminant(p: ExactPoly) -> tuple[int, GaussianRational]:
-    """(d - r, exact value of the first nonvanishing subdiscriminant).
-
-    The index is cross-checked against the square-free decomposition, whose
-    chain (`poly.Decomposition.heads`) gives psc(P, P').
-    """
-    if p.is_zero or p.degree < 1:
-        raise ValidationError("subdiscriminant needs degree >= 1")
-    dec = square_free_decomposition(p)
-    r = sum(f.degree for f, _ in dec)
-    k, sres = _first_nonzero(_derivative_coefficients(p, dec.heads), p.degree, r)
-    return k, sres / p.leading
 
 
 # ---------------------------------------------------------------------------
@@ -137,54 +82,6 @@ def sdisc_abs_from_roots(roots: RootSet) -> RBall:
         lc_part = roots.leading_coeff.abs().powi(r - 1)
         root_part = lc_part * RBall.exact(prod(roots.multiplicities())).sqrt() * roots.table.det_w.abs()
         return root_part * root_part
-
-
-def sdisc_abs_from_subresultants(p: ExactPoly, precision: int = 128) -> RBall:
-    """|sDisc_{d-r}| by the exact subresultant route, as a near-exact ball.
-
-    The value itself is an exact Gaussian rational (see `subdiscriminant`);
-    its absolute value is returned as a ball because it is irrational when
-    the subdiscriminant is not real. With r = 1 the conventional value is 1,
-    matching the root-product route.
-    """
-    with working_precision(precision):
-        k, w = subdiscriminant(p)
-        return RBall.one() if p.degree - k == 1 else _abs_ball(w)
-
-
-def mahler_measure_jensen(
-    p, n_nodes: int = 512, roots: RootSet | None = None, precision: int = 128
-) -> tuple[mpf, mpf]:
-    """Quadrature cross-check of the Mahler measure.
-
-    exp of the trapezoidal mean of log|P| on the unit circle, evaluated with
-    n_nodes and 2*n_nodes points; returns (estimate, convergence gap). The
-    estimate converges geometrically at a rate set by the distance of the
-    roots to the circle, so a root within 1e-6 of the circle makes the
-    oracle unusable and raises; the product formula stays authoritative.
-    """
-    if n_nodes < 4:
-        raise ValidationError("quadrature needs at least 4 nodes")
-    with working_precision(precision):
-        if roots is None:
-            roots = find_roots(p, precision)
-        for idx, e in enumerate(roots.entries):
-            dist_to_circle = abs(e.value.abs().mid - 1)
-            if dist_to_circle <= mpf("1e-6"):
-                raise JensenUnavailableError(
-                    f"jensen oracle unavailable: root {idx} lies within 1e-6 of the unit circle"
-                )
-
-        def estimate(n: int) -> mpf:
-            total = mpf(0)
-            for k in range(n):
-                z = mpmath.exp(mpc(0, 2 * mpmath.pi * k / n))
-                total += mpmath.log(abs(eval_poly(p, z).mid))
-            return mpmath.exp(total / n)
-
-        coarse = estimate(n_nodes)
-        fine = estimate(2 * n_nodes)
-        return fine, abs(fine - coarse)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ wrong answer. The chain's principal coefficients are then built only when
 they are read (`Decomposition.heads`).
 
 Every polynomial the package handles is an ExactPoly: the parser reads a
-decimal literal as its exact rational. `eval_poly` evaluates one in ball
-arithmetic with a radius that covers all rounding.
+decimal literal as its exact rational. The module needs no ball arithmetic;
+`_horner` evaluates the floating-point copies of a factor's coefficients
+that the roots' float phase iterates on.
 
 The zero polynomial is a dedicated state (no numerators, is_zero flag);
 asking for its degree is an error rather than a sentinel value.
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .balls import CBall, working_precision
 from .errors import ValidationError
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational
 
@@ -312,27 +312,15 @@ def _chain_heads(chain: dict, q: int) -> tuple:
     return tuple(heads)
 
 
-def _principal_coefficients(a: ExactPoly, b: ExactPoly) -> list[GaussianRational]:
-    """Principal subresultant coefficients psc_0 .. psc_{deg b} of (a, b),
-    deg a > deg b, read off one chain: psc_j is the X^j coefficient of S_j."""
-    ca, la, cb, lb = a.nums, a.den, b.nums, b.den
-    p, q = a.degree, b.degree
-    out = []
-    for j, (re, im) in enumerate(_chain_heads(_subresultant_chain(ca, cb), q)):
-        # rows of a carry la once each, rows of b carry lb once each
-        scale = la ** (q - j) * lb ** (p - j)
-        out.append(GaussianRational(Fraction(re, scale), Fraction(im, scale)))
-    return out
-
-
 def _derivative_coefficients(p: ExactPoly, heads: tuple) -> list[GaussianRational]:
     """psc_0 .. psc_{d-1} of (P, P'), from the `heads` of the chain of (monic
     P, its derivative) that `square_free_decomposition` builds.
 
     P = lc * monic P and P' = lc * (monic P)', and psc_j is a determinant
     with d - 1 - j rows of the first and d - j rows of the second, so
-    psc_j(P, P') = lc^(2d - 1 - 2j) psc_j(monic P, (monic P)'); the
-    denominators come in as in `_principal_coefficients`.
+    psc_j(P, P') = lc^(2d - 1 - 2j) psc_j(monic P, (monic P)'); the chain
+    runs on the numerators, so the d - 1 - j rows of monic P bring its
+    denominator once each, and the d - j rows of the derivative theirs.
     """
     pm = p.monic()
     la, lb = pm.den, pm.derivative().den
@@ -461,24 +449,9 @@ def square_free_decomposition(p: ExactPoly) -> Decomposition:
     return out
 
 
-def eval_poly(p: ExactPoly, z, precision: int | None = None) -> CBall:
-    """Horner evaluation of an exact polynomial returning a ball whose radius
-    covers all rounding, the coefficients contributing only conversion ulps.
-    With `precision` set the evaluation runs at that precision, otherwise at
-    the ambient one.
-    """
-    if precision is not None:
-        with working_precision(precision):
-            return eval_poly(p, z)
-    if p.is_zero:
-        return CBall.exact(0)
-    zb = z if isinstance(z, CBall) else CBall.exact(z)
-    return _horner([CBall.from_gaussian(c) for c in p.coeffs], zb)[0]
-
-
 def _horner(coeffs, z):
     """Value and derivative of sum coeffs[k] z^k in one pass, in the
-    arithmetic of z: Python `complex` (the roots' float phase) or `CBall`."""
+    arithmetic of z: Python `complex` or `float` (the roots' float phase)."""
     p = coeffs[-1]
     dp = 0 * z
     for c in reversed(coeffs[:-1]):

@@ -187,18 +187,6 @@ def sep(roots: RootSet, j: int) -> RBall:
     return roots.distance(roots.partner(j), j)
 
 
-def min_pairwise_distance(roots: RootSet) -> RBall:
-    if roots.r < 2:
-        raise PreconditionError("no different root: the root set has a single entry")
-    best = None
-    for j in range(roots.r):
-        for i in range(j):
-            d = roots.distance(i, j)
-            if best is None or d.mid < best.mid:
-                best = d
-    return best
-
-
 def _canonical_key(z: mpc):
     """(modulus, re, im) of z rounded to the working precision, so that
     iteration noise below it cannot reorder roots of equal modulus. A real

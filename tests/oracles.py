@@ -36,13 +36,19 @@ and a row's entry in its column are real, f is real and that row's update
 changes X and R only: its Y products are all 0. Only the pivots become
 balls again, with exact dyadic midpoints and radii rounded up to RAD_BITS
 bits; the determinant is the sign times their product.
+
+`mahler_measure_jensen` is M(P) by quadrature of log|P| on the unit circle
+(Jensen), on `eval_poly`'s ball Horner; `lemma_aux_check` and
+`multiplicity_product_bound` check the two auxiliary lemmas exactly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from mpmath import mp
+import mpmath
+from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, fzero
 
 from rootsep.balls import (
@@ -54,9 +60,11 @@ from rootsep.balls import (
     _place,
     _scaled,
     ball_product,
+    working_precision,
 )
-from rootsep.errors import BallDomainError, ValidationError
+from rootsep.errors import BallDomainError, PreconditionError, RootsepError, ValidationError
 from rootsep.gaussian import GaussianRational
+from rootsep.roots import find_roots
 
 
 def exact_det(rows) -> GaussianRational:
@@ -345,3 +353,85 @@ def power_basis_row(r: int, nodes) -> list[CBall]:
     if r >= n:
         row += complete_homogeneous(r - n, ns)
     return row
+
+
+class JensenUnavailableError(RootsepError):
+    """A root lies too close to the unit circle for the quadrature cross-check."""
+
+
+def eval_poly(p, z, precision: int | None = None) -> CBall:
+    """Horner evaluation of an exact polynomial in ball arithmetic, the
+    coefficients contributing only conversion ulps; at `precision` when
+    given, otherwise at the ambient one."""
+    if precision is not None:
+        with working_precision(precision):
+            return eval_poly(p, z)
+    if p.is_zero:
+        return CBall.exact(0)
+    zb = z if isinstance(z, CBall) else CBall.exact(z)
+    cs = [CBall.from_gaussian(c) for c in p.coeffs]
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * zb + c
+    return acc
+
+
+def mahler_measure_jensen(p, n_nodes: int = 512, roots=None, precision: int = 128) -> tuple[mpf, mpf]:
+    """exp of the trapezoidal mean of log|P| on the unit circle with n_nodes
+    and 2 n_nodes points: (estimate, convergence gap). The estimate converges
+    geometrically at a rate set by the distance of the roots to the circle,
+    so a root within 1e-6 of the circle raises."""
+    if n_nodes < 4:
+        raise ValidationError("quadrature needs at least 4 nodes")
+    with working_precision(precision):
+        if roots is None:
+            roots = find_roots(p, precision)
+        for idx, e in enumerate(roots.entries):
+            if abs(e.value.abs().mid - 1) <= mpf("1e-6"):
+                raise JensenUnavailableError(
+                    f"jensen oracle unavailable: root {idx} lies within 1e-6 of the unit circle"
+                )
+
+        def estimate(n: int) -> mpf:
+            total = mpf(0)
+            for k in range(n):
+                z = mpmath.exp(mpc(0, 2 * mpmath.pi * k / n))
+                total += mpmath.log(abs(eval_poly(p, z).mid))
+            return mpmath.exp(total / n)
+
+        coarse = estimate(n_nodes)
+        fine = estimate(2 * n_nodes)
+        return fine, abs(fine - coarse)
+
+
+def lemma_aux_check(d: int, r: int) -> tuple[mpf, mpf, mpf]:
+    """(lhs, mid, rhs) for in-degree d and size r, where
+        lhs = (sum_{i=d}^{r-1} C(i,d)^2)^(1/2)
+        mid = C(r-1,d) * ((r+d)/(2d+1))^(1/2)
+        rhs = (r/sqrt(3))^d * r^(1/2),
+    after lhs <= mid <= rhs is verified exactly on the squares."""
+    if d < 0 or r < 1 or d > r - 1:
+        raise PreconditionError(f"lemma_aux_check needs 0 <= d <= r-1, got d={d}, r={r}")
+    lhs_sq = sum(math.comb(i, d) ** 2 for i in range(d, r))
+    mid_sq = Fraction(math.comb(r - 1, d) ** 2 * (r + d), 2 * d + 1)
+    rhs_sq = Fraction(r ** (2 * d + 1), 3**d)
+    if not (lhs_sq <= mid_sq <= rhs_sq):
+        raise RootsepError(f"inequality chain failed at d={d}, r={r}")
+    return (
+        mpmath.sqrt(mpf(lhs_sq)),
+        mpmath.sqrt(mpf(mid_sq.numerator) / mpf(mid_sq.denominator)),
+        mpmath.sqrt(mpf(rhs_sq.numerator) / mpf(rhs_sq.denominator)),
+    )
+
+
+def multiplicity_product_bound(multiplicities) -> tuple[mpf, mpf]:
+    """(prod m_i, 3^(min(d, 2d-2r)/3)) with the inequality verified exactly."""
+    ms = list(multiplicities)
+    if not ms or any((not isinstance(m, int)) or m < 1 for m in ms):
+        raise ValidationError("multiplicities must be a nonempty list of positive integers")
+    d, r = sum(ms), len(ms)
+    mmin = min(d, 2 * d - 2 * r)
+    product = math.prod(ms)
+    if product**3 > 3**mmin:
+        raise RootsepError(f"multiplicity bound failed for {ms}")
+    return mpf(product), mpmath.cbrt(mpf(3**mmin))

@@ -21,18 +21,22 @@ from rootsep import (
     bound_remark_degree,
     bound_remark_pairs,
     bound_sep_product,
+    compute_invariants,
     find_roots,
-    lemma_aux_check,
-    multiplicity_product_bound,
     parse_polynomial,
     sdisc_abs_from_roots,
-    sdisc_abs_from_subresultants,
     verify,
 )
 from rootsep.balls import working_precision
 from rootsep.sweep import SweepParams, run_sweep
 
-from oracles import divdiff_explicit, divdiff_monomial, divdiff_recursive
+from oracles import (
+    divdiff_explicit,
+    divdiff_monomial,
+    divdiff_recursive,
+    lemma_aux_check,
+    multiplicity_product_bound,
+)
 
 SWEEP_SEED = 42
 
@@ -137,7 +141,7 @@ def test_criterion_4_two_route_subdiscriminant():
         roots = find_roots(p, 256)
         with working_precision(256):
             via_roots = sdisc_abs_from_roots(roots)
-            via_subres = sdisc_abs_from_subresultants(p, 256)
+            via_subres = compute_invariants(p, 256, roots=roots).sdisc_abs
             assert via_subres.overlaps(via_roots), str(p)
         checked += 1
     assert checked == 200

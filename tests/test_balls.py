@@ -236,6 +236,13 @@ class TestEndpointMaps:
                 RBall(-2, 1).root(3)
             with pytest.raises(BallDomainError):
                 RBall(1, 1).powr(mpmath.mpf(0.5))
+            # mpmath's nan and infinities have mantissa 0, as zero does; only
+            # the exponent 0 gives exactly 1
+            one = RBall.exact(3).powr(mpmath.mpf(0))
+            assert one.mid == 1 and one.rad == 0
+            for e in ("nan", "inf", "-inf"):
+                with pytest.raises(BallDomainError):
+                    RBall.exact(3).powr(mpmath.mpf(e))
 
 
 class TestModulusBounds:

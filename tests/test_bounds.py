@@ -36,8 +36,6 @@ from rootsep import (
     bound_remark_pairs,
     bound_sep_product,
     find_roots,
-    lemma_aux_check,
-    multiplicity_product_bound,
     orient,
     parse_polynomial,
     reduce_vandermonde,
@@ -53,12 +51,18 @@ from rootsep.balls import (
     working_precision,
 )
 from rootsep.graph import preset_edges
-from rootsep.invariants import compute_invariants, mahler_measure, sdisc_abs_from_subresultants
+from rootsep.invariants import compute_invariants, mahler_measure
 from rootsep.poly import _IOTA, _Q
 from rootsep.roots import RootEntry, RootSet
 
 import oracles
-from oracles import ball_det, power_basis_row, vandermonde_matrix
+from oracles import (
+    ball_det,
+    lemma_aux_check,
+    multiplicity_product_bound,
+    power_basis_row,
+    vandermonde_matrix,
+)
 
 
 def _ball_distance(roots, i, j):
@@ -675,7 +679,7 @@ def test_table_routes_agree_with_independent_routes(variant, case):
         sdisc = rep.components["sdisc_sqrt"] * rep.components["sdisc_sqrt"]
     with working_precision(precision):
         lhs = ball_product([_ball_distance(roots, a, b) for a, b in edges])
-        assert sdisc.overlaps(sdisc_abs_from_subresultants(p, precision))
+        assert sdisc.overlaps(compute_invariants(p, precision, roots=roots).sdisc_abs)
         assert rep.lhs.overlaps(lhs)
 
 

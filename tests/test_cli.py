@@ -120,6 +120,11 @@ class TestVerify:
               "--hints", "[[0, 1, null]]"], "ValidationError"),
             (["--poly", "(x-1)*(x-2)*(x-3)", "--graph", '{"edges": []}', "--variant", "remark_pairs",
               "--hints", '[["a", 1, 0.5]]'], "ValidationError"),
+            # json.loads reads NaN and Infinity, and a hint exponent must be finite
+            (["--poly", "(x-1)*(x-1-1/1000000)*(x-3)*(x-3-1/1000000)*(x+2)", "--graph", '{"edges": []}',
+              "--variant", "remark_pairs", "--hints", "[[0, 1, Infinity]]"], "ValidationError"),
+            (["--poly", "(x-1)*(x-1-1/1000000)*(x-3)*(x-3-1/1000000)*(x+2)", "--graph", '{"edges": []}',
+              "--variant", "remark_pairs", "--hints", "[[0, 1, NaN]]"], "ValidationError"),
         ],
     )
     def test_malformed_json_input(self, args, error_type, capsys):

@@ -1,4 +1,5 @@
-"""Mahler measure, discriminant, subdiscriminants: examples and two-route checks."""
+"""Mahler measure, |Disc| and |sDisc|: examples, the subresultant chain
+against its Sylvester-determinant definition, and the two |sDisc| routes."""
 import random
 from fractions import Fraction
 
@@ -11,29 +12,24 @@ from mpmath.libmp import from_man_exp
 from rootsep import (
     ExactPoly,
     GaussianRational,
-    JensenUnavailableError,
-    ValidationError,
     compute_invariants,
-    discriminant,
     find_roots,
     mahler_measure,
-    mahler_measure_jensen,
     parse_polynomial,
     sdisc_abs_from_roots,
-    sdisc_abs_from_subresultants,
-    subdiscriminant,
 )
 import rootsep.cli
 import rootsep.poly
-from rootsep.balls import CBall, working_precision
-from rootsep.invariants import principal_subresultant
+from rootsep.balls import CBall, RBall, working_precision
 from rootsep.poly import (
+    _chain_heads,
     _derivative_coefficients,
-    _principal_coefficients,
     _subresultant_chain,
     square_free_decomposition,
 )
 from rootsep.roots import RootEntry, RootSet
+
+from oracles import JensenUnavailableError, mahler_measure_jensen
 
 
 class TestMahler:
@@ -100,17 +96,29 @@ class TestJensen:
             assert abs(value - product_route.mid) / product_route.mid < 1e-6
 
 
+def _psc(p):
+    """psc_0 .. psc_{d-1} of (P, P') by the pipeline's route: the heads of
+    the chain that the square-free decomposition holds, rescaled."""
+    return _derivative_coefficients(p, square_free_decomposition(p).heads)
+
+
+def _exact(ball, value):
+    return ball.mid == value and ball.rad == 0
+
+
 class TestDiscriminant:
     def test_quadratics(self):
-        assert discriminant(parse_polynomial("x^2 - 1")) == GaussianRational.of(4)
-        assert discriminant(parse_polynomial("x^2 + x + 1")) == GaussianRational.of(-3)
+        # only |Disc| is reported: Disc(x^2 + x + 1) is -3
+        assert _exact(compute_invariants(parse_polynomial("x^2 - 1")).disc_abs, 4)
+        assert _exact(compute_invariants(parse_polynomial("x^2 + x + 1")).disc_abs, 3)
 
     def test_repeated_root(self):
-        assert discriminant(parse_polynomial("(x-1)^2")).is_zero
+        assert _exact(compute_invariants(parse_polynomial("(x-1)^2")).disc_abs, 0)
 
     def test_degree_one_rejected(self):
-        with pytest.raises(ValidationError):
-            discriminant(parse_polynomial("x - 1"))
+        # a linear P has no discriminant, and the bundle reports none
+        bundle = compute_invariants(parse_polynomial("x - 1"))
+        assert bundle.disc_abs is None and bundle.to_json()["disc_abs"] is None
 
     def test_zero_iff_multiple_root(self):
         rng = random.Random(31)
@@ -123,35 +131,34 @@ class TestDiscriminant:
                     roots.append(q)
             mults = [rng.randint(1, 2) for _ in roots]
             p = ExactPoly.from_roots(roots, mults)
-            disc = discriminant(p)
-            assert disc.is_zero == any(m >= 2 for m in mults)
+            disc = compute_invariants(p).disc_abs
+            assert _exact(disc, 0) == any(m >= 2 for m in mults)
 
 
 class TestSubresultantRoute:
     def test_square_free_equals_disc(self):
-        b = sdisc_abs_from_subresultants(parse_polynomial("x^2 - 1"))
-        assert b.mid == 4 and b.rad == 0
+        b = compute_invariants(parse_polynomial("x^2 - 1"))
+        assert b.sdisc_index == 0 and _exact(b.sdisc_abs, 4) and _exact(b.disc_abs, 4)
 
     def test_multiple_root_instance(self):
-        b = sdisc_abs_from_subresultants(parse_polynomial("(x-1)^2*x"))
-        assert b.mid == 2 and b.rad == 0
+        b = compute_invariants(parse_polynomial("(x-1)^2*x"))
+        assert b.sdisc_index == 1 and _exact(b.sdisc_abs, 2)
 
     def test_r_equal_one_convention(self):
-        b = sdisc_abs_from_subresultants(parse_polynomial("x^2 - 2*x + 1"))
-        assert b.mid == 1 and b.rad == 0
+        b = compute_invariants(parse_polynomial("x^2 - 2*x + 1"))
+        assert b.sdisc_index == 1 and _exact(b.sdisc_abs, 1)
         rb = sdisc_abs_from_roots(find_roots(parse_polynomial("(x-1)^3"), 128))
         assert rb.mid == 1 and rb.rad == 0
 
     def test_exact_values(self):
-        k, v = subdiscriminant(parse_polynomial("(x-1)^2*x"))
-        assert k == 1 and v == GaussianRational.of(-2)
-        k0, v0 = subdiscriminant(parse_polynomial("x^2 - 1"))
-        assert k0 == 0 and v0.norm() == 16
+        p = parse_polynomial("(x-1)^2*x")
+        psc = _psc(p)
+        assert psc[0].is_zero and psc[1] / p.leading == GaussianRational.of(-2)
+        assert compute_invariants(p).sdisc_index == 1
+        assert _psc(parse_polynomial("x^2 - 1"))[0].norm() == 16
 
     def test_resultant_via_index_zero(self):
-        p = parse_polynomial("x^2 - 1")
-        res = principal_subresultant(p, p.derivative(), 0)
-        assert res == GaussianRational.of(-4)
+        assert _psc(parse_polynomial("x^2 - 1"))[0] == GaussianRational.of(-4)
 
 
 class TestRootsRoute:
@@ -189,7 +196,7 @@ def test_two_route_agreement_random():
         roots = find_roots(p, 256)
         with working_precision(256):
             via_roots = sdisc_abs_from_roots(roots)
-            via_subres = sdisc_abs_from_subresultants(p, 256)
+            via_subres = compute_invariants(p, 256, roots=roots).sdisc_abs
             assert via_subres.overlaps(via_roots)
 
 
@@ -202,8 +209,6 @@ def test_scaling_covariance():
         r1 = find_roots(p, 128)
         r2 = find_roots(scaled, 128)
         with working_precision(128):
-            from rootsep.balls import RBall
-
             m1, m2 = mahler_measure(r1), mahler_measure(r2)
             s1, s2 = sdisc_abs_from_roots(r1), sdisc_abs_from_roots(r2)
             cabs = RBall.exact(abs(c.re))  # scale factors in the test are real
@@ -276,18 +281,32 @@ def _gaussian_roots(rng, n, denominators=(1, 2, 3)):
 
 
 def test_chain_matches_sylvester_determinants():
-    rng = random.Random(1606)
-    for _ in range(30):
-        d = rng.randint(1, 7)
-        roots = _gaussian_roots(rng, rng.randint(1, d))
-        mults = [1] * len(roots)
-        for _ in range(d - len(roots)):
-            mults[rng.randrange(len(roots))] += 1
-        lead = GaussianRational.of(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2))
-        p = ExactPoly.from_roots(roots, mults, lead)
+    # psc(P, P') as the pipeline reads it: the heads of the chain of (monic P,
+    # P') that Yun or the first read built, rescaled by powers of lc
+    def polys():
+        rng = random.Random(1606)
+        for _ in range(30):
+            d = rng.randint(1, 7)
+            roots = _gaussian_roots(rng, rng.randint(1, d))
+            mults = [1] * len(roots)
+            for _ in range(d - len(roots)):
+                mults[rng.randrange(len(roots))] += 1
+            lead = GaussianRational.of(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2))
+            yield ExactPoly.from_roots(roots, mults, lead)
+        rng = random.Random(7)
+        for _ in range(25):
+            p = _forced_multiplicity_poly(rng)
+            if rng.random() < 0.5:
+                p = p.scale(GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                                             Fraction(rng.randint(-3, 3), 7)))
+            yield p
+
+    for p in polys():
         dp = p.derivative()
-        for j in range(dp.degree + 1):
-            assert principal_subresultant(p, dp, j) == _psc_by_definition(p, dp, j)
+        psc = _psc(p)
+        assert len(psc) == dp.degree + 1
+        for j, v in enumerate(psc):
+            assert v == _psc_by_definition(p, dp, j)
 
 
 def test_chain_matches_sylvester_determinants_on_gapped_pairs():
@@ -307,8 +326,10 @@ def test_chain_matches_sylvester_determinants_on_gapped_pairs():
 
         a = ExactPoly.from_coeffs(sparse(p_deg))
         b = ExactPoly.from_coeffs(sparse(q_deg))
+        assert a.den == b.den == 1  # the chain runs on these very integers
+        heads = _chain_heads(_subresultant_chain(a.nums, b.nums), q_deg)
         for j in range(q_deg + 1):
-            assert principal_subresultant(a, b, j) == _psc_by_definition(a, b, j)
+            assert GaussianRational.of(*heads[j]) == _psc_by_definition(a, b, j)
 
 
 def test_degree_16_gaussian_multiplicities():
@@ -326,8 +347,8 @@ def test_degree_16_gaussian_multiplicities():
         assert by_mult.pop(m) == expected
     assert not by_mult
 
-    k, _ = subdiscriminant(p)
-    assert k == d - r
+    psc = _derivative_coefficients(p, decomposition.heads)
+    assert next(j for j, v in enumerate(psc) if not v.is_zero) == d - r
 
     # every chain coefficient is a minor of the Sylvester matrix of the
     # integer-scaled (P, P'), so Hadamard's bound on that matrix caps its size
@@ -345,17 +366,6 @@ def test_degree_16_gaussian_multiplicities():
 
 
 class TestOneChain:
-    def test_yun_chain_gives_the_principal_coefficients(self):
-        # rescaling the (monic P, P') chain by powers of lc gives psc of (P, P')
-        rng = random.Random(7)
-        for _ in range(25):
-            p = _forced_multiplicity_poly(rng)
-            if rng.random() < 0.5:
-                p = p.scale(GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
-                                             Fraction(rng.randint(-3, 3), 7)))
-            heads = square_free_decomposition(p).heads
-            assert _derivative_coefficients(p, heads) == _principal_coefficients(p, p.derivative())
-
     def test_invariants_command_builds_three_chains(self, monkeypatch, capsys):
         # Yun builds three, and compute_invariants reads the first of them
         calls = []
@@ -373,7 +383,7 @@ class TestOneChain:
     def test_subdiscriminant_reads_the_decomposition_chain(self, monkeypatch):
         # Yun's three chains, the first of which holds psc(P, P'): no fourth
         p = parse_polynomial("(x-1)^2*(x+2)^3*(x-i)")
-        psc = _principal_coefficients(p, p.derivative())
+        sdisc = _psc_by_definition(p, p.derivative(), 3) / p.leading
         calls = []
         real_chain = rootsep.poly._subresultant_chain
 
@@ -382,8 +392,11 @@ class TestOneChain:
             return real_chain(a, b)
 
         monkeypatch.setattr(rootsep.poly, "_subresultant_chain", chain_spy)
-        assert subdiscriminant(p) == (3, psc[3] / p.leading)
+        bundle = compute_invariants(p)
         assert len(calls) == 3
+        assert bundle.sdisc_index == 3
+        with working_precision(128):
+            assert (bundle.sdisc_abs * bundle.sdisc_abs).overlaps(RBall.exact(sdisc.norm()))
 
 
 def _mpf(x: Fraction):

@@ -1,0 +1,52 @@
+"""The package's public surface and the layering of its exact core."""
+import ast
+import importlib
+from pathlib import Path
+
+import rootsep
+
+POLY_SOURCE = Path(__file__).resolve().parent.parent / "src" / "rootsep" / "poly.py"
+
+#: routes that only tests ran, now deleted or kept in tests/oracles.py
+REMOVED = {
+    "invariants": ("principal_subresultant", "discriminant", "subdiscriminant",
+                   "sdisc_abs_from_subresultants", "mahler_measure_jensen"),
+    "poly": ("eval_poly", "_principal_coefficients"),
+    "bounds": ("lemma_aux_check", "multiplicity_product_bound"),
+    "roots": ("min_pairwise_distance",),
+    "errors": ("JensenUnavailableError",),
+}
+
+
+def test_public_names_resolve_and_removed_names_are_gone():
+    namespace = {}
+    exec("from rootsep import *", namespace)
+    assert set(rootsep.__all__) <= set(namespace)
+    for module, names in REMOVED.items():
+        mod = importlib.import_module(f"rootsep.{module}")
+        for name in names:
+            assert not hasattr(mod, name), f"rootsep.{module}.{name}"
+            assert not hasattr(rootsep, name), name
+            assert name not in rootsep.__all__, name
+    # the layer of divided differences stays a module of the package
+    assert importlib.import_module("rootsep.divdiff") is rootsep.divdiff
+
+
+def _imported_modules(source: str):
+    """Every module a source imports, and every name it imports from one,
+    as dotted names under `rootsep` for the relative imports."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = "rootsep" + (f".{node.module}" if node.module else "")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_poly_imports_nothing_from_balls():
+    # the exact layer stands alone: no ball arithmetic under it
+    imported = set(_imported_modules(POLY_SOURCE.read_text()))
+    assert not {m for m in imported if m == "rootsep.balls" or m.startswith("rootsep.balls.")}

@@ -14,9 +14,10 @@ from rootsep.poly import (
     _Q,
     _square_free_mod_q,
     _subresultant_chain,
-    eval_poly,
     square_free_decomposition,
 )
+
+from oracles import eval_poly
 
 
 def P(*coeffs):
