@@ -280,33 +280,26 @@ def _gaussian_roots(rng, n, denominators=(1, 2, 3)):
     return roots
 
 
+def _assert_psc_by_definition(p):
+    dp = p.derivative()
+    psc = _psc(p)
+    assert len(psc) == dp.degree + 1
+    for j, v in enumerate(psc):
+        assert v == _psc_by_definition(p, dp, j)
+
+
 def test_chain_matches_sylvester_determinants():
     # psc(P, P') as the pipeline reads it: the heads of the chain of (monic P,
     # P') that Yun or the first read built, rescaled by powers of lc
-    def polys():
-        rng = random.Random(1606)
-        for _ in range(30):
-            d = rng.randint(1, 7)
-            roots = _gaussian_roots(rng, rng.randint(1, d))
-            mults = [1] * len(roots)
-            for _ in range(d - len(roots)):
-                mults[rng.randrange(len(roots))] += 1
-            lead = GaussianRational.of(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2))
-            yield ExactPoly.from_roots(roots, mults, lead)
-        rng = random.Random(7)
-        for _ in range(25):
-            p = _forced_multiplicity_poly(rng)
-            if rng.random() < 0.5:
-                p = p.scale(GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
-                                             Fraction(rng.randint(-3, 3), 7)))
-            yield p
-
-    for p in polys():
-        dp = p.derivative()
-        psc = _psc(p)
-        assert len(psc) == dp.degree + 1
-        for j, v in enumerate(psc):
-            assert v == _psc_by_definition(p, dp, j)
+    rng = random.Random(1606)
+    for _ in range(30):
+        d = rng.randint(1, 7)
+        roots = _gaussian_roots(rng, rng.randint(1, d))
+        mults = [1] * len(roots)
+        for _ in range(d - len(roots)):
+            mults[rng.randrange(len(roots))] += 1
+        lead = GaussianRational.of(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2))
+        _assert_psc_by_definition(ExactPoly.from_roots(roots, mults, lead))
 
 
 def test_chain_matches_sylvester_determinants_on_gapped_pairs():
@@ -366,6 +359,16 @@ def test_degree_16_gaussian_multiplicities():
 
 
 class TestOneChain:
+    def test_yun_chain_gives_the_principal_coefficients(self):
+        # rescaling the (monic P, P') chain by powers of lc gives psc of (P, P')
+        rng = random.Random(7)
+        for _ in range(25):
+            p = _forced_multiplicity_poly(rng)
+            if rng.random() < 0.5:
+                p = p.scale(GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                                             Fraction(rng.randint(-3, 3), 7)))
+            _assert_psc_by_definition(p)
+
     def test_invariants_command_builds_three_chains(self, monkeypatch, capsys):
         # Yun builds three, and compute_invariants reads the first of them
         calls = []
