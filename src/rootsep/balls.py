@@ -9,24 +9,20 @@ of exactly zero marks a value known to be an exact binary number.
 
 Midpoints. Every operation rounds its midpoint to nearest at the ambient
 mpmath precision p; callers set it once per pipeline run via
-`working_precision`. Each real part is rounded once (`mpc_div` rounds twice,
-at p + 10 and then at p), so a part below 2^t, with t = exp + bc read off
-its tuple, is off by less than 2^(t - p). The cushion the radius takes for
-this is 2^(t + 2 - p), with t the larger of the parts: a power of two read
-off the tuples, with no modulus taken.
+`working_precision`. A midpoint below 2^t, with t = exp + bc read off its
+tuple, is then off by less than 2^(t - p), and the radius takes the cushion
+2^(t + 2 - p) for it: a power of two read off the tuple.
 
 Radii. Every radius operation rounds upward at `RAD_BITS` bits
 (`mpf_add`/`mpf_mul`/`mpf_div(..., RAD_BITS, 'u')`; radii are nonnegative, so
 rounding away from zero is rounding up), so a radius is never below the
 exact error term it stands for, also when the midpoint is 0.
 
-Moduli. Products and quotients need |mid|. A `CBall` takes a `RAD_BITS`-bit
-upper bound of it once (squares, their sum and the square root all rounded
-up) and keeps it; the bound does not depend on the precision. Division and
-`contains_zero` take the matching lower bound, rounded down throughout.
-`mpf_hypot` serves neither: it rounds the sum of squares to nearest before
-its directed square root. `lo`/`hi` round outward, and `sqrt`, `root` and
-`powr` map outward-rounded endpoints.
+Values and arithmetic. Only `RBall` computes: products, quotients, integer
+and real powers and roots, which the bound assembly runs. A `CBall` is a
+value: a root enclosure or a value the rung table reports, with no
+arithmetic; `CBall.abs` is its one real ball. `lo`/`hi` round outward, and
+`sqrt`, `root` and `powr` map outward-rounded endpoints.
 
 The rung table. Each rung's certificate runs on Gaussian integers, and
 only the values it reports become balls. A `RootSet` builds one
@@ -73,11 +69,6 @@ from mpmath.libmp import (
     from_man_exp,
     from_rational,
     fzero,
-    mpc_add,
-    mpc_div,
-    mpc_mul,
-    mpc_neg,
-    mpc_sub,
     mpf_abs,
     mpf_add,
     mpf_div,
@@ -85,7 +76,6 @@ from mpmath.libmp import (
     mpf_le,
     mpf_lt,
     mpf_mul,
-    mpf_neg,
     mpf_nthroot,
     mpf_pos,
     mpf_pow,
@@ -154,41 +144,6 @@ def _real_cushion(m, prec):
     return (0, 1, m[2] + m[3] + 2 - prec, 1) if m[1] else fzero
 
 
-def _complex_cushion(m, prec):
-    re, im = m
-    if re[1]:
-        t = re[2] + re[3]
-        if im[1]:
-            t = max(t, im[2] + im[3])
-    elif im[1]:
-        t = im[2] + im[3]
-    else:
-        return fzero
-    return (0, 1, t + 2 - prec, 1)
-
-
-def _mod_up(m):
-    """An upper bound of |re + i im| at RAD_BITS bits."""
-    re, im = m
-    if not im[1]:
-        return mpf_abs(re, RAD_BITS, "u")
-    if not re[1]:
-        return mpf_abs(im, RAD_BITS, "u")
-    s = mpf_add(mpf_mul(re, re, RAD_BITS, "u"), mpf_mul(im, im, RAD_BITS, "u"), RAD_BITS, "u")
-    return mpf_sqrt(s, RAD_BITS, "u")
-
-
-def _mod_down(m):
-    """A lower bound of |re + i im| at RAD_BITS bits."""
-    re, im = m
-    if not im[1]:
-        return mpf_abs(re, RAD_BITS, "d")
-    if not re[1]:
-        return mpf_abs(im, RAD_BITS, "d")
-    s = mpf_add(mpf_mul(re, re, RAD_BITS, "d"), mpf_mul(im, im, RAD_BITS, "d"), RAD_BITS, "d")
-    return mpf_sqrt(s, RAD_BITS, "d")
-
-
 def _radius(rad):
     """A radius given by a caller, rounded up to RAD_BITS bits."""
     if isinstance(rad, mpf):
@@ -207,7 +162,8 @@ def _radius(rad):
 
 
 def _exact_real(x, prec):
-    """(midpoint, radius) tuples of a real number rounded at prec bits."""
+    """(midpoint, radius) tuples of an int, Fraction or mpf rounded at prec
+    bits."""
     if isinstance(x, Fraction):
         if x.denominator != 1:
             v = from_rational(x.numerator, x.denominator, prec, "n")
@@ -219,11 +175,7 @@ def _exact_real(x, prec):
             return v, fzero
         v = mpf_pos(v, prec, "n")
         return v, _real_cushion(v, prec)
-    if isinstance(x, mpf):
-        return x._mpf_, fzero
-    if isinstance(x, float):
-        return from_float(x), fzero
-    return mpf(x)._mpf_, fzero
+    return x._mpf_, fzero
 
 
 def _ends(m, r, prec):
@@ -254,13 +206,6 @@ def _span(a, b, prec):
     return m, (s if mpf_lt(r, s) else r)
 
 
-def _mid_product(a, b, prec):
-    """The complex midpoint product, with a shortcut for real midpoints."""
-    if a[1][1] or b[1][1]:
-        return mpc_mul(a, b, prec, "n")
-    return mpf_mul(a[0], b[0], prec, "n"), fzero
-
-
 def _product_radius(r, x, y):
     """r + |mid x| rad y + rad x (|mid y| + rad y), rounded up: r plus what
     the product of the balls x and y adds to a radius."""
@@ -274,23 +219,6 @@ def _product_radius(r, x, y):
     return r
 
 
-def _powi(self, n: int):
-    """Integer power of a ball by binary exponentiation."""
-    if n == 0:
-        return type(self).one()
-    if n < 0:
-        return type(self).one() / self.powi(-n)
-    result = None
-    base = self
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
-
 def _rball(m, r) -> "RBall":
     b = _new(RBall)
     b._m = m
@@ -298,11 +226,10 @@ def _rball(m, r) -> "RBall":
     return b
 
 
-def _cball(m, r, a=None) -> "CBall":
+def _cball(m, r) -> "CBall":
     b = _new(CBall)
     b._m = m
     b._r = r
-    b._a = a
     return b
 
 
@@ -343,53 +270,17 @@ class RBall:
     def hi(self) -> mpf:
         return _make_mpf(_ends(self._m, self._r, mp.prec)[1])
 
-    @staticmethod
-    def _coerce(other) -> "RBall | None":
-        if isinstance(other, RBall):
-            return other
-        if isinstance(other, (int, Fraction, mpf)):
-            return RBall.exact(other)
-        return None
-
-    def __add__(self, other):
-        o = other if type(other) is RBall else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = mp.prec
-        m = mpf_add(self._m, o._m, prec, "n")
-        return _rball(m, _up_add(_up_add(self._r, o._r), _real_cushion(m, prec)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = other if type(other) is RBall else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = mp.prec
-        m = mpf_sub(self._m, o._m, prec, "n")
-        return _rball(m, _up_add(_up_add(self._r, o._r), _real_cushion(m, prec)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
-        o = other if type(other) is RBall else self._coerce(other)
-        if o is None:
+        if type(other) is not RBall:
             return NotImplemented
         prec = mp.prec
-        m = mpf_mul(self._m, o._m, prec, "n")
-        return _rball(m, _product_radius(_real_cushion(m, prec), self, o))
-
-    __rmul__ = __mul__
+        m = mpf_mul(self._m, other._m, prec, "n")
+        return _rball(m, _product_radius(_real_cushion(m, prec), self, other))
 
     def __truediv__(self, other):
-        o = other if type(other) is RBall else self._coerce(other)
-        if o is None:
+        if type(other) is not RBall:
             return NotImplemented
-        a, b, ra, rb = self._m, o._m, self._r, o._r
+        a, b, ra, rb = self._m, other._m, self._r, other._r
         lb = mpf_sub(mpf_abs(b), rb, RAD_BITS, "d")
         if lb[0] or not lb[1]:
             raise BallDomainError("division by a ball containing zero")
@@ -400,18 +291,6 @@ class RBall:
             q = mpf_div(mpf_abs(a, RAD_BITS, "u"), mpf_abs(b, RAD_BITS, "d"), RAD_BITS, "u")
             num = _up_add(num, _up_mul(q, rb))
         return _rball(m, _up_add(mpf_div(num, lb, RAD_BITS, "u"), _real_cushion(m, prec)))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return _rball(mpf_neg(self._m), self._r)
-
-    def abs(self) -> "RBall":
-        return _rball(mpf_abs(self._m), self._r)
 
     def sqrt(self) -> "RBall":
         prec = mp.prec
@@ -432,7 +311,21 @@ class RBall:
         a = fzero if lo[0] else _bracket(mpf_nthroot(lo, k, prec + 20), prec)[0]
         return _rball(*_span(a, _bracket(mpf_nthroot(hi, k, prec + 20), prec)[1], prec))
 
-    powi = _powi
+    def powi(self, n: int) -> "RBall":
+        """Integer power by binary exponentiation."""
+        if n == 0:
+            return RBall.one()
+        if n < 0:
+            return RBall.one() / self.powi(-n)
+        result = None
+        base = self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     def powr(self, e) -> "RBall":
         """Real power of a strictly positive ball (monotone endpoints), for a
@@ -454,11 +347,6 @@ class RBall:
         b = yb[1] if mpf_le(ya[1], yb[1]) else ya[1]
         return _rball(*_span(a, b, prec))
 
-    def contains(self, x) -> bool:
-        x = (x if isinstance(x, mpf) else mpf(x))._mpf_
-        lo, hi = _ends(self._m, self._r, mp.prec)
-        return mpf_le(lo, x) and mpf_le(x, hi)
-
     def overlaps(self, other: "RBall") -> bool:
         """False only when the two balls are certainly disjoint."""
         gap = mpf_abs(mpf_sub(self._m, other._m, RAD_BITS, "d"))
@@ -472,19 +360,17 @@ class RBall:
 
 
 class CBall:
-    """Complex disk {z : |z - mid| <= rad}.
+    """Complex disk {z : |z - mid| <= rad}: a value, with no arithmetic.
 
-    Each ball keeps a RAD_BITS-bit upper bound of |mid| once a product or
-    quotient has needed it. The bound is taken from the
-    exact midpoint, so it is the same at every precision.
+    Root enclosures and the values a rung table reports are CBalls; every
+    computation on them runs on the rung grid (see the module docstring).
     """
 
-    __slots__ = ("_m", "_r", "_a")
+    __slots__ = ("_m", "_r")
 
     def __init__(self, mid, rad=0):
         self._m = (mid if isinstance(mid, mpc) else mpc(mid))._mpc_
         self._r = _radius(rad)
-        self._a = None
 
     @property
     def mid(self) -> mpc:
@@ -493,24 +379,6 @@ class CBall:
     @property
     def rad(self) -> mpf:
         return _make_mpf(self._r)
-
-    def _mag(self):
-        """The cached upper bound of |mid|."""
-        a = self._a
-        if a is None:
-            a = self._a = _mod_up(self._m)
-        return a
-
-    @staticmethod
-    def exact(x) -> "CBall":
-        if isinstance(x, GaussianRational):
-            return CBall.from_gaussian(x)
-        if isinstance(x, mpc):
-            return _cball(x._mpc_, fzero)
-        if isinstance(x, complex):
-            return _cball((from_float(x.real), from_float(x.imag)), fzero)
-        m, r = _exact_real(x, mp.prec)
-        return _cball((m, fzero), r)
 
     @staticmethod
     def from_gaussian(g: GaussianRational) -> "CBall":
@@ -521,70 +389,7 @@ class CBall:
 
     @staticmethod
     def one() -> "CBall":
-        return _cball((fone, fzero), fzero, fone)
-
-    @staticmethod
-    def _coerce(other) -> "CBall | None":
-        if isinstance(other, CBall):
-            return other
-        if isinstance(other, RBall):
-            return _cball((other._m, fzero), other._r)
-        if isinstance(other, (int, Fraction, GaussianRational, mpf, mpc, complex)):
-            return CBall.exact(other)
-        return None
-
-    def __add__(self, other):
-        o = other if type(other) is CBall else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = mp.prec
-        m = mpc_add(self._m, o._m, prec, "n")
-        return _cball(m, _up_add(_up_add(self._r, o._r), _complex_cushion(m, prec)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = other if type(other) is CBall else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = mp.prec
-        m = mpc_sub(self._m, o._m, prec, "n")
-        return _cball(m, _up_add(_up_add(self._r, o._r), _complex_cushion(m, prec)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = other if type(other) is CBall else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = mp.prec
-        m = _mid_product(self._m, o._m, prec)
-        return _cball(m, _product_radius(_complex_cushion(m, prec), self, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = other if type(other) is CBall else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ra, rb = self._r, o._r
-        low = _mod_down(o._m)
-        lb = mpf_sub(low, rb, RAD_BITS, "d")
-        if lb[0] or not lb[1]:
-            raise BallDomainError("division by a ball containing zero")
-        prec = mp.prec
-        m = mpc_div(self._m, o._m, prec, "n")
-        num = ra
-        if rb[1]:
-            num = _up_add(num, _up_mul(mpf_div(self._mag(), low, RAD_BITS, "u"), rb))
-        return _cball(m, _up_add(mpf_div(num, lb, RAD_BITS, "u"), _complex_cushion(m, prec)))
-
-    def __neg__(self):
-        return _cball(mpc_neg(self._m), self._r, self._a)
+        return _cball((fone, fzero), fzero)
 
     def abs(self) -> RBall:
         re, im = self._m
@@ -595,20 +400,6 @@ class CBall:
         prec = mp.prec
         a = mpf_hypot(re, im, prec, "n")
         return _rball(a, _up_add(self._r, _real_cushion(a, prec)))
-
-    def conj(self) -> "CBall":
-        re, im = self._m
-        return _cball((re, mpf_neg(im)), self._r, self._a)
-
-    powi = _powi
-
-    def contains_zero(self) -> bool:
-        return mpf_le(_mod_down(self._m), self._r)
-
-    def overlaps(self, other: "CBall") -> bool:
-        """False only when the two disks are certainly disjoint."""
-        gap = _mod_down(mpc_sub(self._m, other._m, RAD_BITS, "d"))
-        return mpf_le(gap, _up_add(self._r, other._r))
 
     def __repr__(self):
         return f"CBall({mpmath.nstr(self.mid, 17)} +/- {mpmath.nstr(self.rad, 5)})"
@@ -622,13 +413,12 @@ class CBall:
         }
 
 
-def ball_product(items, one=None):
-    total = one
+def ball_product(items) -> RBall:
+    """The product of real balls, RBall.one() for none."""
+    total = None
     for x in items:
         total = x if total is None else total * x
-    if total is None:
-        return RBall.one() if one is None else one
-    return total
+    return RBall.one() if total is None else total
 
 
 #: bits the rung grid, and every bracket, keep beyond the working precision

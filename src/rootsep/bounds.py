@@ -788,7 +788,7 @@ def bound_sep_product(p, subset, precision: int = 128, roots: RootSet | None = N
             raise RootsepError("edge split does not match the subset size")
         sub0 = _graph_bound("main", p, e0, precision, roots)
         sub1 = _graph_bound("main", p, e1, precision, roots)
-        lhs = ball_product(seps, RBall.one())
+        lhs = ball_product(seps)
         components = _components(roots, len(subset), k=2)
         extra = {
             "subset": subset,

@@ -10,7 +10,8 @@ Subcommands:
 All outputs are JSON (stdout or --out, written atomically). Exit codes:
 0 = verdict holds / success, 2 = inconclusive at the precision ceiling,
 1 = input error. Each subcommand returns its payload and exit code; `main`
-writes it, or the error report of an input error.
+writes it, or the error report of an input error. A malformed command line
+is an input error too: its report goes to stdout, as no --out was read.
 """
 from __future__ import annotations
 
@@ -83,6 +84,14 @@ def _json_list(text: str, option: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{option} must be a JSON list")
     return value
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a `ValidationError` instead of printing the
+    usage text and exiting with 2, which here means inconclusive."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def _resolve_graph(args, roots):
@@ -161,7 +170,7 @@ def _cmd_invariants(args) -> tuple[dict, int]:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: `parse_args` leaves it
     unchanged, and each call returns a fresh namespace."""
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="rootsep",
         description="Certified lower bounds for products of root distances over graphs",
     )
@@ -170,10 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, graph: bool = True):
         sp.add_argument("--poly", required=True, help="polynomial text or JSON")
         if graph:
-            sp.add_argument("--graph", help='graph JSON {"edges": [[i, j], ...]}')
-            sp.add_argument(
-                "--preset", choices=PRESET_NAMES, help="named graph preset"
-            )
+            one = sp.add_mutually_exclusive_group()
+            one.add_argument("--graph", help='graph JSON {"edges": [[i, j], ...]}')
+            one.add_argument("--preset", choices=PRESET_NAMES, help="named graph preset")
         sp.add_argument("--precision", type=int, default=128)
         sp.add_argument("--out", help="output path (atomic write); default stdout")
 
@@ -209,13 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    out = None
     try:
+        args = build_parser().parse_args(argv)
+        out = args.out
         payload, code = args.func(args)
     except (RootsepError, ValueError) as exc:
         # json.JSONDecodeError is a ValueError
         payload, code = _error_report(exc), EXIT_INPUT_ERROR
-    _write_report(payload, args.out)
+    _write_report(payload, out)
     return code
 
 

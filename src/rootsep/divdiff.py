@@ -3,7 +3,7 @@
 The pipeline builds the rows of the reduced matrix W_1, divided differences
 of the power basis, on the rung grid: `bounds._w1` runs the complete
 homogeneous recurrence h_i += v h_{i-1} exactly on Gaussian integers. The
-ball routes that once lived here (recursive, explicit and monomial) check
-it from the tests (`tests/oracles.py`); the module stays as the package's
-layer of that name.
+tests check it against three exact routes on Gaussian rationals (recursive,
+explicit and monomial, in `tests/oracles.py`), compared by equality; the
+module stays as the package's layer of that name.
 """

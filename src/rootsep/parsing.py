@@ -10,17 +10,28 @@ Accepted forms:
 
 The result is always an ExactPoly. A decimal literal is read as the exact
 rational it denotes: 0.3 is 3/10, so "(x-0.3)^6" and "(x-3/10)^6" are the same
-polynomial. Exponents must be integer literals without a decimal point.
+polynomial. Exponents must be integer literals without a decimal point, and
+a power may not exceed `MAX_POWER_DEGREE` or `MAX_POWER_BITS` (`_power`).
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
 from .gaussian import GR_ONE, GaussianRational
 from .poly import ExactPoly
+
+#: the largest degree a power may have: far above the degrees root finding
+#: certifies in seconds (64); with `MAX_POWER_BITS`, expanding the largest
+#: legal power, (x + 2^19)^1000, takes about 3 s
+MAX_POWER_DEGREE = 1000
+
+#: the most bits a power's coefficients may need (see `_power_bits`): 30
+#: times the 665 bits of 10^200, the largest constant of the examples
+MAX_POWER_BITS = 20_000
 
 
 @dataclass(frozen=True)
@@ -145,7 +156,14 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text == "^":
             self.take()
-            return _power(base, self.exponent())
+            pos = self.peek().pos
+            e = self.exponent()
+            if not base.is_zero:
+                if base.degree * e > MAX_POWER_DEGREE:
+                    raise ParseError(f"power of degree {base.degree * e} exceeds {MAX_POWER_DEGREE}", pos)
+                if _power_bits(base, e) > MAX_POWER_BITS:
+                    raise ParseError(f"power needs more than {MAX_POWER_BITS} bits per coefficient", pos)
+            return _power(base, e)
         return base
 
     def exponent(self) -> int:
@@ -180,6 +198,16 @@ class _Parser:
             inner = self.factor()
             return -inner if t.text == "-" else inner
         raise ParseError(f"unexpected token {t.text!r}", t.pos)
+
+
+def _power_bits(base: ExactPoly, e: int) -> float:
+    """A bound B such that every numerator of base^e, and its denominator,
+    is at most 2^B in modulus: e log2 of the larger of base's denominator
+    and the sum of |re| + |im| over its numerators. That log2 is 0 or at
+    least 1, so an e above MAX_POWER_BITS counts as MAX_POWER_BITS + 1,
+    which keeps a huge e from overflowing the float."""
+    total = sum(abs(re) + abs(im) for re, im in base.nums)
+    return min(e, MAX_POWER_BITS + 1) * math.log2(max(total, base.den))
 
 
 def _power(base: ExactPoly, e: int) -> ExactPoly:

@@ -1,44 +1,29 @@
 """Test oracles: code the pipeline does not run, kept to check the code it does.
 
-`ball_det` is an enclosure of the determinant of a matrix of complex balls,
-by LU elimination on Gaussian integers, `vandermonde_matrix` the
-Vandermonde matrix of a root set as balls, and `exact_det` the determinant
-of a Gaussian-rational matrix in `Fraction`s. The reduction certificate no
-longer takes any determinant in balls (it checks the identity det W = det
-W_1 E exactly modulo a prime, see `rootsep.bounds`); the tests use them
-to rebuild the reduction's matrices and their determinants independently.
+Every oracle here is exact. `dyadic` reads an mpf as a `Fraction`,
+`exact_mid` a ball's dyadic midpoint as a Gaussian rational, `disks_meet`
+and `mid_distance` compare disks through them, and `sqrt_bracket` brackets
+a square root by rationals. `vandermonde_matrix` is the Vandermonde matrix
+of exact nodes, and `exact_det` the determinant of a Gaussian-rational
+matrix by `Fraction` elimination. The pipeline takes no determinant of a
+matrix: it multiplies root differences on the rung grid and checks the
+reduction identity det W = det W_1 E modulo a prime (see `rootsep.bounds`).
+The tests rebuild the reduction's matrices at the root midpoints and compare
+their determinants, exactly, with what the grid reports.
 
-Divided differences, in three mutually checking formulations of the same
-functional: recursive, the inductive definition, a Newton-style table;
-explicit, the closed-form linear combination with weights prod_{k!=h} 1/(v_h
-- v_k); monomial, for f(z) = z^p, the complete homogeneous symmetric
-polynomial h_{p-n+1}(v_1..v_n), which is exactly zero when n >= p + 2.
-Nodes must be pairwise distinct; balls whose disks touch are rejected, as
-regularizing near-duplicates would silently change the functional.
-`power_basis_row` builds the reduced rows of W_1 in balls, which the
-pipeline builds on the rung grid instead (`rootsep.bounds._w1`, the
-monomial route's recurrence on Gaussian integers).
-
-Elimination. `_grid_matrix` puts every entry on one grid 2^-W: W = p +
-GRID_GUARD_BITS - min t, t the bit length of the larger part less the
-scale, over the entries whose midpoint clears its radius, so every such
-entry keeps at least p bits relative to its own modulus. Parts below the
-grid floor into the radius, one unit each. Every rounding of the
-elimination is counted upward in whole units: each floored part adds 2
-units (a floor moves a part by less than 1), in each part of a multiplier
-f = x/p and in each part of a product f t. The radius of f is
-ceil((R_x |p|_lo + |x|_hi R_p) 2^w / (|p|_lo (|p|_lo - R_p))), and the
-update c - f t adds ceil((|f|_hi R_t + R_f (|t|_hi + R_t)) / 2^w) to R_c,
-with the moduli bounds from `math.isqrt` of X^2 + Y^2. The pivot is the
-entry of largest exact X^2 + Y^2, the first on ties, and one with
-isqrt(X^2 + Y^2) <= R may contain zero. When the pivot, the rest of its row
-and a row's entry in its column are real, f is real and that row's update
-changes X and R only: its Y products are all 0. Only the pivots become
-balls again, with exact dyadic midpoints and radii rounded up to RAD_BITS
-bits; the determinant is the sign times their product.
+Divided differences, in three formulations of the same functional, all in
+`GaussianRational` and compared by equality: recursive, the inductive
+definition, a Newton-style table; explicit, the closed-form linear
+combination with weights prod_{k!=h} 1/(v_h - v_k); monomial, for f(z) =
+z^p, the complete homogeneous symmetric polynomial h_{p-n+1}(v_1..v_n),
+which is zero when n >= p + 2. Nodes are exact numbers and must be pairwise
+distinct; a ball with a radius is no exact node and is rejected.
+`power_basis_row` builds a reduced row of W_1, which the pipeline builds on
+the rung grid (`rootsep.bounds._w1`, the monomial route's recurrence on
+Gaussian integers).
 
 `mahler_measure_jensen` is M(P) by quadrature of log|P| on the unit circle
-(Jensen), on `eval_poly`'s ball Horner; `lemma_aux_check` and
+(Jensen), evaluating P with `mpmath.polyval`; `lemma_aux_check` and
 `multiplicity_product_bound` check the two auxiliary lemmas exactly.
 """
 from __future__ import annotations
@@ -48,34 +33,67 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, fzero
+from mpmath import mpc, mpf
 
-from rootsep.balls import (
-    GRID_GUARD_BITS,
-    RAD_BITS,
-    CBall,
-    _cball,
-    _ceil_sqrt,
-    _place,
-    _scaled,
-    ball_product,
-    working_precision,
-)
-from rootsep.errors import BallDomainError, PreconditionError, RootsepError, ValidationError
+from rootsep.balls import CBall, working_precision
+from rootsep.errors import PreconditionError, RootsepError, ValidationError
 from rootsep.gaussian import GaussianRational
 from rootsep.roots import find_roots
+
+_ZERO = GaussianRational.of(0)
+_ONE = GaussianRational.of(1)
+
+
+def _dyadic(part) -> Fraction:
+    """The exact value of a raw libmp tuple."""
+    sign, man, exp, _ = part
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def dyadic(x: mpf) -> Fraction:
+    """The exact value of an mpf."""
+    return _dyadic(x._mpf_)
+
+
+def exact_mid(ball: CBall) -> GaussianRational:
+    """The ball's midpoint, exactly."""
+    re, im = ball._m
+    return GaussianRational(_dyadic(re), _dyadic(im))
+
+
+def disks_meet(a: CBall, b: CBall) -> bool:
+    """Whether the two disks share a point, decided exactly."""
+    return (exact_mid(a) - exact_mid(b)).norm() <= (dyadic(a.rad) + dyadic(b.rad)) ** 2
+
+
+def mid_distance(a: CBall, b: CBall) -> mpf:
+    """|mid a - mid b| at the ambient precision, from the exact squared
+    distance."""
+    n = (exact_mid(a) - exact_mid(b)).norm()
+    return mpmath.sqrt(mpf(n.numerator) / n.denominator)
+
+
+def sqrt_bracket(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Dyadic rationals lo <= sqrt(q) <= hi, at most 2^-200 sqrt(q) apart."""
+    k = 200 + q.denominator.bit_length()
+    s = math.isqrt(q.numerator * 4**k // q.denominator)
+    return Fraction(s, 2**k), Fraction(s + 1, 2**k)
+
+
+def midpoints(roots) -> list[GaussianRational]:
+    """The exact midpoints of a root set's enclosures, in its order."""
+    return [exact_mid(v) for v in roots.values()]
 
 
 def exact_det(rows) -> GaussianRational:
     """The determinant of a Gaussian-rational matrix by Fraction elimination."""
     m = [list(row) for row in rows]
     n = len(m)
-    det = GaussianRational.of(1)
+    det = _ONE
     for k in range(n):
         piv = next((i for i in range(k, n) if not m[i][k].is_zero), None)
         if piv is None:
-            return GaussianRational.of(0)
+            return _ZERO
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             det = -det
@@ -86,179 +104,71 @@ def exact_det(rows) -> GaussianRational:
     return det
 
 
-def vandermonde_matrix(roots) -> list[list[CBall]]:
-    """r x r matrix with row j = (1, v_j, ..., v_j^{r-1})."""
+def vandermonde_matrix(nodes) -> list[list[GaussianRational]]:
+    """n x n matrix with row j = (1, v_j, ..., v_j^{n-1})."""
     rows = []
-    for v in roots.values():
-        row = [CBall.one()]
-        for _ in range(roots.r - 1):
+    for v in nodes:
+        row = [_ONE]
+        for _ in range(len(nodes) - 1):
             row.append(row[-1] * v)
         rows.append(row)
     return rows
 
 
-def _grid_matrix(rows) -> tuple[list, int]:
-    """A matrix of exact entries (X, Y, R, s), each (X + iY +/- R) / 2^s, on
-    the grid 2^-W (see the module docstring): rows of [X, Y, R] int lists,
-    and W."""
-    low = None
-    for row in rows:
-        for x, y, r, s in row:
-            top = max(abs(x), abs(y)).bit_length()
-            if top > r.bit_length() and (low is None or top - s < low):
-                low = top - s
-    w = max(0, mp.prec + GRID_GUARD_BITS - (0 if low is None else low))
-    out = []
-    for row in rows:
-        xs, ys, rs = [], [], []
-        for x, y, r, s in row:
-            x, y, r = _place(x, y, r, w - s)
-            xs.append(x)
-            ys.append(y)
-            rs.append(r)
-        out.append([xs, ys, rs])
-    return out, w
-
-
-def _grid_pivot(x: int, y: int, r: int, w: int) -> CBall:
-    """The ball (x + iy +/- r) / 2^w: an exact midpoint, the radius rounded
-    up to RAD_BITS bits."""
-    return _cball(
-        (from_man_exp(x, -w), from_man_exp(y, -w)),
-        from_man_exp(r, -w, RAD_BITS, "u") if r else fzero,
-    )
-
-
-def _eliminate(rows, k1, pivot, tail, w) -> None:
-    """row -= (x / p) pivot row on columns k1 and on, for each (row, x, y,
-    r) in `rows`, with (x, y, r) the row's entry in the pivot column; the
-    pivot is (px, py, pr, |p|_lo, |P|^2) and the tail (tx, ty, tr, reach)
-    the pivot row's [X, Y, R] from k1 on and |t|_hi + R_t."""
-    px, py, pr, lo, best = pivot
-    tx, ty, tr, reach = tail
-    den = lo * (lo - pr)
-    for (xr, yr, rr), x, y, r in rows:
-        fr = ((x * px + y * py) << w) // best
-        fi = ((y * px - x * py) << w) // best
-        # |x/p - X/P| <= (R_x |P| + |X| R_p) / (|P| (|P| - R_p)), falling in |P|
-        rf = -(-((r * lo + _ceil_sqrt(x * x + y * y) * pr) << w) // den) + 4
-        fm = _ceil_sqrt(fr * fr + fi * fi)
-        xr[k1:] = [c - ((fr * a - fi * b) >> w) for c, a, b in zip(xr[k1:], tx, ty)]
-        yr[k1:] = [c - ((fr * b + fi * a) >> w) for c, a, b in zip(yr[k1:], tx, ty)]
-        # + |f| R_t + R_f (|t| + R_t), rounded up, and 2 units per floored part
-        rr[k1:] = [c - (-(fm * a + rf * b) >> w) + 4 for c, a, b in zip(rr[k1:], tr, reach)]
-
-
-def _eliminate_real(rows, k1, pivot, tail, w) -> None:
-    """`_eliminate` where the pivot, its row's tail and every x are real:
-    f is real, the Y products are all 0 and Y stays as it is. Only X and R
-    change, by the same amounts as in `_eliminate`."""
-    px, _, pr, lo, best = pivot
-    tx, _, tr, reach = tail
-    den = lo * (lo - pr)
-    for (xr, _, rr), x, _, r in rows:
-        f = ((x * px) << w) // best
-        rf = -(-((r * lo + abs(x) * pr) << w) // den) + 4
-        fm = abs(f)
-        xr[k1:] = [c - ((f * a) >> w) for c, a in zip(xr[k1:], tx)]
-        rr[k1:] = [c - (-(fm * a + rf * b) >> w) + 4 for c, a, b in zip(rr[k1:], tr, reach)]
-
-
-def ball_det(matrix: "list[list[CBall]]") -> CBall:
-    """Determinant by LU elimination on one grid of Gaussian integers, with
-    partial pivoting on the exact squared moduli (first row on ties); see
-    the module docstring.
-
-    Raises BallDomainError when a pivot ball may contain zero.
-    """
-    rows, w = _grid_matrix([[_scaled(z) for z in row] for row in matrix])
-    n = len(rows)
-    pivots = []
-    sign = 1
-    for k in range(n):
-        piv, best = k, rows[k][0][k] ** 2 + rows[k][1][k] ** 2
-        for i in range(k + 1, n):
-            a = rows[i][0][k] ** 2 + rows[i][1][k] ** 2
-            if a > best:
-                piv, best = i, a
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        xs, ys, rs = rows[k]
-        px, py, pr = xs[k], ys[k], rs[k]
-        lo = math.isqrt(best)
-        if lo <= pr:
-            raise BallDomainError("singular-to-precision pivot in ball determinant")
-        pivots.append(_grid_pivot(px, py, pr, w))
-        active = [(g, g[0][k], g[1][k], g[2][k]) for g in rows[k + 1:]
-                  if g[0][k] or g[1][k] or g[2][k]]
-        if not active:
-            continue
-        k1 = k + 1
-        tx, ty, tr = xs[k1:], ys[k1:], rs[k1:]
-        real = not (py or any(ty))
-        mods = [abs(a) for a in tx] if real else [_ceil_sqrt(a * a + b * b) for a, b in zip(tx, ty)]
-        tail = (tx, ty, tr, [m + c for m, c in zip(mods, tr)])
-        pivot = (px, py, pr, lo, best)
-        if real:
-            _eliminate_real([u for u in active if not u[2]], k1, pivot, tail, w)
-            active = [u for u in active if u[2]]
-        if active:
-            _eliminate(active, k1, pivot, tail, w)
-    det = ball_product(pivots) if pivots else CBall.one()
-    return -det if sign < 0 else det
-
-
 # --- divided differences ------------------------------------------------------
 
 
-def _as_cball(x) -> CBall:
-    return x if isinstance(x, CBall) else CBall.exact(x)
-
-
-def _validate_nodes(nodes: list[CBall]) -> None:
-    for j in range(len(nodes)):
-        for i in range(j):
-            gap = (nodes[j] - nodes[i]).abs()
-            if gap.lo <= 0:
-                raise ValidationError(
-                    f"nodes {i} and {j} are not certifiably distinct"
-                )
+def _exact(x) -> GaussianRational:
+    """x as a Gaussian rational: a number, or a ball of radius 0."""
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, CBall):
+        if x.rad:
+            raise ValidationError(f"{x!r} has a radius: it is no exact node")
+        return exact_mid(x)
+    if isinstance(x, complex):
+        return GaussianRational(Fraction(x.real), Fraction(x.imag))
+    return GaussianRational(Fraction(x), Fraction(0))
 
 
 @dataclass(frozen=True)
 class NodeList:
-    """Validated tuple of pairwise distinct complex nodes."""
+    """Validated tuple of pairwise distinct exact nodes."""
 
-    nodes: tuple[CBall, ...]
+    nodes: tuple[GaussianRational, ...]
 
     @staticmethod
     def of(values) -> "NodeList":
-        nodes = [_as_cball(v) for v in values]
-        _validate_nodes(nodes)
+        nodes = [_exact(v) for v in values]
+        for j in range(len(nodes)):
+            for i in range(j):
+                if nodes[i] == nodes[j]:
+                    raise ValidationError(f"nodes {i} and {j} are equal")
         return NodeList(tuple(nodes))
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-def _coerce_nodes(nodes) -> list[CBall]:
-    if isinstance(nodes, NodeList):
-        return list(nodes.nodes)
-    out = [_as_cball(v) for v in nodes]
-    _validate_nodes(out)
-    return out
-
-
-def divdiff_recursive(values, nodes) -> CBall:
-    """Divided difference by the inductive definition."""
-    vs = [_as_cball(v) for v in values]
-    ns = _coerce_nodes(nodes)
-    if len(vs) != len(ns):
-        raise ValidationError("values and nodes must have equal length")
-    if not vs:
+def _nodes(nodes) -> list[GaussianRational]:
+    if not isinstance(nodes, NodeList):
+        nodes = NodeList.of(nodes)
+    if not nodes.nodes:
         raise ValidationError("at least one node is required")
-    table = vs
+    return list(nodes.nodes)
+
+
+def _values(values, nodes) -> list[GaussianRational]:
+    vs = [_exact(v) for v in values]
+    if len(vs) != len(nodes):
+        raise ValidationError("values and nodes must have equal length")
+    return vs
+
+
+def divdiff_recursive(values, nodes) -> GaussianRational:
+    """Divided difference by the inductive definition."""
+    ns = _nodes(nodes)
+    table = _values(values, ns)
     n = len(ns)
     for width in range(1, n):
         table = [
@@ -268,112 +178,84 @@ def divdiff_recursive(values, nodes) -> CBall:
     return table[0]
 
 
-def divdiff_explicit(values, nodes) -> CBall:
+def divdiff_explicit(values, nodes) -> GaussianRational:
     """Divided difference as the explicit linear combination of the values."""
-    vs = [_as_cball(v) for v in values]
-    ns = _coerce_nodes(nodes)
-    if len(vs) != len(ns):
-        raise ValidationError("values and nodes must have equal length")
-    if not vs:
-        raise ValidationError("at least one node is required")
-    total = CBall.exact(0)
-    for h in range(len(ns)):
-        w = CBall.one()
-        for k in range(len(ns)):
-            if k != h:
-                w = w / (ns[h] - ns[k])
-        total = total + w * vs[h]
+    ns = _nodes(nodes)
+    vs = _values(values, ns)
+    total = _ZERO
+    for h, v in enumerate(vs):
+        w = math.prod([ns[h] - ns[k] for k in range(len(ns)) if k != h], start=_ONE)
+        total = total + v / w
     return total
 
 
-def complete_homogeneous(k: int, nodes: list[CBall]) -> list[CBall]:
-    """h_0..h_k(v_1..v_n) by the column recurrence (no composition
-    enumeration). Entry i reads only entry i - 1 of the same pass, so it
+def complete_homogeneous(k: int, nodes) -> list[GaussianRational]:
+    """h_0..h_k of the nodes by the column recurrence h_i += v h_{i-1}, one
+    pass per node. Entry i reads only entry i - 1 of the same pass, so it
     equals h_i of a run up to i alone."""
-    h = [CBall.exact(0)] * (k + 1)
-    h[0] = CBall.one()
+    h = [_ONE] + [_ZERO] * k
     for v in nodes:
-        _recurrence_pass(h, v)
+        for i in range(1, k + 1):
+            h[i] = h[i] + v * h[i - 1]
     return h
 
 
-def _recurrence_pass(h: list[CBall], v: CBall) -> None:
-    """One node's pass of the column recurrence over h, in place: h_0..h_k
-    of some nodes become h_0..h_k of those nodes and v."""
-    for i in range(1, len(h)):
-        h[i] = h[i] + v * h[i - 1]
-
-
-def divdiff_monomial(p: int, nodes) -> CBall:
+def divdiff_monomial(p: int, nodes) -> GaussianRational:
     """Divided difference of z^p: h_{p-n+1} of the nodes, zero when n >= p+2."""
     if p < 0:
         raise ValidationError("monomial exponent must be nonnegative")
-    ns = _coerce_nodes(nodes)
-    if not ns:
-        raise ValidationError("at least one node is required")
+    ns = _nodes(nodes)
     n = len(ns)
     if n >= p + 2:
-        return CBall.exact(0)
+        return _ZERO
     return complete_homogeneous(p - n + 1, ns)[-1]
 
 
-def divdiff_vector(rows, nodes) -> list[CBall]:
+def divdiff_vector(rows, nodes) -> list[GaussianRational]:
     """Componentwise divided difference of vector-valued samples.
 
     `rows[i]` is the m-component value vector at node i; the result is the
     m-component divided difference.
     """
-    ns = _coerce_nodes(nodes)
-    mat = [[_as_cball(x) for x in row] for row in rows]
-    if len(mat) != len(ns):
+    ns = _nodes(nodes)
+    if len(rows) != len(ns):
         raise ValidationError("row count must equal node count")
-    if not mat:
-        raise ValidationError("at least one node is required")
-    m = len(mat[0])
-    if any(len(row) != m for row in mat):
+    m = len(rows[0])
+    if any(len(row) != m for row in rows):
         raise ValidationError("ragged value vectors")
-    return [
-        divdiff_recursive([row[c] for row in mat], ns)
-        for c in range(m)
-    ]
+    return [divdiff_recursive([row[c] for row in rows], ns) for c in range(m)]
 
 
-def power_basis_row(r: int, nodes) -> list[CBall]:
+def power_basis_row(r: int, nodes) -> list[GaussianRational]:
     """Divided difference of z -> (1, z, ..., z^{r-1}) over the nodes.
 
-    Component p is the monomial route's h_{p-n+1}, exactly zero in the first
-    n-1 components; the nodes are validated once and h_0..h_{r-n} come from
-    one run of the recurrence.
+    Component p is the monomial route's h_{p-n+1}, zero in the first n-1
+    components; h_0..h_{r-n} come from one run of the recurrence. The
+    recurrence divides by nothing, so the nodes need not be distinct, as on
+    a rung grid whose disks meet.
     """
-    ns = _coerce_nodes(nodes)
+    ns = [_exact(v) for v in nodes]
     if not ns:
         raise ValidationError("at least one node is required")
     n = len(ns)
-    row = [CBall.exact(0)] * min(r, n - 1)
+    row = [_ZERO] * min(r, n - 1)
     if r >= n:
         row += complete_homogeneous(r - n, ns)
     return row
+
+
+# --- Mahler measure by quadrature, and the auxiliary lemmas -------------------
 
 
 class JensenUnavailableError(RootsepError):
     """A root lies too close to the unit circle for the quadrature cross-check."""
 
 
-def eval_poly(p, z, precision: int | None = None) -> CBall:
-    """Horner evaluation of an exact polynomial in ball arithmetic, the
-    coefficients contributing only conversion ulps; at `precision` when
-    given, otherwise at the ambient one."""
-    if precision is not None:
-        with working_precision(precision):
-            return eval_poly(p, z)
-    if p.is_zero:
-        return CBall.exact(0)
-    zb = z if isinstance(z, CBall) else CBall.exact(z)
-    cs = [CBall.from_gaussian(c) for c in p.coeffs]
-    acc = cs[-1]
-    for c in reversed(cs[:-1]):
-        acc = acc * zb + c
-    return acc
+def numeric_coeffs(p) -> list[mpc]:
+    """P's coefficients as mpc at the ambient precision, highest degree
+    first, as `mpmath.polyval` takes them."""
+    return [mpc(mpf(c.re.numerator) / c.re.denominator, mpf(c.im.numerator) / c.im.denominator)
+            for c in reversed(p.coeffs)]
 
 
 def mahler_measure_jensen(p, n_nodes: int = 512, roots=None, precision: int = 128) -> tuple[mpf, mpf]:
@@ -391,12 +273,13 @@ def mahler_measure_jensen(p, n_nodes: int = 512, roots=None, precision: int = 12
                 raise JensenUnavailableError(
                     f"jensen oracle unavailable: root {idx} lies within 1e-6 of the unit circle"
                 )
+        coeffs = numeric_coeffs(p)
 
         def estimate(n: int) -> mpf:
             total = mpf(0)
             for k in range(n):
                 z = mpmath.exp(mpc(0, 2 * mpmath.pi * k / n))
-                total += mpmath.log(abs(eval_poly(p, z).mid))
+                total += mpmath.log(abs(mpmath.polyval(coeffs, z)))
             return mpmath.exp(total / n)
 
         coarse = estimate(n_nodes)

@@ -35,6 +35,7 @@ from oracles import (
     divdiff_monomial,
     divdiff_recursive,
     lemma_aux_check,
+    mid_distance,
     multiplicity_product_bound,
 )
 
@@ -149,32 +150,22 @@ def test_criterion_4_two_route_subdiscriminant():
 
 
 def test_criterion_5_divided_difference_routes():
+    # the three routes run on Gaussian rationals, so they agree exactly
     rng = random.Random(5050)
-
-    def agree(a, b):
-        # 1e-12 relative, with the certified radii as the absolute floor
-        # (exact-zero divided differences have no meaningful relative scale)
-        tol = max(abs(a.mid), abs(b.mid)) * 1e-12 + a.rad + b.rad
-        return abs(a.mid - b.mid) <= tol
-
-    with working_precision(128):
-        for _ in range(500):
-            n = rng.randint(1, 8)
-            p = rng.randint(0, 10)
-            nodes = set()
-            while len(nodes) < n:
-                nodes.add(complex(rng.randint(-6, 6), rng.randint(-6, 6)))
-            nodes = list(nodes)
-            values = [z**p for z in nodes]
-            rec = divdiff_recursive(values, nodes)
-            exp = divdiff_explicit(values, nodes)
-            mono = divdiff_monomial(p, nodes)
-            assert agree(rec, exp)
-            assert agree(rec, mono)
-            assert agree(exp, mono)
-            if n >= p + 2:
-                assert mono.mid == 0 and mono.rad == 0
-                assert abs(rec.mid) <= rec.rad
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        p = rng.randint(0, 10)
+        nodes = set()
+        while len(nodes) < n:
+            nodes.add(GaussianRational.of(rng.randint(-6, 6), rng.randint(-6, 6)))
+        nodes = list(nodes)
+        values = [math.prod([z] * p, start=GaussianRational.of(1)) for z in nodes]
+        rec = divdiff_recursive(values, nodes)
+        exp = divdiff_explicit(values, nodes)
+        mono = divdiff_monomial(p, nodes)
+        assert rec == exp == mono, (nodes, p)
+        if n >= p + 2:
+            assert mono.is_zero
     print("criterion 5 PASS: three divided-difference routes agree on 500 node sets")
 
 
@@ -276,7 +267,7 @@ def test_criterion_8_improvement_monotonicity():
         rs = find_roots(p, 128)
         r = rs.r
         dists = sorted(
-            ((rs.entries[i].value - rs.entries[j].value).abs().mid, i, j)
+            (mid_distance(rs.entries[i].value, rs.entries[j].value), i, j)
             for j in range(r) for i in range(j)
         )
         hints = []

@@ -1,5 +1,5 @@
-"""Ball arithmetic: enclosure of exact results, modulus bounds, and the
-stored modulus."""
+"""Ball arithmetic: enclosure of exact results, the modulus of a disk, and
+the grid products a rung table reports."""
 import operator
 from fractions import Fraction
 
@@ -14,14 +14,14 @@ from rootsep.balls import (
     RAD_BITS,
     CBall,
     RBall,
-    _mod_down,
-    _mod_up,
+    RungTable,
+    grid_cball,
     json_real,
     working_precision,
 )
 from rootsep.errors import BallDomainError
 
-from oracles import ball_det, exact_det
+from oracles import exact_det, vandermonde_matrix
 
 
 def _t(x) -> Fraction:
@@ -52,7 +52,7 @@ def _encloses_modulus(ball: RBall, z: GaussianRational) -> bool:
     return (lo <= 0 or lo * lo <= z.norm()) and z.norm() <= hi * hi
 
 
-OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+OPS = {"*": operator.mul, "/": operator.truediv}
 
 # mixed signs, zero, integers and fractions that no binary float holds exactly
 rationals = st.one_of(
@@ -100,11 +100,17 @@ def _complex_ball(re: Fraction, im: Fraction, rad: Fraction):
     return ball, [GaussianRational(a, b) for a, b in points]
 
 
-def _operands(make, x, y):
-    """(ball, exact) pairs: the exact inputs, and results of one operation,
-    among them x - x, whose midpoint is 0 and whose radius need not be."""
-    bx, by = make(x), make(y)
-    return [(bx, x), (by, y), (bx - bx, x - x), (bx * by, x * y), (bx - by, x - y)]
+def _holds_zero(ball: RBall) -> bool:
+    return ball.lo <= 0 <= ball.hi
+
+
+def _operands(x, y):
+    """(ball, exact) pairs: the exact inputs, and results of one operation."""
+    bx, by = RBall.exact(x), RBall.exact(y)
+    out = [(bx, x), (by, y), (bx * by, x * y)]
+    if y:
+        out.append((bx / by, x / y))
+    return out
 
 
 class TestEnclosure:
@@ -112,29 +118,24 @@ class TestEnclosure:
     @given(rationals, rationals, precisions)
     def test_real_operations(self, x, y, bits):
         with working_precision(bits):
-            operands = _operands(RBall.exact, x, y)
+            operands = _operands(x, y)
             for ba, a in operands:
                 assert _encloses_real(ba, a)
-                assert _encloses_real(ba.abs(), abs(a))
                 for bb, b in operands:
                     for op, f in OPS.items():
-                        if op == "/" and bb.contains(0):
+                        if op == "/" and _holds_zero(bb):
                             continue
                         assert _encloses_real(f(ba, bb), f(a, b)), (op, a, b)
 
     @settings(max_examples=100, deadline=None)
-    @given(gaussians, gaussians, precisions)
-    def test_complex_operations(self, z, w, bits):
+    @given(gaussians, precisions)
+    def test_complex_operations(self, z, bits):
+        # a CBall is a value: it is built from a Gaussian rational, rounded,
+        # and its modulus is its one real ball
         with working_precision(bits):
-            operands = _operands(CBall.exact, z, w)
-            for ba, a in operands:
-                assert _encloses_complex(ba, a)
-                assert _encloses_modulus(ba.abs(), a)
-                for bb, b in operands:
-                    for op, f in OPS.items():
-                        if op == "/" and bb.contains_zero():
-                            continue
-                        assert _encloses_complex(f(ba, bb), f(a, b)), (op, a, b)
+            ball = CBall.from_gaussian(z)
+            assert _encloses_complex(ball, z)
+            assert _encloses_modulus(ball.abs(), z)
 
     @settings(max_examples=150, deadline=None)
     @given(dyadics, radii, dyadics, radii, precisions)
@@ -143,7 +144,7 @@ class TestEnclosure:
             bx, xs = _real_ball(x, rx)
             by, ys = _real_ball(y, ry)
             for op, f in OPS.items():
-                if op == "/" and by.contains(0):
+                if op == "/" and _holds_zero(by):
                     continue
                 got = f(bx, by)
                 for a in xs:
@@ -151,28 +152,20 @@ class TestEnclosure:
                         assert _encloses_real(got, f(a, b)), (op, a, b)
 
     @settings(max_examples=100, deadline=None)
-    @given(dyadics, dyadics, radii, dyadics, dyadics, radii, precisions)
-    def test_complex_balls_with_tight_and_tiny_radii(self, a, b, ra, c, d, rc, bits):
+    @given(dyadics, dyadics, radii, precisions)
+    def test_complex_balls_with_tight_and_tiny_radii(self, a, b, ra, bits):
         with working_precision(bits):
             bz, zs = _complex_ball(a, b, ra)
-            bw, ws = _complex_ball(c, d, rc)
             for z in zs:
                 assert _encloses_modulus(bz.abs(), z)
-            for op, f in OPS.items():
-                if op == "/" and bw.contains_zero():
-                    continue
-                got = f(bz, bw)
-                for z in zs:
-                    for w in ws:
-                        assert _encloses_complex(got, f(z, w)), (op, z, w)
 
     @settings(max_examples=60, deadline=None)
-    @given(gaussians, precisions)
-    def test_division_by_a_ball_holding_zero_raises(self, z, bits):
+    @given(rationals, dyadics, radii, precisions)
+    def test_division_by_a_ball_holding_zero_raises(self, x, y, ry, bits):
+        # a radius of at least |mid| reaches 0
         with working_precision(bits):
-            bz = CBall.exact(z)
             with pytest.raises(BallDomainError):
-                bz / (bz - bz)
+                RBall.exact(x) / RBall(_mpf(y), abs(y) + ry)
 
     def test_product_of_tight_balls_at_zero(self):
         # the corner points ra, rb of two balls centred on 0 multiply to
@@ -186,9 +179,10 @@ class TestEnclosure:
 
     def test_radii_carry_at_most_rad_bits(self):
         with working_precision(200):
-            z = CBall.exact(GaussianRational.of(Fraction(1, 3), Fraction(2, 7)))
+            z = CBall.from_gaussian(GaussianRational.of(Fraction(1, 3), Fraction(2, 7)))
             w = RBall.exact(Fraction(5, 11))
-            for ball in (z * z - z, z / (z + 1), w * w - w, w.sqrt(), (z - z).abs()):
+            balls = (z, z.abs(), w * w, w / (w * w), w.sqrt(), w.root(3), w.powr(mpmath.mpf(1.5)), w.powi(-3))
+            for ball in balls:
                 assert ball.rad._mpf_[3] <= RAD_BITS
 
 
@@ -202,7 +196,7 @@ class TestEndpointMaps:
             ball, points = _real_ball(x, rx)
             for p in points:
                 assert _q(ball.lo) <= p <= _q(ball.hi)
-            assert ball.contains(ball.mid)
+            assert ball.lo <= ball.mid <= ball.hi
 
     @settings(max_examples=150, deadline=None)
     @given(dyadics, radii, precisions, st.sampled_from([2, 3, 5]))
@@ -247,28 +241,32 @@ class TestEndpointMaps:
 
 class TestModulusBounds:
     @settings(max_examples=200, deadline=None)
-    @given(dyadics, dyadics, st.integers(-1200, 1200))
-    def test_bounds_bracket_the_modulus(self, re, im, shift):
+    @given(dyadics, dyadics, st.integers(-1200, 1200), precisions)
+    def test_bounds_bracket_the_modulus(self, re, im, shift, bits):
         scale = Fraction(2) ** shift
-        m = (_mpf(re * scale)._mpf_, _mpf(im * scale)._mpf_)
-        norm = (re * re + im * im) * scale * scale
-        up, down = _mod_up(m), _mod_down(m)
-        assert up[3] <= RAD_BITS and down[3] <= RAD_BITS
-        assert _t(down) ** 2 <= norm <= _t(up) ** 2
+        z = GaussianRational(re * scale, im * scale)
+        with working_precision(bits):
+            got = CBall(mpmath.mpc(_mpf(z.re), _mpf(z.im))).abs()
+            assert got.rad._mpf_[3] <= RAD_BITS
+            assert _encloses_modulus(got, z)
 
     def test_bound_where_hypot_undershoots(self):
         # mpf_hypot rounds x^2 + y^2 to nearest before its upward square
-        # root, so its 'u' result lies below |x + iy| here
+        # root, so its 'u' result lies below |x + iy| here; the modulus of
+        # the disk still holds |x + iy|, at every precision
         x = from_man_exp(871384697841, 0)
         y = from_man_exp(206330329985, -7)
-        norm = _t(x) ** 2 + _t(y) ** 2
-        assert _t(mpf_hypot(x, y, RAD_BITS, "u")) ** 2 < norm
-        assert _t(_mod_down((x, y))) ** 2 <= norm <= _t(_mod_up((x, y))) ** 2
+        z = GaussianRational(_t(x), _t(y))
+        assert _t(mpf_hypot(x, y, RAD_BITS, "u")) ** 2 < z.norm()
+        ball = CBall(mpmath.mpc(mpmath.mp.make_mpf(x), mpmath.mp.make_mpf(y)))
+        for bits in (24, RAD_BITS, 64):
+            with mpmath.mp.workprec(bits):
+                assert _encloses_modulus(ball.abs(), z)
 
 
-# entries of determinant tests: exact zeros and small rationals scaled by
-# 2^-200, 1 or 2^200, or by 2^-3000 like a real root's imaginary noise, each
-# widened by a radius from 0 up to 2^-1100 .. 2^-20
+# root disks for the grid products: exact zeros and small rationals scaled
+# by 2^-200, 1 or 2^200, or by 2^-3000 like a real root's imaginary noise,
+# each widened by a radius from 0 up to 2^-1100 .. 2^-20
 det_scales = st.sampled_from(
     [Fraction(1, 2**3000), Fraction(1, 2**200), Fraction(1), Fraction(2**200)]
 )
@@ -286,12 +284,12 @@ _det_widened = st.tuples(
     # where the point sits in the widened disk, as a unit-bounded offset
     st.sampled_from([(0, 0), (1, 0), (0, -1), (Fraction(-3, 5), Fraction(4, 5))]),
 )
-# one entry in five an exact zero
+# one disk in five an exact zero
 det_entries = st.integers(0, 4).flatmap(
     lambda k: _det_widened if k else st.just((GaussianRational.of(0), Fraction(0), (0, 0)))
 )
 
-# real entries: a real midpoint, and a point of the disk on the real line
+# real disks: a real midpoint, and a point of the disk on the real line
 _real_widened = st.tuples(
     st.builds(GaussianRational, det_parts, st.just(Fraction(0))),
     _det_widened.map(lambda entry: entry[1]),
@@ -302,100 +300,54 @@ real_det_entries = st.integers(0, 4).flatmap(
 )
 
 
-def _det_matrices(entries):
-    return st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
-
-
 class TestDeterminant:
+    """det W, the product of the root differences on the rung grid, holds
+    the Vandermonde determinant of a point in each disk."""
+
     @settings(max_examples=120, deadline=None)
-    @given(_det_matrices(det_entries), precisions)
+    @given(st.lists(det_entries, min_size=1, max_size=6), precisions)
     def test_encloses_the_determinant_of_a_point_in_each_ball(self, entries, bits):
         self._check_enclosure(entries, bits)
 
     @settings(max_examples=120, deadline=None)
-    @given(_det_matrices(real_det_entries), precisions)
+    @given(st.lists(real_det_entries, min_size=1, max_size=6), precisions)
     def test_real_matrices_enclose_the_determinant(self, entries, bits):
-        # the real branch updates X and R only
-        self._check_enclosure(entries, bits)
+        # real disks multiply on the X parts alone: det W stays real
+        det_w = self._check_enclosure(entries, bits)
+        assert det_w.mid.imag == 0
 
     @staticmethod
     def _check_enclosure(entries, bits):
         with working_precision(bits):
             balls, points = [], []
-            for row in entries:
-                balls.append([])
-                points.append([])
-                for g, widen, (a, b) in row:
-                    exact = CBall.exact(g)
-                    balls[-1].append(CBall(exact.mid, _q(exact.rad) + widen))
-                    points[-1].append(g + GaussianRational(widen * a, widen * b))
-            try:
-                got = ball_det(balls)
-            except BallDomainError:
-                return
-            assert _encloses_complex(got, exact_det(points))
-
-    def test_complex_entry_under_a_real_pivot_row(self):
-        # the pivot 1 and its row are real, but the entry i below it is not:
-        # that row's update is complex, det = 3 - 2i
-        with working_precision(64):
-            matrix = [[CBall.exact(1), CBall.exact(2)], [CBall(mpmath.mpc(0, 1)), CBall.exact(3)]]
-            assert _encloses_complex(ball_det(matrix), GaussianRational.of(3, -2))
+            for g, widen, (a, b) in entries:
+                rounded = CBall.from_gaussian(g)
+                balls.append(CBall(rounded.mid, _q(rounded.rad) + widen))
+                points.append(g + GaussianRational(widen * a, widen * b))
+            det_w = RungTable.build(balls).det_w
+        assert _encloses_complex(det_w, exact_det(vandermonde_matrix(points)))
+        return det_w
 
     def test_exact_part_below_the_grid_floors_into_the_radius(self):
-        # 1 + 3i 2^-3000 with radius 0: the grid drops the imaginary part and
-        # must widen the radius for it
+        # 1 + 3 2^-3000 + 3i 2^-3000 on the grid 2^-3000, at 64 bits: the
+        # real part rounds to 1 and its exact error joins the radius
         with working_precision(64):
-            z = CBall(mpmath.mpc(1, mpmath.ldexp(3, -3000)))
-            assert _encloses_complex(ball_det([[z]]), GaussianRational.of(1, Fraction(3, 2**3000)))
-
-    def test_schur_complement_holding_zero_raises(self):
-        # after the first pivot the second is (1 + e) - 1 = e, with radius 2e
-        with working_precision(128):
-            e = mpmath.ldexp(1, -40)
-            matrix = [[CBall.exact(1), CBall.exact(1)], [CBall.exact(1), CBall(1 + e, 2 * e)]]
-            with pytest.raises(BallDomainError, match="singular-to-precision pivot"):
-                ball_det(matrix)
+            got = grid_cball(2**3000 + 3, 3, 0, 3000)
+        assert got.mid.real == 1 and got.rad > 0
+        assert _encloses_complex(got, GaussianRational.of(1 + Fraction(3, 2**3000), Fraction(3, 2**3000)))
 
 
 class TestStoredModulus:
-    def _made_at(self, bits):
-        with working_precision(bits):
-            z = CBall.exact(GaussianRational.of(Fraction(1, 3), Fraction(2, 7)))
-            w = CBall.exact(GaussianRational.of(Fraction(5, 11), Fraction(-1, 13)))
-            return z * w - w
-
     def test_ball_from_another_precision_takes_the_modulus_again(self):
-        # the stored bound is read off the exact midpoint, so a ball made at
-        # another precision gives the same results as a fresh copy
-        made_low = self._made_at(64)
+        # a CBall stores its midpoint and radius only, so a ball made at
+        # another precision gives the same modulus as a fresh copy
+        assert CBall.__slots__ == ("_m", "_r")
+        with working_precision(64):
+            made_low = CBall.from_gaussian(GaussianRational.of(Fraction(1, 3), Fraction(2, 7)))
         with working_precision(256):
             made_here = CBall(made_low.mid, made_low.rad)
-            y = CBall.exact(GaussianRational.of(Fraction(7, 9), Fraction(3, 5)))
-            pairs = [
-                (made_low * y, made_here * y),
-                (y * made_low, y * made_here),
-                (y / made_low, y / made_here),
-                (-made_low * y, -made_here * y),
-                (made_low.conj() * y, made_here.conj() * y),
-            ]
-            for got, want in pairs:
-                assert repr(got.mid) == repr(want.mid)
-                assert repr(got.rad) == repr(want.rad)
             got, want = made_low.abs(), made_here.abs()
             assert repr(got.mid) == repr(want.mid) and repr(got.rad) == repr(want.rad)
-            assert made_low.contains_zero() == made_here.contains_zero()
-
-    def test_stored_modulus_matches_a_fresh_one(self):
-        with working_precision(128):
-            z = self._made_at(128)
-            fresh = CBall(z.mid, z.rad)
-            y = CBall.exact(GaussianRational.of(Fraction(-2, 3), Fraction(1, 9)))
-            for got, want in ((z * y, fresh * y), (y / z, y / fresh), (z.abs(), fresh.abs())):
-                assert repr(got.mid) == repr(want.mid)
-                assert repr(got.rad) == repr(want.rad)
 
 
 class TestJson:

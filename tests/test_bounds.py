@@ -43,32 +43,44 @@ from rootsep import (
     verify,
 )
 from rootsep import balls, bounds
-from rootsep.balls import (
-    CBall,
-    RungTable,
-    ball_product,
-    grid_cball,
-    working_precision,
-)
+from rootsep.balls import CBall, RungTable, ball_product, working_precision
 from rootsep.graph import preset_edges
 from rootsep.invariants import compute_invariants, mahler_measure
 from rootsep.poly import _IOTA, _Q
 from rootsep.roots import RootEntry, RootSet
 
-import oracles
 from oracles import (
-    ball_det,
+    dyadic,
+    exact_det,
+    exact_mid,
     lemma_aux_check,
+    mid_distance,
+    midpoints,
     multiplicity_product_bound,
     power_basis_row,
+    sqrt_bracket,
     vandermonde_matrix,
 )
 
 
-def _ball_distance(roots, i, j):
-    """|v_i - v_j| by ball subtraction at the ambient precision: an oracle
-    independent of the rung table."""
-    return (roots.entries[i].value - roots.entries[j].value).abs()
+def _distance_bracket(roots, i, j) -> tuple:
+    """Rationals lo <= |z_i - z_j| <= hi for every z_i, z_j in the two
+    disks, from the exact midpoints and radii: an oracle independent of the
+    rung table."""
+    a, b = roots.entries[i].value, roots.entries[j].value
+    lo, hi = sqrt_bracket((exact_mid(a) - exact_mid(b)).norm())
+    reach = dyadic(a.rad) + dyadic(b.rad)
+    return max(Fraction(0), lo - reach), hi + reach
+
+
+def _bracket_product(brackets) -> tuple:
+    return math.prod([lo for lo, _ in brackets]), math.prod([hi for _, hi in brackets])
+
+
+def _meets(ball, bracket) -> bool:
+    """Whether the real ball and the bracket (lo, hi) share a point."""
+    mid, rad = dyadic(ball.mid), dyadic(ball.rad)
+    return mid - rad <= bracket[1] and bracket[0] <= mid + rad
 
 
 class TestLemmaAux:
@@ -131,60 +143,68 @@ class TestMultiplicityBound:
 class TestVandermonde:
     def test_2x2(self):
         roots = find_roots(parse_polynomial("x*(x-1)"), 128)
-        with working_precision(128):
-            m = vandermonde_matrix(roots)
-            assert [[c.mid for c in row] for row in m] == [[1, 0], [1, 1]]
-            assert abs(ball_det(m).mid - 1) < 1e-30
+        m = vandermonde_matrix(midpoints(roots))
+        assert m == [[1, 0], [1, 1]]
+        assert exact_det(m) == 1
 
     def test_3x3_det(self):
         roots = find_roots(parse_polynomial("x*(x-1)*(x-2)"), 128)
-        with working_precision(128):
-            assert abs(ball_det(vandermonde_matrix(roots)).mid - 2) < 1e-30
+        assert exact_det(vandermonde_matrix(midpoints(roots))) == 2
 
     def test_pm1(self):
         roots = find_roots(parse_polynomial("x^2-1"), 128)
-        with working_precision(128):
-            assert abs(ball_det(vandermonde_matrix(roots)).mid - 2) < 1e-30
+        assert exact_det(vandermonde_matrix(midpoints(roots))) == 2
 
     def test_det_equals_distance_product(self):
+        # det W on the grid holds the Vandermonde determinant at the
+        # midpoints, and its modulus meets the product of the distances
         rng = random.Random(21)
         for _ in range(15):
             p = _random_instance(rng)[0]
             roots = find_roots(p, 128)
+            det_w = roots.table.det_w
+            assert _in_ball(exact_det(vandermonde_matrix(midpoints(roots))), det_w)
+            prod = _bracket_product(
+                [_distance_bracket(roots, i, j) for j in range(roots.r) for i in range(j)]
+            )
             with working_precision(128):
-                det = ball_det(vandermonde_matrix(roots)).abs()
-                prod = ball_product(
-                    [_ball_distance(roots, i, j) for j in range(roots.r) for i in range(j)]
-                )
-                assert det.overlaps(prod)
+                assert _meets(det_w.abs(), prod)
 
     def test_det_w_from_root_differences_at_degree_32(self):
-        # det W is the product of the root differences; LU of the Vandermonde
-        # matrix encloses the same value, with a radius 10^24 times wider
+        # det W is the product of the root differences; it holds the exact
+        # determinant of the Vandermonde matrix at the midpoints
         p = ExactPoly.from_roots(
             [GaussianRational.of(Fraction(-465 + 30 * j, 12)) for j in range(32)]
         )
         roots = find_roots(p, 128)
         cert = reduce_vandermonde(roots, orient([(j, j + 1) for j in range(31)], roots))
-        with working_precision(128):
-            lu = ball_det(vandermonde_matrix(roots))
-            assert cert.det_w.overlaps(lu)
-            assert cert.det_w.rad / abs(cert.det_w.mid) <= 1e-30
+        assert _in_ball(exact_det(vandermonde_matrix(midpoints(roots))), cert.det_w)
+        assert cert.det_w.rad / abs(cert.det_w.mid) <= 1e-30
 
 
 def _step_matrices(roots, g):
-    """The reduction's matrix sequence: the Vandermonde matrix, then one row
-    replaced per step (highest index first) by the divided difference of the
-    power basis over the sources of its edges plus the vertex itself."""
-    vals = roots.values()
-    current = vandermonde_matrix(roots)
+    """The reduction's matrix sequence at the exact midpoints: the
+    Vandermonde matrix, then one row replaced per step (highest index first)
+    by the divided difference of the power basis over the sources of its
+    edges plus the vertex itself."""
+    z = midpoints(roots)
+    current = vandermonde_matrix(z)
     matrices = [[list(row) for row in current]]
     for j in range(roots.r - 1, 0, -1):
         sources = [a for a, _ in g.edges_into(j)]
         if sources:
-            current[j] = power_basis_row(roots.r, [vals[a] for a in sources] + [vals[j]])
+            current[j] = power_basis_row(roots.r, [z[a] for a in sources] + [z[j]])
         matrices.append([list(row) for row in current])
     return matrices
+
+
+def _step_products(roots, g) -> list:
+    """The exact step factors at the midpoints, highest row first."""
+    z = midpoints(roots)
+    return [
+        math.prod([z[j] - z[a] for a, _ in g.edges_into(j)], start=GaussianRational.of(1))
+        for j in range(roots.r - 1, 0, -1)
+    ]
 
 
 class TestReduction:
@@ -198,12 +218,10 @@ class TestReduction:
         roots = find_roots(parse_polynomial("x^2-1"), 128)
         g = orient([(0, 1)], roots)
         cert = reduce_vandermonde(roots, g)
-        with working_precision(128):
-            w1 = _step_matrices(roots, g)[-1]
-            # the rebuilt matrix is the one the reduction took det_w1 of
-            assert ball_det(w1).overlaps(cert.det_w1)
-        assert [c.mid for c in w1[0]] == [1, -1]
-        assert [abs(c.mid) < 1e-30 for c in w1[1]][0] and abs(w1[1][1].mid - 1) < 1e-30
+        w1 = _step_matrices(roots, g)[-1]
+        # the rebuilt matrix is the one the reduction took det_w1 of
+        assert _in_ball(exact_det(w1), cert.det_w1)
+        assert w1 == [[1, -1], [0, 1]]
         assert abs(cert.det_w1.mid - 1) < 1e-30
         assert abs(cert.step_factors[0].mid - 2) < 1e-30
         assert abs(cert.det_w.mid - 2) < 1e-30
@@ -211,9 +229,9 @@ class TestReduction:
     def test_path_reduction(self):
         roots = find_roots(parse_polynomial("x*(x-1)*(x-2)"), 128)
         cert = reduce_vandermonde(roots, orient([(0, 1), (1, 2)], roots))
-        combined = cert.det_w1 * cert.edge_product
-        assert abs(combined.mid - 2) < 1e-28
-        assert abs(cert.det_w.mid - 2) < 1e-28
+        # the roots are exact, and so is every product of their differences
+        combined = exact_mid(cert.det_w1) * exact_mid(cert.edge_product)
+        assert combined == exact_mid(cert.det_w) == 2
 
     def test_stepwise_identity(self):
         # det W_j = det W_{j-1} * step factor, for every intermediate step
@@ -223,26 +241,30 @@ class TestReduction:
             roots = find_roots(p, 128)
             g = orient(edges, roots)
             cert = reduce_vandermonde(roots, g)
-            with working_precision(128):
-                matrices = _step_matrices(roots, g)
-                # the rebuilt sequence runs from the reduction's W to its W_1
-                assert ball_det(matrices[0]).overlaps(cert.det_w)
-                assert ball_det(matrices[-1]).overlaps(cert.det_w1)
-                for step, factor in enumerate(cert.step_factors):
-                    before = ball_det(matrices[step])
-                    after = ball_det(matrices[step + 1])
-                    assert before.overlaps(after * factor)
+            dets = [exact_det(m) for m in _step_matrices(roots, g)]
+            # the rebuilt sequence runs from the reduction's W to its W_1
+            assert _in_ball(dets[0], cert.det_w)
+            assert _in_ball(dets[-1], cert.det_w1)
+            for step, (factor, exact) in enumerate(zip(cert.step_factors, _step_products(roots, g))):
+                assert _in_ball(exact, factor)
+                assert dets[step] == dets[step + 1] * exact
 
     def test_identity_holds_modulo_q(self):
         rng = random.Random(9)
         for _ in range(10):
             p, edges = _random_instance(rng)
             roots = find_roots(p, 128)
-            cert = reduce_vandermonde(roots, orient(edges, roots))
+            g = orient(edges, roots)
+            cert = reduce_vandermonde(roots, g)
             assert cert.identity.holds
-            with working_precision(128):
-                # det_w1 is det W / E, the product of the non-edge differences
-                assert cert.det_w.overlaps(cert.det_w1 * cert.edge_product)
+            # det_w1 is det W / E, the product of the non-edge differences
+            matrices = _step_matrices(roots, g)
+            det_w, det_w1 = exact_det(matrices[0]), exact_det(matrices[-1])
+            edge_product = math.prod(_step_products(roots, g), start=GaussianRational.of(1))
+            assert det_w == det_w1 * edge_product
+            assert _in_ball(det_w, cert.det_w)
+            assert _in_ball(det_w1, cert.det_w1)
+            assert _in_ball(edge_product, cert.edge_product)
 
 
 def _spy_builds(monkeypatch) -> list:
@@ -268,25 +290,21 @@ class TestRungTable:
         )
         roots = find_roots(p, 128)
         edges = [(i, j) for j in range(r) for i in range(j)]
-        subtractions, distances = [], []
-        real_sub, real_distance = CBall.__sub__, RootSet.distance
-
-        def sub_spy(self, other):
-            subtractions.append(1)
-            return real_sub(self, other)
+        distances = []
+        real_distance = RootSet.distance
 
         def distance_spy(self, i, j):
             distances.append((i, j))
             return real_distance(self, i, j)
 
-        monkeypatch.setattr(CBall, "__sub__", sub_spy)
         monkeypatch.setattr(RootSet, "distance", distance_spy)
         builds = _spy_builds(monkeypatch)
         rep = bound_main(p, edges, 128, roots=roots)
         assert rep.holds and rep.certificate is not None
         assert len(builds) == 1
-        assert subtractions == []
         assert distances == []
+        # and a CBall has no subtraction to call
+        assert not hasattr(CBall, "__sub__")
 
     @pytest.mark.parametrize("variant", ["main", "sep_product"])
     def test_one_table_per_rung(self, variant, monkeypatch):
@@ -299,18 +317,10 @@ class TestRungTable:
             p, edges, tables = _tight_pair(), [], [64, 128]
         else:
             p, edges, tables = _far_cluster(), [(1, 2)], [128]
-        builds, subtractions = _spy_builds(monkeypatch), []
-        real_sub = CBall.__sub__
-
-        def sub_spy(self, other):
-            subtractions.append(1)
-            return real_sub(self, other)
-
-        monkeypatch.setattr(CBall, "__sub__", sub_spy)
+        builds = _spy_builds(monkeypatch)
         rep = verify(p, edges, variant, precision=64, ceiling=256, subset=[2])
         assert rep.holds and rep.precision_bits == 128
         assert builds == [bits + balls.GUARD_BITS for bits in tables]
-        assert subtractions == []
 
     def test_invariants_reuse_the_bounds_table(self, monkeypatch):
         q, mults = _degree_16_roots()
@@ -329,25 +339,17 @@ class TestRungTable:
         [(0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4), (1, 5), (4, 5)],
     ])
     def test_w1_rows_overlap_power_basis_rows(self, edges):
-        # the grid rows, nested or not, overlap the ball oracle's rows
+        # the grid rows, nested or not, are the exact oracle's rows at the
+        # midpoints, which the grid holds exactly
         p = ExactPoly.from_roots(
             [GaussianRational.of(Fraction(k - 3, 3), Fraction(k % 2, 2)) for k in range(8)]
         )
         roots = find_roots(p, 128)
         g = orient(edges, roots)
-        with working_precision(128):
-            vals = roots.values()
-            table = roots.table
-            sources = table.edges(g).sources
-            w1 = bounds._w1(table, sources, bounds._second_point(table))
-            oracle = vandermonde_matrix(roots)
-            for j in range(8):
-                if sources[j]:
-                    oracle[j] = power_basis_row(8, [vals[a] for a in sources[j]] + [vals[j]])
-            for row, expected in zip(w1, oracle):
-                got = [grid_cball(x, y, r, i * table.w) for i, (x, y, r) in enumerate(zip(row.xs, row.ys, row.rads))]
-                assert all(z.mid == 0 and z.rad == 0 for z in expected[:row.start])
-                assert all(a.overlaps(b) for a, b in zip(got, expected[row.start:]))
+        table = roots.table
+        sources = table.edges(g).sources
+        w1 = bounds._w1(table, sources, bounds._second_point(table))
+        assert _grid_matrix(w1, table.w) == _step_matrices(roots, g)[-1]
 
 
 def _mpf(x: Fraction):
@@ -386,19 +388,20 @@ def _in_bracket(norm_sq: Fraction, bracket) -> bool:
     return lo * lo <= norm_sq <= hi * hi
 
 
-def _h_row(r: int, nodes: list) -> list:
-    """Divided difference of the power basis over exact nodes: n - 1 zeros,
-    then h_0 .. h_{r-n} by the column recurrence."""
-    h = [GaussianRational.of(1)] + [GaussianRational.of(0)] * (r - len(nodes))
-    for v in nodes:
-        for i in range(1, len(h)):
-            h[i] = h[i] + v * h[i - 1]
-    return [GaussianRational.of(0)] * (len(nodes) - 1) + h
+def _grid_matrix(rows, w: int) -> list:
+    """W_1's rows (see `bounds.W1Row`) as Gaussian rationals: the exact
+    midpoints of the grid entries, entry i of a row in units of 2^-(i w)."""
+    return [
+        [GaussianRational.of(0)] * row.start
+        + [GaussianRational(Fraction(x, 2 ** (i * w)), Fraction(y, 2 ** (i * w)))
+           for i, (x, y) in enumerate(zip(row.xs, row.ys))]
+        for row in rows
+    ]
 
 
-# dyadic midpoint parts, 0 among them, some with more bits than a W_1 entry
-# keeps on ball_det's grid, and radii: 0 (exact dyadic roots), plain, near 1
-# and near 2^-1100
+# dyadic midpoint parts, 0 among them, some with more bits than the 128-bit
+# working precision, and radii: 0 (exact dyadic roots), plain, near 1 and
+# near 2^-1100
 _parts = st.one_of(
     st.just(Fraction(0)),
     st.builds(lambda m, s: m / Fraction(2) ** s, st.integers(-(2**40), 2**40), st.integers(-4, 60)),
@@ -481,7 +484,7 @@ class TestIdentityCheck:
             ys[i] += dy
             wrong = rows[:j] + (rows[j]._replace(xs=xs, ys=ys),) + rows[j + 1:]
             gauss = lambda x, y: GaussianRational.of(x, y)  # noqa: E731
-            same = oracles.exact_det(_w1_matrix(wrong, gauss)) == oracles.exact_det(_w1_matrix(rows, gauss))
+            same = exact_det(_w1_matrix(wrong, gauss)) == exact_det(_w1_matrix(rows, gauss))
             assert _identity_of(roots, g, rows=wrong).holds == same
             return
         if kind == "swap":
@@ -521,7 +524,7 @@ class TestIdentityCheck:
         lambda n: st.lists(st.lists(_gauss, min_size=n, max_size=n), min_size=n, max_size=n)
     ))
     def test_modular_determinant_matches_the_exact_one(self, entries):
-        exact = oracles.exact_det([[GaussianRational.of(x, y) for x, y in row] for row in entries])
+        exact = exact_det([[GaussianRational.of(x, y) for x, y in row] for row in entries])
         assert exact.re.denominator == exact.im.denominator == 1
         mod_q = bounds._det_mod_q([[(x + _IOTA * y) % _Q for x, y in row] for row in entries])
         assert mod_q == (exact.re.numerator + _IOTA * exact.im.numerator) % _Q
@@ -619,7 +622,7 @@ class TestGridEnclosure:
         assert _in_ball(det_w1, cert.det_w1)
         hadamard = Fraction(1)
         for j, (row, norm, bound) in enumerate(zip(w1, cert.row_norms, cert.row_norm_bounds)):
-            exact = _h_row(r, [z[a] for a in products.sources[j]] + [z[j]])
+            exact = power_basis_row(r, [z[a] for a in products.sources[j]] + [z[j]])
             assert all(h.is_zero for h in exact[:row.start])
             for i, (h, x, y, rad) in enumerate(zip(exact[row.start:], row.xs, row.ys, row.rads)):
                 unit = Fraction(1, 2 ** (i * table.w))
@@ -677,99 +680,26 @@ def test_table_routes_agree_with_independent_routes(variant, case):
         bound = bound_main if variant == "main" else bound_remark_degree
         rep = bound(p, edges, precision, roots=roots)
         sdisc = rep.components["sdisc_sqrt"] * rep.components["sdisc_sqrt"]
+    lhs = _bracket_product([_distance_bracket(roots, a, b) for a, b in edges])
+    assert _meets(rep.lhs, lhs)
     with working_precision(precision):
-        lhs = ball_product([_ball_distance(roots, a, b) for a, b in edges])
         assert sdisc.overlaps(compute_invariants(p, precision, roots=roots).sdisc_abs)
-        assert rep.lhs.overlaps(lhs)
-
-
-def _path_w1(r: int):
-    """The reduced matrix W_1 of a path on the real roots (k - r/2)/4,
-    k = 0, ..., r - 1, at 128 bits."""
-    p = ExactPoly.from_roots([GaussianRational.of(Fraction(2 * k - r, 8)) for k in range(r)])
-    roots = find_roots(p, 128)
-    g = orient(preset_edges("path", roots), roots)
-    with working_precision(128):
-        return _step_matrices(roots, g)[-1]
 
 
 class TestDeterminantOnIntegers:
-    def test_path_w1_divides_no_ball_and_multiplies_only_pivots(self, monkeypatch):
-        w1 = _path_w1(16)
-        muls, divs = [], []
-        real_mul, real_div = CBall.__mul__, CBall.__truediv__
-
-        def mul_spy(self, other):
-            muls.append(1)
-            return real_mul(self, other)
-
-        def div_spy(self, other):
-            divs.append(1)
-            return real_div(self, other)
-
-        monkeypatch.setattr(CBall, "__mul__", mul_spy)
-        monkeypatch.setattr(CBall, "__truediv__", div_spy)
-        with working_precision(128):
-            ball_det(w1)
-        assert divs == []
-        assert len(muls) <= 16
-
-    def test_real_path_w1_takes_the_real_branch(self, monkeypatch):
-        # roots k/4 are certified on the axis, so W_1 is real and every
-        # elimination step skips the imaginary parts
-        w1 = _path_w1(16)
-        assert all(z.mid.imag == 0 for row in w1 for z in row)
-        calls = {"real": 0, "complex": 0}
-
-        def spy(name, real):
-            def run(rows, *args):
-                calls[name] += len(rows)
-                return real(rows, *args)
-            return run
-
-        monkeypatch.setattr(oracles, "_eliminate_real", spy("real", oracles._eliminate_real))
-        monkeypatch.setattr(oracles, "_eliminate", spy("complex", oracles._eliminate))
-        with working_precision(128):
-            got = ball_det(w1)
-        assert calls["real"] > 0 and calls["complex"] == 0
-        assert got.mid.imag == 0
-
-    def test_entries_below_their_radius_leave_the_grid_alone(self, monkeypatch):
-        # a midpoint under its own radius is rounding noise: it floors into
-        # the radius and does not set the grid
-        grids = []
-        real_pivot = oracles._grid_pivot
-
-        def pivot_spy(x, y, r, w):
-            grids.append(w)
-            return real_pivot(x, y, r, w)
-
-        monkeypatch.setattr(oracles, "_grid_pivot", pivot_spy)
-        w1 = _path_w1(12)
-        with working_precision(128):
-            noise = [CBall(mpmath.mpc(mpmath.ldexp(3 * s, -160), mpmath.ldexp(-s, -158)),
-                           mpmath.ldexp(1, -150)) for s in (1, -1)]
-            noisy = [row + [noise[i % 2]] for i, row in enumerate(w1)]
-            noisy.append([noise[j % 2] for j in range(12)] + [w1[0][0]])
-            clean = ball_det(w1)
-            clean_grid = set(grids)
-            grids.clear()
-            got = ball_det(noisy)
-        assert len(clean_grid) == 1 and set(grids) == clean_grid
-        assert got.overlaps(clean * w1[0][0])
-
-    def test_imaginary_noise_on_real_entries_floors_into_the_radius(self):
-        w1 = _path_w1(12)
-        with working_precision(128):
-            tiny = mpmath.ldexp(1, -3000)
-            noisy = [
-                [CBall(mpmath.mpc(z.mid.real, tiny if (i + j) % 2 else -tiny), z.rad)
-                 for j, z in enumerate(row)]
-                for i, row in enumerate(w1)
-            ]
-            clean, got = ball_det(w1), ball_det(noisy)
-            assert got.overlaps(clean)
-            assert got.rad <= 2 * clean.rad
+    def test_real_path_w1_takes_the_real_branch(self):
+        # roots k/4 are certified on the axis, exactly, so the grid W_1 is
+        # real and is the exact W_1, whose determinant det_w1 is, exactly
+        r = 16
+        p = ExactPoly.from_roots([GaussianRational.of(Fraction(2 * k - r, 8)) for k in range(r)])
+        roots = find_roots(p, 128)
+        g = orient(preset_edges("path", roots), roots)
+        cert = reduce_vandermonde(roots, g)
+        assert all(y == 0 and rad == 0 for row in cert.rows for y, rad in zip(row.ys, row.rads))
+        w1 = _step_matrices(roots, g)[-1]
+        assert _grid_matrix(cert.rows, roots.table.w) == w1
+        assert cert.det_w1.rad == 0 and cert.det_w1.mid.imag == 0
+        assert exact_det(w1) == exact_mid(cert.det_w1)
 
     @pytest.mark.parametrize("preset", ["complete", "path"])
     def test_roots_across_a_wide_range_certify(self, preset):
@@ -1080,7 +1010,7 @@ def _hints_for(p, edges, n_pairs=2):
     roots = find_roots(p, 128)
     r = roots.r
     dists = sorted(
-        (float(_ball_distance(roots, i, j).mid), i, j)
+        (float(mid_distance(roots.entries[i].value, roots.entries[j].value)), i, j)
         for j in range(r)
         for i in range(j)
     )
@@ -1132,7 +1062,7 @@ class TestBoundRemarkPairs:
         roots = find_roots(p, 128)
         # the far pair cannot satisfy any positive Delta certificate
         far = max(
-            ((float(_ball_distance(roots, i, j).mid), i, j) for j in range(roots.r) for i in range(j))
+            ((float(mid_distance(roots.entries[i].value, roots.entries[j].value)), i, j) for j in range(roots.r) for i in range(j))
         )
         with pytest.raises(ValidationError, match="violates"):
             ClusterHint.build([(far[1], far[2], 0.5)], roots)

@@ -177,6 +177,39 @@ def test_every_subcommand_reports_input_errors(args, capsys):
     )
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--preset", "path"], "the following arguments are required: --poly"),
+    (["verify", "--poly", "x^2-1", "--preset", "nope"], "argument --preset: invalid choice: 'nope'"),
+    (["verify", "--poly", "x^2-1", "--preset", "path", "--precision", "abc"],
+     "argument --precision: invalid int value: 'abc'"),
+])
+def test_a_malformed_command_line_is_an_input_error(args, message, capsys):
+    # exit 1 and a JSON report, as for any input error: argparse's own exit
+    # code 2 would read as inconclusive
+    code, report = run_cli(args, capsys)
+    assert code == 1
+    assert report["error"]["type"] == "ValidationError"
+    assert message in report["error"]["message"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "usage: rootsep verify" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify", "certificate"])
+def test_graph_and_preset_together_are_an_input_error(command, capsys):
+    code, report = run_cli(
+        [command, "--poly", "x*(x-1)*(x-2)", "--graph", '{"edges": [[0, 1]]}', "--preset", "complete"],
+        capsys,
+    )
+    assert code == 1
+    assert report["error"]["type"] == "ValidationError"
+    assert "not allowed with argument --graph" in report["error"]["message"]
+
+
 class TestOut:
     def test_atomic_write(self, capsys, tmp_path):
         out = tmp_path / "report.json"

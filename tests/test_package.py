@@ -15,7 +15,12 @@ REMOVED = {
     "bounds": ("lemma_aux_check", "multiplicity_product_bound"),
     "roots": ("min_pairwise_distance",),
     "errors": ("JensenUnavailableError",),
+    "balls": ("_mod_up", "_mod_down", "_complex_cushion", "_mid_product"),
 }
+
+#: the operator methods a complex ball, being a value, does not define
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__", "__pos__", "__abs__", "__pow__")
 
 
 def test_public_names_resolve_and_removed_names_are_gone():
@@ -50,3 +55,10 @@ def test_poly_imports_nothing_from_balls():
     # the exact layer stands alone: no ball arithmetic under it
     imported = set(_imported_modules(POLY_SOURCE.read_text()))
     assert not {m for m in imported if m == "rootsep.balls" or m.startswith("rootsep.balls.")}
+
+
+def test_complex_balls_are_values_and_real_balls_only_multiply():
+    from rootsep.balls import CBall, RBall
+
+    assert [name for name in ARITHMETIC if hasattr(CBall, name)] == []
+    assert not hasattr(RBall, "__add__") and not hasattr(RBall, "__sub__")

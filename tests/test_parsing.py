@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsep import ExactPoly, GaussianRational, ParseError, parse_polynomial
-from rootsep.parsing import _Parser, poly_to_json, render_exact_poly
+from rootsep.parsing import MAX_POWER_BITS, MAX_POWER_DEGREE, _Parser, poly_to_json, render_exact_poly
 
 
 def gr(re, im=0):
@@ -245,3 +245,32 @@ def test_round_trip_matches_the_term_by_term_parser(p, powers):
     assert parse_polynomial(text) == _TermByTermParser(text).parse() == p
     factored = "*".join([f"({text})"] + [f"(x-({q}))^{e}" for q, e in powers])
     assert parse_polynomial(factored) == _TermByTermParser(factored).parse()
+
+
+class TestPowerLimits:
+    def test_degree_limit(self):
+        assert parse_polynomial(f"x^{MAX_POWER_DEGREE}").degree == MAX_POWER_DEGREE
+        assert parse_polynomial(f"(x^2 + 1)^{MAX_POWER_DEGREE // 2}").degree == MAX_POWER_DEGREE
+        for text in (f"x^{MAX_POWER_DEGREE + 1}", "x^1000000000", f"(x^2 + 1)^{MAX_POWER_DEGREE // 2 + 1}"):
+            with pytest.raises(ParseError) as exc:
+                parse_polynomial(text)
+            # at the exponent, before anything is expanded
+            assert exc.value.position == text.rindex("^") + 1
+
+    def test_bit_limit(self):
+        # 2^e needs e bits, (1/4)^e 2e bits of denominator
+        assert parse_polynomial(f"2^{MAX_POWER_BITS}").coeff(0).re == 2**MAX_POWER_BITS
+        assert parse_polynomial(f"(1/4)^{MAX_POWER_BITS // 2}").coeff(0).re == Fraction(1, 2**MAX_POWER_BITS)
+        huge = "9" * 400  # beyond the float range
+        for text in (f"2^{MAX_POWER_BITS + 1}", f"(1/4)^{MAX_POWER_BITS // 2 + 1}", "(x + 2^30)^700", f"2^{huge}"):
+            with pytest.raises(ParseError) as exc:
+                parse_polynomial(text)
+            assert exc.value.position == text.rindex("^") + 1
+
+    def test_every_example_input_is_legal(self):
+        # the largest constant of the examples, and powers of 0, 1 and i of
+        # any size
+        huge = "9" * 400
+        assert parse_polynomial("(x-10^200)*(x+2*10^200)*(x-3)").degree == 3
+        assert parse_polynomial("0^1000000000 + x").degree == 1
+        assert parse_polynomial(f"(-1)^{huge} + i^{huge} + x").coeff(0) == GaussianRational.of(-1, -1)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from rootsep.poly import (
     square_free_decomposition,
 )
 
-from oracles import eval_poly
+from oracles import numeric_coeffs
 
 
 def P(*coeffs):
@@ -40,9 +41,12 @@ class TestEval:
         assert CUBIC.eval_exact(2) == GaussianRational.of(5)
 
     def test_ball_eval_matches_exact(self):
-        b = eval_poly(CUBIC, 2, precision=128)
-        assert b.mid == 5
-        assert b.rad < 1e-30
+        # the Jensen oracle's numeric evaluation agrees with the exact one
+        with mpmath.mp.workprec(128):
+            assert mpmath.polyval(numeric_coeffs(CUBIC), 2) == 5
+            # (1/2 - i)^3 - 2 (1/2 - i) + 1 = -11/8 + 9i/4, exact in binary
+            assert mpmath.polyval(numeric_coeffs(CUBIC), mpmath.mpc(0.5, -1)) == mpmath.mpc(-1.375, 2.25)
+            assert CUBIC.eval_exact(GaussianRational.of(Fraction(1, 2), -1)) == GaussianRational.of(Fraction(-11, 8), Fraction(9, 4))
 
     def test_gaussian_point(self):
         # (i)^2 - 1 = -2

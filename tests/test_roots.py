@@ -31,7 +31,7 @@ from rootsep.roots import (
     _taylor_shift,
 )
 
-from oracles import eval_poly
+from oracles import disks_meet, dyadic, exact_mid, sqrt_bracket
 
 
 def test_plus_minus_one_order():
@@ -112,17 +112,20 @@ def _random_poly(rng, allow_mult=True):
 
 
 def test_residual_bound_random_instances():
-    # certified part of |P(v)| is below radius * (bound on |P'| over the disk)
+    # the disk holds a root z, so |P(v)| = |P(v) - P(z)| <= rad sup|P'| over
+    # the disk, and sup|P'| <= sum_k |P^(k+1)(v)| rad^k / k! (Taylor at v):
+    # decided exactly at the dyadic midpoint v
     rng = random.Random(101)
     for _ in range(25):
         p, _, _ = _random_poly(rng)
         roots = find_roots(p, 128)
-        with working_precision(128):
-            dp = p.derivative()
-            for e in roots.entries:
-                residual_lo = max(eval_poly(p, e.value.mid).abs().lo, mpmath.mpf(0))
-                dball = eval_poly(dp, e.value)  # input carries the disk radius
-                assert residual_lo <= e.value.rad * dball.abs().hi + mpmath.ldexp(1, -120)
+        for e in roots.entries:
+            v, rad = exact_mid(e.value), dyadic(e.value.rad)
+            slope, dk = Fraction(0), p.derivative()
+            for k in range(p.degree):
+                slope += sqrt_bracket(dk.eval_exact(v).norm())[1] * rad**k / math.factorial(k)
+                dk = dk.derivative()
+            assert p.eval_exact(v).norm() <= (rad * slope) ** 2
 
 
 def test_canonical_order_is_total():
@@ -771,9 +774,8 @@ class TestRefine:
         assert warmed == [True] and newton == []
         assert refined.precision_bits == 512 and refined.r == 32
         assert _meets_target(refined, 512)
-        with working_precision(512):
-            for new, old in zip(refined.entries, roots.entries):
-                assert new.value.overlaps(old.value)
+        for new, old in zip(refined.entries, roots.entries):
+            assert disks_meet(new.value, old.value)
 
     def test_warm_start_skips_the_float_phase(self, float_phase):
         # carried midpoints hold more than the 53 bits of a double

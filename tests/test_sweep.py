@@ -10,6 +10,8 @@ import pytest
 from rootsep import ExactPoly, GaussianRational, ValidationError
 from rootsep.sweep import SweepParams, generate_instance, run_instance, run_sweep
 
+from oracles import mid_distance
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -52,7 +54,7 @@ class TestGenerate:
 
                 roots = find_roots(p, 128)
                 dmin = min(
-                    (roots.entries[i].value - roots.entries[j].value).abs().mid
+                    mid_distance(roots.entries[i].value, roots.entries[j].value)
                     for j in range(roots.r)
                     for i in range(j)
                 )
