@@ -1,57 +1,49 @@
-"""Midpoint-radius ball arithmetic on raw `mpmath.libmp` tuples.
+"""Real intervals and complex disks on raw `mpmath.libmp` tuples.
 
-Representation. A ball keeps its midpoint as raw libmp tuples
-(sign, man, exp, bc), one for an `RBall` and a (re, im) pair for a `CBall`,
-and its radius as one raw tuple of at most `RAD_BITS` bits. The `mid` and
-`rad` properties wrap them as mpf/mpc for callers. A ball {x : |x - mid| <=
-rad} contains its value: nothing is implied beyond the radius, and a radius
-of exactly zero marks a value known to be an exact binary number.
+Real values. Every real the pipeline builds is nonnegative: a modulus, a
+root distance, a product, power or root of those, and its verdict reads
+only the two ends of such values. An `RBall` is a closed interval [lo, hi],
+0 <= lo <= hi, its ends raw libmp tuples (sign, man, exp, bc) rounded
+outward at the ambient mpmath precision, which callers set once per
+pipeline run via `working_precision`. A product is (lo lo' rounded down,
+hi hi' up), a quotient (lo / hi' down, hi / lo' up), and `sqrt`, `root`,
+`powi` and `powr` map the ends. Every constructor raises a negative lower
+end to 0 and refuses an interval below 0 (`BallDomainError`). The `mid` and
+`rad` a report writes are derived when read, at the bits the ends carry.
 
-Midpoints. Every operation rounds its midpoint to nearest at the ambient
-mpmath precision p; callers set it once per pipeline run via
-`working_precision`. A midpoint below 2^t, with t = exp + bc read off its
-tuple, is then off by less than 2^(t - p), and the radius takes the cushion
-2^(t + 2 - p) for it: a power of two read off the tuple.
-
-Radii. Every radius operation rounds upward at `RAD_BITS` bits
-(`mpf_add`/`mpf_mul`/`mpf_div(..., RAD_BITS, 'u')`; radii are nonnegative, so
-rounding away from zero is rounding up), so a radius is never below the
-exact error term it stands for, also when the midpoint is 0.
-
-Values and arithmetic. Only `RBall` computes: products, quotients, integer
-and real powers and roots, which the bound assembly runs. A `CBall` is a
+Complex values. A `CBall` is a disk {z : |z - mid| <= rad}: its midpoint a
+(re, im) pair of raw tuples, each rounded to nearest at the working
+precision p, and its radius one raw tuple of at most `RAD_BITS` bits,
+rounded upward. A midpoint part below 2^t, t = exp + bc read off its
+tuple, is off by less than 2^(t - p), and the radius takes the cushion
+2^(t + 2 - p) for it; a radius of exactly zero marks a value known to be
+an exact binary number. A `CBall` is a
 value: a root enclosure or a value the rung table reports, with no
-arithmetic; `CBall.abs` is its one real ball. `lo`/`hi` round outward, and
-`sqrt`, `root` and `powr` map outward-rounded endpoints.
+arithmetic. `CBall.abs` is its one real interval: the square roots of the
+exact re^2 + im^2, rounded down and up, widened by the radius.
 
 The rung table. Each rung's certificate runs on Gaussian integers, and
 only the values it reports become balls. A `RootSet` builds one
 `RungTable` (`RootSet.table`), once, at its own precision, and every
 root-dependent factor of a bound reads it: the LHS, |sDisc_{d-r}| through
-det W, M(P) through max(1, |v_j|), the certificate and the root distances.
-It puts every root midpoint on one grid (X + iY) / 2^w, with w
-GRID_GUARD_BITS above the finest bit of any midpoint part, so the midpoints
-are exact; a radius R is an int in units of 2^-w, rounded up. Root
-differences are then exact, with radius R_i + R_j, and their products
-(det W, the edge product, the step factors) are exact Gaussian-integer
-products with radius prod(A + R) - prod(A), A = ceil|X + iY| by
-`math.isqrt`. The table does not depend on the graph: `RungTable.edges`
-takes the products over the edges of one, and `bounds` runs W_1's column
-recurrence exactly on the same grid and checks the reduction identity on
-those integers modulo q: a wrong W_1 passes at the midpoints only if the
-prime ideal (q, i - iota) divides the difference of the two sides, and at a
-second, hashed point with probability below r^2/q. `grid_cball` and `grid_rball` turn
-grid values back into balls: the midpoint rounded to the working precision
-with its exact rounding error added to the radius, and moduli as isqrt
-brackets at the working precision (`grid_sqrt`: the grid of an exact root
-can be coarse), widened by R.
-
-Brackets. A value that is a product of many factors, such as a power of
-max(1, |v_j|) (`RungTable.max1_power`, the one route for those powers) or
-a row-norm bound, is carried as a bracket (lo, hi) of raw tuples, each
-product and power rounded outward to `bracket_bits`, GRID_GUARD_BITS above
-the working precision (`bracket_mul`, and `mpf_pow_int`, which rounds in
-one direction throughout). Only the result becomes a ball (`bracket_ball`).
+det W, M(P) and the row-norm bounds through the intervals max(1, |v_j|),
+the certificate and the root distances. It puts every root midpoint on one
+grid (X + iY) / 2^w, with w GRID_GUARD_BITS above the finest bit of any
+midpoint part, so the midpoints are exact; a radius R is an int in units of
+2^-w, rounded up. Root differences are then exact, with radius R_i + R_j,
+and their products (det W, the edge product, the step factors) are exact
+Gaussian-integer products with radius prod(A + R) - prod(A), A = ceil|X +
+iY| by `math.isqrt`. The table does not depend on the graph:
+`RungTable.edges` takes the products over the edges of one, and `bounds`
+runs W_1's column recurrence exactly on the same grid and checks the
+reduction identity on those integers modulo q: a wrong W_1 passes at the
+midpoints only if the prime ideal (q, i - iota) divides the difference of
+the two sides, and at a second, hashed point with probability below r^2/q.
+`grid_cball` and `grid_rball` turn grid values back into balls: a disk's
+midpoint rounded to the working precision with its exact rounding error
+added to the radius, and an interval's ends rounded outward. Moduli are
+isqrt brackets GRID_GUARD_BITS above the working precision (`grid_sqrt`:
+the grid of an exact root can be coarse), widened by R.
 """
 from __future__ import annotations
 
@@ -69,10 +61,8 @@ from mpmath.libmp import (
     from_man_exp,
     from_rational,
     fzero,
-    mpf_abs,
     mpf_add,
     mpf_div,
-    mpf_hypot,
     mpf_le,
     mpf_lt,
     mpf_mul,
@@ -91,7 +81,8 @@ from .gaussian import GaussianRational
 #: extra bits carried internally above the user-requested precision
 GUARD_BITS = 24
 
-#: bits of every radius and modulus bound, all rounded in the safe direction
+#: bits of every disk radius, and of the `rad` an interval reports, all
+#: rounded up
 RAD_BITS = 30
 
 _make_mpf = mp.make_mpf
@@ -130,14 +121,6 @@ def _json_part(x) -> float | str:
 # --- raw tuple helpers ------------------------------------------------------
 
 
-def _up_add(a, b):
-    return mpf_add(a, b, RAD_BITS, "u")
-
-
-def _up_mul(a, b):
-    return mpf_mul(a, b, RAD_BITS, "u")
-
-
 def _real_cushion(m, prec):
     """2^(t + 2 - p) for a midpoint below 2^t, t = exp + bc, rounded at p
     bits; 0 for a zero midpoint, which is exact."""
@@ -162,27 +145,16 @@ def _radius(rad):
 
 
 def _exact_real(x, prec):
-    """(midpoint, radius) tuples of an int, Fraction or mpf rounded at prec
+    """(midpoint, radius) tuples of an int or Fraction rounded at prec
     bits."""
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            v = from_rational(x.numerator, x.denominator, prec, "n")
-            return v, _real_cushion(v, prec)
-        x = x.numerator
-    if isinstance(x, int):
-        v = from_int(x)
-        if v[3] <= prec:
-            return v, fzero
-        v = mpf_pos(v, prec, "n")
+    if x.denominator != 1:
+        v = from_rational(x.numerator, x.denominator, prec, "n")
         return v, _real_cushion(v, prec)
-    return x._mpf_, fzero
-
-
-def _ends(m, r, prec):
-    """[mid - rad, mid + rad] rounded outward at prec bits."""
-    if not r[1]:
-        return m, m
-    return mpf_sub(m, r, prec, "f"), mpf_add(m, r, prec, "c")
+    v = from_int(x.numerator)
+    if v[3] <= prec:
+        return v, fzero
+    v = mpf_pos(v, prec, "n")
+    return v, _real_cushion(v, prec)
 
 
 def _bracket(y, prec):
@@ -195,35 +167,19 @@ def _bracket(y, prec):
     return mpf_sub(y, e, prec, "f"), mpf_add(y, e, prec, "c")
 
 
-def _span(a, b, prec):
-    """(midpoint, radius) of a ball holding the interval [a, b], where a and
-    b carry at most prec bits."""
-    if a == b:
-        return a, fzero
-    m = mpf_shift(mpf_add(a, b, prec, "n"), -1)
-    r = mpf_sub(b, m, RAD_BITS, "u")
-    s = mpf_sub(m, a, RAD_BITS, "u")
-    return m, (s if mpf_lt(r, s) else r)
-
-
-def _product_radius(r, x, y):
-    """r + |mid x| rad y + rad x (|mid y| + rad y), rounded up: r plus what
-    the product of the balls x and y adds to a radius."""
-    rx, ry = x._r, y._r
-    if ry[1]:
-        r = _up_add(r, _up_mul(x._mag(), ry))
-        if rx[1]:
-            r = _up_add(r, _up_mul(rx, _up_add(y._mag(), ry)))
-    elif rx[1]:
-        r = _up_add(r, _up_mul(rx, y._mag()))
-    return r
-
-
-def _rball(m, r) -> "RBall":
+def _rball(lo, hi) -> "RBall":
     b = _new(RBall)
-    b._m = m
-    b._r = r
+    b._lo = lo
+    b._hi = hi
     return b
+
+
+def _nonnegative(lo, hi) -> "RBall":
+    """The interval [lo, hi], lo <= hi, with a negative lower end raised to
+    0; an interval below 0 raises BallDomainError."""
+    if hi[0]:
+        raise BallDomainError("a real ball below 0")
+    return _rball(fzero if lo[0] else lo, hi)
 
 
 def _cball(m, r) -> "CBall":
@@ -234,98 +190,100 @@ def _cball(m, r) -> "CBall":
 
 
 class RBall:
-    """Real interval [mid - rad, mid + rad]."""
+    """Closed interval [lo, hi] of nonnegative reals (see the module
+    docstring)."""
 
-    __slots__ = ("_m", "_r")
+    __slots__ = ("_lo", "_hi")
 
-    def __init__(self, mid, rad=0):
-        self._m = (mid if isinstance(mid, mpf) else mpf(mid))._mpf_
-        self._r = _radius(rad)
-
-    @property
-    def mid(self) -> mpf:
-        return _make_mpf(self._m)
-
-    @property
-    def rad(self) -> mpf:
-        return _make_mpf(self._r)
-
-    def _mag(self):
-        """An upper bound of |mid|."""
-        return mpf_abs(self._m, RAD_BITS, "u")
+    def __new__(cls, mid, rad=0):
+        """[mid - rad, mid + rad], its ends rounded outward at the working
+        precision."""
+        m = (mid if isinstance(mid, mpf) else mpf(mid))._mpf_
+        r = _radius(rad)
+        if not r[1]:
+            return _nonnegative(m, m)
+        prec = mp.prec
+        return _nonnegative(mpf_sub(m, r, prec, "f"), mpf_add(m, r, prec, "c"))
 
     @staticmethod
     def exact(x) -> "RBall":
-        return _rball(*_exact_real(x, mp.prec))
+        """x, an int, Fraction or mpf: an mpf as it is, the others with
+        their ends rounded outward at the working precision."""
+        if isinstance(x, mpf):
+            return _nonnegative(x._mpf_, x._mpf_)
+        x, prec = Fraction(x), mp.prec
+        n, d = x.numerator, x.denominator
+        return _nonnegative(from_rational(n, d, prec, "f"), from_rational(n, d, prec, "c"))
 
     @staticmethod
     def one() -> "RBall":
-        return _rball(fone, fzero)
+        return _rball(fone, fone)
 
     @property
     def lo(self) -> mpf:
-        return _make_mpf(_ends(self._m, self._r, mp.prec)[0])
+        return _make_mpf(self._lo)
 
     @property
     def hi(self) -> mpf:
-        return _make_mpf(_ends(self._m, self._r, mp.prec)[1])
+        return _make_mpf(self._hi)
+
+    def _mid_rad(self):
+        """(mid, rad) tuples of a ball holding the interval: the midpoint
+        rounded to nearest two bits above its ends' (exact when they end at
+        one bit), the radius its distance to the farther end, rounded up to
+        RAD_BITS bits."""
+        a, b = self._lo, self._hi
+        if a == b:
+            return a, fzero
+        m = mpf_shift(mpf_add(a, b, max(a[3], b[3]) + 2, "n"), -1)
+        r, s = mpf_sub(b, m, RAD_BITS, "u"), mpf_sub(m, a, RAD_BITS, "u")
+        return m, (s if mpf_lt(r, s) else r)
+
+    @property
+    def mid(self) -> mpf:
+        return _make_mpf(self._mid_rad()[0])
+
+    @property
+    def rad(self) -> mpf:
+        return _make_mpf(self._mid_rad()[1])
 
     def __mul__(self, other):
         if type(other) is not RBall:
             return NotImplemented
         prec = mp.prec
-        m = mpf_mul(self._m, other._m, prec, "n")
-        return _rball(m, _product_radius(_real_cushion(m, prec), self, other))
+        return _rball(mpf_mul(self._lo, other._lo, prec, "f"), mpf_mul(self._hi, other._hi, prec, "c"))
 
     def __truediv__(self, other):
         if type(other) is not RBall:
             return NotImplemented
-        a, b, ra, rb = self._m, other._m, self._r, other._r
-        lb = mpf_sub(mpf_abs(b), rb, RAD_BITS, "d")
-        if lb[0] or not lb[1]:
+        if not other._lo[1]:
             raise BallDomainError("division by a ball containing zero")
         prec = mp.prec
-        m = mpf_div(a, b, prec, "n")
-        num = ra
-        if rb[1]:
-            q = mpf_div(mpf_abs(a, RAD_BITS, "u"), mpf_abs(b, RAD_BITS, "d"), RAD_BITS, "u")
-            num = _up_add(num, _up_mul(q, rb))
-        return _rball(m, _up_add(mpf_div(num, lb, RAD_BITS, "u"), _real_cushion(m, prec)))
+        return _rball(mpf_div(self._lo, other._hi, prec, "f"), mpf_div(self._hi, other._lo, prec, "c"))
 
     def sqrt(self) -> "RBall":
         prec = mp.prec
-        lo, hi = _ends(self._m, self._r, prec)
-        if hi[0]:
-            raise BallDomainError("sqrt of a negative ball")
-        a = fzero if lo[0] else mpf_sqrt(lo, prec, "f")
-        return _rball(*_span(a, mpf_sqrt(hi, prec, "c"), prec))
+        return _rball(mpf_sqrt(self._lo, prec, "f"), mpf_sqrt(self._hi, prec, "c"))
 
     def root(self, k: int) -> "RBall":
-        """k-th root of a nonnegative ball."""
+        """k-th root."""
         if k == 1:
             return self
         prec = mp.prec
-        lo, hi = _ends(self._m, self._r, prec)
-        if hi[0]:
-            raise BallDomainError("root of a negative ball")
-        a = fzero if lo[0] else _bracket(mpf_nthroot(lo, k, prec + 20), prec)[0]
-        return _rball(*_span(a, _bracket(mpf_nthroot(hi, k, prec + 20), prec)[1], prec))
+        lo, hi = self._lo, self._hi
+        a = _bracket(mpf_nthroot(lo, k, prec + 20), prec)[0] if lo[1] else fzero
+        return _rball(a, _bracket(mpf_nthroot(hi, k, prec + 20), prec)[1])
 
     def powi(self, n: int) -> "RBall":
-        """Integer power by binary exponentiation."""
-        if n == 0:
-            return RBall.one()
+        """Integer power: the ends' powers by `mpf_pow_int`, which rounds in
+        one direction throughout."""
+        prec = mp.prec
+        lo, hi = self._lo, self._hi
         if n < 0:
-            return RBall.one() / self.powi(-n)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not lo[1]:
+                raise BallDomainError("negative power of a ball containing zero")
+            lo, hi = hi, lo
+        return _rball(mpf_pow_int(lo, n, prec, "f"), mpf_pow_int(hi, n, prec, "c"))
 
     def powr(self, e) -> "RBall":
         """Real power of a strictly positive ball (monotone endpoints), for a
@@ -335,28 +293,28 @@ class RBall:
             return RBall.one()
         if not t[1]:  # nan and the infinities carry no mantissa
             raise BallDomainError("real power with a non-finite exponent")
-        prec = mp.prec
-        lo, hi = _ends(self._m, self._r, prec)
-        if lo[0] or not lo[1]:
+        lo, hi = self._lo, self._hi
+        if not lo[1]:
             raise BallDomainError("real power of a ball touching zero")
+        prec = mp.prec
         # x^e = exp(e log x) loses about log2|e log x| bits to the logarithm
         wp = prec + 20 + max(abs(hi[2] + hi[3]), abs(lo[2] + lo[3])).bit_length() + max(0, t[2] + t[3])
         ya = _bracket(mpf_pow(lo, t, wp), prec)
         yb = _bracket(mpf_pow(hi, t, wp), prec)
         a = ya[0] if mpf_le(ya[0], yb[0]) else yb[0]
         b = yb[1] if mpf_le(ya[1], yb[1]) else ya[1]
-        return _rball(*_span(a, b, prec))
+        return _rball(a, b)
 
     def overlaps(self, other: "RBall") -> bool:
-        """False only when the two balls are certainly disjoint."""
-        gap = mpf_abs(mpf_sub(self._m, other._m, RAD_BITS, "d"))
-        return mpf_le(gap, _up_add(self._r, other._r))
+        """False only when the two intervals are disjoint."""
+        return mpf_le(self._lo, other._hi) and mpf_le(other._lo, self._hi)
 
     def __repr__(self):
         return f"RBall({mpmath.nstr(self.mid, 17)} +/- {mpmath.nstr(self.rad, 5)})"
 
     def to_json(self) -> dict:
-        return {"mid": json_real(self.mid), "rad": json_real(self.rad)}
+        m, r = self._mid_rad()
+        return {"mid": json_real(_make_mpf(m)), "rad": json_real(_make_mpf(r))}
 
 
 class CBall:
@@ -385,21 +343,23 @@ class CBall:
         prec = mp.prec
         re, rr = _exact_real(g.re, prec)
         im, ri = _exact_real(g.im, prec)
-        return _cball((re, im), _up_add(rr, ri))
+        return _cball((re, im), mpf_add(rr, ri, RAD_BITS, "u"))
 
     @staticmethod
     def one() -> "CBall":
         return _cball((fone, fzero), fzero)
 
     def abs(self) -> RBall:
-        re, im = self._m
-        if not im[1]:
-            return _rball(mpf_abs(re), self._r)
-        if not re[1]:
-            return _rball(mpf_abs(im), self._r)
+        """|z| over the disk: the square roots of the exact re^2 + im^2,
+        rounded down and up at the working precision, widened by the
+        radius."""
+        (re, im), r = self._m, self._r
+        n = mpf_add(mpf_mul(re, re), mpf_mul(im, im))
         prec = mp.prec
-        a = mpf_hypot(re, im, prec, "n")
-        return _rball(a, _up_add(self._r, _real_cushion(a, prec)))
+        lo, hi = mpf_sqrt(n, prec, "f"), mpf_sqrt(n, prec, "c")
+        if not r[1]:
+            return _rball(lo, hi)
+        return _nonnegative(mpf_sub(lo, r, prec, "f"), mpf_add(hi, r, prec, "c"))
 
     def __repr__(self):
         return f"CBall({mpmath.nstr(self.mid, 17)} +/- {mpmath.nstr(self.rad, 5)})"
@@ -421,7 +381,8 @@ def ball_product(items) -> RBall:
     return RBall.one() if total is None else total
 
 
-#: bits the rung grid, and every bracket, keep beyond the working precision
+#: bits the rung grid, and every isqrt bracket, keep beyond the working
+#: precision
 GRID_GUARD_BITS = 8
 
 
@@ -460,7 +421,7 @@ def _place(x: int, y: int, r: int, k: int) -> tuple[int, int, int]:
     return fx, fy, -(-r >> -k) + (fx << -k != x) + (fy << -k != y)
 
 
-# --- the rung grid: values and brackets back as balls -------------------------
+# --- the rung grid: values back as balls ------------------------------------
 
 
 def grid_cball(x: int, y: int, r: int, s: int) -> CBall:
@@ -475,13 +436,10 @@ def grid_cball(x: int, y: int, r: int, s: int) -> CBall:
 
 
 def grid_rball(lo: int, hi: int, s: int) -> RBall:
-    """A ball holding [lo, hi] / 2^s, lo <= hi: the midpoint rounded to the
-    working precision, the radius its exact distance to the farther end,
-    rounded up to RAD_BITS bits."""
-    m = from_man_exp(lo + hi, -(s + 1), mp.prec, "n")
-    mid = _grid_part(m, s + 1)
-    r = max(2 * hi - mid, mid - 2 * lo)
-    return _rball(m, from_man_exp(r, -(s + 1), RAD_BITS, "u") if r else fzero)
+    """The interval [lo, hi] / 2^s, lo <= hi, its ends rounded outward at
+    the working precision and a negative lower end raised to 0."""
+    prec = mp.prec
+    return _nonnegative(from_man_exp(lo, -s, prec, "f"), from_man_exp(hi, -s, prec, "c"))
 
 
 def grid_sqrt(n: int, s: int) -> tuple[int, int, int]:
@@ -491,25 +449,6 @@ def grid_sqrt(n: int, s: int) -> tuple[int, int, int]:
     k = max(0, mp.prec + GRID_GUARD_BITS - n.bit_length() // 2)
     n <<= 2 * k
     return math.isqrt(n), _ceil_sqrt(n), s + k
-
-
-def bracket_bits() -> int:
-    """The bits every bracket keeps: GRID_GUARD_BITS above the working
-    precision."""
-    return mp.prec + GRID_GUARD_BITS
-
-
-def bracket_mul(a, b) -> tuple:
-    """The product of two brackets (lo, hi) of nonnegative numbers, raw
-    tuples rounded outward to `bracket_bits`."""
-    p = bracket_bits()
-    return mpf_mul(a[0], b[0], p, "f"), mpf_mul(a[1], b[1], p, "c")
-
-
-def bracket_ball(b) -> RBall:
-    """A ball holding the bracket b = (lo, hi), lo <= hi: the midpoint
-    rounded to the working precision, the radius rounded up."""
-    return _rball(*_span(b[0], b[1], mp.prec))
 
 
 # --- the rung table -----------------------------------------------------------
@@ -570,11 +509,11 @@ class RungTable:
     ceil|X + iY|, is v_j - v_i exactly; when no root has a radius, A is 0
     throughout, so products carry radius 0 without any square root. det_w,
     the product over i < j of (v_j - v_i), is one exact product; max1[j] is
-    the bracket (lo, hi) of max(1, |v_j|) over its disk: the `grid_sqrt`
-    bracket of X^2 + Y^2 widened by R, as two exact raw tuples, whose
-    powers `max1_power` takes; and edge_base is r/sqrt(3). Everything the
-    table hands out, these balls and those of `distance` and `edges`, is
-    taken at `prec`, the precision it was built at.
+    the interval of max(1, |v_j|) over its disk: the `grid_sqrt` bracket of
+    X^2 + Y^2 widened by R, whose powers `max1[j].powi(k)` the row-norm
+    bounds and the Mahler measure take; and edge_base is r/sqrt(3).
+    Everything the table hands out, these balls and those of `distance`
+    and `edges`, is taken at `prec`, the precision it was built at.
     """
 
     prec: int
@@ -611,7 +550,7 @@ class RungTable:
         for x, y, rad in grid:
             lo, hi, t = grid_sqrt(x * x + y * y, w)
             rad, one = rad << (t - w), 1 << t
-            max1.append((from_man_exp(max(one, lo - rad), -t), from_man_exp(max(one, hi + rad), -t)))
+            max1.append(grid_rball(max(one, lo - rad), max(one, hi + rad), t))
         return RungTable(
             prec=mp.prec,
             w=w,
@@ -621,15 +560,6 @@ class RungTable:
             edge_base=RBall.exact(r) / RBall.exact(3).sqrt(),
             det_w=_grid_ball(_grid_product(diff.values()), len(diff), w),
         )
-
-    def max1_power(self, j: int, k: int) -> tuple:
-        """The bracket of max(1, |v_j|)^k, rounded outward to
-        `bracket_bits` at the table's precision: the one route for these
-        powers, which the row-norm bounds and the Mahler measure read."""
-        lo, hi = self.max1[j]
-        with _at_prec(self.prec):
-            p = bracket_bits()
-            return mpf_pow_int(lo, k, p, "f"), mpf_pow_int(hi, k, p, "c")
 
     def indistinct(self) -> "tuple[int, int] | None":
         """The first pair (i, j) whose difference may be 0 (X^2 + Y^2 <=

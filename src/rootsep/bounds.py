@@ -56,15 +56,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from math import isfinite
 from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import fone, from_man_exp, from_rational, mpf_sqrt
 
 from .balls import (
+    GRID_GUARD_BITS,
     CBall,
     EdgeProducts,
     RBall,
@@ -74,9 +75,7 @@ from .balls import (
     _grid_ball,
     _grid_product,
     ball_product,
-    bracket_ball,
-    bracket_bits,
-    bracket_mul,
+    grid_rball,
     json_real,
     working_precision,
 )
@@ -277,7 +276,8 @@ class VandermondeCertificate:
     those bounds) compare lower ends with upper ends, decided as exact
     inequalities between grid integers. The balls (step_factors, det_w1,
     row_norms, row_norm_bounds, hadamard_rhs) are built only when read, the
-    bounds from brackets rounded outward to `balls.bracket_bits`.
+    bounds in interval arithmetic on the table's max(1, |v_j|)
+    (`RungTable.max1`).
     """
 
     table: RungTable
@@ -313,15 +313,15 @@ class VandermondeCertificate:
 
     @cached_property
     def row_norms(self) -> tuple:
-        """Each row's midpoint norm and radius norm on one grid 2^e,
-        `bracket_bits` below its largest entry: each part floored (one unit
-        up for the upper end) and each radius rounded up, so the isqrt
-        brackets of the sums of squares are at most about 2 bracket_bits
-        bits. The radius norm widens the bracket (the triangle
-        inequality)."""
+        """Each row's midpoint norm and radius norm on one grid 2^e, b =
+        GRID_GUARD_BITS above the working precision below its largest entry:
+        each part floored (one unit up for the upper end) and each radius
+        rounded up, so the isqrt brackets of the sums of squares are at most
+        about 2b bits. The radius norm widens the bracket (the triangle
+        inequality), which becomes an interval by `grid_rball`."""
         w, out = self.table.w, []
+        bits = self.table.prec + GRID_GUARD_BITS
         with _at_prec(self.table.prec):
-            bits = bracket_bits()
             for row in self.rows:
                 e = max(max(abs(x), abs(y)).bit_length() - i * w for i, (x, y) in enumerate(zip(row.xs, row.ys))) - bits
                 lo = hi = c = 0
@@ -337,36 +337,23 @@ class VandermondeCertificate:
                         hi += (x + 1) ** 2 + (y + 1) ** 2
                     c += rad * rad
                 c = _ceil_sqrt(c)
-                out.append(bracket_ball((from_man_exp(math.isqrt(lo) - c, e), from_man_exp(_ceil_sqrt(hi) + c, e))))
+                out.append(grid_rball(math.isqrt(lo) - c, _ceil_sqrt(hi) + c, -e))
         return tuple(out)
 
     @cached_property
-    def _bounds(self) -> tuple:
-        """Per row, the bracket of sqrt(r^(2d+1) / 3^d) max(1, |v_j|)^(r-1-d),
-        d = d_j, with the power from `RungTable.max1_power`."""
+    def row_norm_bounds(self) -> tuple:
+        """Per row, sqrt(r^(2d+1) / 3^d) max(1, |v_j|)^(r-1-d), d = d_j."""
         t, r = self.table, len(self.rows)
         with _at_prec(t.prec):
-            p = bracket_bits()
             return tuple([
-                bracket_mul(
-                    [mpf_sqrt(from_rational(r ** (2 * d + 1), 3**d, p, rnd), p, rnd) for rnd in "fc"],
-                    t.max1_power(j, r - 1 - d),
-                )
+                RBall.exact(Fraction(r ** (2 * d + 1), 3**d)).sqrt() * t.max1[j].powi(r - 1 - d)
                 for j, d in enumerate(self.in_degrees)
             ])
 
     @cached_property
-    def row_norm_bounds(self) -> tuple:
-        with _at_prec(self.table.prec):
-            return tuple([bracket_ball(b) for b in self._bounds])
-
-    @cached_property
     def hadamard_rhs(self) -> RBall:
         with _at_prec(self.table.prec):
-            h = (fone, fone)
-            for b in self._bounds:
-                h = bracket_mul(h, b)
-            return bracket_ball(h)
+            return ball_product(self.row_norm_bounds)
 
     def _square_bound(self, rows, scale: int) -> tuple[int, int]:
         """(b, f): the squared product of the bounds of `rows`, at the upper
@@ -375,7 +362,7 @@ class VandermondeCertificate:
         r, items, f = len(self.rows), [], scale
         for j in rows:
             d = self.in_degrees[j]
-            _, man, exp, _ = self.table.max1[j][1]
+            _, man, exp, _ = self.table.max1[j].hi._mpf_
             items.append(r ** (2 * d + 1) * man ** (2 * (r - 1 - d)))
             f += 2 * (r - 1 - d) * exp
         # a balanced product tree: `_grid_product` of real, exact grid values
@@ -467,7 +454,6 @@ class BoundReport:
     lhs: RBall
     rhs: RBall
     components: dict
-    margin: float
     verdict: str
     certificate: VandermondeCertificate | None
     precision_bits: int
@@ -478,6 +464,12 @@ class BoundReport:
     @property
     def holds(self) -> bool:
         return self.verdict == "holds"
+
+    @property
+    def margin(self) -> float:
+        """lhs.lo - rhs.hi as a float; a tiny negative margin can round to
+        -0.0, so the verdict is decided on the enclosures."""
+        return float(self.lhs.lo - self.rhs.hi)
 
     def margin_json(self) -> float | str:
         """`margin` as a report writes it: the float, or lhs.lo - rhs.hi
@@ -607,8 +599,6 @@ def _finish(
     degenerate_holds: bool = False,
 ) -> BoundReport:
     rhs = ball_product(list(components.values()))
-    # decided on the enclosures: a tiny negative margin can round to -0.0
-    margin = float(lhs.lo - rhs.hi)
     if degenerate_holds:
         verdict = "holds"
     elif extra.get("certificate_error"):
@@ -620,7 +610,6 @@ def _finish(
         lhs=lhs,
         rhs=rhs,
         components=components,
-        margin=margin,
         verdict=verdict,
         certificate=cert,
         precision_bits=precision,
@@ -857,7 +846,6 @@ def verify(
                 lhs=RBall.exact(0),
                 rhs=RBall.exact(0),
                 components={},
-                margin=0.0,
                 verdict="inconclusive",
                 certificate=None,
                 precision_bits=prec,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .balls import RBall, bracket_ball, bracket_mul, working_precision
+from .balls import RBall, ball_product, working_precision
 from .errors import RootsepError
 from .gaussian import GaussianRational
 from .poly import _derivative_coefficients
@@ -56,15 +56,13 @@ def _abs_ball(w: GaussianRational) -> RBall:
 
 
 def mahler_measure(roots: RootSet) -> RBall:
-    """|lc| * prod max(1, |v_j|)^{m_j}, with the powers of max(1, |v_j|)
-    the rung table's brackets (`RungTable.max1_power`), multiplied as
-    brackets; only their product becomes a ball."""
+    """|lc| * prod max(1, |v_j|)^{m_j}, in interval arithmetic on the rung
+    table's max(1, |v_j|) (`RungTable.max1`)."""
     with working_precision(roots.precision_bits):
         t = roots.table
-        acc = t.max1_power(0, roots.entries[0].multiplicity)
-        for j, e in enumerate(roots.entries[1:], 1):
-            acc = bracket_mul(acc, t.max1_power(j, e.multiplicity))
-        return roots.leading_coeff.abs() * bracket_ball(acc)
+        return roots.leading_coeff.abs() * ball_product(
+            [t.max1[j].powi(e.multiplicity) for j, e in enumerate(roots.entries)]
+        )
 
 
 def sdisc_abs_from_roots(roots: RootSet) -> RBall:

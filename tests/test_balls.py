@@ -61,6 +61,8 @@ rationals = st.one_of(
     st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9),
 )
 gaussians = st.builds(GaussianRational, rationals, rationals)
+# a real ball is nonnegative: every real the pipeline builds is one
+nonnegatives = rationals.map(abs)
 precisions = st.sampled_from([24, 64, 200])
 
 # dyadic midpoints, exact at every precision used here, among them 0
@@ -89,8 +91,9 @@ def _dyadic_above(x: Fraction) -> Fraction:
 
 
 def _real_ball(mid: Fraction, rad: Fraction):
-    """The ball, and points of it: the midpoint and both ends."""
-    return RBall(_mpf(mid), rad), [mid, mid - rad, mid + rad]
+    """The interval [mid - rad, mid + rad], mid >= 0, and points of it: the
+    midpoint and both ends, a negative lower end raised to 0."""
+    return RBall(_mpf(mid), rad), [mid, max(Fraction(0), mid - rad), mid + rad]
 
 
 def _complex_ball(re: Fraction, im: Fraction, rad: Fraction):
@@ -115,7 +118,7 @@ def _operands(x, y):
 
 class TestEnclosure:
     @settings(max_examples=150, deadline=None)
-    @given(rationals, rationals, precisions)
+    @given(nonnegatives, nonnegatives, precisions)
     def test_real_operations(self, x, y, bits):
         with working_precision(bits):
             operands = _operands(x, y)
@@ -141,8 +144,8 @@ class TestEnclosure:
     @given(dyadics, radii, dyadics, radii, precisions)
     def test_real_balls_with_tight_and_tiny_radii(self, x, rx, y, ry, bits):
         with working_precision(bits):
-            bx, xs = _real_ball(x, rx)
-            by, ys = _real_ball(y, ry)
+            bx, xs = _real_ball(abs(x), rx)
+            by, ys = _real_ball(abs(y), ry)
             for op, f in OPS.items():
                 if op == "/" and _holds_zero(by):
                     continue
@@ -160,17 +163,40 @@ class TestEnclosure:
                 assert _encloses_modulus(bz.abs(), z)
 
     @settings(max_examples=60, deadline=None)
-    @given(rationals, dyadics, radii, precisions)
+    @given(nonnegatives, dyadics, radii, precisions)
     def test_division_by_a_ball_holding_zero_raises(self, x, y, ry, bits):
         # a radius of at least |mid| reaches 0
         with working_precision(bits):
             with pytest.raises(BallDomainError):
                 RBall.exact(x) / RBall(_mpf(y), abs(y) + ry)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rationals, dyadics, radii, precisions)
+    def test_negative_input_raises_and_a_negative_lower_end_is_raised_to_zero(self, x, y, ry, bits):
+        with working_precision(bits):
+            if x < 0:
+                with pytest.raises(BallDomainError):
+                    RBall.exact(x)
+            if y + ry < 0:
+                with pytest.raises(BallDomainError):
+                    RBall(_mpf(y), ry)
+            else:
+                ball = RBall(_mpf(y), ry)
+                assert ball.lo >= 0 and (y - ry > 0 or ball.lo == 0)
+
+    def test_a_modulus_reaching_zero_has_lower_end_zero(self):
+        # a negative lower end, were it kept, would square into a positive one
+        with working_precision(64):
+            m = CBall(0, Fraction(1, 3)).abs()
+            assert m.lo == 0 and (m * m).lo == 0
+            assert _q(m.hi) >= Fraction(1, 3)
+            table = RungTable.build([CBall(0, 1), CBall(mpmath.mpc(0.5, 0.5), 1)])
+            d = table.distance(0, 1)
+            assert d.lo == 0 and (d * d).lo == 0
+
     def test_product_of_tight_balls_at_zero(self):
-        # the corner points ra, rb of two balls centred on 0 multiply to
-        # ra*rb: a zero midpoint adds no cushion, so the radius itself must
-        # be rounded up
+        # the intervals [0, ra] and [0, rb] multiply to [0, ra rb], whose
+        # upper end must be rounded up
         with working_precision(64):
             ra = mpmath.mpf(2**60 - 1) / 2**60
             rb = mpmath.mpf(2**60 - 3) / 2**60
@@ -193,10 +219,10 @@ class TestEndpointMaps:
     @given(dyadics, radii, precisions)
     def test_lo_hi_round_outward(self, x, rx, bits):
         with working_precision(bits):
-            ball, points = _real_ball(x, rx)
+            ball, points = _real_ball(abs(x), rx)
             for p in points:
                 assert _q(ball.lo) <= p <= _q(ball.hi)
-            assert ball.lo <= ball.mid <= ball.hi
+            assert 0 <= ball.lo <= ball.mid <= ball.hi
 
     @settings(max_examples=150, deadline=None)
     @given(dyadics, radii, precisions, st.sampled_from([2, 3, 5]))
@@ -225,9 +251,7 @@ class TestEndpointMaps:
     def test_domain_errors(self):
         with working_precision(64):
             with pytest.raises(BallDomainError):
-                RBall(-2, 1).sqrt()
-            with pytest.raises(BallDomainError):
-                RBall(-2, 1).root(3)
+                RBall(1, 1).powi(-2)
             with pytest.raises(BallDomainError):
                 RBall(1, 1).powr(mpmath.mpf(0.5))
             # mpmath's nan and infinities have mantissa 0, as zero does; only

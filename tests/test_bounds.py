@@ -376,15 +376,9 @@ def _norm_in(norm_sq: Fraction, ball) -> bool:
     return (lo <= 0 or lo * lo <= norm_sq) and norm_sq <= hi * hi
 
 
-def _t(x) -> Fraction:
-    """The exact value of a raw libmp tuple."""
-    sign, man, exp, _ = x
-    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
-
-
-def _in_bracket(norm_sq: Fraction, bracket) -> bool:
-    """sqrt(norm_sq) lies in the bracket (lo, hi) of raw tuples."""
-    lo, hi = _t(bracket[0]), _t(bracket[1])
+def _in_interval(norm_sq: Fraction, ball) -> bool:
+    """sqrt(norm_sq) lies in the interval [ball.lo, ball.hi]."""
+    lo, hi = _q(ball.lo), _q(ball.hi)
     return lo * lo <= norm_sq <= hi * hi
 
 
@@ -573,7 +567,7 @@ class TestGridEnclosure:
         # the grid
         for (x, y, h, l), m1 in zip(table.nodes, table.max1):
             if h == l:
-                assert _t(m1[1]) - _t(m1[0]) <= _t(m1[0]) / 2**140
+                assert _q(m1.hi) - _q(m1.lo) <= _q(m1.lo) / 2**140
         for (i, j), (x, y, h, l) in table.diff.items():
             if h == l and (x or y):
                 with working_precision(128):
@@ -635,7 +629,7 @@ class TestGridEnclosure:
             hadamard *= square
         assert _norm_in(hadamard, cert.hadamard_rhs)
         for zj, m1 in zip(z, table.max1):
-            assert _in_bracket(max(Fraction(1), zj.norm()), m1)
+            assert _in_interval(max(Fraction(1), zj.norm()), m1)
 
 
 def _degree_16_roots():
@@ -989,11 +983,12 @@ def _clustered_instance(eps: Fraction):
 
 
 def _tight_pair():
-    """(x - c)(x + c), c = 1 + 2^-84: its roots are exact from 64 bits on,
-    and with no edges LHS = 1 against RHS = 1/c, a margin of about 2^-84
+    """(x - c)(x + c), c = 1 + 2^-87: its roots are exact from 64 bits on
+    (88 working bits), and with no edges LHS = 1 against RHS = 1/c, a
+    margin of about 2^-87, one unit in the last place of 1 at those bits,
     that the 64-bit rung's rounding cannot resolve and the 128-bit rung's
     can."""
-    c = 1 + Fraction(1, 2**84)
+    c = 1 + Fraction(1, 2**87)
     return ExactPoly.from_roots([GaussianRational.of(c), GaussianRational.of(-c)])
 
 

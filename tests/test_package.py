@@ -3,9 +3,13 @@ import ast
 import importlib
 from pathlib import Path
 
-import rootsep
+import pytest
 
-POLY_SOURCE = Path(__file__).resolve().parent.parent / "src" / "rootsep" / "poly.py"
+import rootsep
+from rootsep.errors import BallDomainError
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "rootsep"
+POLY_SOURCE = SOURCES / "poly.py"
 
 #: routes that only tests ran, now deleted or kept in tests/oracles.py
 REMOVED = {
@@ -15,7 +19,8 @@ REMOVED = {
     "bounds": ("lemma_aux_check", "multiplicity_product_bound"),
     "roots": ("min_pairwise_distance",),
     "errors": ("JensenUnavailableError",),
-    "balls": ("_mod_up", "_mod_down", "_complex_cushion", "_mid_product"),
+    "balls": ("_mod_up", "_mod_down", "_complex_cushion", "_mid_product",
+              "_product_radius", "_span", "bracket_mul", "bracket_ball", "bracket_bits"),
 }
 
 #: the operator methods a complex ball, being a value, does not define
@@ -62,3 +67,18 @@ def test_complex_balls_are_values_and_real_balls_only_multiply():
 
     assert [name for name in ARITHMETIC if hasattr(CBall, name)] == []
     assert not hasattr(RBall, "__add__") and not hasattr(RBall, "__sub__")
+
+
+def test_the_bound_assembly_reads_real_values_only_as_intervals():
+    # every nonnegative real of a bound is an RBall: the bounds and the
+    # invariants take no raw libmp tuples, and balls keeps no second format
+    from rootsep import balls
+    from rootsep.balls import RBall, RungTable
+
+    for name in ("bounds.py", "invariants.py"):
+        imported = set(_imported_modules((SOURCES / name).read_text()))
+        assert not {m for m in imported if m == "mpmath.libmp" or m.startswith("mpmath.libmp.")}, name
+    assert [name for name in vars(balls) if name.startswith("bracket")] == []
+    assert not hasattr(RBall, "_mag") and not hasattr(RungTable, "max1_power")
+    with pytest.raises(BallDomainError):
+        RBall(-2, 1)

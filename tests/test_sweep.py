@@ -71,15 +71,15 @@ class TestRunInstance:
 
     def test_escalation_carries_the_first_root_set(self, monkeypatch):
         # no generated instance is inconclusive at 128 bits, so the slot
-        # holds (x - c)(x + c), c = 1 + 2^-147, with no edges: its roots are
-        # exact at 128 bits, and LHS = 1 against RHS = 1/c is inconclusive
-        # there and holds at 256, where the disks certified at 128 bits
-        # already meet the radius target
+        # holds (x - c)(x + c), c = 1 + 2^-151, with no edges: its roots are
+        # exact at 128 bits (152 working bits), and LHS = 1 against RHS = 1/c
+        # is inconclusive there and holds at 256, where the disks certified
+        # at 128 bits already meet the radius target
         import rootsep.bounds
         import rootsep.roots
         import rootsep.sweep
 
-        c = 1 + Fraction(1, 2**147)
+        c = 1 + Fraction(1, 2**151)
         p = ExactPoly.from_roots([GaussianRational.of(c), GaussianRational.of(-c)])
         monkeypatch.setattr(
             rootsep.sweep, "generate_instance",
