@@ -11,16 +11,14 @@ hi hi' up), a quotient (lo / hi' down, hi / lo' up), and `sqrt`, `root`,
 end to 0 and refuses an interval below 0 (`BallDomainError`). The `mid` and
 `rad` a report writes are derived when read, at the bits the ends carry.
 
-Complex values. A `CBall` is a disk {z : |z - mid| <= rad}: its midpoint a
-(re, im) pair of raw tuples, each rounded to nearest at the working
-precision p, and its radius one raw tuple of at most `RAD_BITS` bits,
-rounded upward. A midpoint part below 2^t, t = exp + bc read off its
-tuple, is off by less than 2^(t - p), and the radius takes the cushion
-2^(t + 2 - p) for it; a radius of exactly zero marks a value known to be
-an exact binary number. A `CBall` is a
-value: a root enclosure or a value the rung table reports, with no
-arithmetic. `CBall.abs` is its one real interval: the square roots of the
-exact re^2 + im^2, rounded down and up, widened by the radius.
+Complex values. A `CBall` is a disk {z : |z - mid| <= rad}: a root
+enclosure, its `mpc` midpoint and `mpf` radius as root finding certified
+them, the radius rounded up to `RAD_BITS` bits, or a value the rung table
+reports. A radius of exactly zero marks a value known to be an exact binary
+number. A `CBall` is a value, with no arithmetic, and nothing else becomes
+one: an exact number enters a bound as an `RBall` of its modulus.
+`CBall.abs` is its one real interval: the square roots of the exact re^2 +
+im^2, rounded down and up, widened by the radius.
 
 The rung table. Each rung's certificate runs on Gaussian integers, and
 only the values it reports become balls. A `RootSet` builds one
@@ -43,7 +41,9 @@ the two sides, and at a second, hashed point with probability below r^2/q.
 midpoint rounded to the working precision with its exact rounding error
 added to the radius, and an interval's ends rounded outward. Moduli are
 isqrt brackets GRID_GUARD_BITS above the working precision (`grid_sqrt`:
-the grid of an exact root can be coarse), widened by R.
+the grid of an exact root can be coarse), widened by R. A binary number
+becomes integers only through `_dyadic` (and `_scaled_floor` and
+`_on_one_grid` on it), here and in the root finder.
 """
 from __future__ import annotations
 
@@ -56,8 +56,6 @@ import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     fone,
-    from_float,
-    from_int,
     from_man_exp,
     from_rational,
     fzero,
@@ -66,6 +64,7 @@ from mpmath.libmp import (
     mpf_le,
     mpf_lt,
     mpf_mul,
+    mpf_neg,
     mpf_nthroot,
     mpf_pos,
     mpf_pow,
@@ -76,7 +75,6 @@ from mpmath.libmp import (
 )
 
 from .errors import BallDomainError
-from .gaussian import GaussianRational
 
 #: extra bits carried internally above the user-requested precision
 GUARD_BITS = 24
@@ -121,40 +119,29 @@ def _json_part(x) -> float | str:
 # --- raw tuple helpers ------------------------------------------------------
 
 
-def _real_cushion(m, prec):
-    """2^(t + 2 - p) for a midpoint below 2^t, t = exp + bc, rounded at p
-    bits; 0 for a zero midpoint, which is exact."""
-    return (0, 1, m[2] + m[3] + 2 - prec, 1) if m[1] else fzero
+def _dyadic(x) -> tuple[int, int]:
+    """(m, e) with x = m 2^e exactly, m signed (mpmath's `man_exp` drops the
+    sign), for an mpf, a raw libmp tuple or a finite float."""
+    if isinstance(x, float):
+        m, d = x.as_integer_ratio()
+        return m, 1 - d.bit_length()
+    sign, man, exp, _ = x._mpf_ if isinstance(x, mpf) else x
+    return (-man if sign else man), exp
 
 
-def _radius(rad):
-    """A radius given by a caller, rounded up to RAD_BITS bits."""
-    if isinstance(rad, mpf):
-        t = rad._mpf_
-    elif isinstance(rad, int):
-        t = from_int(rad)
-    elif isinstance(rad, Fraction):
-        t = from_rational(rad.numerator, rad.denominator, RAD_BITS, "u")
-    elif isinstance(rad, float):
-        t = from_float(rad)
-    else:
-        t = mpf(rad)._mpf_
-    if t[0]:
-        raise ValueError("negative radius")
-    return mpf_pos(t, RAD_BITS, "u")
+def _scaled_floor(x, w: int) -> int:
+    """floor(x 2^w) for any x `_dyadic` takes: exact when 2^-w is at or
+    below the finest bit of x."""
+    m, e = _dyadic(x)
+    return m << (e + w) if e + w >= 0 else m >> -(e + w)
 
 
-def _exact_real(x, prec):
-    """(midpoint, radius) tuples of an int or Fraction rounded at prec
-    bits."""
-    if x.denominator != 1:
-        v = from_rational(x.numerator, x.denominator, prec, "n")
-        return v, _real_cushion(v, prec)
-    v = from_int(x.numerator)
-    if v[3] <= prec:
-        return v, fzero
-    v = mpf_pos(v, prec, "n")
-    return v, _real_cushion(v, prec)
+def _on_one_grid(values) -> tuple[list[int], int]:
+    """(ints, w), each of `values` (any x `_dyadic` takes) ints[k] / 2^w
+    exactly, w >= 0 the finest bit among them: one `_dyadic` per value."""
+    pairs = [_dyadic(x) for x in values]
+    w = max([0, *(-e for m, e in pairs if m)])
+    return [m << (e + w) if m else 0 for m, e in pairs], w
 
 
 def _bracket(y, prec):
@@ -194,16 +181,6 @@ class RBall:
     docstring)."""
 
     __slots__ = ("_lo", "_hi")
-
-    def __new__(cls, mid, rad=0):
-        """[mid - rad, mid + rad], its ends rounded outward at the working
-        precision."""
-        m = (mid if isinstance(mid, mpf) else mpf(mid))._mpf_
-        r = _radius(rad)
-        if not r[1]:
-            return _nonnegative(m, m)
-        prec = mp.prec
-        return _nonnegative(mpf_sub(m, r, prec, "f"), mpf_add(m, r, prec, "c"))
 
     @staticmethod
     def exact(x) -> "RBall":
@@ -326,9 +303,17 @@ class CBall:
 
     __slots__ = ("_m", "_r")
 
-    def __init__(self, mid, rad=0):
-        self._m = (mid if isinstance(mid, mpc) else mpc(mid))._mpc_
-        self._r = _radius(rad)
+    def __init__(self, mid: mpc, rad: mpf):
+        """The disk root finding certified: nothing else is rounded into
+        one, so anything but an mpc midpoint and an mpf radius raises
+        TypeError. The radius is rounded up to RAD_BITS bits."""
+        if not (isinstance(mid, mpc) and isinstance(rad, mpf)):
+            raise TypeError("a CBall takes an mpc midpoint and an mpf radius")
+        r = rad._mpf_
+        if r[0]:
+            raise ValueError("negative radius")
+        self._m = mid._mpc_
+        self._r = mpf_pos(r, RAD_BITS, "u")
 
     @property
     def mid(self) -> mpc:
@@ -337,13 +322,6 @@ class CBall:
     @property
     def rad(self) -> mpf:
         return _make_mpf(self._r)
-
-    @staticmethod
-    def from_gaussian(g: GaussianRational) -> "CBall":
-        prec = mp.prec
-        re, rr = _exact_real(g.re, prec)
-        im, ri = _exact_real(g.im, prec)
-        return _cball((re, im), mpf_add(rr, ri, RAD_BITS, "u"))
 
     @staticmethod
     def one() -> "CBall":
@@ -392,35 +370,6 @@ def _ceil_sqrt(n: int) -> int:
     return s + (s * s < n)
 
 
-def _grid_part(part, w: int) -> int:
-    """part times 2^w truncated toward 0."""
-    sign, man, exp, _ = part
-    k = exp + w
-    v = man << k if k >= 0 else man >> -k
-    return -v if sign else v
-
-
-def _scaled(z: CBall) -> tuple[int, int, int, int]:
-    """(X, Y, R, s) with z = (X + iY +/- R) / 2^s exactly, s the finest bit
-    of any part, at least 0."""
-    (re, im), rad = z._m, z._r
-    s = 0
-    for t in (re, im, rad):
-        if t[1] and -t[2] > s:
-            s = -t[2]
-    return _grid_part(re, s), _grid_part(im, s), _grid_part(rad, s), s
-
-
-def _place(x: int, y: int, r: int, k: int) -> tuple[int, int, int]:
-    """(x + iy +/- r) 2^k as ints: exact for k >= 0, else each part floored
-    with one unit of radius per floored part (a floor moves a part by less
-    than one unit) and the radius rounded up."""
-    if k >= 0:
-        return x << k, y << k, r << k
-    fx, fy = x >> -k, y >> -k
-    return fx, fy, -(-r >> -k) + (fx << -k != x) + (fy << -k != y)
-
-
 # --- the rung grid: values back as balls ------------------------------------
 
 
@@ -431,7 +380,7 @@ def grid_cball(x: int, y: int, r: int, s: int) -> CBall:
     prec = mp.prec
     re, im = from_man_exp(x, -s, prec, "n"), from_man_exp(y, -s, prec, "n")
     # rounding keeps the exponent at -s or above, so 2^s re is an int
-    r += abs(x - _grid_part(re, s)) + abs(y - _grid_part(im, s))
+    r += abs(x - _scaled_floor(re, s)) + abs(y - _scaled_floor(im, s))
     return _cball((re, im), from_man_exp(r, -s, RAD_BITS, "u") if r else fzero)
 
 
@@ -529,8 +478,12 @@ class RungTable:
     def build(values: "list[CBall]") -> "RungTable":
         """The table of the root balls `values`, at the ambient precision."""
         r = len(values)
-        w = max([0, *(-part[2] for v in values for part in v._m if part[1])]) + GRID_GUARD_BITS
-        grid = [_place(x, y, rad, w - s) for x, y, rad, s in map(_scaled, values)]
+        # w is above every midpoint's finest bit: the midpoints land on the
+        # grid exactly, and each radius is rounded up onto it
+        mids, s = _on_one_grid([part for v in values for part in v._m])
+        w, g = s + GRID_GUARD_BITS, GRID_GUARD_BITS
+        grid = [(x << g, y << g, -_scaled_floor(mpf_neg(v._r), w))
+                for x, y, v in zip(mids[::2], mids[1::2], values)]
         with_radius = any(rad for _, _, rad in grid)
         nodes = []
         for x, y, rad in grid:

@@ -72,6 +72,7 @@ from .balls import (
     RungTable,
     _at_prec,
     _ceil_sqrt,
+    _dyadic,
     _grid_ball,
     _grid_product,
     ball_product,
@@ -362,7 +363,7 @@ class VandermondeCertificate:
         r, items, f = len(self.rows), [], scale
         for j in rows:
             d = self.in_degrees[j]
-            _, man, exp, _ = self.table.max1[j].hi._mpf_
+            man, exp = _dyadic(self.table.max1[j].hi)
             items.append(r ** (2 * d + 1) * man ** (2 * (r - 1 - d)))
             f += 2 * (r - 1 - d) * exp
         # a balanced product tree: `_grid_product` of real, exact grid values
@@ -829,6 +830,8 @@ def verify(
         raise ValidationError(
             f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}"
         )
+    if not isinstance(precision, int) or precision < 1:
+        raise ValidationError(f"precision must be a positive int, got {precision!r}")
     inputs, needs = {
         "remark_pairs": ((graph_or_edges, hints), "hint pairs"),
         "sep_product": ((subset,), "a root subset"),

@@ -44,7 +44,8 @@ def _first_nonzero(psc: list[GaussianRational], d: int, r: int) -> tuple[int, Ga
 
 
 def _abs_ball(w: GaussianRational) -> RBall:
-    """|w| as a ball: exact when w is real, else a rounded square root."""
+    """|w| as a ball: |re| when w is real, else the square root of the exact
+    norm, its ends rounded outward."""
     if w.is_real:
         return RBall.exact(abs(w.re))
     return RBall.exact(w.norm()).sqrt()
@@ -60,7 +61,7 @@ def mahler_measure(roots: RootSet) -> RBall:
     table's max(1, |v_j|) (`RungTable.max1`)."""
     with working_precision(roots.precision_bits):
         t = roots.table
-        return roots.leading_coeff.abs() * ball_product(
+        return _abs_ball(roots.leading_coeff) * ball_product(
             [t.max1[j].powi(e.multiplicity) for j, e in enumerate(roots.entries)]
         )
 
@@ -77,7 +78,7 @@ def sdisc_abs_from_roots(roots: RootSet) -> RBall:
     if r == 1:
         return RBall.one()
     with working_precision(roots.precision_bits):
-        lc_part = roots.leading_coeff.abs().powi(r - 1)
+        lc_part = _abs_ball(roots.leading_coeff).powi(r - 1)
         root_part = lc_part * RBall.exact(prod(roots.multiplicities())).sqrt() * roots.table.det_w.abs()
         return root_part * root_part
 

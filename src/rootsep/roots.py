@@ -69,8 +69,9 @@ import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_float, from_int, from_man_exp, mpf_lt, mpf_shift
 
-from .balls import CBall, GUARD_BITS, RBall, RungTable, working_precision
+from .balls import CBall, GUARD_BITS, RBall, RungTable, _on_one_grid, _scaled_floor, working_precision
 from .errors import IndistinguishableRootsError, PreconditionError, ValidationError
+from .gaussian import GaussianRational
 from .poly import Decomposition, ExactPoly, _horner, square_free_decomposition
 
 #: doubled-precision certification retries before giving up
@@ -112,11 +113,12 @@ class RootSet:
     P, P') that `chain_heads` reads: Yun's first chain, or, when the F_q
     test proved P square-free, a chain built lazily on the first read, so
     `verify` with `main` never builds it. Root distances, and every
-    root-dependent factor of a bound, read the set's rung table (`table`).
+    root-dependent factor of a bound, read the set's rung table (`table`);
+    `leading_coeff` is P's exact leading coefficient.
     """
 
     entries: tuple[RootEntry, ...]
-    leading_coeff: CBall
+    leading_coeff: GaussianRational
     total_degree: int
     precision_bits: int
     factors: Decomposition
@@ -204,12 +206,10 @@ def _meets(disks):
 
     The test is |a - b| (1 - 2^(8 - prec)) <= r_a + r_b, decided exactly on
     squares: centers and radii are dyadic (mpmath values or floats), so
-    they become ints at one scale, and no square root is taken."""
-    parts = [(_dyadic(d[0].real), _dyadic(d[0].imag), _dyadic(d[1])) for d in disks]
-    low = min((e for disk in parts for m, e in disk if m), default=0)
-    # tuple() of a list: of a generator it shrinks an over-allocated tuple,
-    # which leaves one more on a free list per call
-    ints = [tuple([m << (e - low) if m else 0 for m, e in disk]) for disk in parts]
+    they become ints on one grid (`_on_one_grid`), and no square root is
+    taken."""
+    flat, _ = _on_one_grid([x for d in disks for x in (d[0].real, d[0].imag, d[1])])
+    ints = list(zip(flat[::3], flat[1::3], flat[2::3]))
     q = mp.prec - 8
     cushion = ((1 << q) - 1) ** 2
 
@@ -365,16 +365,6 @@ def _float_sweep(coeffs: list[complex], zs: list[complex], tiny: float) -> float
     return worst
 
 
-def _dyadic(x: mpf | float) -> tuple[int, int]:
-    """(m, e) with x = m 2^e exactly, m signed (mpmath's `man_exp` drops the
-    sign), for an mpf or a finite float."""
-    if isinstance(x, float):
-        m, d = x.as_integer_ratio()
-        return m, 1 - d.bit_length()
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
-
-
 @dataclass(frozen=True)
 class _FixedPoint:
     """A polynomial for Aberth sweeps on fixed-point Gaussian integers.
@@ -392,11 +382,6 @@ class _FixedPoint:
     def of(nums, w: int) -> "_FixedPoint":
         """The numerators `nums` (lowest degree first) shifted to scale 2^w."""
         return _FixedPoint(tuple([(re << w, im << w) for re, im in reversed(nums)]), w)
-
-    def to_int(self, x: mpf) -> int:
-        """floor(x 2^w)."""
-        m, e = _dyadic(x)
-        return m << (e + self.w) if e + self.w >= 0 else m >> -(e + self.w)
 
 
 def _fixed_horner(poly: _FixedPoint, x: int, y: int) -> tuple[int, int, int, int]:
@@ -463,7 +448,7 @@ def _taylor_shift(nums, c: mpc) -> list[tuple[int, int]]:
     q(u) = 2^(sn) p(u / 2^s) has integer coefficients; n rounds of
     synthetic division by (u - C) shift it to q(C + u) exactly, and
     u = 2^s y turns that into 2^(sn) p(c + y)."""
-    cr, ci, s = _grid_point(c)
+    (cr, ci), s = _on_one_grid(c._mpc_)
     n = len(nums) - 1
     q = [(re << s * (n - k), im << s * (n - k)) for k, (re, im) in enumerate(nums)]
     for i in range(n):
@@ -592,26 +577,16 @@ def _aberth(factor: ExactPoly, tol_bits: int, warm: list[mpc] | None = None) -> 
     sizes = [mpmath.mag(z) for z in starts if z]
     w = mp.prec + max([0, *sizes]) + max([0, *(1 - e for e in sizes)])
     poly = _FixedPoint.of(nums, w)
-    zs = [(poly.to_int(z.real), poly.to_int(z.imag)) for z in starts]
+    zs = [(_scaled_floor(z.real, w), _scaled_floor(z.imag, w)) for z in starts]
     _converge(poly, zs, mpmath.ldexp(mpf(1), -tol_bits), 1 << (w - mp.prec // 2))
     return [mpc(mpf((x, -w)), mpf((y, -w))) for x, y in zs]
-
-
-def _grid_point(z: mpc) -> tuple[int, int, int]:
-    """(x, y, s) with z = (x + iy) / 2^s exactly and s >= 0, for a dyadic z."""
-    parts = (_dyadic(z.real), _dyadic(z.imag))
-    low = min((e for m, e in parts if m), default=0)
-    x, y = (m << (e - low) if m else 0 for m, e in parts)
-    if low > 0:
-        return x << low, y << low, 0
-    return x, y, -low
 
 
 def _exact_horner(nums, z: mpc) -> tuple[tuple[int, int], tuple[int, int], int]:
     """(A, B, s), A = 2^(sn) f(z) and B = 2^(s(n-1)) f'(z) as Gaussian
     integers, for f of degree n with Gaussian-integer coefficients `nums`
     (lowest degree first) at the dyadic z = (x + iy) / 2^s."""
-    x, y, s = _grid_point(z)
+    (x, y), s = _on_one_grid(z._mpc_)
     n = len(nums) - 1
     ar, ai = nums[-1]
     br, bi = n * ar, n * ai
@@ -748,8 +723,7 @@ def _find_roots_exact(p: ExactPoly, precision: int, warm: RootSet | None = None)
                     with mp.workprec(precision):
                         found.sort(key=lambda t: _canonical_key(t[0]))
                     entries = tuple([RootEntry(CBall(z, rad), m) for z, rad, m in found])
-                    return RootSet(entries, CBall.from_gaussian(p.leading), p.degree, precision,
-                                   factors)
+                    return RootSet(entries, p.leading, p.degree, precision, factors)
                 cluster = [mpmath.nstr(found[k][0], 8) for k in bad]
         work *= 2
     raise IndistinguishableRootsError(precision, cluster)

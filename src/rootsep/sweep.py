@@ -63,6 +63,8 @@ class SweepParams:
                 raise ValidationError(f"unknown graph kind {kind!r}")
         _check_precision(self.precision_bits)
         _check_precision(self.ceiling_bits)
+        if self.force_cluster == 0:
+            raise ValidationError("a forced cluster needs a nonzero offset")
 
 
 def _instance_rng(seed: int, index: int) -> random.Random:

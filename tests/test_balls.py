@@ -1,11 +1,12 @@
 """Ball arithmetic: enclosure of exact results, the modulus of a disk, and
 the grid products a rung table reports."""
+import math
 import operator
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, mpf_hypot
 
@@ -15,11 +16,16 @@ from rootsep.balls import (
     CBall,
     RBall,
     RungTable,
+    _dyadic,
+    _on_one_grid,
+    _scaled_floor,
     grid_cball,
+    grid_rball,
     json_real,
     working_precision,
 )
 from rootsep.errors import BallDomainError
+from rootsep.invariants import _abs_ball
 
 from oracles import exact_det, vandermonde_matrix
 
@@ -90,15 +96,42 @@ def _dyadic_above(x: Fraction) -> Fraction:
     return Fraction(-(-x.numerator * 2**k // x.denominator), 2**k)
 
 
+def _mpc(re: Fraction, im: Fraction):
+    """re + i im as an mpc, exactly (both parts are dyadic)."""
+    return mpmath.mp.make_mpc((_mpf(re)._mpf_, _mpf(im)._mpf_))
+
+
+#: the grid the test intervals and disks are placed on: finer than every
+#: dyadic and radius the strategies draw
+_S = 3200
+
+
+def _interval(lo: Fraction, hi: Fraction) -> RBall:
+    """An interval holding [lo, hi], through `grid_rball`: the ends floored
+    and ceiled onto the grid 2^-_S, then rounded outward."""
+    return grid_rball(math.floor(lo * 2**_S), math.ceil(hi * 2**_S), _S)
+
+
+def _disk(g: GaussianRational, widen: Fraction = Fraction(0)) -> CBall:
+    """A disk holding every point within `widen` of g, through `grid_cball`:
+    g's parts floored onto the grid 2^-_S, one unit of radius for each
+    inexact floor, `widen` rounded up, and the midpoint rounded to the
+    working precision with its error added to the radius."""
+    x, y = math.floor(g.re * 2**_S), math.floor(g.im * 2**_S)
+    units = (x != g.re * 2**_S) + (y != g.im * 2**_S) + math.ceil(widen * 2**_S)
+    return grid_cball(x, y, units, _S)
+
+
 def _real_ball(mid: Fraction, rad: Fraction):
     """The interval [mid - rad, mid + rad], mid >= 0, and points of it: the
     midpoint and both ends, a negative lower end raised to 0."""
-    return RBall(_mpf(mid), rad), [mid, max(Fraction(0), mid - rad), mid + rad]
+    return _interval(mid - rad, mid + rad), [mid, max(Fraction(0), mid - rad), mid + rad]
 
 
 def _complex_ball(re: Fraction, im: Fraction, rad: Fraction):
-    """The disk, and points of it: the centre and four points on the rim."""
-    ball = CBall(mpmath.mpc(_mpf(re), _mpf(im)), rad)
+    """The disk, its radius rounded up to a dyadic, and points of it: the
+    centre and four points on the rim."""
+    ball = CBall(_mpc(re, im), _mpf(_dyadic_above(rad)))
     points = [(re, im), (re + rad, im), (re - rad, im), (re, im + rad), (re, im - rad)]
     return ball, [GaussianRational(a, b) for a, b in points]
 
@@ -133,12 +166,22 @@ class TestEnclosure:
     @settings(max_examples=100, deadline=None)
     @given(gaussians, precisions)
     def test_complex_operations(self, z, bits):
-        # a CBall is a value: it is built from a Gaussian rational, rounded,
-        # and its modulus is its one real ball
+        # a CBall is a value: the rung grid reports it, rounded, and its
+        # modulus is its one real ball
         with working_precision(bits):
-            ball = CBall.from_gaussian(z)
+            ball = _disk(z)
             assert _encloses_complex(ball, z)
             assert _encloses_modulus(ball.abs(), z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gaussians, precisions)
+    def test_modulus_of_an_exact_value(self, g, bits):
+        # an exact |lc|, |Disc| or |sDisc| enters a bound through
+        # `_abs_ball`: lo^2 <= |g|^2 <= hi^2, compared in Fractions
+        with working_precision(bits):
+            got = _abs_ball(g)
+        lo, hi = _q(got.lo), _q(got.hi)
+        assert 0 <= lo and lo * lo <= g.norm() <= hi * hi
 
     @settings(max_examples=150, deadline=None)
     @given(dyadics, radii, dyadics, radii, precisions)
@@ -168,7 +211,7 @@ class TestEnclosure:
         # a radius of at least |mid| reaches 0
         with working_precision(bits):
             with pytest.raises(BallDomainError):
-                RBall.exact(x) / RBall(_mpf(y), abs(y) + ry)
+                RBall.exact(x) / _interval(y - abs(y) - ry, y + abs(y) + ry)
 
     @settings(max_examples=60, deadline=None)
     @given(rationals, dyadics, radii, precisions)
@@ -179,18 +222,19 @@ class TestEnclosure:
                     RBall.exact(x)
             if y + ry < 0:
                 with pytest.raises(BallDomainError):
-                    RBall(_mpf(y), ry)
+                    _interval(y - ry, y + ry)
             else:
-                ball = RBall(_mpf(y), ry)
+                ball = _interval(y - ry, y + ry)
                 assert ball.lo >= 0 and (y - ry > 0 or ball.lo == 0)
 
     def test_a_modulus_reaching_zero_has_lower_end_zero(self):
         # a negative lower end, were it kept, would square into a positive one
         with working_precision(64):
-            m = CBall(0, Fraction(1, 3)).abs()
+            m = CBall(mpmath.mpc(0), _mpf(_dyadic_above(Fraction(1, 3)))).abs()
             assert m.lo == 0 and (m * m).lo == 0
             assert _q(m.hi) >= Fraction(1, 3)
-            table = RungTable.build([CBall(0, 1), CBall(mpmath.mpc(0.5, 0.5), 1)])
+            one = mpmath.mpf(1)
+            table = RungTable.build([CBall(mpmath.mpc(0), one), CBall(mpmath.mpc(0.5, 0.5), one)])
             d = table.distance(0, 1)
             assert d.lo == 0 and (d * d).lo == 0
 
@@ -200,12 +244,12 @@ class TestEnclosure:
         with working_precision(64):
             ra = mpmath.mpf(2**60 - 1) / 2**60
             rb = mpmath.mpf(2**60 - 3) / 2**60
-            prod = RBall(0, ra) * RBall(0, rb)
+            prod = _interval(Fraction(0), _q(ra)) * _interval(Fraction(0), _q(rb))
             assert _encloses_real(prod, _q(ra) * _q(rb))
 
     def test_radii_carry_at_most_rad_bits(self):
         with working_precision(200):
-            z = CBall.from_gaussian(GaussianRational.of(Fraction(1, 3), Fraction(2, 7)))
+            z = _disk(GaussianRational.of(Fraction(1, 3), Fraction(2, 7)))
             w = RBall.exact(Fraction(5, 11))
             balls = (z, z.abs(), w * w, w / (w * w), w.sqrt(), w.root(3), w.powr(mpmath.mpf(1.5)), w.powi(-3))
             for ball in balls:
@@ -251,9 +295,9 @@ class TestEndpointMaps:
     def test_domain_errors(self):
         with working_precision(64):
             with pytest.raises(BallDomainError):
-                RBall(1, 1).powi(-2)
+                _interval(Fraction(0), Fraction(2)).powi(-2)
             with pytest.raises(BallDomainError):
-                RBall(1, 1).powr(mpmath.mpf(0.5))
+                _interval(Fraction(0), Fraction(2)).powr(mpmath.mpf(0.5))
             # mpmath's nan and infinities have mantissa 0, as zero does; only
             # the exponent 0 gives exactly 1
             one = RBall.exact(3).powr(mpmath.mpf(0))
@@ -270,7 +314,7 @@ class TestModulusBounds:
         scale = Fraction(2) ** shift
         z = GaussianRational(re * scale, im * scale)
         with working_precision(bits):
-            got = CBall(mpmath.mpc(_mpf(z.re), _mpf(z.im))).abs()
+            got = CBall(_mpc(z.re, z.im), mpmath.mpf(0)).abs()
             assert got.rad._mpf_[3] <= RAD_BITS
             assert _encloses_modulus(got, z)
 
@@ -282,7 +326,7 @@ class TestModulusBounds:
         y = from_man_exp(206330329985, -7)
         z = GaussianRational(_t(x), _t(y))
         assert _t(mpf_hypot(x, y, RAD_BITS, "u")) ** 2 < z.norm()
-        ball = CBall(mpmath.mpc(mpmath.mp.make_mpf(x), mpmath.mp.make_mpf(y)))
+        ball = CBall(mpmath.mp.make_mpc((x, y)), mpmath.mpf(0))
         for bits in (24, RAD_BITS, 64):
             with mpmath.mp.workprec(bits):
                 assert _encloses_modulus(ball.abs(), z)
@@ -345,8 +389,7 @@ class TestDeterminant:
         with working_precision(bits):
             balls, points = [], []
             for g, widen, (a, b) in entries:
-                rounded = CBall.from_gaussian(g)
-                balls.append(CBall(rounded.mid, _q(rounded.rad) + widen))
+                balls.append(_disk(g, widen))
                 points.append(g + GaussianRational(widen * a, widen * b))
             det_w = RungTable.build(balls).det_w
         assert _encloses_complex(det_w, exact_det(vandermonde_matrix(points)))
@@ -367,7 +410,7 @@ class TestStoredModulus:
         # another precision gives the same modulus as a fresh copy
         assert CBall.__slots__ == ("_m", "_r")
         with working_precision(64):
-            made_low = CBall.from_gaussian(GaussianRational.of(Fraction(1, 3), Fraction(2, 7)))
+            made_low = _disk(GaussianRational.of(Fraction(1, 3), Fraction(2, 7)))
         with working_precision(256):
             made_here = CBall(made_low.mid, made_low.rad)
             got, want = made_low.abs(), made_here.abs()
@@ -382,10 +425,51 @@ class TestJson:
         assert json_real(mpmath.mpf(0)) == 0.0
         assert json_real(mpmath.mpf(0.25)) == 0.25
         assert json_real(mpmath.ldexp(1, 4000)) == mpmath.nstr(mpmath.ldexp(1, 4000), 17)
-        assert RBall(tiny, tiny).to_json() == {"mid": mpmath.nstr(tiny, 17), "rad": mpmath.nstr(tiny, 17)}
+        # the interval [0, 2 tiny]
+        assert grid_rball(0, 2, 4000).to_json() == {"mid": mpmath.nstr(tiny, 17), "rad": mpmath.nstr(tiny, 17)}
 
     def test_midpoint_parts_below_the_double_range_stay_floats(self):
         tiny = mpmath.ldexp(1, -4000)
         got = CBall(mpmath.mpc(2, tiny), tiny).to_json()
         assert got["re"] == 2.0 and got["im"] == 0.0
         assert got["rad"] == mpmath.nstr(tiny, 17)
+
+
+# signed mantissas, among them 0, and exponents from 2^-1100 up
+_mantissas = st.one_of(st.just(0), st.integers(-(2**80), 2**80))
+_exponents = st.integers(-1100, 60)
+_shifts = st.integers(-1200, 1200)
+
+
+class TestDyadic:
+    """`_dyadic` and `_scaled_floor`, the one route by which a binary number
+    becomes integers, against the exact value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mantissas, _exponents, _shifts)
+    @example(-3, -2, 0)  # -3/4 floors to -1
+    def test_mpf_and_raw_tuple(self, m, e, w):
+        x = Fraction(m) * Fraction(2) ** e
+        value = mpmath.mp.make_mpf(from_man_exp(m, e))
+        for form in (value, value._mpf_):
+            dm, de = _dyadic(form)
+            assert Fraction(dm) * Fraction(2) ** de == x
+            assert _scaled_floor(form, w) == math.floor(x * Fraction(2) ** w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), _shifts)
+    @example(-0.75, 1)  # floors to -2
+    def test_float(self, f, w):
+        dm, de = _dyadic(f)
+        assert Fraction(dm) * Fraction(2) ** de == Fraction(f)
+        assert _scaled_floor(f, w) == math.floor(Fraction(f) * Fraction(2) ** w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_mantissas, _exponents), max_size=6), st.lists(st.floats(-1e300, 1e300), max_size=3))
+    def test_one_grid(self, pairs, floats):
+        values = [mpmath.mp.make_mpf(from_man_exp(m, e)) for m, e in pairs] + floats
+        ints, w = _on_one_grid(values)
+        exact = [_q(x) if isinstance(x, mpmath.mpf) else Fraction(x) for x in values]
+        assert w >= 0 and [Fraction(n, 2**w) for n in ints] == exact
+        # w is the finest bit: no coarser grid holds every value
+        assert w == 0 or any(n % 2 for n in ints)

@@ -423,9 +423,9 @@ def _sampled_roots(disks):
     """A root set on the disks, and one exact point of each disk."""
     with mp.workprec(256):  # mpc rounds its parts at the working precision
         entries = tuple(
-            RootEntry(CBall(mpmath.mpc(_mpf(x), _mpf(y)), rad), 1) for x, y, rad, _ in disks
+            RootEntry(CBall(mpmath.mpc(_mpf(x), _mpf(y)), _mpf(rad)), 1) for x, y, rad, _ in disks
         )
-    roots = RootSet(entries, CBall.one(), len(disks), 128, ())
+    roots = RootSet(entries, GaussianRational.of(1), len(disks), 128, ())
     points = [GaussianRational(x + rad * u, y + rad * v) for x, y, rad, (u, v) in disks]
     return roots, points
 
@@ -1124,6 +1124,14 @@ class TestVerify:
     def test_unknown_variant(self):
         with pytest.raises(ValidationError):
             verify(parse_polynomial("x^2-1"), [(0, 1)], "nope")
+
+    def test_precision_must_be_a_positive_int(self):
+        # a precision of 0 never doubles: the ladder would never reach the
+        # ceiling
+        p = parse_polynomial("x^2 - 1")
+        for bad in (0, -64, 64.0, "64"):
+            with pytest.raises(ValidationError):
+                verify(p, [], precision=bad, ceiling=128)
 
     def test_escalation_resolves_tight_instance(self):
         # the pair 1, 1 + 2^-1500 is indistinguishable at 64 bits; only

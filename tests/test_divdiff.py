@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rootsep import GaussianRational, ValidationError
@@ -38,12 +39,13 @@ class TestRecursive:
 
     def test_near_duplicate_balls_rejected(self):
         # the disks touch, so no exact node can be read off either ball
-        a = CBall(1, 0.25)
-        b = CBall(1.25, 0.25)
+        quarter, zero = mpmath.mpf(0.25), mpmath.mpf(0)
+        a = CBall(mpmath.mpc(1), quarter)
+        b = CBall(mpmath.mpc(1.25), quarter)
         with pytest.raises(ValidationError):
             divdiff_recursive([1, 2], [a, b])
         # the midpoints alone are exact, distinct nodes
-        assert divdiff_recursive([1, 2], [CBall(1), CBall(1.25)]) == 4
+        assert divdiff_recursive([1, 2], [CBall(mpmath.mpc(1), zero), CBall(mpmath.mpc(1.25), zero)]) == 4
 
 
 class TestExplicit:

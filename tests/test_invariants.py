@@ -21,6 +21,7 @@ from rootsep import (
 import rootsep.cli
 import rootsep.poly
 from rootsep.balls import CBall, RBall, working_precision
+from rootsep.invariants import _abs_ball
 from rootsep.poly import (
     _chain_heads,
     _derivative_coefficients,
@@ -44,6 +45,13 @@ class TestMahler:
         with working_precision(128):
             m = mahler_measure(roots)
         assert abs(m.mid - 2) < 1e-30
+
+    def test_an_exact_leading_coefficient_stays_exact(self):
+        # 3/2 is dyadic and the roots 1 and -2 exact, so M = 3 exactly
+        roots = find_roots(parse_polynomial("3/2*(x-1)*(x+2)"), 128)
+        with working_precision(128):
+            m = mahler_measure(roots)
+        assert m.mid == 3 and m.rad == 0
 
     def test_mixed_radii(self):
         # (x-2)(x-1/2): max(1,2) * max(1,1/2) = 2
@@ -226,7 +234,7 @@ def test_bundle_invariants():
         roots = find_roots(p, 128)
         bundle = compute_invariants(p, 128, roots=roots)
         with working_precision(128):
-            lead_abs = roots.leading_coeff.abs().mid
+            lead_abs = _abs_ball(roots.leading_coeff).mid
             if lead_abs >= 1:
                 assert bundle.mahler.hi >= lead_abs - 1e-25
             assert bundle.sdisc_abs.mid > 0
@@ -435,10 +443,10 @@ class TestTableRoutesEnclose:
     def test_sdisc_and_mahler_enclose_their_values(self, disks):
         # |sDisc| and M(P), read off the rung table, hold their values at
         # points of the root disks (lc = 1), decided on squares for M
-        entries = tuple(RootEntry(CBall(mpmath.mpc(_mpf(x), _mpf(y)), rad), m)
+        entries = tuple(RootEntry(CBall(mpmath.mpc(_mpf(x), _mpf(y)), _mpf(rad)), m)
                         for x, y, rad, _, m in disks)
         d = sum(m for *_, m in disks)
-        roots = RootSet(entries, CBall.one(), d, 128, ())
+        roots = RootSet(entries, GaussianRational.of(1), d, 128, ())
         z = [GaussianRational(x + rad * u, y + rad * v) for x, y, rad, (u, v), _ in disks]
         sdisc, mahler = sdisc_abs_from_roots(roots), mahler_measure(roots)
         exact_sdisc = Fraction(1)

@@ -4,6 +4,7 @@ import importlib
 from pathlib import Path
 
 import pytest
+from mpmath import mpf
 
 import rootsep
 from rootsep.errors import BallDomainError
@@ -20,7 +21,8 @@ REMOVED = {
     "roots": ("min_pairwise_distance",),
     "errors": ("JensenUnavailableError",),
     "balls": ("_mod_up", "_mod_down", "_complex_cushion", "_mid_product",
-              "_product_radius", "_span", "bracket_mul", "bracket_ball", "bracket_bits"),
+              "_product_radius", "_span", "bracket_mul", "bracket_ball", "bracket_bits",
+              "_real_cushion", "_exact_real", "_radius", "_grid_part", "_scaled", "_place"),
 }
 
 #: the operator methods a complex ball, being a value, does not define
@@ -73,7 +75,7 @@ def test_the_bound_assembly_reads_real_values_only_as_intervals():
     # every nonnegative real of a bound is an RBall: the bounds and the
     # invariants take no raw libmp tuples, and balls keeps no second format
     from rootsep import balls
-    from rootsep.balls import RBall, RungTable
+    from rootsep.balls import RBall, RungTable, grid_rball
 
     for name in ("bounds.py", "invariants.py"):
         imported = set(_imported_modules((SOURCES / name).read_text()))
@@ -81,4 +83,24 @@ def test_the_bound_assembly_reads_real_values_only_as_intervals():
     assert [name for name in vars(balls) if name.startswith("bracket")] == []
     assert not hasattr(RBall, "_mag") and not hasattr(RungTable, "max1_power")
     with pytest.raises(BallDomainError):
-        RBall(-2, 1)
+        RBall.exact(-3)
+    with pytest.raises(BallDomainError):
+        grid_rball(-3, -1, 0)
+    assert grid_rball(-3, 1, 0).lo == 0
+
+
+def test_balls_are_built_only_from_exact_values():
+    # no constructor rounds a number into a ball: an interval comes from an
+    # exact value or the rung grid, a disk from root finding's mpc and mpf
+    from rootsep import balls
+    from rootsep.balls import CBall, RBall
+    from rootsep.roots import _FixedPoint
+
+    with pytest.raises(TypeError):
+        RBall("0.1")
+    with pytest.raises(TypeError):
+        CBall("0.1", mpf(0))
+    assert not hasattr(CBall, "from_gaussian") and not hasattr(_FixedPoint, "to_int")
+    imported = set(_imported_modules((SOURCES / "balls.py").read_text()))
+    assert not {m for m in imported if m == "rootsep.gaussian" or m.startswith("rootsep.gaussian.")}
+    assert "GaussianRational" not in vars(balls)

@@ -220,26 +220,17 @@ class TestEscalation:
         assert roots.r == 3
         assert work == [88, 176, 352]
 
-    def test_only_the_leading_coefficient_becomes_a_ball(self, monkeypatch):
+    def test_the_leading_coefficient_stays_exact(self):
         # the solver reads each factor's Gaussian-integer numerators on
-        # every attempt; only the root set's leading coefficient is a ball,
-        # for one attempt (the cubic) as for three (the 10^-80 pair)
-        import rootsep.roots
-
-        calls = []
-        real = CBall.from_gaussian
-
-        def spy(g):
-            calls.append(g)
-            return real(g)
-
-        monkeypatch.setattr(rootsep.roots.CBall, "from_gaussian", staticmethod(spy))
-        for p, bits in ((parse_polynomial("(x-1)*(x-2)*(x-3)"), 128),
+        # every attempt, and the root set carries P's leading coefficient
+        # exactly, for one attempt (the cubic) as for three (the 10^-80
+        # pair)
+        for p, bits in ((parse_polynomial("3/2*(x-1)*(x-2)*(x-3)"), 128),
                         (ExactPoly.from_roots([1, 1 + Fraction(1, 10**80), 3]), 64)):
-            calls.clear()
             roots = find_roots(p, bits)
             assert roots.r == 3
-            assert calls == [p.leading]
+            assert roots.leading_coeff == p.leading
+            assert isinstance(roots.leading_coeff, GaussianRational)
 
     def test_real_cluster_on_the_start_circle(self):
         # all three roots have modulus 1/2, the radius of the one Newton
@@ -413,16 +404,13 @@ def cluster_groups(monkeypatch):
 
 
 def _encloses_each(roots, exact) -> bool:
-    """Every exact root lies in exactly one disk of `roots`."""
-    with mpmath.workprec(1024):
-        points = [
-            CBall.from_gaussian(z if isinstance(z, GaussianRational) else GaussianRational.of(z)).mid
-            for z in exact
-        ]
-        return all(
-            sum(abs(point - e.value.mid) <= e.value.rad for e in roots.entries) == 1
-            for point in points
-        )
+    """Every exact root lies in exactly one disk of `roots`, decided
+    exactly."""
+    points = [z if isinstance(z, GaussianRational) else GaussianRational.of(z) for z in exact]
+    return all(
+        sum((point - exact_mid(e.value)).norm() <= dyadic(e.value.rad) ** 2 for e in roots.entries) == 1
+        for point in points
+    )
 
 
 class TestFloatPhase:

@@ -126,6 +126,16 @@ class TestRunInstance:
         with pytest.raises(ValidationError):
             SweepParams(graph_kinds=("ring",)).validate()
 
+    def test_a_forced_cluster_needs_a_nonzero_offset(self):
+        # an offset of 0 would make roots[1] a copy of roots[0], merging
+        # their multiplicities while the record still counts them apart
+        for eps in (0, Fraction(0)):
+            with pytest.raises(ValidationError):
+                SweepParams(max_degree=8, force_cluster=eps).validate()
+            with pytest.raises(ValidationError):
+                run_sweep(101, SweepParams(count=1, max_degree=8, force_cluster=eps))
+        SweepParams(max_degree=8, force_cluster=Fraction(-1, 2**80)).validate()
+
 
 class TestRunSweep:
     def test_summary_and_determinism(self):
