@@ -832,6 +832,8 @@ def verify(
         )
     if not isinstance(precision, int) or precision < 1:
         raise ValidationError(f"precision must be a positive int, got {precision!r}")
+    if not isinstance(ceiling, int) or ceiling < 1:
+        raise ValidationError(f"ceiling must be a positive int, got {ceiling!r}")
     inputs, needs = {
         "remark_pairs": ((graph_or_edges, hints), "hint pairs"),
         "sep_product": ((subset,), "a root subset"),

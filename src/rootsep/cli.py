@@ -18,9 +18,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 from .bounds import VARIANTS, reduce_vandermonde, verify
 from .errors import ParseError, RootsepError, ValidationError
@@ -35,21 +37,41 @@ EXIT_INPUT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
+def _json_scalar(value) -> str:
+    """`json.dumps(value)` for a scalar: a str, an int or a finite float
+    written directly, as the C encoder writes it, and any other value (NaN,
+    an infinity, a bool, None, a subclass) by `json.dumps`."""
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    elif kind is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
 def _json_text(value, indent: str = "") -> str:
-    """`json.dumps(value, indent=2)`, assembled here around the C encoder's
-    text for each scalar and key. The pure-Python encoder that `indent`
+    """`json.dumps(value, indent=2)`, assembled here around the text of each
+    scalar and key (`_json_scalar`). The pure-Python encoder that `indent`
     selects leaves a reference cycle of closures behind on every call, which
     only a full collection frees, so a process writing many reports grows."""
-    if not value or not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)
+    if not value or not isinstance(value, _CONTAINERS):
+        return _json_scalar(value)
     inner = indent + "  "
     if isinstance(value, dict):
         # json writes a non-string key as the string of its JSON text
-        items = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
+        items = [f"{encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))}: "
+                 f"{_json_text(v, inner) if isinstance(v, _CONTAINERS) else _json_scalar(v)}"
                  for k, v in value.items()]
         brackets = "{}"
     else:
-        items = [_json_text(v, inner) for v in value]
+        items = [_json_text(v, inner) if isinstance(v, _CONTAINERS) else _json_scalar(v)
+                 for v in value]
         brackets = "[]"
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 

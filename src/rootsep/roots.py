@@ -13,10 +13,14 @@ contains at least one root of f); pairwise disjoint disks then certify a
 bijection between disks and roots.
 
 The sweeps run in double precision first, on Python `complex` values, and
-sweeps on fixed-point Gaussian integers only polish what they reach
-(MPSolve's cheap-arithmetic-first design; Bini & Robol, JCAM 2014). A float
-iterate is kept when double precision has isolated it: its inclusion disk,
-padded by a bound on Horner's rounding error and doubled, meets no other.
+fixed-point Gaussian integers only polish what they reach (MPSolve's
+cheap-arithmetic-first design; Bini & Robol, JCAM 2014). A float iterate is
+kept when double precision has isolated it: its inclusion disk, padded by a
+bound on Horner's rounding error and doubled, meets no other. When it has
+isolated every root of the factor, each root is polished by Newton's method
+on its own, as MPSolve refines an isolated root, in O(n) per step instead
+of an Aberth sweep's O(n^2); a root whose Newton corrections stop halving
+sends the whole factor to the integer Aberth sweeps from the float iterates.
 Iterates whose disks meet, transitively, form a cluster of m roots closer
 than double precision resolves; the cluster restarts from its center, the
 centroid sharpened by Newton's method on p^(m-1) evaluated exactly, at the
@@ -27,7 +31,8 @@ float phase cannot be trusted (a coefficient outside the float range, an
 iterate that overflows or meets p' = 0, a center whose Newton step fails)
 the integer sweeps start from the Newton polygon as if there were no float
 phase. Both arithmetics share one set of stopping, polish and stall rules
-(`_converge`).
+(`_converge`), and the integer sweeps and the Newton polish share one Newton
+quotient p / p' (`_newton_quotient`).
 
 Every disk is then certified in exact arithmetic. Its midpoint is dyadic, so
 integer Horner on the factor's Gaussian-integer numerators gives f(z) and
@@ -397,6 +402,22 @@ def _fixed_horner(poly: _FixedPoint, x: int, y: int) -> tuple[int, int, int, int
     return pr, pi, dr, di
 
 
+def _newton_quotient(poly: _FixedPoint, x: int, y: int) -> tuple[int, int] | None:
+    """2^(w+1) p(z) / p'(z) at z = (x + iy) / 2^w, each part floored to an
+    int; (0, 0) when p(z) = 0 and None when p'(z) = 0. The Newton correction
+    of both the Aberth sweeps and the one-root polish, with one bit below
+    the grid: the sweeps floor it to the grid (`>> 1` of the floor is the
+    floor), the polish rounds it to nearest."""
+    pr, pi, dr, di = _fixed_horner(poly, x, y)
+    if not (pr or pi):
+        return 0, 0
+    q = dr * dr + di * di
+    if q == 0:
+        return None
+    w = poly.w + 1
+    return ((pr * dr + pi * di) << w) // q, ((pi * dr - pr * di) << w) // q
+
+
 def _fixed_sweep(poly: _FixedPoint, zs: list[tuple[int, int]], tiny: int) -> mpf:
     """One Aberth sweep on fixed-point iterates (`_FixedPoint`); returns the
     largest relative correction |w| / (1 + |z - w|), p' = 0 counting as
@@ -406,17 +427,15 @@ def _fixed_sweep(poly: _FixedPoint, zs: list[tuple[int, int]], tiny: int) -> mpf
     two_w = 2 * w
     worst_num, worst_den = 0, 1
     for k, (x, y) in enumerate(zs):
-        pr, pi, dr, di = _fixed_horner(poly, x, y)
-        if not (pr or pi):
-            continue
-        q = dr * dr + di * di
-        if q == 0:
+        newton = _newton_quotient(poly, x, y)
+        if newton is None:
             zs[k] = (x + (x >> 12) + (one >> 12), y + (y >> 12))
             worst_num, worst_den = 1, 0
             continue
-        # newton = p / p' and s = sum 1 / (z - z_j), at scale 2^w
-        nr = ((pr * dr + pi * di) << w) // q
-        ni = ((pi * dr - pr * di) << w) // q
+        nr, ni = newton[0] >> 1, newton[1] >> 1
+        if not (nr or ni):
+            continue
+        # s = sum 1 / (z - z_j), at scale 2^w
         sr = si = 0
         for j, (u, v) in enumerate(zs):
             if j != k:
@@ -439,6 +458,43 @@ def _fixed_sweep(poly: _FixedPoint, zs: list[tuple[int, int]], tiny: int) -> mpf
         if num * worst_den > worst_num * den:
             worst_num, worst_den = num, den
     return mpf(worst_num) / worst_den if worst_den else math.inf
+
+
+def _newton_polish(poly: _FixedPoint, zs: list[tuple[int, int]], tol_bits: int) -> list[tuple[int, int]] | None:
+    """The fixed-point iterates `zs` (`_FixedPoint`), each polished by
+    Newton's method on its own, or None when one of them fails.
+
+    Each correction is the Newton quotient rounded to the nearest grid
+    point, where the sweeps floor it: a floored quotient just below a grid
+    unit would step an iterate next to a root on the grid past it instead
+    of onto it. An iterate stops at p(z) = 0 or after the step whose
+    correction is at most 2^-tol_bits (1 + |z|). It fails where p' = 0,
+    when a correction does not halve the one before, or when it has not
+    stopped after log2(tol_bits) + 2 steps, as many as quadratic
+    convergence needs from one correct bit. Halving corrections move an
+    iterate by less than twice its first, |p / p'|, so it stays inside its
+    doubled disk from the float phase, which holds one root and meets no
+    other disk: distinct iterates reach distinct roots."""
+    one = 1 << poly.w
+    out = []
+    for x, y in zs:
+        last = None
+        for _ in range(tol_bits.bit_length() + 2):
+            newton = _newton_quotient(poly, x, y)
+            if newton is None:
+                return None
+            nr, ni = (newton[0] + 1) >> 1, (newton[1] + 1) >> 1
+            x, y = x - nr, y - ni
+            size = nr * nr + ni * ni
+            if math.isqrt(size) << tol_bits <= one + math.isqrt(x * x + y * y):
+                break
+            if last is not None and 4 * size > last:
+                return None
+            last = size
+        else:
+            return None
+        out.append((x, y))
+    return out
 
 
 def _taylor_shift(nums, c: mpc) -> list[tuple[int, int]]:
@@ -495,10 +551,12 @@ def _cluster_starts(nums, zs: list[complex]) -> list[mpc] | None:
     return [center + y for y in ys]
 
 
-def _float_phase(factor: ExactPoly, starts: list[mpc]) -> list[mpc]:
+def _float_phase(factor: ExactPoly, starts: list[mpc]) -> tuple[list[mpc], bool]:
     """Aberth iterates from `starts` computed in double precision, with
     every cluster that double precision did not separate restarted around
-    its center; or `starts` itself when the float phase cannot be trusted.
+    its center, and whether double precision isolated every root (no
+    cluster restarted); or `starts` itself and False when the float phase
+    cannot be trusted.
 
     The sweeps run on Python `complex` values (the coefficients correctly
     rounded) until every correction is under 2^-45 relative or they stall.
@@ -524,7 +582,7 @@ def _float_phase(factor: ExactPoly, starts: list[mpc]) -> list[mpc]:
     try:
         cs = [complex(re / den, im / den) for re, im in nums]
         if any(f == 0 and (re or im) for f, (re, im) in zip(cs, nums)):
-            return starts
+            return starts, False
         moduli = [abs(c) for c in cs]
         _converge(cs, zs, _FLOAT_TOL, _FLOAT_TINY)
         disks = []
@@ -535,36 +593,43 @@ def _float_phase(factor: ExactPoly, starts: list[mpc]) -> list[mpc]:
             disks.append((z, 2 * n * (abs(p) + noise) / abs(dp)))
     except ArithmeticError:
         # a coefficient or an iterate overflows, or p' = 0 at an iterate
-        return starts
+        return starts, False
     if not all(math.isfinite(rad) for _, rad in disks):
-        return starts
+        return starts, False
     out = [mpc(z) for z in zs]
-    for group in _overlap_groups(disks):
+    groups = _overlap_groups(disks)
+    for group in groups:
         restart = _cluster_starts(nums, [zs[k] for k in group])
         if restart is None:
-            return starts
+            return starts, False
         for k, z in zip(group, restart):
             out[k] = z
-    return out
+    return out, not groups
 
 
 def _aberth(factor: ExactPoly, tol_bits: int, warm: list[mpc] | None = None) -> list[mpc]:
-    """Aberth-Ehrlich iteration on a factor's Gaussian-integer numerators.
+    """Roots of a factor, polished on its Gaussian-integer numerators: by
+    Newton's method one root at a time when double precision isolated every
+    root, and otherwise by Aberth-Ehrlich sweeps over all of them.
 
     Without `warm` starts, the Newton-polygon starts first go through the
-    double-precision phase (`_float_phase`): the integer sweeps polish the
-    iterates it isolated and separate each cluster it did not from starts
-    around the cluster's center; when the float phase cannot be trusted,
-    they start from the Newton polygon itself. `warm` starts, midpoints
-    carried from another precision, hold more than 53 bits and skip the
-    float phase.
+    double-precision phase (`_float_phase`). When it isolated every root,
+    each iterate is polished on its own (`_newton_polish`), as MPSolve
+    refines an isolated root by itself (Bini & Robol, JCAM 2014); when one
+    of them fails, the whole factor goes to the Aberth sweeps from the float
+    iterates. The sweeps also separate each cluster the float phase did not
+    from starts around the cluster's center, and start from the Newton
+    polygon itself when the float phase cannot be trusted. `warm` starts,
+    midpoints carried from another precision, hold more than 53 bits, skip
+    the float phase and go to the sweeps.
 
-    The polishing sweeps run on the numerators and on fixed-point iterates
-    at one scale 2^w (`_FixedPoint`), w = prec + ceil(log2 max(1, max|z|))
+    Both polishes run on the numerators and on fixed-point iterates at one
+    scale 2^w (`_FixedPoint`), w = prec + ceil(log2 max(1, max|z|))
     + ceil(log2 1 / min(1, min nonzero |z|)) over the starts: every iterate
     and every 1 / (z_k - z_j) then carries `prec` bits relative to its
-    size. They run to a relative correction of 2^-tol_bits or until they
-    stagnate; the caller's certification step is the arbiter of success.
+    size, and both take the Newton quotient p / p' from `_newton_quotient`.
+    They run to a relative correction of 2^-tol_bits, or the sweeps until
+    they stagnate; the caller's certification step is the arbiter of success.
     The iterates come back rounded to mpc at the ambient precision, and a
     linear factor's root is -n_0 / n_1, rounded there. Deterministic for
     fixed inputs and precision.
@@ -572,14 +637,17 @@ def _aberth(factor: ExactPoly, tol_bits: int, warm: list[mpc] | None = None) -> 
     nums = factor.nums
     if len(nums) == 2:
         return [-mpc(*nums[0]) / mpc(*nums[1])]
-    starts = ([mpc(z) for z in warm] if warm is not None
-              else _float_phase(factor, _newton_starts(nums)))
+    starts, isolated = (([mpc(z) for z in warm], False) if warm is not None
+                        else _float_phase(factor, _newton_starts(nums)))
     sizes = [mpmath.mag(z) for z in starts if z]
     w = mp.prec + max([0, *sizes]) + max([0, *(1 - e for e in sizes)])
     poly = _FixedPoint.of(nums, w)
     zs = [(_scaled_floor(z.real, w), _scaled_floor(z.imag, w)) for z in starts]
-    _converge(poly, zs, mpmath.ldexp(mpf(1), -tol_bits), 1 << (w - mp.prec // 2))
-    return [mpc(mpf((x, -w)), mpf((y, -w))) for x, y in zs]
+    polished = _newton_polish(poly, zs, tol_bits) if isolated else None
+    if polished is None:
+        _converge(poly, zs, mpmath.ldexp(mpf(1), -tol_bits), 1 << (w - mp.prec // 2))
+        polished = zs
+    return [mpc(mpf((x, -w)), mpf((y, -w))) for x, y in polished]
 
 
 def _exact_horner(nums, z: mpc) -> tuple[tuple[int, int], tuple[int, int], int]:

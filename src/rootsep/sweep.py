@@ -81,7 +81,9 @@ def _random_gaussian_rational(rng: random.Random, allow_imag: bool = True) -> Ga
 
 
 def generate_instance(seed: int, index: int, params: SweepParams):
-    """Deterministic (polynomial, graph description, metadata) for one sweep slot."""
+    """Deterministic (polynomial, graph description, metadata) for one sweep
+    slot; `params` are validated first."""
+    params.validate()
     rng = _instance_rng(seed, index)
     max_distinct = min(8, params.max_degree)
     while True:
@@ -159,7 +161,8 @@ def _resolve_edges(graph_desc: dict, roots) -> list[tuple[int, int]]:
 
 
 def run_instance(seed: int, index: int, params: SweepParams) -> dict:
-    """Generate and verify one instance; returns a JSON-ready record."""
+    """Generate and verify one instance (`generate_instance` validates
+    `params`); returns a JSON-ready record."""
     p, graph_desc, meta = generate_instance(seed, index, params)
     roots = find_roots(p, params.precision_bits)
     edges = _resolve_edges(graph_desc, roots)

@@ -1133,6 +1133,15 @@ class TestVerify:
             with pytest.raises(ValidationError):
                 verify(p, [], precision=bad, ceiling=128)
 
+    def test_ceiling_must_be_a_positive_int(self):
+        # x^2 - 1 with no edges sits on the boundary and is inconclusive at
+        # every rung; an infinite or NaN ceiling is never reached, so the
+        # ladder would double the precision for good
+        p = parse_polynomial("x^2 - 1")
+        for bad in (float("inf"), float("nan"), 1.5, 512.0, 0, -512, "512"):
+            with pytest.raises(ValidationError, match="ceiling"):
+                verify(p, [], precision=64, ceiling=bad)
+
     def test_escalation_resolves_tight_instance(self):
         # the pair 1, 1 + 2^-1500 is indistinguishable at 64 bits; only
         # escalation separates it

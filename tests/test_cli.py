@@ -224,9 +224,12 @@ class TestOut:
 
     @settings(max_examples=150, deadline=None)
     @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
-            st.text(max_size=4) | st.integers() | st.booleans() | st.none(), inner, max_size=4),
+        st.none() | st.booleans() | st.integers() | st.floats() | st.just(-0.0)
+        | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(
+            st.text(max_size=4) | st.integers() | st.floats() | st.just(-0.0) | st.booleans()
+            | st.none(), inner, max_size=4),
         max_leaves=20,
     ))
     def test_report_text_is_json_dumps_with_indent_2(self, value):

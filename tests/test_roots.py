@@ -329,8 +329,9 @@ class TestNumericMode:
 @pytest.fixture
 def float_phase(monkeypatch):
     """Spies on the double-precision phase: `unchanged` records, per call,
-    whether it returned its starts as they came, and `sweeps` counts the
-    runs of Aberth sweeps on Python complex iterates."""
+    whether it returned its starts as they came (then never as isolated),
+    and `sweeps` counts the runs of Aberth sweeps on Python complex
+    iterates."""
     import rootsep.roots
 
     seen = {"unchanged": [], "sweeps": 0}
@@ -338,9 +339,10 @@ def float_phase(monkeypatch):
     real_converge = rootsep.roots._converge
 
     def phase_spy(factor, starts):
-        out = real_phase(factor, starts)
+        out, isolated = real_phase(factor, starts)
         seen["unchanged"].append(out is starts)
-        return out
+        assert not (out is starts and isolated)
+        return out, isolated
 
     def converge_spy(coeffs, zs, tol, tiny):
         seen["sweeps"] += isinstance(zs[0], complex)
@@ -450,9 +452,9 @@ class TestFloatPhase:
         real_converge = rootsep.roots._converge
 
         def phase_spy(factor, starts):
-            out = real_phase(factor, starts)
-            phases.append((starts, out))
-            return out
+            out, isolated = real_phase(factor, starts)
+            phases.append((starts, out, isolated))
+            return out, isolated
 
         def converge_spy(coeffs, zs, tol, tiny):
             out = real_converge(coeffs, zs, tol, tiny)
@@ -467,11 +469,110 @@ class TestFloatPhase:
         roots = find_roots(p, 128)
         assert roots.r == 3
         assert phases and len(iterates) == len(phases) == len(cluster_groups)
-        for (starts, out), floats, group in zip(phases, iterates, cluster_groups):
-            assert out is not starts
+        for (starts, out, isolated), floats, group in zip(phases, iterates, cluster_groups):
+            assert out is not starts and not isolated
             kept = [k for k in range(3) if out[k] == mpmath.mpc(floats[k])]
             assert len(kept) == 1 and abs(floats[kept[0]] + 0.5) < 1e-12
             assert group == [z for k, z in enumerate(floats) if k not in kept]
+
+
+@pytest.fixture
+def polish_routes(monkeypatch):
+    """Counts the integer Aberth sweeps (`sweeps`) and records, per call of
+    the one-root Newton polish, whether it succeeded (`polished`)."""
+    import rootsep.roots
+
+    seen = {"sweeps": 0, "polished": []}
+    real_sweep = rootsep.roots._fixed_sweep
+    real_polish = rootsep.roots._newton_polish
+
+    def sweep_spy(poly, zs, tiny):
+        seen["sweeps"] += 1
+        return real_sweep(poly, zs, tiny)
+
+    def polish_spy(poly, zs, tol_bits):
+        out = real_polish(poly, zs, tol_bits)
+        seen["polished"].append(out is not None)
+        return out
+
+    monkeypatch.setattr(rootsep.roots, "_fixed_sweep", sweep_spy)
+    monkeypatch.setattr(rootsep.roots, "_newton_polish", polish_spy)
+    return seen
+
+
+def _gaussian_roots(seed: int, n: int) -> list[GaussianRational]:
+    rng = random.Random(seed)
+    roots: list[GaussianRational] = []
+    while len(roots) < n:
+        z = GaussianRational(Fraction(rng.randint(-20, 20), rng.choice((3, 5, 7))),
+                             Fraction(rng.randint(-20, 20), rng.choice((3, 5, 7))))
+        if z not in roots:
+            roots.append(z)
+    return roots
+
+
+class TestNewtonPolish:
+    """A factor whose roots double precision isolated is polished one root
+    at a time by Newton's method; clusters, and a failed polish, go to the
+    Aberth sweeps."""
+
+    def test_isolated_roots_take_no_aberth_sweep(self, polish_routes):
+        exact = _gaussian_roots(12, 12)
+        roots = find_roots(ExactPoly.from_roots(exact), 128)
+        assert roots.r == 12 and _encloses_each(roots, exact)
+        assert polish_routes == {"sweeps": 0, "polished": [True]}
+
+    def test_a_stalled_root_sends_the_factor_to_aberth(self, monkeypatch, polish_routes):
+        # the first two Newton corrections are equal, 2^-20: the second does
+        # not halve the first, so the whole factor goes to the sweeps from
+        # its float iterates, and still certifies
+        import rootsep.roots
+
+        real_quotient = rootsep.roots._newton_quotient
+        calls = [0]
+
+        def stalled_quotient(poly, x, y):
+            calls[0] += 1
+            if calls[0] <= 2:
+                return 1 << (poly.w + 1 - 20), 0
+            return real_quotient(poly, x, y)
+
+        monkeypatch.setattr(rootsep.roots, "_newton_quotient", stalled_quotient)
+        exact = _gaussian_roots(12, 12)
+        roots = find_roots(ExactPoly.from_roots(exact), 128)
+        assert roots.r == 12 and _encloses_each(roots, exact)
+        assert polish_routes["polished"] == [False] and polish_routes["sweeps"] > 0
+
+    @pytest.mark.parametrize("corrections", [
+        # the second correction does not halve the first
+        lambda k: (1 << 140, 0),
+        # p' = 0
+        lambda k: None,
+        # each correction halves the one before, and none reaches 2^-140
+        lambda k: (1 << 140 - k, 0),
+    ], ids=["stall", "zero-derivative", "step-cap"])
+    def test_a_failed_root_fails_the_polish(self, monkeypatch, corrections):
+        import rootsep.roots
+        from rootsep.roots import _FixedPoint, _newton_polish
+
+        steps = []
+
+        def quotient(poly, x, y):
+            steps.append((x, y))
+            return corrections(len(steps) - 1)
+
+        monkeypatch.setattr(rootsep.roots, "_newton_quotient", quotient)
+        poly = _FixedPoint.of([(-2, 0), (0, 0), (1, 0)], 160)
+        assert _newton_polish(poly, [(1 << 160, 0)], 140) is None
+        assert 1 <= len(steps) <= (140).bit_length() + 2
+
+    def test_a_cluster_takes_aberth(self, polish_routes):
+        # the 2^-80 pair of test_pair_below_double_precision_is_rejected
+        half = Fraction(1, 2)
+        exact = [half, half + Fraction(1, 2**80), -half]
+        roots = find_roots(ExactPoly.from_roots(exact), 128)
+        assert roots.r == 3 and _encloses_each(roots, exact)
+        assert polish_routes["polished"] == [] and polish_routes["sweeps"] > 0
 
 
 def _d64_path() -> ExactPoly:
@@ -695,7 +796,8 @@ class TestRefine:
         assert kept.total_degree == roots.total_degree
 
     @pytest.mark.parametrize("poly, low, high, meets_radius_target", [
-        ("(x-1)^2*(x+2)*(x-i)", 64, 512, False),
+        # i/3 is not dyadic, so its 64-bit disk keeps a radius
+        ("(x-1)^2*(x+2)*(3*x-i)", 64, 512, False),
         # the disk of 1/3 carries about 140 bits, not the 268 of a fresh
         # 256-bit solve; dyadic roots certify with radius 0
         ("(3*x-1)*(x-2)*(x+2)", 128, 256, True),

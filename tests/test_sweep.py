@@ -136,6 +136,15 @@ class TestRunInstance:
                 run_sweep(101, SweepParams(count=1, max_degree=8, force_cluster=eps))
         SweepParams(max_degree=8, force_cluster=Fraction(-1, 2**80)).validate()
 
+    def test_one_instance_validates_its_params(self):
+        # an offset of 0 would record 3 distinct roots with multiplicities
+        # [3, 2, 3] for a polynomial with 2
+        params = SweepParams(max_degree=8, force_cluster=Fraction(0))
+        with pytest.raises(ValidationError):
+            generate_instance(101, 0, params)
+        with pytest.raises(ValidationError):
+            run_instance(101, 0, params)
+
 
 class TestRunSweep:
     def test_summary_and_determinism(self):
