@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import isfinite
 from typing import NamedTuple
@@ -77,7 +76,10 @@ from .balls import (
     _grid_product,
     ball_product,
     grid_rball,
+    grid_sqrt,
+    grid_sqrt_power,
     json_real,
+    rounded_grid_product,
     working_precision,
 )
 from .errors import (
@@ -249,6 +251,18 @@ def _exceeds(a: int, b: int, c: int) -> bool:
     return d > 0 and d * d > 4 * b * c
 
 
+def _at_most(x: tuple, y: tuple, exact) -> bool:
+    """Whether the value that bracket x holds is at most the one y holds,
+    each (lo, hi, s) for [lo, hi] / 2^s: decided on their ends when they do
+    not overlap, and by `exact()` when they do."""
+    (a, b, s), (c, d, t) = x, y
+    if b << max(0, t - s) <= c << max(0, s - t):
+        return True
+    if a << max(0, t - s) > d << max(0, s - t):
+        return False
+    return exact()
+
+
 @dataclass(frozen=True)
 class VandermondeCertificate:
     """The row-replacement reduction and its checks.
@@ -274,11 +288,14 @@ class VandermondeCertificate:
 
     `rows_ok` (each row norm at most (r/sqrt(3))^d_j sqrt(r) max(1,
     |v_j|)^(r-1-d_j)) and `hadamard_ok` (|det W_1| at most the product of
-    those bounds) compare lower ends with upper ends, decided as exact
-    inequalities between grid integers. The balls (step_factors, det_w1,
-    row_norms, row_norm_bounds, hadamard_rhs) are built only when read, the
-    bounds in interval arithmetic on the table's max(1, |v_j|)
-    (`RungTable.max1`).
+    those bounds) compare lower ends with upper ends, the bounds at the
+    upper end of the table's max(1, |v_j|) (`RungTable.max1`). Each is
+    decided on integer brackets of about GRID_GUARD_BITS above the working
+    precision (`_brackets`, `_det_bracket`), and only where two brackets
+    overlap by the exact inequality between the grid integers, so it
+    answers as that inequality does. The balls (step_factors, det_w1,
+    row_norms, row_norm_bounds, hadamard_rhs) are built only when read; the
+    last three are the brackets rounded outward.
     """
 
     table: RungTable
@@ -301,10 +318,15 @@ class VandermondeCertificate:
         return self.products.edge_product
 
     @cached_property
+    def _nonedge_diffs(self) -> list:
+        """The table's differences v_j - v_i that are no edge."""
+        edges = {(a, j) for j, s in enumerate(self.products.sources) for a in s}
+        return [v for key, v in self.table.diff.items() if key not in edges]
+
+    @cached_property
     def _nonedge(self) -> tuple:
         """The exact product of the non-edge differences, and its count."""
-        edges = {(a, j) for j, s in enumerate(self.products.sources) for a in s}
-        items = [v for key, v in self.table.diff.items() if key not in edges]
+        items = self._nonedge_diffs
         return _grid_product(items), len(items)
 
     @cached_property
@@ -313,48 +335,86 @@ class VandermondeCertificate:
             return _grid_ball(*self._nonedge, self.table.w)
 
     @cached_property
+    def _brackets(self) -> tuple:
+        """One pass over the rows: each row's norm and its bound, and their
+        product, the Hadamard bound, as brackets (lo, hi, s) about b =
+        GRID_GUARD_BITS above the working precision.
+
+        A row's midpoint norm and radius norm are taken on one grid 2^e, b
+        bits below its largest entry, entry i in units of 2^-(i w), so
+        entry i moves by e + i w bits: the entries that move left are
+        exact, and their squares are summed by Horner's rule; in the rest
+        each part is floored (one unit up for the upper end) and each
+        radius rounded up, so the isqrt brackets of the sums of squares are
+        at most about 2b bits. The radius norm widens the bracket (the
+        triangle inequality). The bounds are `grid_sqrt_power`s, and their
+        product a `rounded_grid_product`."""
+        t, r = self.table, len(self.rows)
+        w, bits = t.w, t.prec + GRID_GUARD_BITS
+        norms = []
+        for row in self.rows:
+            xs, ys, rads = row.xs, row.ys, row.rads
+            e = max([(abs(x) | abs(y)).bit_length() - iw for x, y, iw in zip(xs, ys, range(0, len(xs) * w, w))]) - bits
+            n = min(len(xs), -e // w + 1) if e <= 0 else 0
+            lo = c = 0
+            for x, y, rad in zip(xs[:n], ys[:n], rads[:n]):
+                lo = (lo << 2 * w) + x * x + y * y
+                c = (c << 2 * w) + rad * rad
+            if n:
+                lo, c = lo << -2 * (e + (n - 1) * w), c << -2 * (e + (n - 1) * w)
+            hi = lo
+            for i in range(n, len(xs)):
+                s = e + i * w
+                x, y, rad = abs(xs[i]) >> s, abs(ys[i]) >> s, -(-rads[i] >> s)
+                lo += x * x + y * y
+                hi += (x + 1) ** 2 + (y + 1) ** 2
+                c += rad * rad
+            c = _ceil_sqrt(c) if c else 0
+            a = math.isqrt(lo)
+            norms.append((a - c, (a + (a * a < lo) if hi == lo else _ceil_sqrt(hi)) + c, -e))
+        bounds = [
+            grid_sqrt_power(r ** (2 * d + 1), 3**d, t.max1[j], r - 1 - d, t.prec)
+            for j, d in enumerate(self.in_degrees)
+        ]
+        return norms, bounds, rounded_grid_product(bounds, bits)
+
+    @cached_property
+    def _det_bracket(self) -> tuple[int, int, int]:
+        """A bracket (lo, hi, s) of |X + iY| - (H - L), the lower end of
+        |det W_1| that `_nonedge` gives exactly: the product of the non-edge
+        differences' moduli, less the product of their A + R cut up and
+        plus that of their A cut down; the upper end leaves H - L >= 0
+        out."""
+        t, items = self.table, self._nonedge_diffs
+        w, bits = t.w, t.prec + GRID_GUARD_BITS
+        with _at_prec(t.prec):
+            moduli = [grid_sqrt(x * x + y * y, w) if y else (abs(x), abs(x), w) for x, y, _, _ in items]
+        lo, hi, s = rounded_grid_product(moduli, bits)
+        if any(h for _, _, h, _ in items):
+            _, h, sh = rounded_grid_product([(a, a, w) for _, _, a, _ in items], bits)
+            l, _, sl = rounded_grid_product([(a, a, w) for _, _, _, a in items], bits)
+            u = max(s, sh, sl)
+            lo = (lo << u - s) - (h << u - sh) + (l << u - sl)
+            hi, s = hi << u - s, u
+        return lo, hi, s
+
+    @cached_property
     def row_norms(self) -> tuple:
-        """Each row's midpoint norm and radius norm on one grid 2^e, b =
-        GRID_GUARD_BITS above the working precision below its largest entry:
-        each part floored (one unit up for the upper end) and each radius
-        rounded up, so the isqrt brackets of the sums of squares are at most
-        about 2b bits. The radius norm widens the bracket (the triangle
-        inequality), which becomes an interval by `grid_rball`."""
-        w, out = self.table.w, []
-        bits = self.table.prec + GRID_GUARD_BITS
+        """Each row's norm over the disks, from its `_brackets` entry."""
         with _at_prec(self.table.prec):
-            for row in self.rows:
-                e = max(max(abs(x), abs(y)).bit_length() - i * w for i, (x, y) in enumerate(zip(row.xs, row.ys))) - bits
-                lo = hi = c = 0
-                for i, (x, y, rad) in enumerate(zip(row.xs, row.ys, row.rads)):
-                    s = e + i * w
-                    if s <= 0:
-                        x, y, rad = abs(x) << -s, abs(y) << -s, rad << -s
-                        lo += x * x + y * y
-                        hi += x * x + y * y
-                    else:
-                        x, y, rad = abs(x) >> s, abs(y) >> s, -(-rad >> s)
-                        lo += x * x + y * y
-                        hi += (x + 1) ** 2 + (y + 1) ** 2
-                    c += rad * rad
-                c = _ceil_sqrt(c)
-                out.append(grid_rball(math.isqrt(lo) - c, _ceil_sqrt(hi) + c, -e))
-        return tuple(out)
+            return tuple([grid_rball(*n) for n in self._brackets[0]])
 
     @cached_property
     def row_norm_bounds(self) -> tuple:
-        """Per row, sqrt(r^(2d+1) / 3^d) max(1, |v_j|)^(r-1-d), d = d_j."""
-        t, r = self.table, len(self.rows)
-        with _at_prec(t.prec):
-            return tuple([
-                RBall.exact(Fraction(r ** (2 * d + 1), 3**d)).sqrt() * t.max1[j].powi(r - 1 - d)
-                for j, d in enumerate(self.in_degrees)
-            ])
+        """Per row, sqrt(r^(2d+1) / 3^d) max(1, |v_j|)^(r-1-d), d = d_j,
+        from its `_brackets` entry."""
+        with _at_prec(self.table.prec):
+            return tuple([grid_rball(*b) for b in self._brackets[1]])
 
     @cached_property
     def hadamard_rhs(self) -> RBall:
         with _at_prec(self.table.prec):
-            return ball_product(self.row_norm_bounds)
+            return grid_rball(*self._brackets[2])
 
     def _square_bound(self, rows, scale: int) -> tuple[int, int]:
         """(b, f): the squared product of the bounds of `rows`, at the upper
@@ -369,39 +429,51 @@ class VandermondeCertificate:
         # a balanced product tree: `_grid_product` of real, exact grid values
         return _grid_product([(b, 0, 1, 1) for b in items])[0], f
 
-    @cached_property
-    def _rows_ok(self) -> bool:
-        r, w = len(self.rows), self.table.w
-        for j, (row, d) in enumerate(zip(self.rows, self.in_degrees)):
-            # the row's squared norms, of its midpoints and of its radii, and
-            # its squared bound, times 3^d 4^(k w), k = r - 1 - d its last
-            # entry: a = sum |H_i|^2 4^((k - i) w), c likewise with R_i
-            a = c = 0
-            for x, y, rad in zip(row.xs, row.ys, row.rads):
-                a = (a << 2 * w) + x * x + y * y
-                c = (c << 2 * w) + rad * rad
-            b, f = self._square_bound([j], 2 * (r - 1 - d) * w)
-            if _exceeds(3**d * a << max(0, -f), b << max(0, f), 3**d * c << max(0, -f)):
-                return False
-        return True
+    def _row_exceeds(self, j: int) -> bool:
+        """Row j's norm exceeds its bound, decided exactly."""
+        row, d, w = self.rows[j], self.in_degrees[j], self.table.w
+        # the row's squared norms, of its midpoints and of its radii, and
+        # its squared bound, times 3^d 4^(k w), k = r - 1 - d its last
+        # entry: a = sum |H_i|^2 4^((k - i) w), c likewise with R_i
+        a = c = 0
+        for x, y, rad in zip(row.xs, row.ys, row.rads):
+            a = (a << 2 * w) + x * x + y * y
+            c = (c << 2 * w) + rad * rad
+        b, f = self._square_bound([j], 2 * (len(self.rows) - 1 - d) * w)
+        return _exceeds(3**d * a << max(0, -f), b << max(0, f), 3**d * c << max(0, -f))
 
-    def rows_ok(self) -> bool:
-        """No row norm's lower end exceeds its bound's upper end, decided
-        exactly on the grid integers."""
-        return self._rows_ok
-
-    @cached_property
-    def _hadamard_ok(self) -> bool:
+    def _det_exceeds(self) -> bool:
+        """The lower end of |det W_1| exceeds the Hadamard bound, decided
+        exactly."""
         # times 3^#E 4^(w m): |X + iY| - (H - L) > the product of the bounds?
         (x, y, h, l), m = self._nonedge
         n_edges = sum(self.in_degrees)
         b, f = self._square_bound(range(len(self.rows)), 2 * m * self.table.w)
         a, c = 3**n_edges * (x * x + y * y), 3**n_edges * (h - l) ** 2
-        return not _exceeds(a << max(0, -f), b << max(0, f), c << max(0, -f))
+        return _exceeds(a << max(0, -f), b << max(0, f), c << max(0, -f))
+
+    @cached_property
+    def _rows_ok(self) -> bool:
+        norms, bounds, _ = self._brackets
+        return all(
+            _at_most(n, b, lambda j=j: not self._row_exceeds(j))
+            for j, (n, b) in enumerate(zip(norms, bounds))
+        )
+
+    def rows_ok(self) -> bool:
+        """No row norm's lower end exceeds its bound's upper end: decided
+        on the brackets, and exactly on the grid integers where they
+        overlap."""
+        return self._rows_ok
+
+    @cached_property
+    def _hadamard_ok(self) -> bool:
+        return _at_most(self._det_bracket, self._brackets[2], lambda: not self._det_exceeds())
 
     def hadamard_ok(self) -> bool:
         """The lower end of |det W_1| does not exceed the Hadamard bound's
-        upper end, decided exactly on the grid integers."""
+        upper end: decided on the brackets, and exactly on the grid
+        integers where they overlap."""
         return self._hadamard_ok
 
     def to_json(self) -> dict:

@@ -403,11 +403,12 @@ def _fixed_horner(poly: _FixedPoint, x: int, y: int) -> tuple[int, int, int, int
 
 
 def _newton_quotient(poly: _FixedPoint, x: int, y: int) -> tuple[int, int] | None:
-    """2^(w+1) p(z) / p'(z) at z = (x + iy) / 2^w, each part floored to an
-    int; (0, 0) when p(z) = 0 and None when p'(z) = 0. The Newton correction
-    of both the Aberth sweeps and the one-root polish, with one bit below
-    the grid: the sweeps floor it to the grid (`>> 1` of the floor is the
-    floor), the polish rounds it to nearest."""
+    """2^w p(z) / p'(z) at z = (x + iy) / 2^w, each part rounded to the
+    nearest int; (0, 0) when p(z) = 0 and None when p'(z) = 0. The Newton
+    correction of both the Aberth sweeps and the one-root polish, rounded
+    rather than floored: a floored quotient just below a grid unit would
+    step an iterate next to a root on the grid past it instead of onto
+    it."""
     pr, pi, dr, di = _fixed_horner(poly, x, y)
     if not (pr or pi):
         return 0, 0
@@ -415,7 +416,7 @@ def _newton_quotient(poly: _FixedPoint, x: int, y: int) -> tuple[int, int] | Non
     if q == 0:
         return None
     w = poly.w + 1
-    return ((pr * dr + pi * di) << w) // q, ((pi * dr - pr * di) << w) // q
+    return (((pr * dr + pi * di) << w) // q + 1) >> 1, (((pi * dr - pr * di) << w) // q + 1) >> 1
 
 
 def _fixed_sweep(poly: _FixedPoint, zs: list[tuple[int, int]], tiny: int) -> mpf:
@@ -432,7 +433,7 @@ def _fixed_sweep(poly: _FixedPoint, zs: list[tuple[int, int]], tiny: int) -> mpf
             zs[k] = (x + (x >> 12) + (one >> 12), y + (y >> 12))
             worst_num, worst_den = 1, 0
             continue
-        nr, ni = newton[0] >> 1, newton[1] >> 1
+        nr, ni = newton
         if not (nr or ni):
             continue
         # s = sum 1 / (z - z_j), at scale 2^w
@@ -464,17 +465,14 @@ def _newton_polish(poly: _FixedPoint, zs: list[tuple[int, int]], tol_bits: int) 
     """The fixed-point iterates `zs` (`_FixedPoint`), each polished by
     Newton's method on its own, or None when one of them fails.
 
-    Each correction is the Newton quotient rounded to the nearest grid
-    point, where the sweeps floor it: a floored quotient just below a grid
-    unit would step an iterate next to a root on the grid past it instead
-    of onto it. An iterate stops at p(z) = 0 or after the step whose
-    correction is at most 2^-tol_bits (1 + |z|). It fails where p' = 0,
-    when a correction does not halve the one before, or when it has not
-    stopped after log2(tol_bits) + 2 steps, as many as quadratic
-    convergence needs from one correct bit. Halving corrections move an
-    iterate by less than twice its first, |p / p'|, so it stays inside its
-    doubled disk from the float phase, which holds one root and meets no
-    other disk: distinct iterates reach distinct roots."""
+    An iterate stops at p(z) = 0 or after the step whose correction is at
+    most 2^-tol_bits (1 + |z|). It fails where p' = 0, when a correction
+    does not halve the one before, or when it has not stopped after
+    log2(tol_bits) + 2 steps, as many as quadratic convergence needs from
+    one correct bit. Halving corrections move an iterate by less than twice
+    its first, |p / p'|, so it stays inside its doubled disk from the float
+    phase, which holds one root and meets no other disk: distinct iterates
+    reach distinct roots."""
     one = 1 << poly.w
     out = []
     for x, y in zs:
@@ -483,7 +481,7 @@ def _newton_polish(poly: _FixedPoint, zs: list[tuple[int, int]], tol_bits: int) 
             newton = _newton_quotient(poly, x, y)
             if newton is None:
                 return None
-            nr, ni = (newton[0] + 1) >> 1, (newton[1] + 1) >> 1
+            nr, ni = newton
             x, y = x - nr, y - ni
             size = nr * nr + ni * ni
             if math.isqrt(size) << tol_bits <= one + math.isqrt(x * x + y * y):

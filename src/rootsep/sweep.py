@@ -15,6 +15,7 @@ boundary, where no finite precision can decide a non-strict inequality.
 """
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from itertools import repeat
 from .bounds import bound_main, verify
 from .errors import ValidationError
 from .gaussian import GaussianRational
-from .graph import orient, preset_edges
+from .graph import _is_index, orient, preset_edges
 from .poly import ExactPoly
 from .roots import find_roots
 
@@ -200,15 +201,20 @@ def run_instance(seed: int, index: int, params: SweepParams) -> dict:
 def run_sweep(seed: int, params: SweepParams, jobs: int = 1) -> dict:
     """Run the full campaign; the result is independent of scheduling because
     every record is a pure function of (seed, index, params), and `map`
-    keeps the order of the indices."""
+    keeps the order of the indices. `jobs` asks for that many worker
+    processes; at most one per instance and per CPU starts, since a pool
+    forks all its workers at once."""
     params.validate()
+    if not _is_index(jobs) or jobs < 1:
+        raise ValidationError(f"jobs must be a positive int, got {jobs!r}")
+    workers = min(jobs, params.count, os.cpu_count() or 1)
     tasks = (repeat(seed), range(params.count), repeat(params))
-    if jobs > 1:
+    if workers > 1:
         # imported only here: multiprocessing adds about 2 MB to every
         # process that imports rootsep, and most never start a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_instance, *tasks, chunksize=8))
     else:
         records = list(map(run_instance, *tasks))

@@ -25,6 +25,11 @@ Gaussian integers).
 `mahler_measure_jensen` is M(P) by quadrature of log|P| on the unit circle
 (Jensen), evaluating P with `mpmath.polyval`; `lemma_aux_check` and
 `multiplicity_product_bound` check the two auxiliary lemmas exactly.
+
+`row_bound_square` is the square of a row-norm bound at an exact root, and
+`certificate_checks` decides a certificate's row and Hadamard checks in
+`Fraction`s on its grid values, as the certificate's exact fallback does on
+integers.
 """
 from __future__ import annotations
 
@@ -318,3 +323,45 @@ def multiplicity_product_bound(multiplicities) -> tuple[mpf, mpf]:
     if product**3 > 3**mmin:
         raise RootsepError(f"multiplicity bound failed for {ms}")
     return mpf(product), mpmath.cbrt(mpf(3**mmin))
+
+
+# --- the certificate's row and Hadamard checks ----------------------------------
+
+
+def row_bound_square(r: int, d: int, z: GaussianRational) -> Fraction:
+    """The square of the row bound (r/sqrt(3))^d sqrt(r) max(1, |z|)^(r-1-d):
+    r^(2d+1) / 3^d max(1, |z|^2)^(r-1-d)."""
+    return Fraction(r ** (2 * d + 1), 3**d) * max(Fraction(1), z.norm()) ** (r - 1 - d)
+
+
+def _sqrt_exceeds(a: Fraction, b: Fraction, c: Fraction) -> bool:
+    """sqrt(a) > sqrt(b) + sqrt(c), for a, b, c >= 0: a - b - c > 2 sqrt(bc)."""
+    d = a - b - c
+    return d > 0 and d * d > 4 * b * c
+
+
+def certificate_checks(cert) -> tuple[bool, bool]:
+    """(rows_ok, hadamard_ok) of a `rootsep.bounds.VandermondeCertificate`,
+    decided in Fractions on its grid values: each row's midpoint norm less
+    its radius norm against its bound at the upper end of the table's
+    max(1, |v_j|), and the modulus of the product of the non-edge
+    differences less its majorant radius against the product of the
+    bounds."""
+    t = cert.table
+    r, w = len(cert.rows), t.w
+    rows_ok, squares = True, []
+    for j, (row, d) in enumerate(zip(cert.rows, cert.in_degrees)):
+        unit = [Fraction(1, 4 ** (i * w)) for i in range(len(row.xs))]
+        a = sum((x * x + y * y) * u for x, y, u in zip(row.xs, row.ys, unit))
+        c = sum(rad * rad * u for rad, u in zip(row.rads, unit))
+        b = Fraction(r ** (2 * d + 1), 3**d) * dyadic(t.max1[j].hi) ** (2 * (r - 1 - d))
+        rows_ok = rows_ok and not _sqrt_exceeds(a, b, c)
+        squares.append(b)
+    edges = {(a, j) for j, s in enumerate(cert.products.sources) for a in s}
+    z, h, l, m = _ONE, 1, 1, 0
+    for key, (x, y, hk, lk) in t.diff.items():
+        if key not in edges:
+            z, h, l, m = z * GaussianRational(Fraction(x), Fraction(y)), h * hk, l * lk, m + 1
+    unit = Fraction(1, 4 ** (m * w))
+    hadamard_ok = not _sqrt_exceeds(z.norm() * unit, math.prod(squares), (h - l) ** 2 * unit)
+    return rows_ok, hadamard_ok

@@ -43,13 +43,14 @@ from rootsep import (
     verify,
 )
 from rootsep import balls, bounds
-from rootsep.balls import CBall, RungTable, ball_product, working_precision
+from rootsep.balls import CBall, RBall, RungTable, ball_product, working_precision
 from rootsep.graph import preset_edges
 from rootsep.invariants import compute_invariants, mahler_measure
 from rootsep.poly import _IOTA, _Q
 from rootsep.roots import RootEntry, RootSet
 
 from oracles import (
+    certificate_checks,
     dyadic,
     exact_det,
     exact_mid,
@@ -58,6 +59,7 @@ from oracles import (
     midpoints,
     multiplicity_product_bound,
     power_basis_row,
+    row_bound_square,
     sqrt_bracket,
     vandermonde_matrix,
 )
@@ -784,6 +786,92 @@ class TestRowNormHadamard:
                 assert cert.det_w1.abs().lo <= norm_prod.hi
                 assert norm_prod.lo <= cert.hadamard_rhs.hi
 
+
+
+_small_parts = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
+# roots on the unit circle put a row without incoming edges on its bound
+_on_circle = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 5), Fraction(4, 5))])
+_real_roots = st.lists(st.one_of(st.sampled_from([1, -1]), _small_parts).map(GaussianRational.of),
+                       min_size=2, max_size=6, unique=True)
+_gaussian_roots = st.lists(
+    st.one_of(_on_circle, st.tuples(_small_parts, _small_parts)).map(lambda z: GaussianRational.of(*z)),
+    min_size=2, max_size=6, unique=True,
+)
+
+
+def _parent_row_bounds(cert) -> tuple:
+    """The row bounds and the Hadamard bound by ball arithmetic at the
+    table's precision: sqrt(r^(2d+1) / 3^d) rounded twice, times
+    max1[j].powi(r - 1 - d), and their product."""
+    t, r = cert.table, len(cert.rows)
+    with mp.workprec(t.prec):
+        rows = [RBall.exact(Fraction(r ** (2 * d + 1), 3**d)).sqrt() * t.max1[j].powi(r - 1 - d)
+                for j, d in enumerate(cert.in_degrees)]
+        return rows, ball_product(rows)
+
+
+class TestCertificateBrackets:
+    """`rows_ok` and `hadamard_ok` decide on working-precision brackets and
+    fall back to the exact comparison where two brackets overlap."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_real_roots, _gaussian_roots), st.sampled_from(["path", "complete", "random"]), st.data())
+    def test_brackets_decide_as_the_exact_comparison(self, zs, kind, data):
+        roots = find_roots(ExactPoly.from_roots(zs), 128)
+        r = roots.r
+        if kind == "random":
+            edges = [(i, j) for j in range(r) for i in range(j) if data.draw(st.booleans())]
+        else:
+            edges = preset_edges(kind, roots)
+        cert = reduce_vandermonde(roots, orient(edges, roots))
+        # claimed in-degrees change only the bounds, which then often fail
+        claimed = tuple([data.draw(st.integers(0, j)) for j in range(r)])
+        for c in (cert, dataclasses.replace(cert, in_degrees=claimed)):
+            assert (c.rows_ok(), c.hadamard_ok()) == certificate_checks(c)
+
+    def test_a_tie_falls_back_to_the_exact_comparison(self, monkeypatch):
+        # roots -1, i, 1: a row without incoming edges, (1, v, v^2) with
+        # |v| = 1, has norm sqrt(3), exactly its bound sqrt(3) max(1, |v|)^2
+        roots = find_roots(parse_polynomial("(x-1)*(x+1)*(x-i)"), 128)
+        assert all(e.value.rad == 0 for e in roots.entries)
+        cert = reduce_vandermonde(roots, orient([(0, 1)], roots))
+        calls = []
+        exceeds = bounds._exceeds
+        monkeypatch.setattr(bounds, "_exceeds", lambda *args: calls.append(args) or exceeds(*args))
+        assert cert.rows_ok() and cert.hadamard_ok()
+        # the two rows without incoming edges; the reduced row (norm at most
+        # sqrt(5), bound 3) and |det W_1| (2, bound 9) are decided on brackets
+        assert len(calls) == 2
+        assert certificate_checks(cert) == (True, True)
+
+    @pytest.mark.parametrize("zs, preset", [
+        ([Fraction(2 * k - 15, 4) for k in range(16)], "path"),
+        ([Fraction(k, 12) for k in (-31, -7, 1, 5, 22, 40, 47, 59)], "complete"),
+        ([GaussianRational.of(Fraction(1, 3), Fraction(-1, 5)), GaussianRational.of(Fraction(-2, 7), Fraction(3, 8)),
+          GaussianRational.of(Fraction(5, 8), -1), GaussianRational.of(-1, Fraction(2, 3))], "complete"),
+        ([10**20, 3, -2, Fraction(1, 3)], "path"),
+        ([1, -1, GaussianRational.of(0, 1)], "nearest_neighbor"),
+    ])
+    def test_report_balls_hold_their_values_inside_the_ball_formula(self, zs, preset):
+        zs = [z if isinstance(z, GaussianRational) else GaussianRational.of(z) for z in zs]
+        roots = find_roots(ExactPoly.from_roots(zs), 128)
+        cert = reduce_vandermonde(roots, orient(preset_edges(preset, roots), roots))
+        r = roots.r
+        # each entry's root, the constructed value in its disk
+        z = [min(zs, key=lambda q: abs(e.value.mid - complex(float(q.re), float(q.im)))) for e in roots.entries]
+        squares = [row_bound_square(r, d, zj) for d, zj in zip(cert.in_degrees, z)]
+        assert all(_in_interval(sq, b) for sq, b in zip(squares, cert.row_norm_bounds))
+        assert _in_interval(math.prod(squares), cert.hadamard_rhs)
+        det_w1 = GaussianRational.of(1)
+        edges = {(a, j) for j, s in enumerate(cert.products.sources) for a in s}
+        for j in range(r):
+            for i in range(j):
+                if (i, j) not in edges:
+                    det_w1 = det_w1 * (z[j] - z[i])
+        assert _in_ball(det_w1, cert.det_w1)
+        rows, hadamard = _parent_row_bounds(cert)
+        for new, old in zip((*cert.row_norm_bounds, cert.hadamard_rhs), (*rows, hadamard)):
+            assert old.lo <= new.lo and new.hi <= old.hi
 
 def _random_instance(rng, force_mult=False):
     n = rng.randint(2, 5)

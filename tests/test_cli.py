@@ -269,6 +269,11 @@ class TestSweep:
         code, report = run_cli(["sweep", "--count", "0"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_bad_jobs(self, jobs, capsys):
+        code, report = run_cli(["sweep", "--count", "2", "--jobs", jobs], capsys)
+        assert code == 1 and report["error"]["type"] == "ValidationError"
+
 
 class TestCertificate:
     def test_dump(self, capsys):

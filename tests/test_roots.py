@@ -534,7 +534,7 @@ class TestNewtonPolish:
         def stalled_quotient(poly, x, y):
             calls[0] += 1
             if calls[0] <= 2:
-                return 1 << (poly.w + 1 - 20), 0
+                return 1 << (poly.w - 20), 0
             return real_quotient(poly, x, y)
 
         monkeypatch.setattr(rootsep.roots, "_newton_quotient", stalled_quotient)
@@ -866,6 +866,21 @@ class TestRefine:
         assert _meets_target(refined, 512)
         for new, old in zip(refined.entries, roots.entries):
             assert disks_meet(new.value, old.value)
+
+    def test_warm_start_lands_on_a_root_on_the_grid(self):
+        # the sweeps round the Newton quotient: an iterate warm-started
+        # next to the root i steps onto it, where a floored quotient just
+        # below one grid unit left it a unit off. (The Aberth division
+        # after it still floors, and from other starts can still leave the
+        # iterate a unit off.)
+        from rootsep.roots import _aberth
+
+        p = parse_polynomial("(x-i)*(x+2)*(3*x-1)")
+        d = mpmath.mpc(0.5, 0.5) * mpmath.mpf(2) ** -30
+        with mpmath.workprec(152):
+            zs = _aberth(p, 140, [mpmath.mpc(0, 1) + d, -2 + d, mpmath.mpf(1) / 3 + d])
+        z = min(zs, key=lambda z: abs(z - 1j))
+        assert z.real == 0 and z.imag == 1
 
     def test_warm_start_skips_the_float_phase(self, float_phase):
         # carried midpoints hold more than the 53 bits of a double

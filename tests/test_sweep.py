@@ -159,6 +159,40 @@ class TestRunSweep:
         params = SweepParams(count=8)
         assert run_sweep(13, params, jobs=2) == run_sweep(13, params, jobs=1)
 
+    @pytest.mark.parametrize("jobs", [0, -2, True, 1.5])
+    def test_jobs_must_be_a_positive_int(self, jobs):
+        with pytest.raises(ValidationError, match="jobs"):
+            run_sweep(1, SweepParams(count=2), jobs=jobs)
+
+    def test_workers_capped_by_instances_and_cpus(self, monkeypatch):
+        # a pool forks all its workers at once: at most one per instance and
+        # per CPU starts, and none for one of them
+        import concurrent.futures
+
+        started = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+        params = SweepParams(count=3)
+        sequential = run_sweep(5, params, jobs=1)
+        for cpus, expected in ((8, 3), (2, 2), (1, None), (None, None)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            started.clear()
+            assert run_sweep(5, params, jobs=100_000) == sequential
+            assert started == ([] if expected is None else [expected])
+
     def test_only_a_parallel_sweep_loads_multiprocessing(self):
         # a process that never starts a pool does not pay for the import
         code = "import sys, rootsep.cli; print('multiprocessing' in sys.modules)"
