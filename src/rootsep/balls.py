@@ -44,8 +44,8 @@ isqrt brackets GRID_GUARD_BITS above the working precision (`grid_sqrt`:
 the grid of an exact root can be coarse), widened by R. A value whose
 exact integer would be huge, such as a product of many grid values, is
 carried as a bracket (lo, hi, s), the interval [lo, hi] / 2^s, cut back
-outward to a fixed number of bits as it goes (`rounded_grid_product`,
-`rounded_grid_power`, `grid_sqrt_power`). A binary number becomes integers
+outward to a fixed number of bits as it goes (`rounded_grid_product`;
+`grid_sqrt_power` for a row bound). A binary number becomes integers
 only through `_dyadic` (and `_scaled_floor` and `_on_one_grid` on it), here
 and in the root finder.
 """
@@ -393,25 +393,6 @@ def rounded_grid_product(items, bits: int) -> tuple[int, int, int]:
     return lo, hi, s
 
 
-def rounded_grid_power(m: int, n: int, bits: int) -> tuple[int, int, int]:
-    """m^n, for ints m >= 0 and n >= 0, as a bracket cut back like
-    `rounded_grid_product`'s, by binary powering. A squaring doubles the
-    relative width, so the cuts keep n.bit_length() bits more than `bits`:
-    the bracket is off by a few units in the place of its `bits`-th bit."""
-    bits += n.bit_length()
-    lo = hi = 1
-    s = 0
-    blo = bhi = m
-    bs = 0
-    while n:
-        if n & 1:
-            lo, hi, s = _cut(lo * blo, hi * bhi, s + bs, bits)
-        n >>= 1
-        if n:
-            blo, bhi, bs = _cut(blo * blo, bhi * bhi, 2 * bs, bits)
-    return lo, hi, s
-
-
 def _root_ends(lo: int, hi: int, den: int, sh: int) -> tuple[int, int]:
     """floor(sqrt(lo 2^sh / den)) and ceil(sqrt(hi 2^sh / den)), for ints
     0 <= lo <= hi and den >= 1, each with one floor (ceil) of the quotient."""
@@ -426,37 +407,22 @@ def _root_ends(lo: int, hi: int, den: int, sh: int) -> tuple[int, int]:
 
 def grid_sqrt_power(num: int, den: int, x: RBall, k: int, prec: int) -> tuple[int, int, int]:
     """sqrt(num / den) y^k over y in the interval x, x.lo > 0, for ints
-    num, den >= 1 and k >= 0, as a bracket (lo, hi, t) of about bits = prec
-    + GRID_GUARD_BITS bits: lo at x.lo, hi at x.hi.
-
-    An end whose mantissa's power m^(2k) has at most 2 `bits` bits takes it
-    exactly, with one floor (ceil) in all; a longer one takes a
-    `rounded_grid_power`, and the exact power again when that bracket does
-    not round, in the end's direction, to one number at precision `prec`.
-    Either way the end rounds there as the exact value does, so the
-    interval `grid_rball` makes of the bracket at that precision is the
-    narrowest there."""
+    num, den >= 1 and k >= 0, as a bracket (lo, hi, t) of about prec +
+    GRID_GUARD_BITS bits: lo at x.lo, hi at x.hi, each from the exact power
+    m^(2k) of the end's mantissa with one floor (ceil) in all. So each end
+    rounds at precision `prec` as the exact value does, and the interval
+    `grid_rball` makes of the bracket there is the narrowest."""
     bits, ends, t = prec + GRID_GUARD_BITS, [], None
-    for y, rnd in ((x._lo, "f"), (x._hi, "c")):
+    for y in (x._lo, x._hi):
         man, exp = _dyadic(y)
-        exact = man.bit_length() * k <= bits
-        if exact:
-            lo = hi = man ** (2 * k)
-            s = 0
-        else:
-            lo, hi, s = rounded_grid_power(man, 2 * k, bits)
+        power = num * man ** (2 * k)
         if t is None:
             # the scale 2^t that puts about `bits` bits in each end
-            t = bits - (num.bit_length() + hi.bit_length() - s - den.bit_length()) // 2 - k * exp
-        sh = 2 * (k * exp + t)
-        a, b = _root_ends(num * lo, num * hi, den, sh - s)
-        if not exact and from_man_exp(a, -t, prec, rnd) != from_man_exp(b, -t, prec, rnd):
-            power = man ** (2 * k)
-            a, b = _root_ends(num * power, num * power, den, sh)
-        if exact and x._lo == x._hi:
-            return a, b, t
-        ends.append(a if rnd == "f" else b)
-    return ends[0], ends[1], t
+            t = bits - (power.bit_length() - den.bit_length()) // 2 - k * exp
+        ends.append(_root_ends(power, power, den, 2 * (k * exp + t)))
+        if x._lo == x._hi:
+            return ends[0][0], ends[0][1], t
+    return ends[0][0], ends[1][1], t
 
 
 # --- the rung grid: values back as balls ------------------------------------

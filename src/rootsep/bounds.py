@@ -251,6 +251,15 @@ def _exceeds(a: int, b: int, c: int) -> bool:
     return d > 0 and d * d > 4 * b * c
 
 
+#: r^2 w, for r nodes on the grid 2^-w, up to which `rows_ok` and
+#: `hadamard_ok` compare the exact grid integers (each of about r w to r^2 w
+#: bits) without building brackets: below it the exact comparison costs
+#: less. Both routes cost the same at r = 10 (w = 159, 128 bits) and r = 5
+#: (w = 540, 512 bits), on d-path and complete-graph certificates of roots
+#: k/12 (CPU time per certificate).
+_EXACT_CHECK_BITS = 1 << 14
+
+
 def _at_most(x: tuple, y: tuple, exact) -> bool:
     """Whether the value that bracket x holds is at most the one y holds,
     each (lo, hi, s) for [lo, hi] / 2^s: decided on their ends when they do
@@ -289,13 +298,14 @@ class VandermondeCertificate:
     `rows_ok` (each row norm at most (r/sqrt(3))^d_j sqrt(r) max(1,
     |v_j|)^(r-1-d_j)) and `hadamard_ok` (|det W_1| at most the product of
     those bounds) compare lower ends with upper ends, the bounds at the
-    upper end of the table's max(1, |v_j|) (`RungTable.max1`). Each is
-    decided on integer brackets of about GRID_GUARD_BITS above the working
-    precision (`_brackets`, `_det_bracket`), and only where two brackets
-    overlap by the exact inequality between the grid integers, so it
-    answers as that inequality does. The balls (step_factors, det_w1,
-    row_norms, row_norm_bounds, hadamard_rhs) are built only when read; the
-    last three are the brackets rounded outward.
+    upper end of the table's max(1, |v_j|) (`RungTable.max1`). Each is the
+    exact inequality between the grid integers: compared directly while r^2
+    w is at most _EXACT_CHECK_BITS, and otherwise decided on integer
+    brackets of about GRID_GUARD_BITS above the working precision
+    (`_brackets`, `_det_bracket`), and exactly only where two brackets
+    overlap. The balls (step_factors, det_w1, row_norms, row_norm_bounds,
+    hadamard_rhs) are built only when read; the last three are the
+    brackets rounded outward.
     """
 
     table: RungTable
@@ -433,13 +443,13 @@ class VandermondeCertificate:
         """Row j's norm exceeds its bound, decided exactly."""
         row, d, w = self.rows[j], self.in_degrees[j], self.table.w
         # the row's squared norms, of its midpoints and of its radii, and
-        # its squared bound, times 3^d 4^(k w), k = r - 1 - d its last
-        # entry: a = sum |H_i|^2 4^((k - i) w), c likewise with R_i
+        # its squared bound, times 3^d 4^(k w), k its last entry: a = sum
+        # |H_i|^2 4^((k - i) w), c likewise with R_i
         a = c = 0
         for x, y, rad in zip(row.xs, row.ys, row.rads):
             a = (a << 2 * w) + x * x + y * y
             c = (c << 2 * w) + rad * rad
-        b, f = self._square_bound([j], 2 * (len(self.rows) - 1 - d) * w)
+        b, f = self._square_bound([j], 2 * (len(row.xs) - 1) * w)
         return _exceeds(3**d * a << max(0, -f), b << max(0, f), 3**d * c << max(0, -f))
 
     def _det_exceeds(self) -> bool:
@@ -452,8 +462,15 @@ class VandermondeCertificate:
         a, c = 3**n_edges * (x * x + y * y), 3**n_edges * (h - l) ** 2
         return _exceeds(a << max(0, -f), b << max(0, f), c << max(0, -f))
 
+    @property
+    def _exact_checks(self) -> bool:
+        """Whether the checks compare the exact integers directly."""
+        return len(self.rows) ** 2 * self.table.w <= _EXACT_CHECK_BITS
+
     @cached_property
     def _rows_ok(self) -> bool:
+        if self._exact_checks:
+            return not any(map(self._row_exceeds, range(len(self.rows))))
         norms, bounds, _ = self._brackets
         return all(
             _at_most(n, b, lambda j=j: not self._row_exceeds(j))
@@ -461,19 +478,21 @@ class VandermondeCertificate:
         )
 
     def rows_ok(self) -> bool:
-        """No row norm's lower end exceeds its bound's upper end: decided
-        on the brackets, and exactly on the grid integers where they
-        overlap."""
+        """No row norm's lower end exceeds its bound's upper end, decided
+        exactly on the grid integers (on brackets first for a large
+        certificate)."""
         return self._rows_ok
 
     @cached_property
     def _hadamard_ok(self) -> bool:
+        if self._exact_checks:
+            return not self._det_exceeds()
         return _at_most(self._det_bracket, self._brackets[2], lambda: not self._det_exceeds())
 
     def hadamard_ok(self) -> bool:
         """The lower end of |det W_1| does not exceed the Hadamard bound's
-        upper end: decided on the brackets, and exactly on the grid
-        integers where they overlap."""
+        upper end, decided exactly on the grid integers (on brackets first
+        for a large certificate)."""
         return self._hadamard_ok
 
     def to_json(self) -> dict:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -811,8 +812,10 @@ def _parent_row_bounds(cert) -> tuple:
 
 
 class TestCertificateBrackets:
-    """`rows_ok` and `hadamard_ok` decide on working-precision brackets and
-    fall back to the exact comparison where two brackets overlap."""
+    """`rows_ok` and `hadamard_ok` compare a small certificate's exact
+    integers directly; a larger one's they decide on working-precision
+    brackets, with the exact comparison where two brackets overlap. The
+    tests force the brackets by setting `_EXACT_CHECK_BITS` to 0."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(_real_roots, _gaussian_roots), st.sampled_from(["path", "complete", "random"]), st.data())
@@ -827,7 +830,14 @@ class TestCertificateBrackets:
         # claimed in-degrees change only the bounds, which then often fail
         claimed = tuple([data.draw(st.integers(0, j)) for j in range(r)])
         for c in (cert, dataclasses.replace(cert, in_degrees=claimed)):
-            assert (c.rows_ok(), c.hadamard_ok()) == certificate_checks(c)
+            expected = certificate_checks(c)
+            # small enough for the direct comparison, and on brackets
+            assert c._exact_checks
+            assert (c.rows_ok(), c.hadamard_ok()) == expected
+            assert "_brackets" not in c.__dict__
+            with mock.patch.object(bounds, "_EXACT_CHECK_BITS", 0):
+                c = dataclasses.replace(c)
+                assert (c.rows_ok(), c.hadamard_ok()) == expected
 
     def test_a_tie_falls_back_to_the_exact_comparison(self, monkeypatch):
         # roots -1, i, 1: a row without incoming edges, (1, v, v^2) with
@@ -838,6 +848,7 @@ class TestCertificateBrackets:
         calls = []
         exceeds = bounds._exceeds
         monkeypatch.setattr(bounds, "_exceeds", lambda *args: calls.append(args) or exceeds(*args))
+        monkeypatch.setattr(bounds, "_EXACT_CHECK_BITS", 0)
         assert cert.rows_ok() and cert.hadamard_ok()
         # the two rows without incoming edges; the reduced row (norm at most
         # sqrt(5), bound 3) and |det W_1| (2, bound 9) are decided on brackets
