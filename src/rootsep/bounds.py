@@ -782,7 +782,7 @@ def bound_classical(p, graph_or_edges, precision: int = 128, roots: RootSet | No
             )
         if d == 1:
             return {}, {}
-        disc_abs = _abs_ball(_derivative_coefficients(p, roots.chain_heads)[0] / p.leading)
+        disc_abs = _abs_ball(_derivative_coefficients(p, roots.chain_heads, (0,))[0] / p.leading)
         return {}, {"sdisc_sqrt": disc_abs.sqrt(), "multiplicity_factor": RBall.one()}
 
     return _graph_bound("classical", p, graph_or_edges, precision, roots, check)

@@ -33,14 +33,15 @@ from .roots import RootSet, find_roots
 # ---------------------------------------------------------------------------
 
 
-def _first_nonzero(psc: list[GaussianRational], d: int, r: int) -> tuple[int, GaussianRational]:
-    """(k, psc_k) for the smallest k with psc_k != 0. That index must be d - r,
-    r from the square-free decomposition; a mismatch would mean broken exact
+def _first_nonzero(heads: tuple, d: int, r: int) -> int:
+    """The smallest k with psc_k != 0, read off the chain's integer `heads`
+    (psc_k is a nonzero multiple of heads[k]). That index must be d - r, r
+    from the square-free decomposition; a mismatch would mean broken exact
     arithmetic."""
-    k = next(j for j, v in enumerate(psc) if not v.is_zero)
+    k = next(j for j, h in enumerate(heads) if h != (0, 0))
     if k != d - r:  # pragma: no cover
         raise RootsepError(f"subresultant gap {k} disagrees with decomposition d-r={d - r}")
-    return k, psc[k]
+    return k
 
 
 def _abs_ball(w: GaussianRational) -> RBall:
@@ -126,12 +127,12 @@ def compute_invariants(p, precision: int = 128, roots: RootSet | None = None) ->
         mahler = mahler_measure(roots)
         sdisc_roots = sdisc_abs_from_roots(roots)
         d = p.degree
-        psc = _derivative_coefficients(p, roots.chain_heads)
-        index, sres = _first_nonzero(psc, d, roots.r)
+        index = _first_nonzero(roots.chain_heads, d, roots.r)
+        psc_0, sres = _derivative_coefficients(p, roots.chain_heads, (0, index))
         sdisc = RBall.one() if roots.r == 1 else _abs_ball(sres / p.leading)
         if not sdisc.overlaps(sdisc_roots):  # pragma: no cover
             raise RootsepError(
                 "subresultant and root-product subdiscriminant routes disagree"
             )
-        disc = _abs_ball(psc[0] / p.leading) if d >= 2 else None
+        disc = _abs_ball(psc_0 / p.leading) if d >= 2 else None
         return InvariantBundle(mahler, disc, sdisc, index)

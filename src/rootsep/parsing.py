@@ -8,16 +8,23 @@ Accepted forms:
 * JSON: {"coeffs": [[re_num, re_den, im_num, im_den], ...]}, lowest
   degree first.
 
-The result is always an ExactPoly. A decimal literal is read as the exact
-rational it denotes: 0.3 is 3/10, so "(x-0.3)^6" and "(x-3/10)^6" are the same
-polynomial. Exponents must be integer literals without a decimal point, and
-a power may not exceed `MAX_POWER_DEGREE` or `MAX_POWER_BITS` (`_power`).
+The result is always an ExactPoly. Text is cut into tokens by one regular
+expression (`_TOKEN`). An integer literal is read as an int, and a literal
+with a decimal point as the exact Fraction it denotes: 0.3 is 3/10, so
+"(x-0.3)^6" and "(x-3/10)^6" are the same polynomial. A recursive descent
+(`_Parser`) then builds the value on ExactPoly arithmetic; `x` and `i` are
+shared atoms, and a division by a constant is one exact scaling
+(`ExactPoly.__floordiv__`). Exponents must be integer literals without a
+decimal point, and a power may not exceed `MAX_POWER_DEGREE` or
+`MAX_POWER_BITS` (`_power`). An error message quotes at most
+`_QUOTE_CHARS` characters of a token, with the token's length.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParseError
@@ -34,54 +41,68 @@ MAX_POWER_DEGREE = 1000
 MAX_POWER_BITS = 20_000
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-    value: Fraction | None = None
-    decimal: bool = False
+#: one token: a number (decimal digits with at most one point), a name (a run
+#: of word characters other than decimal digits and "_": letters, or numeric
+#: characters such as "²", which `_tokenize` rejects), an operator, or a run
+#: of whitespace, which is skipped
+_TOKEN = re.compile(r"(\d+(?:\.\d*)?|\.\d+)|([^\W\d_]+)|(\*\*|[-+*/^()])|\s+")
+
+#: `value` is a number token's value, an int, or a Fraction for a literal
+#: with a decimal point; None for any other token
+_Token = namedtuple("_Token", "kind text pos value")
+
+#: the atoms `x` and `i`, shared by every parse
+_X = ExactPoly.x()
+_I = ExactPoly(((0, 1),))
+
+#: the most characters of a token an error message quotes
+_QUOTE_CHARS = 40
+
+
+def _quote(text: str) -> str:
+    """`text` as an error message quotes it: whole when short, else its first
+    `_QUOTE_CHARS` characters and its length."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 def _tokenize(text: str) -> list[_Token]:
     out = []
-    i = 0
+    append = out.append
+    match = _TOKEN.match
+    # tuple.__new__ builds a _Token without the Python call of its __new__
+    new = tuple.__new__
     n = len(text)
+    i = 0
     while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            while i < n and (text[i].isdigit() or (text[i] == "." and not seen_dot)):
-                if text[i] == ".":
-                    seen_dot = True
-                i += 1
-            lit = text[start:i]
+        m = match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        kind = m.lastindex
+        j = m.end()
+        if kind == 3:
+            append(new(_Token, ("op", "^" if j - i == 2 else text[i], i, None)))
+        elif kind == 1:
+            lit = text[i:j]
+            # a digit that is not a decimal digit, such as a superscript,
+            # continues the literal and makes it unreadable
+            if j < n and text[j].isdigit():
+                raise ParseError(f"bad numeric literal {_quote(text[i:j + 1])}", i)
             try:
-                value = Fraction(lit)
-            except ValueError:
-                raise ParseError(f"bad numeric literal {lit!r}", start)
-            out.append(_Token("number", lit, start, value, seen_dot))
-            continue
-        if c.isalpha():
-            start = i
-            while i < n and text[i].isalpha():
-                i += 1
-            out.append(_Token("name", text[start:i], start))
-            continue
-        if c == "*" and i + 1 < n and text[i + 1] == "*":
-            out.append(_Token("op", "^", i))
-            i += 2
-            continue
-        if c in "+-*/^()":
-            out.append(_Token("op", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    out.append(_Token("end", "", n))
+                value = Fraction(lit) if "." in lit else int(lit)
+            except ValueError:  # more digits than int() reads
+                raise ParseError(f"bad numeric literal {_quote(lit)}", i)
+            append(new(_Token, ("number", lit, i, value)))
+        elif kind == 2:
+            name = text[i:j]
+            if not name.isalpha():
+                # the run holds a numeric character that is not a letter
+                k = i + next(k for k, c in enumerate(name) if not c.isalpha())
+                raise ParseError(f"unexpected character {text[k]!r}", k)
+            append(new(_Token, ("name", name, i, None)))
+        i = j
+    append(new(_Token, ("end", "", n, None)))
     return out
 
 
@@ -109,42 +130,46 @@ class _Parser:
         p = self.expr()
         t = self.peek()
         if t.kind != "end":
-            raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
+            raise ParseError(f"unexpected trailing input {_quote(t.text)}", t.pos)
         return p
+
+    # expr, term, factor and atom read the tokens in place, an operator by
+    # its text alone: no name or number is spelled like one
 
     def expr(self) -> ExactPoly:
         """A sum of terms, added up once (`ExactPoly.sum_of`)."""
+        tokens = self.tokens
         terms = []
-        t = self.peek()
-        if t.kind == "op" and t.text in "+-":
-            self.take()
-        else:
-            t = None
+        sign = tokens[self.idx].text
+        if sign == "+" or sign == "-":
+            self.idx += 1
         while True:
             rhs = self.term()
-            terms.append(-rhs if t is not None and t.text == "-" else rhs)
-            t = self.peek()
-            if t.kind != "op" or t.text not in "+-":
-                return ExactPoly.sum_of(terms)
-            self.take()
+            terms.append(-rhs if sign == "-" else rhs)
+            sign = tokens[self.idx].text
+            if sign != "+" and sign != "-":
+                return terms[0] if len(terms) == 1 else ExactPoly.sum_of(terms)
+            self.idx += 1
 
     def term(self) -> ExactPoly:
+        tokens = self.tokens
         acc = self.factor()
         while True:
-            t = self.peek()
-            if t.kind == "op" and t.text == "*":
-                self.take()
+            t = tokens[self.idx]
+            op = t.text
+            if op == "*":
+                self.idx += 1
                 acc = acc * self.factor()
-            elif t.kind == "op" and t.text == "/":
-                self.take()
-                pos = self.peek().pos
+            elif op == "/":
+                self.idx += 1
+                pos = tokens[self.idx].pos
                 divisor = self.factor()
                 if divisor.is_zero:
                     raise ParseError("division by zero", pos)
-                if divisor.degree > 0:
+                if len(divisor.nums) > 1:
                     raise ParseError("division by a non-constant polynomial", pos)
                 acc = acc // divisor
-            elif t.kind == "name" or (t.kind == "op" and t.text == "("):
+            elif op == "(" or t.kind == "name":
                 # implicit multiplication: 2x, 3(x-1), x(x+2); two adjacent
                 # number literals stay a syntax error
                 acc = acc * self.factor()
@@ -153,18 +178,19 @@ class _Parser:
 
     def factor(self) -> ExactPoly:
         base = self.atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
-            self.take()
-            pos = self.peek().pos
-            e = self.exponent()
-            if not base.is_zero:
-                if base.degree * e > MAX_POWER_DEGREE:
-                    raise ParseError(f"power of degree {base.degree * e} exceeds {MAX_POWER_DEGREE}", pos)
-                if _power_bits(base, e) > MAX_POWER_BITS:
-                    raise ParseError(f"power needs more than {MAX_POWER_BITS} bits per coefficient", pos)
-            return _power(base, e)
-        return base
+        tokens = self.tokens
+        if tokens[self.idx].text != "^":
+            return base
+        self.idx += 1
+        pos = tokens[self.idx].pos
+        e = self.exponent()
+        if not base.is_zero:
+            if base.degree * e > MAX_POWER_DEGREE:
+                raise ParseError(f"power of degree {base.degree * e} exceeds {MAX_POWER_DEGREE}", pos)
+            # x^e needs no bits
+            if base != _X and _power_bits(base, e) > MAX_POWER_BITS:
+                raise ParseError(f"power needs more than {MAX_POWER_BITS} bits per coefficient", pos)
+        return _power(base, e)
 
     def exponent(self) -> int:
         t = self.take()
@@ -172,32 +198,34 @@ class _Parser:
         if t.kind == "op" and t.text in "+-":
             neg = t.text == "-"
             t = self.take()
-        if t.kind != "number" or t.decimal or t.value.denominator != 1:
+        if t.kind != "number" or type(t.value) is not int:
             raise ParseError("exponent must be an integer literal", t.pos)
         if neg:
             raise ParseError("negative exponents are not polynomial", t.pos)
-        return int(t.value)
+        return t.value
 
     def atom(self) -> ExactPoly:
-        t = self.take()
-        if t.kind == "number":
+        t = self.tokens[self.idx]
+        self.idx += 1
+        kind = t.kind
+        if kind == "number":
             q = t.value
             return ExactPoly(((q.numerator, 0),), q.denominator) if q else ExactPoly.zero()
-        if t.kind == "name":
+        if kind == "name":
             name = t.text.lower()
             if name == "x":
-                return ExactPoly.x()
+                return _X
             if name == "i":
-                return ExactPoly(((0, 1),))
-            raise ParseError(f"unknown name {t.text!r}", t.pos)
-        if t.kind == "op" and t.text == "(":
+                return _I
+            raise ParseError(f"unknown name {_quote(t.text)}", t.pos)
+        if t.text == "(":
             inner = self.expr()
             self.expect_op(")")
             return inner
         if t.kind == "op" and t.text in "+-":
             inner = self.factor()
             return -inner if t.text == "-" else inner
-        raise ParseError(f"unexpected token {t.text!r}", t.pos)
+        raise ParseError(f"unexpected token {_quote(t.text)}", t.pos)
 
 
 def _power_bits(base: ExactPoly, e: int) -> float:
@@ -212,7 +240,7 @@ def _power_bits(base: ExactPoly, e: int) -> float:
 
 def _power(base: ExactPoly, e: int) -> ExactPoly:
     """base^e: x^e as its monomial, other bases by repeated squaring."""
-    if base == ExactPoly.x():
+    if base == _X:
         return ExactPoly(((0, 0),) * e + ((1, 0),))
     acc = ExactPoly.constant(1)
     while e:

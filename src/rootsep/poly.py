@@ -4,8 +4,10 @@ ExactPoly is a polynomial over the Gaussian rationals, held as Gaussian-integer
 numerators over one positive denominator in lowest terms. All of its
 arithmetic runs on those integers: sums, products, derivative, monic scaling,
 exact division, gcd and square-free decomposition (Yun), which determines the
-multiplicity structure of the roots. `GaussianRational` appears only at the
-edges, as the scalar type of `coeffs`, `coeff` and `leading`.
+multiplicity structure of the roots. Division by a constant takes no long
+division: it is one scaling of the numerators (`_over`). `GaussianRational`
+appears only at the edges, as the scalar type of `coeffs`, `coeff` and
+`leading`.
 
 Both gcds and subresultants come from one subresultant polynomial remainder
 sequence (Brown-Traub; in Ducos' formulation) on the same Gaussian-integer
@@ -168,13 +170,14 @@ class ExactPoly:
         once."""
         polys = list(polys)
         den = lcm(*[p.den for p in polys])
-        out = [[0, 0] for _ in range(max((len(p.nums) for p in polys), default=0))]
+        n = max([len(p.nums) for p in polys], default=0)
+        res, ims = [0] * n, [0] * n
         for p in polys:
             s = den // p.den
-            for c, (re, im) in zip(out, p.nums):
-                c[0] += re * s
-                c[1] += im * s
-        return _reduced([(re, im) for re, im in out], den)
+            for k, (re, im) in enumerate(p.nums):
+                res[k] += re * s
+                ims[k] += im * s
+        return _reduced(list(zip(res, ims)), den)
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
         return ExactPoly.sum_of((self, other))
@@ -186,6 +189,10 @@ class ExactPoly:
         return ExactPoly(tuple([(-re, -im) for re, im in self.nums]), self.den)
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
+        if len(self.nums) < len(other.nums):
+            # the outer loop skips zero numerators, as in c * x^k: run it over
+            # the longer factor
+            self, other = other, self
         out = [(0, 0)] * (len(self.nums) + len(other.nums) - 1)
         for i, (a, b) in enumerate(self.nums):
             if a or b:
@@ -206,11 +213,15 @@ class ExactPoly:
         """The exact quotient; raises ValueError when `other` does not divide."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q, rem = _pdivmod(self.nums, other.nums)
-        if rem:
-            raise ValueError("inexact polynomial division")
-        # q = lc^(m+1) * nums / other.nums, m the degree difference
-        scale = _gpow(other.nums[-1], len(self.nums) - len(other.nums) + 1)
+        if len(other.nums) == 1:
+            # a constant: no long division
+            q, scale = self.nums, other.nums[0]
+        else:
+            q, rem = _pdivmod(self.nums, other.nums)
+            if rem:
+                raise ValueError("inexact polynomial division")
+            # q = lc^(m+1) * nums / other.nums, m the degree difference
+            scale = _gpow(other.nums[-1], len(self.nums) - len(other.nums) + 1)
         return _over([(re * other.den, im * other.den) for re, im in q], self.den, scale)
 
     def derivative(self) -> "ExactPoly":
@@ -236,7 +247,10 @@ def _reduced(nums: list, den: int) -> ExactPoly:
     if not nums:
         return ExactPoly(())
     if den != 1:
-        g = gcd(den, *(part for c in nums for part in c))
+        # the leading numerator alone often leaves no common factor
+        g = gcd(den, *nums[-1])
+        if g != 1:
+            g = gcd(g, *[part for c in nums for part in c])
         if g != 1:
             nums = [(re // g, im // g) for re, im in nums]
             den //= g
@@ -246,7 +260,12 @@ def _reduced(nums: list, den: int) -> ExactPoly:
 def _over(nums, den: int, mu: tuple[int, int]) -> ExactPoly:
     """nums / (den * mu) for a nonzero Gaussian integer mu, normalized."""
     a, b = mu
-    return _reduced([_gmul(c, (a, -b)) for c in nums], den * (a * a + b * b))
+    if not b:
+        # a real mu needs no conjugate, and its square would only cancel
+        if a < 0:
+            return _reduced([(-re, -im) for re, im in nums], den * -a)
+        return _reduced(list(nums), den * a)
+    return _reduced([(re * a + im * b, im * a - re * b) for re, im in nums], den * (a * a + b * b))
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +331,29 @@ def _chain_heads(chain: dict, q: int) -> tuple:
     return tuple(heads)
 
 
-def _derivative_coefficients(p: ExactPoly, heads: tuple) -> list[GaussianRational]:
-    """psc_0 .. psc_{d-1} of (P, P'), from the `heads` of the chain of (monic
-    P, its derivative) that `square_free_decomposition` builds.
+def _derivative_coefficients(p: ExactPoly, heads: tuple, js) -> list[GaussianRational]:
+    """psc_j of (P, P') for each j in `js`, from the `heads` of the chain of
+    (monic P, its derivative) that `square_free_decomposition` builds; only
+    the entries asked for are scaled.
 
     P = lc * monic P and P' = lc * (monic P)', and psc_j is a determinant
     with d - 1 - j rows of the first and d - j rows of the second, so
     psc_j(P, P') = lc^(2d - 1 - 2j) psc_j(monic P, (monic P)'); the chain
     runs on the numerators, so the d - 1 - j rows of monic P bring its
     denominator once each, and the d - j rows of the derivative theirs.
+    With lc = g / den, the scaling runs on integers and ends in one Fraction
+    per part.
     """
     pm = p.monic()
     la, lb = pm.den, pm.derivative().den
-    d, lc = p.degree, p.leading
-    lc2 = lc * lc
-    power = lc
+    d, g, den = p.degree, p.nums[-1], p.den
     out = []
-    for j in range(d - 1, -1, -1):
-        re, im = heads[j]
-        scale = la ** (d - 1 - j) * lb ** (d - j)
-        out.append(GaussianRational(Fraction(re, scale), Fraction(im, scale)) * power)
-        power = power * lc2
-    return out[::-1]
+    for j in js:
+        n = 2 * d - 1 - 2 * j
+        re, im = _gmul(heads[j], _gpow(g, n))
+        scale = la ** (d - 1 - j) * lb ** (d - j) * den ** n
+        out.append(GaussianRational(Fraction(re, scale), Fraction(im, scale)))
+    return out
 
 
 class Decomposition(list):

@@ -107,7 +107,7 @@ class TestJensen:
 def _psc(p):
     """psc_0 .. psc_{d-1} of (P, P') by the pipeline's route: the heads of
     the chain that the square-free decomposition holds, rescaled."""
-    return _derivative_coefficients(p, square_free_decomposition(p).heads)
+    return _derivative_coefficients(p, square_free_decomposition(p).heads, range(p.degree))
 
 
 def _exact(ball, value):
@@ -348,7 +348,7 @@ def test_degree_16_gaussian_multiplicities():
         assert by_mult.pop(m) == expected
     assert not by_mult
 
-    psc = _derivative_coefficients(p, decomposition.heads)
+    psc = _derivative_coefficients(p, decomposition.heads, range(d))
     assert next(j for j, v in enumerate(psc) if not v.is_zero) == d - r
 
     # every chain coefficient is a minor of the Sylvester matrix of the

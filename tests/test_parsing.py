@@ -119,6 +119,42 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_polynomial("x^2 - 1 1")
 
+    @pytest.mark.parametrize("text, position", [
+        ("x^2 + $", 6), ("1.2.3", 3), ("x^2.", 2), ("2 3", 2), ("x^-1", 3), ("x²", 1),
+        ("2²", 0), ("x½", 1), ("((x)", 4), ("", 0), ("   ", 0), ("x..5", 1), ("x^(1/2)", 2),
+    ])
+    def test_error_positions(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text, position", [
+        pytest.param("x - " + "9" * 5000, 4, id="literal-over-int-digit-limit"),
+        pytest.param("x " + "9" * 4000, 2, id="trailing-literal"),
+        pytest.param("x*" + "y" * 5000, 2, id="unknown-name"),
+    ])
+    def test_long_tokens_are_quoted_short(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+        assert len(str(err.value)) < 120
+
+
+class TestTokens:
+    """Literals, names and operators as the tokenizer reads them."""
+
+    @pytest.mark.parametrize("text, coeffs", [
+        ("٣x", [0, 3]),  # any decimal digit
+        ("1.", [1]),
+        (".5x", [0, Fraction(1, 2)]),
+        ("X^2", [0, 0, 1]),
+        ("I*x", [0, GaussianRational.of(0, 1)]),
+        ("x**2", [0, 0, 1]),
+        ("2x(x+1)", [0, 2, 2]),
+    ])
+    def test_accepted(self, text, coeffs):
+        assert parse_polynomial(text) == ExactPoly.from_coeffs(coeffs)
+
 
 def _random_exact_poly(rng):
     deg = rng.randint(0, 6)
@@ -222,6 +258,8 @@ EDGE_INPUTS = [
     "-x^3 + (2-i)x^0 - (x+i)^5 + 3/4*x^7 - 0^0 + 0^3*x",
     "x^5/4 - (x+1)^3/(2-3*i) + 5/6/7",
     "2*x^2 - x*x - x^2 + 0.25",
+    # powers of x over a constant, whose numerators are x's
+    "(x/2)^3 - (-x/3)^1 + (X/2)**2",
 ]
 
 
